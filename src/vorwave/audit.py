@@ -218,10 +218,11 @@ def _argmin_loc(wf, arr):
 class _Auditor:
     """Carries the shared arrays and tolerances while the list is built."""
 
-    def __init__(self, wf, vf, tol):
+    def __init__(self, wf, vf, tol, lam_c):
         self.wf = wf
         self.vf = vf
         self.tol = tol
+        self.lam_c = lam_c
         g = wf.g
         self.g = g
         self.u, self.v = wf.u, wf.v
@@ -653,7 +654,7 @@ class _Auditor:
         uc2, ut2 = float(us[0] ** 2), float(us[-1] ** 2)
         ident_gap = abs(ut2 - uc2
                         - 2.0 * self.g * float(wf.eta[0] - wf.eta[-1]))
-        lam_c = critical_lambda(self.vf, self.g)
+        lam_c = self.lam_c
         margin = min(uc2 + 2.0 * self.g * wf.L - ut2, lam_c - uc2)
         status = _strict(margin, self.band_for(lam_c))
         if ident_gap > self.eq_tol:
@@ -748,11 +749,13 @@ def mirror_idx(nq):
     return np.arange(nq - 2, 0, -1)
 
 
-def audit_wave(wf, vf=None, tol=None):
+def audit_wave(wf, vf=None, tol=None, lam_c=None):
     """Run every diagnostic on a reconstructed wave field.
 
     vf defaults to the field's own VorticityFunction; fields loaded from
-    CSV must pass one explicitly. Returns an AuditReport whose as_json()
+    CSV must pass one explicitly. lam_c is critical_lambda(vf, wf.g),
+    computed here when None; callers auditing many waves of one branch pass
+    it in to skip the quadrature. Returns an AuditReport whose as_json()
     matches the CLI report schema.
     """
     vf = vf if vf is not None else wf.vf
@@ -760,7 +763,9 @@ def audit_wave(wf, vf=None, tol=None):
         raise InputError("audit needs a VorticityFunction; the field "
                          "carries none")
     tol = tol if tol is not None else Tolerances()
-    a = _Auditor(wf, vf, tol)
+    if lam_c is None:
+        lam_c = critical_lambda(vf, wf.g)
+    a = _Auditor(wf, vf, tol, lam_c)
     a.slope()
     a.sigma()
     a.ux_sign()

@@ -131,10 +131,15 @@ def _run_dispersion(cfg, outdir):
     return 0
 
 
+def _lambda_star(cfg, vf):
+    return float(find_bifurcation(vf, cfg.g, cfg.L, cfg.m,
+                                  beta=cfg.grid.stretching))
+
+
 def _run_bifurcate(cfg, outdir):
+    """Write bifurcation.json and return its payload."""
     vf = cfg.build_vorticity()
-    lam_star = float(find_bifurcation(vf, cfg.g, cfg.L, cfg.m,
-                                      beta=cfg.grid.stretching))
+    lam_star = _lambda_star(cfg, vf)
     payload = {
         "lambda_star": lam_star,
         "lambda_c": critical_lambda(vf, cfg.g),
@@ -142,20 +147,20 @@ def _run_bifurcate(cfg, outdir):
         "depth": float(laminar_depth(vf, lam_star)),
     }
     _write_json(outdir / "bifurcation.json", payload)
-    return 0
+    return payload
 
 
-def _make_branch(cfg):
-    grid = cfg.build_grid()
-    vf = cfg.build_vorticity()
+def _make_branch(cfg, vf, lam_star):
     cont = cfg.continuation
-    return continue_branch(grid, vf, cfg.g, cont.steps, ds0=cont.ds0,
+    return continue_branch(cfg.build_grid(), vf, cfg.g, cont.steps,
+                           lam_star=lam_star, ds0=cont.ds0,
                            ds_max=cont.ds_max, eps_stag=cont.eps_stag,
                            trough_margin=cont.trough_margin)
 
 
 def _run_continue(cfg, outdir):
-    branch = _make_branch(cfg)
+    vf = cfg.build_vorticity()
+    branch = _make_branch(cfg, vf, _lambda_star(cfg, vf))
     save_branch(branch, outdir / "branch")
     return 0
 
@@ -188,8 +193,8 @@ def _run_reconstruct(cfg, outdir, point):
     return 0
 
 
-def _audit_one(wf, tol, reports_dir, index):
-    report = audit_wave(wf, tol=tol)
+def _audit_one(wf, tol, lam_c, reports_dir, index):
+    report = audit_wave(wf, tol=tol, lam_c=lam_c)
     _write_json(reports_dir / _report_filename(index), report.as_json())
     return report.passed()
 
@@ -207,10 +212,14 @@ def _run_audit(cfg, outdir, field_csv, point, manifest):
     reports_dir = outdir / "reports"
     reports_dir.mkdir(exist_ok=True)
     all_pass = True
+    lam_c = None
     for idx, path in _branch_point_files(outdir, point):
         grid, vf, g, h, Q = load_point(path)
+        if lam_c is None:
+            # every point of a branch shares its vorticity and g
+            lam_c = critical_lambda(vf, g)
         wf = reconstruct(grid, vf, g, h, Q)
-        all_pass = _audit_one(wf, tol, reports_dir, idx) and all_pass
+        all_pass = _audit_one(wf, tol, lam_c, reports_dir, idx) and all_pass
     return 0 if all_pass else 1
 
 
@@ -223,8 +232,8 @@ def _run_gerstner(args, outdir):
 
 
 def _run_pipeline(cfg, outdir):
-    _run_bifurcate(cfg, outdir)
-    branch = _make_branch(cfg)
+    bif = _run_bifurcate(cfg, outdir)
+    branch = _make_branch(cfg, cfg.build_vorticity(), bif["lambda_star"])
     save_branch(branch, outdir / "branch")
     (outdir / "fields").mkdir(exist_ok=True)
     reports_dir = outdir / "reports"
@@ -234,7 +243,7 @@ def _run_pipeline(cfg, outdir):
     def work(pt):
         wf = reconstruct(branch.grid, branch.vf, branch.g, pt.h, pt.Q)
         wf.to_csv(outdir / "fields" / _field_filename(pt.index))
-        return _audit_one(wf, tol, reports_dir, pt.index)
+        return _audit_one(wf, tol, bif["lambda_c"], reports_dir, pt.index)
 
     with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
         outcomes = list(pool.map(work, branch.points))
@@ -306,7 +315,8 @@ def run(args):
         if args.command == "dispersion":
             status = _run_dispersion(cfg, outdir)
         elif args.command == "bifurcate":
-            status = _run_bifurcate(cfg, outdir)
+            _run_bifurcate(cfg, outdir)
+            status = 0
         elif args.command == "continue":
             status = _run_continue(cfg, outdir)
         elif args.command == "reconstruct":

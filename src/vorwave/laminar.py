@@ -68,15 +68,6 @@ def head_slope(vf, lam, g):
     return 0.5 - 0.5 * g * integral
 
 
-def head_curvature(vf, lam, g):
-    """d2(head)/d(lambda)2 = (3g/4) int (lambda+2Gamma)^(-5/2) > 0."""
-    _require_admissible(vf, lam)
-    integral = _quad_checked(
-        lambda s: (lam + 2.0 * vf.Gamma(s)) ** -2.5, -vf.m, 0.0,
-        "head curvature")
-    return 0.75 * g * integral
-
-
 def critical_lambda(vf, g):
     """The unique minimizer lambda_c of the laminar head.
 

@@ -180,7 +180,8 @@ def _scaled_dot(dh, dQ, th, tQ):
 
 
 def newton_solve(grid, vf, g, h0, Q0, mode="fixed_q", *, amplitude_target=None,
-                 base=None, tangent=None, ds=None, max_iter=50):
+                 base=None, tangent=None, ds=None, max_iter=50,
+                 max_contraction=None):
     """Damped Newton iteration on the discrete height system.
 
     mode "fixed_q" holds Q; "fixed_amplitude" appends the closure
@@ -188,6 +189,13 @@ def newton_solve(grid, vf, g, h0, Q0, mode="fixed_q", *, amplitude_target=None,
     condition built from `base` (h, Q) and `tangent` (t_h, t_Q) with step ds.
     Steps are halved whenever the candidate would push min h_p below the
     positivity floor or fails to reduce the residual norm.
+
+    With `max_contraction` set to theta < 1, the iteration gives up with
+    NoConvergenceError as soon as an iteration that has not converged cuts
+    the max-norm residual by less than that factor (new > theta * old): a
+    Newton iteration that contracts this slowly is outside its region of
+    fast convergence, and a caller that can shorten its step does better to
+    retry at once (Deuflhard's monotonicity test). None never gives up early.
     """
     if mode == "fixed_amplitude" and amplitude_target is None:
         raise InputError("fixed_amplitude mode needs amplitude_target")
@@ -218,6 +226,7 @@ def newton_solve(grid, vf, g, h0, Q0, mode="fixed_q", *, amplitude_target=None,
         return F
 
     F = full_residual(h, Q)
+    prev_nrm = None
     for it in range(max_iter + 1):
         nrm = float(np.max(np.abs(F)))
         tol = _tolerance(Q)
@@ -226,6 +235,13 @@ def newton_solve(grid, vf, g, h0, Q0, mode="fixed_q", *, amplitude_target=None,
         if it == max_iter:
             raise NoConvergenceError(
                 "residual %.3g after %d Newton iterations" % (nrm, max_iter))
+        if (max_contraction is not None and prev_nrm is not None
+                and nrm > max_contraction * prev_nrm):
+            raise NoConvergenceError(
+                "Newton iteration %d cut the residual only from %.3g to %.3g "
+                "(ratio %.3f > %g)"
+                % (it, prev_nrm, nrm, nrm / prev_nrm, max_contraction))
+        prev_nrm = nrm
 
         J_hh, dF_dQ = jacobian_blocks(grid, vf, g, h, Q)
         if mode == "fixed_q":

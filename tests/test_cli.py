@@ -156,6 +156,21 @@ class TestPipeline:
             assert (later / "pipeline.json").read_bytes() == \
                 (first / "pipeline.json").read_bytes()
 
+    def test_one_lambda_star_with_stretched_grid(self, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json",
+                           grid={"Nq": 24, "Np": 20, "stretching": 0.2},
+                           continuation={"steps": 2})
+        assert main(["pipeline", "--config", str(cfg), "--out",
+                     str(tmp_path / "p")]) == 0
+        assert main(["continue", "--config", str(cfg), "--out",
+                     str(tmp_path / "c")]) == 0
+        lam = json.loads(
+            (tmp_path / "p" / "bifurcation.json").read_text())["lambda_star"]
+        for path in ("p/pipeline.json", "p/branch/branch.json",
+                     "c/branch/branch.json"):
+            assert json.loads((tmp_path / path).read_text())[
+                "lambda_star"] == lam
+
     def test_bad_thread_env(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path / "cfg.json",
                            continuation={"steps": 1})

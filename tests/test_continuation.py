@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from vorwave import continuation, solver
 from vorwave.continuation import (Branch, continue_branch, load_point,
                                   save_branch, trough_criterion_value)
 from vorwave.fd import dq_even
@@ -108,6 +109,49 @@ class TestBranchShape:
         assert br.stop_reason == "max-steps"
         for pt in br.points:
             assert trough_criterion_value(grid, vf, G, pt.h) > 0.0
+
+
+class TestEarlyNewtonFailure:
+    def test_branch_through_the_q_maximum_is_unchanged(self, monkeypatch):
+        # Abandoning stalled Newton attempts early must leave every accepted
+        # point as the patient solver (50 iterations, no contraction test)
+        # finds it, while factoring fewer matrices.
+        vf = VorticityFunction.constant(-0.3, m=M)
+        grid = StripGrid(L, M, 24, 20, beta=0.5)
+        lam_star = find_bifurcation(vf, G, L, M)
+        factorizations = []
+        real_splu = solver.splu
+
+        def counting_splu(*args, **kwargs):
+            factorizations.append(1)
+            return real_splu(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "splu", counting_splu)
+
+        def run():
+            start = len(factorizations)
+            br = continue_branch(grid, vf, G, 20, lam_star=lam_star)
+            return br, len(factorizations) - start
+
+        fast, fast_lu = run()
+        real_newton = continuation.newton_solve
+
+        def patient_newton(*args, **kwargs):
+            kwargs.update(max_iter=50, max_contraction=None)
+            return real_newton(*args, **kwargs)
+
+        monkeypatch.setattr(continuation, "newton_solve", patient_newton)
+        slow, slow_lu = run()
+
+        Qs = [pt.Q for pt in fast.points]
+        assert 0 < int(np.argmax(Qs)) < len(Qs) - 1
+        assert fast.stop_reason == slow.stop_reason
+        assert len(fast.points) == len(slow.points)
+        for a, b in zip(fast.points, slow.points):
+            assert np.array_equal(a.h, b.h)
+            assert (a.Q, a.ds, a.newton_iterations) == \
+                (b.Q, b.ds, b.newton_iterations)
+        assert fast_lu < slow_lu
 
 
 class TestSerialization:

@@ -13,11 +13,15 @@ The closed-form anchors used here:
   a shooting method gives an oracle independent of the tridiagonal assembly.
 """
 
+import re
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
+from vorwave import solver
+from vorwave.continuation import continue_branch
 from vorwave.errors import (BifurcationNotFoundError, InputError,
                             NoConvergenceError, StagnationError)
 from vorwave.fd import dq_even
@@ -191,6 +195,39 @@ class TestNewton:
                          @ t_h[:, 1:].ravel()) / n
                    + (res.Q - first.Q) * t_Q)
         assert abs(closure - ds) < 1e-9
+
+    def test_stalled_arclength_attempt_gives_up_early(self, monkeypatch):
+        # A step of 0.04 from the last point of this branch, which sits near
+        # the maximum of Q, overshoots: Newton stalls from the start, and the
+        # contraction limit gives up within a few iterations.
+        vf = VorticityFunction.constant(-0.3, m=M)
+        grid = StripGrid(L, M, 24, 20, beta=0.5)
+        prev, cur = continue_branch(grid, vf, G, 10).points[-2:]
+        t_h, t_Q = cur.h - prev.h, cur.Q - prev.Q
+        nrm = np.sqrt(float(np.sum(t_h[:, 1:] ** 2)) / t_h[:, 1:].size
+                      + t_Q ** 2)
+        t_h, t_Q = t_h / nrm, t_Q / nrm
+        ds = 0.04
+        factorizations = []
+        real_splu = solver.splu
+
+        def counting_splu(*args, **kwargs):
+            factorizations.append(1)
+            return real_splu(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "splu", counting_splu)
+        with pytest.raises(NoConvergenceError) as err:
+            newton_solve(grid, vf, G, cur.h + ds * t_h, cur.Q + ds * t_Q,
+                         mode="arclength", base=(cur.h, cur.Q),
+                         tangent=(t_h, t_Q), ds=ds, max_contraction=0.9)
+        found = re.search(r"iteration (\d+) cut the residual only from "
+                          r"(\S+) to (\S+) ", str(err.value))
+        assert found is not None
+        iteration = int(found.group(1))
+        old, new = float(found.group(2)), float(found.group(3))
+        assert 1 <= iteration <= 3
+        assert len(factorizations) == iteration
+        assert 0.9 * old < new < old
 
 
 class TestDiscreteLaminar:
