@@ -19,6 +19,7 @@ samples, never from finite differences of the velocity field.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -116,8 +117,8 @@ class SurfaceCurve:
 
     The parameter s satisfies (X'(s), Y'(s)) = (u, v) at the surface, so
     with u < 0 the curve runs from the trough leftward through the crest.
-    theta is the unwrapped tangent angle and dPdn the outward normal
-    pressure derivative at each sample.
+    theta is the unwrapped tangent angle, dPdn the outward normal
+    pressure derivative and (u, v) the velocity at each sample.
     """
 
     s: np.ndarray
@@ -125,6 +126,8 @@ class SurfaceCurve:
     Y: np.ndarray
     theta: np.ndarray
     dPdn: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
 
     @property
     def winding(self):
@@ -198,7 +201,8 @@ def surface_curve(wf):
     inv_u = 1.0 / u_full
     ds = 0.5 * wf.dq * (inv_u[1:] + inv_u[:-1])
     s = np.concatenate([[0.0], np.cumsum(ds)])
-    return SurfaceCurve(s=s, X=x, Y=y_full, theta=theta, dPdn=dpdn)
+    return SurfaceCurve(s=s, X=x, Y=y_full, theta=theta, dPdn=dpdn,
+                        u=u_full, v=v_full)
 
 
 def _node_loc(wf, i, j):
@@ -246,6 +250,11 @@ class _Auditor:
 
     def add(self, *args, **kwargs):
         self.out.append(Diagnostic(*args, **kwargs))
+
+    @cached_property
+    def curve(self):
+        """The surface curve, built once and shared by the diagnostics."""
+        return surface_curve(self.wf)
 
     # -- helpers -----------------------------------------------------------
 
@@ -572,7 +581,7 @@ class _Auditor:
             return
         interior = wf.P[:, :-1] - self.patm
         mn_int = float(np.min(interior))
-        dpdn = pressure_normal_derivative(wf)
+        dpdn = self.curve.dPdn[:wf.nq]
         mx_dpdn = float(np.max(dpdn))
         surf_eq = float(np.max(np.abs(wf.P[:, -1] - self.patm)))
         margin = min(mn_int, -mx_dpdn)
@@ -683,17 +692,15 @@ class _Auditor:
 
     def turning_angle(self):
         wf = self.wf
-        curve = surface_curve(wf)
+        curve = self.curve
         n = wf.nq - 1
         # Periodic tangent-angle derivative in x, then chain rule to s.
         theta = curve.theta[:2 * n]
         closure = curve.theta[0]
         theta_pad = np.concatenate([[theta[-1]], theta, [closure]])
         theta_x = (theta_pad[2:] - theta_pad[:-2]) / (2.0 * wf.dq)
-        u_full = np.concatenate([self.u[:, -1], self.u[mirror_idx(wf.nq), -1]])
-        spd = np.hypot(u_full, np.concatenate(
-            [self.v[:, -1], -self.v[mirror_idx(wf.nq), -1]]))
-        theta_s = u_full * theta_x
+        spd = np.hypot(curve.u, curve.v)
+        theta_s = curve.u * theta_x
         rhs = self.g * np.cos(theta) / spd
         applies = curve.dPdn[:2 * n] <= 0.0
         if np.any(applies):
@@ -721,7 +728,7 @@ class _Auditor:
                      {"overturning": False, "max_surface_u": mx_u},
                      (float(wf.q[np.argmax(us)]), 0.0), -mx_u)
             return
-        dpdn = pressure_normal_derivative(wf)
+        dpdn = self.curve.dPdn[:wf.nq]
         sink = float(np.max(dpdn))
         self.add("D-overturn", "overturning waves need a pressure sink",
                  "surface:pressure-sink", _strict(sink, self.band_for(self.g)),
@@ -742,11 +749,6 @@ class _Auditor:
                  {"min": mn,
                   "end_values": [float(w_bed[0]), float(w_bed[-1])]},
                  _node_loc(wf, idx, 0), mn)
-
-
-def mirror_idx(nq):
-    """Index array reflecting the open half period onto (L, 2L)."""
-    return np.arange(nq - 2, 0, -1)
 
 
 def audit_wave(wf, vf=None, tol=None, lam_c=None):

@@ -15,10 +15,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import NumericsError, SolverError
+from .errors import (InputError, NumericsError, SolverError,
+                     StagnationError)
 from .grid import StripGrid
 from .solver import (amplitude, bifurcation_mode, discrete_laminar,
-                     find_bifurcation, newton_solve, solver_hp)
+                     find_bifurcation, newton_solve, newton_tolerance,
+                     pack_residual, residual_parts, scaled_dot, solver_hp)
 from .vorticity import VorticityFunction, vorticity_from_config
 
 TROUGH_BAND = 1e-8
@@ -61,10 +63,6 @@ def _scaled_norm(dh, dQ):
     return float(np.sqrt(np.sum(dh[:, 1:] ** 2) / dh[:, 1:].size + dQ ** 2))
 
 
-def _scaled_dot(ah, aQ, bh, bQ):
-    return float(ah[:, 1:].ravel() @ bh[:, 1:].ravel()) / ah[:, 1:].size + aQ * bQ
-
-
 def trough_criterion_value(grid, vf, g, h):
     """g - gamma(0) * u evaluated at the trough (q = L, p = 0)."""
     hp_surface = float(h[-1, -grid.ws.size:] @ grid.ws)
@@ -84,7 +82,8 @@ def continue_branch(grid, vf, g, steps, *, lam_star=None, ds0=0.005,
 
     Returns a Branch whose first point is always the trivial wave. The
     first nontrivial point solves for amplitude ds0; later points come from
-    pseudo-arclength steps along the secant tangent. A Newton attempt that
+    pseudo-arclength steps along the secant tangent. Every point, the first
+    one included, goes through the same step loop: a Newton attempt that
     fails halves the step and retries; attempts are capped at
     NEWTON_MAX_ITER iterations and abandoned at the first iteration that
     contracts the residual by less than NEWTON_MAX_CONTRACTION, so a stalled
@@ -108,13 +107,15 @@ def continue_branch(grid, vf, g, steps, *, lam_star=None, ds0=0.005,
     h_triv = np.tile(hcol, (grid.nq, 1))
     branch = Branch(grid, vf, g, float(lam_star))
     branch.points.append(BranchPoint(0, h_triv, float(Q_triv), 0.0, 0.0, 0))
-    if steps == 0:
-        branch.stop_reason = "max-steps"
-        return branch
-
     trough_cut = trough_margin + TROUGH_BAND * max(1.0, g)
-    phi = bifurcation_mode(grid, vf, g, lam_star)
-    cosq = np.cos(np.pi * grid.q / grid.L)
+
+    def departure(ds):
+        # amplitude-controlled departure from the trivial wave: the seed of
+        # seed_wave, built on the laminar column solved above
+        phi = bifurcation_mode(grid, vf, g, lam_star)
+        seed = h_triv + ds * np.cos(np.pi * grid.q / grid.L)[:, None] * phi
+        seed[:, 0] = 0.0
+        return seed, Q_triv, dict(mode="fixed_amplitude", amplitude_target=ds)
 
     def accept(res, ds_used):
         if near_stagnation(grid, res.h, eps_stag):
@@ -133,56 +134,39 @@ def continue_branch(grid, vf, g, steps, *, lam_star=None, ds0=0.005,
             return False
         return True
 
-    # first step: amplitude-controlled departure from the trivial wave
     ds = ds0
-    res = None
-    for _ in range(max_retries):
-        seed = h_triv + ds * cosq[:, None] * phi[None, :]
-        seed[:, 0] = 0.0
-        try:
-            res = newton_solve(grid, vf, g, seed, Q_triv,
-                               mode="fixed_amplitude", amplitude_target=ds,
-                               max_iter=NEWTON_MAX_ITER,
-                               max_contraction=NEWTON_MAX_CONTRACTION)
-            break
-        except SolverError:
-            res = None
-            ds *= 0.5
-    if res is None:
-        branch.stop_reason = "newton-failure"
-        return branch
-    if not accept(res, ds):
-        return branch
-    if res.iterations <= 4:
-        ds = min(ds * 1.3, ds_max)
-
     tangent = None
     while len(branch.points) - 1 < steps:
-        prev, cur = branch.points[-2], branch.points[-1]
-        t_h = cur.h - prev.h
-        t_Q = cur.Q - prev.Q
-        nrm = _scaled_norm(t_h, t_Q)
-        if nrm == 0.0:
-            raise NumericsError("degenerate secant tangent")
-        t_h = t_h / nrm
-        t_Q = t_Q / nrm
-        if tangent is not None and _scaled_dot(t_h, t_Q, *tangent) < 0.0:
-            t_h, t_Q = -t_h, -t_Q
-        tangent = (t_h, t_Q)
+        if len(branch.points) == 1:
+            attempt = departure
+        else:
+            prev, cur = branch.points[-2:]
+            t_h = cur.h - prev.h
+            t_Q = cur.Q - prev.Q
+            nrm = _scaled_norm(t_h, t_Q)
+            if nrm == 0.0:
+                raise NumericsError("degenerate secant tangent")
+            t_h = t_h / nrm
+            t_Q = t_Q / nrm
+            if tangent is not None and scaled_dot(t_h, t_Q, *tangent) < 0.0:
+                t_h, t_Q = -t_h, -t_Q
+            tangent = (t_h, t_Q)
 
-        res = None
+            def attempt(ds):
+                return (cur.h + ds * t_h, cur.Q + ds * t_Q,
+                        dict(mode="arclength", base=(cur.h, cur.Q),
+                             tangent=tangent, ds=ds))
+
         for _ in range(max_retries):
+            h0, Q0, mode = attempt(ds)
             try:
-                res = newton_solve(grid, vf, g, cur.h + ds * t_h,
-                                   cur.Q + ds * t_Q, mode="arclength",
-                                   base=(cur.h, cur.Q), tangent=tangent,
-                                   ds=ds, max_iter=NEWTON_MAX_ITER,
+                res = newton_solve(grid, vf, g, h0, Q0, **mode,
+                                   max_iter=NEWTON_MAX_ITER,
                                    max_contraction=NEWTON_MAX_CONTRACTION)
                 break
             except SolverError:
-                res = None
                 ds *= 0.5
-        if res is None:
+        else:
             branch.stop_reason = "newton-failure"
             return branch
         if not accept(res, ds):
@@ -242,11 +226,27 @@ def save_branch(branch, outdir):
 
 
 def load_point(path):
-    """Rebuild (grid, vf, g, h, Q) from a point_NNNN.json file."""
-    with open(path) as fh:
-        data = json.load(fh)
-    grid = StripGrid(data["L"], data["m"], data["nq"], data["npts"],
-                     data["beta"])
-    vf = vorticity_from_config(data["vorticity"], data["m"])
-    h = np.array(data["h"], dtype=float).reshape(grid.nq, grid.npts)
-    return grid, vf, float(data["g"]), h, float(data["Q"])
+    """Rebuild (grid, vf, g, h, Q) from a point_NNNN.json file.
+
+    Raises InputError unless the file holds an h of its grid's size that,
+    with its Q, solves the discrete system: the residual max-norm must stay
+    below 100 times the Newton tolerance for Q (continuation stores points
+    below 1 times it), which a non-finite value anywhere never does.
+    """
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+        grid = StripGrid(data["L"], data["m"], data["nq"], data["npts"],
+                         data["beta"])
+        vf = vorticity_from_config(data["vorticity"], data["m"])
+        h = np.array(data["h"], dtype=float).reshape(grid.nq, grid.npts)
+        g, Q = float(data["g"]), float(data["Q"])
+        R, S = residual_parts(grid, vf, g, h, Q)
+    except (OSError, KeyError, TypeError, ValueError, StagnationError) as exc:
+        raise InputError("unusable branch point %s: %s: %s"
+                         % (path, type(exc).__name__, exc)) from exc
+    residual = np.max(np.abs(pack_residual(R, S)))
+    if not residual < 100.0 * newton_tolerance(Q):
+        raise InputError("branch point %s does not solve the discrete "
+                         "system: residual %.3g" % (path, residual))
+    return grid, vf, g, h, Q

@@ -191,32 +191,21 @@ def reconstruct(grid, vf, g, h, Q):
     h = np.asarray(h, dtype=float)
     if h.shape != (grid.nq, grid.npts):
         raise InputError("height array does not match the grid")
-    ops = grid.ops
-    hp = ops.d1(h)
-    if np.min(hp) <= 0.0:
-        raise StagnationError("h_p <= 0: the field has a stagnation point")
-    hq = dq_even(h, grid.dq)
     d = float(np.trapezoid(h[:, -1], dx=grid.dq) / grid.L)
-
-    u = -1.0 / hp
-    v = -hq / hp
-    psi = np.tile(-grid.p, (grid.nq, 1))
-    Gamma = vf.Gamma(grid.p)
-    P = Q - 0.5 * (u ** 2 + v ** 2) - g * h + Gamma[None, :]
-
-    def dx(F, parity):
-        Fq = dq_even(F, grid.dq) if parity == "even" else dq_odd(F, grid.dq)
-        return Fq - hq / hp * ops.d1(F)
-
-    def dy(F):
-        return ops.d1(F) / hp
-
-    ux = dx(u, "even")
-    uy = dy(u)
-    vx = dx(v, "odd")
-    vy = dy(v)
-    omega = vx - uy
-    uxx = dx(ux, "odd")
-    uxy = dy(ux)
-    return WaveField(grid.q, grid.p, g, float(Q), d, h, u, v, P, psi, omega,
-                     ux, uy, vx, vy, uxx, uxy, vf=vf)
+    # The field computes h_p (refusing stagnation) and h_q from h; every
+    # other array is filled in from them, the derivatives by its dx and dy.
+    wf = WaveField(grid.q, grid.p, g, float(Q), d, h, *[None] * 11, vf=vf)
+    u = -1.0 / wf.hp
+    v = -wf.hq / wf.hp
+    wf.u = u
+    wf.v = v
+    wf.psi = np.tile(-grid.p, (grid.nq, 1))
+    wf.P = Q - 0.5 * (u ** 2 + v ** 2) - g * h + vf.Gamma(grid.p)[None, :]
+    wf.ux = wf.dx(u, "even")
+    wf.uy = wf.dy(u)
+    wf.vx = wf.dx(v, "odd")
+    wf.vy = wf.dy(v)
+    wf.omega = wf.vx - wf.uy
+    wf.uxx = wf.dx(wf.ux, "odd")
+    wf.uxy = wf.dy(wf.ux)
+    return wf

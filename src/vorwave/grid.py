@@ -48,7 +48,6 @@ class StripGrid:
         self.q = np.linspace(0.0, self.L, self.nq)
         self.dq = self.L / (self.nq - 1)
         self.p = stretched_nodes(self.m, self.npts, self.beta)
-        self.ops = ColumnOps(self.p)
         w1 = np.zeros((self.npts, 3))
         w2 = np.zeros((self.npts, 3))
         for j in range(1, self.npts - 1):
@@ -65,11 +64,6 @@ class StripGrid:
     def delta(self):
         """Largest mesh spacing; the audit's tolerance scale."""
         return max(self.dq, self.dp_max)
-
-    def refine(self, factor=2):
-        """Same domain with every cell split `factor` times."""
-        return StripGrid(self.L, self.m, (self.nq - 1) * factor + 1,
-                         (self.npts - 1) * factor + 1, self.beta)
 
     def __repr__(self):
         return ("StripGrid(L=%g, m=%g, nq=%d, npts=%d, beta=%g)"

@@ -17,27 +17,31 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
+from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import brentq
 from scipy.sparse.linalg import splu
 
 from .errors import (BifurcationNotFoundError, InputError, NoConvergenceError,
                      NumericsError, StagnationApproachError, StagnationError)
 from .fd import dq_even, dqq_even
-from .grid import StripGrid, stretched_nodes
+from .grid import stretched_nodes
 from .laminar import critical_lambda, laminar_flow
 
 HP_FLOOR = 1e-8
 MAX_HALVINGS = 30
 
 
+def _three_point(w, h):
+    """Apply the interior 3-point weights w (npts, 3) along the last axis."""
+    return (w[1:-1, 0] * h[..., :-2] + w[1:-1, 1] * h[..., 1:-1]
+            + w[1:-1, 2] * h[..., 2:])
+
+
 def solver_hp(grid, h):
     """h_p with the solver's stencils: centered inside, one-sided at the
     bed and surface rows."""
     hp = np.empty_like(h)
-    hp[:, 1:-1] = (grid.w1[1:-1, 0] * h[:, :-2]
-                   + grid.w1[1:-1, 1] * h[:, 1:-1]
-                   + grid.w1[1:-1, 2] * h[:, 2:])
+    hp[:, 1:-1] = _three_point(grid.w1, h)
     wd = grid.ws.size
     hp[:, 0] = h[:, :wd] @ grid.wb
     hp[:, -1] = h[:, -wd:] @ grid.ws
@@ -49,8 +53,26 @@ def amplitude(h):
     return float(h[0, -1] - h[-1, -1])
 
 
-def _gamma_column(grid, vf):
-    return vf.gamma(-grid.p)
+def _derivatives(grid, h):
+    """(h_p, h_q, h_pq, h_qq, h_pp): the one evaluation that the residual
+    and the Jacobian share; h_pp covers the interior rows only."""
+    hp = solver_hp(grid, h)
+    return (hp, dq_even(h, grid.dq), dq_even(hp, grid.dq),
+            dqq_even(h, grid.dq), _three_point(grid.w2, h))
+
+
+def _residual(grid, vf, g, h, Q, derivs):
+    hp, hq, hpq, hqq, hpp = derivs
+    if np.min(hp) <= 0.0:
+        raise StagnationError(
+            "h_p <= 0 at %d nodes: relative flow reaches stagnation"
+            % int(np.sum(hp <= 0.0)))
+    gam = vf.gamma(-grid.p)[1:-1]
+    hqc, hpc, hpqc, hqqc = hq[:, 1:-1], hp[:, 1:-1], hpq[:, 1:-1], hqq[:, 1:-1]
+    R = ((1.0 + hqc ** 2) * hpp - 2.0 * hqc * hpc * hpqc
+         + hpc ** 2 * hqqc + gam * hpc ** 3)
+    S = (1.0 + hq[:, -1] ** 2) / (2.0 * hp[:, -1] ** 2) + g * h[:, -1] - Q
+    return R, S
 
 
 def residual_parts(grid, vf, g, h, Q):
@@ -59,23 +81,7 @@ def residual_parts(grid, vf, g, h, Q):
     Raises StagnationError if h_p <= 0 anywhere: the formulation is only
     meaningful while u = -1/h_p stays negative.
     """
-    hp = solver_hp(grid, h)
-    if np.min(hp) <= 0.0:
-        raise StagnationError(
-            "h_p <= 0 at %d nodes: relative flow reaches stagnation"
-            % int(np.sum(hp <= 0.0)))
-    hq = dq_even(h, grid.dq)
-    hqq = dqq_even(h, grid.dq)
-    hpq = dq_even(hp, grid.dq)
-    hpp = (grid.w2[1:-1, 0] * h[:, :-2]
-           + grid.w2[1:-1, 1] * h[:, 1:-1]
-           + grid.w2[1:-1, 2] * h[:, 2:])
-    gam = _gamma_column(grid, vf)[1:-1]
-    hqc, hpc, hpqc, hqqc = hq[:, 1:-1], hp[:, 1:-1], hpq[:, 1:-1], hqq[:, 1:-1]
-    R = ((1.0 + hqc ** 2) * hpp - 2.0 * hqc * hpc * hpqc
-         + hpc ** 2 * hqqc + gam * hpc ** 3)
-    S = (1.0 + hq[:, -1] ** 2) / (2.0 * hp[:, -1] ** 2) + g * h[:, -1] - Q
-    return R, S
+    return _residual(grid, vf, g, h, Q, _derivatives(grid, h))
 
 
 def pack_residual(R, S):
@@ -87,21 +93,10 @@ def _reflect(idx, n):
     return np.where(idx > n - 1, 2 * (n - 1) - idx, idx)
 
 
-def jacobian_blocks(grid, vf, g, h, Q):
-    """Sparse d(residual)/dh over the j >= 1 unknowns, plus d(residual)/dQ.
-
-    Row/column order matches pack_residual: n(i,j) = i*(npts-1) + (j-1).
-    """
+def _jacobian(grid, vf, g, derivs):
     nq, npts, dq = grid.nq, grid.npts, grid.dq
-    hp = solver_hp(grid, h)
-    hq = dq_even(h, grid.dq)
-    hqq = dqq_even(h, grid.dq)
-    hpq = dq_even(hp, grid.dq)
-    hpp = (grid.w2[1:-1, 0] * h[:, :-2]
-           + grid.w2[1:-1, 1] * h[:, 1:-1]
-           + grid.w2[1:-1, 2] * h[:, 2:])
-    gam = _gamma_column(grid, vf)[1:-1]
-
+    hp, hq, hpq, hqq, hpp = derivs
+    gam = vf.gamma(-grid.p)[1:-1]
     hqc, hpc, hpqc, hqqc = hq[:, 1:-1], hp[:, 1:-1], hpq[:, 1:-1], hqq[:, 1:-1]
     A1 = 1.0 + hqc ** 2
     A2 = 2.0 * hqc * hpp - 2.0 * hpc * hpqc
@@ -111,7 +106,7 @@ def jacobian_blocks(grid, vf, g, h, Q):
 
     I, J = np.meshgrid(np.arange(nq), np.arange(1, npts - 1), indexing="ij")
     row_int = I * (npts - 1) + (J - 1)
-    rows, cols, vals = [], [], []
+    entries = []  # (rows, cols, values) blocks of the COO assembly
     for di in (-1, 0, 1):
         ii = _reflect(I + di, nq)
         for dj in (-1, 0, 1):
@@ -125,9 +120,8 @@ def jacobian_blocks(grid, vf, g, h, Q):
                 if dj == 0:
                     c = c + A4 / dq ** 2 + di * A2 / (2.0 * dq)
             keep = jj >= 1
-            rows.append(row_int[keep])
-            cols.append((ii * (npts - 1) + (jj - 1))[keep])
-            vals.append(c[keep])
+            entries.append((row_int[keep],
+                            (ii * (npts - 1) + (jj - 1))[keep], c[keep]))
 
     # surface rows: S = (1+hq^2)/(2 hp^2) + g h - Q at p = 0
     i = np.arange(nq)
@@ -136,27 +130,28 @@ def jacobian_blocks(grid, vf, g, h, Q):
     dS_dhp = -(1.0 + hq_s ** 2) / hp_s ** 3
     wd = grid.ws.size
     for k in range(wd):
-        rows.append(row_s)
-        cols.append(i * (npts - 1) + (npts - 1 - wd + k))
-        vals.append(dS_dhp * grid.ws[k])
+        entries.append((row_s, i * (npts - 1) + (npts - 1 - wd + k),
+                        dS_dhp * grid.ws[k]))
     dS_dhq = hq_s / hp_s ** 2
     for di in (-1, 1):
-        ii = _reflect(i + di, nq)
-        rows.append(row_s)
-        cols.append(ii * (npts - 1) + (npts - 2))
-        vals.append(di * dS_dhq / (2.0 * dq))
-    rows.append(row_s)
-    cols.append(i * (npts - 1) + (npts - 2))
-    vals.append(np.full(nq, g))
+        entries.append((row_s, _reflect(i + di, nq) * (npts - 1) + (npts - 2),
+                        di * dS_dhq / (2.0 * dq)))
+    entries.append((row_s, row_s, np.full(nq, g)))
 
+    rows, cols, vals = (np.concatenate(blocks) for blocks in zip(*entries))
     n = nq * (npts - 1)
-    J_hh = sparse.coo_matrix(
-        (np.concatenate(vals),
-         (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n)).tocsc()
+    J_hh = sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsc()
     dF_dQ = np.zeros(n)
     dF_dQ[row_s] = -1.0
     return J_hh, dF_dQ
+
+
+def jacobian_blocks(grid, vf, g, h, Q):
+    """Sparse d(residual)/dh over the j >= 1 unknowns, plus d(residual)/dQ.
+
+    Row/column order matches pack_residual: n(i,j) = i*(npts-1) + (j-1).
+    """
+    return _jacobian(grid, vf, g, _derivatives(grid, h))
 
 
 @dataclass
@@ -167,16 +162,38 @@ class SolverResult:
     residual_norm: float
 
 
-def _tolerance(Q):
+def newton_tolerance(Q):
+    """Max-norm residual below which Newton counts a solve as converged."""
     return 1e-10 * max(1.0, abs(Q))
 
 
-def _min_hp(grid, h):
-    return float(np.min(solver_hp(grid, h)))
+def scaled_dot(ah, aQ, bh, bQ):
+    """Inner product of two (h, Q) pairs: the mean product of the heights
+    off the bed row plus the product of the heads."""
+    return (float(ah[:, 1:].ravel() @ bh[:, 1:].ravel()) / ah[:, 1:].size
+            + aQ * bQ)
 
 
-def _scaled_dot(dh, dQ, th, tQ):
-    return float(dh.ravel() @ th.ravel()) / dh.size + dQ * tQ
+def _solve_mode(grid, mode, amplitude_target, base, tangent, ds):
+    """(extra, border) of a solve mode: extra(h, Q) is the equation appended
+    to the residual, border the (row, corner) appended to J_hh beside dF/dQ.
+    Both are None for "fixed_q", which holds Q."""
+    n = grid.nq * (grid.npts - 1)
+    if mode == "fixed_q":
+        return None, None
+    if mode == "fixed_amplitude":
+        if amplitude_target is None:
+            raise InputError("fixed_amplitude mode needs amplitude_target")
+        row = np.zeros(n)
+        row[grid.npts - 2] = 1.0  # crest surface node
+        row[n - 1] = -1.0  # trough surface node
+        return (lambda h, Q: amplitude(h) - amplitude_target), (row, 0.0)
+    if mode == "arclength":
+        if base is None or tangent is None or ds is None:
+            raise InputError("arclength mode needs base, tangent, and ds")
+        return (lambda h, Q: scaled_dot(h - base[0], Q - base[1], *tangent)
+                - ds), (tangent[0][:, 1:].ravel() / n, tangent[1])
+    raise InputError("unknown solve mode %r" % mode)
 
 
 def newton_solve(grid, vf, g, h0, Q0, mode="fixed_q", *, amplitude_target=None,
@@ -187,8 +204,10 @@ def newton_solve(grid, vf, g, h0, Q0, mode="fixed_q", *, amplitude_target=None,
     mode "fixed_q" holds Q; "fixed_amplitude" appends the closure
     a(h) = amplitude_target; "arclength" appends the pseudo-arclength
     condition built from `base` (h, Q) and `tangent` (t_h, t_Q) with step ds.
-    Steps are halved whenever the candidate would push min h_p below the
-    positivity floor or fails to reduce the residual norm.
+    An appended equation borders J_hh with its row and the dF/dQ column.
+    The derivatives of each accepted iterate feed its residual and then its
+    Jacobian. Steps are halved whenever the candidate would push min h_p
+    below the positivity floor or fails to reduce the residual norm.
 
     With `max_contraction` set to theta < 1, the iteration gives up with
     NoConvergenceError as soon as an iteration that has not converged cuts
@@ -197,40 +216,22 @@ def newton_solve(grid, vf, g, h0, Q0, mode="fixed_q", *, amplitude_target=None,
     fast convergence, and a caller that can shorten its step does better to
     retry at once (Deuflhard's monotonicity test). None never gives up early.
     """
-    if mode == "fixed_amplitude" and amplitude_target is None:
-        raise InputError("fixed_amplitude mode needs amplitude_target")
-    if mode == "arclength" and (base is None or tangent is None or ds is None):
-        raise InputError("arclength mode needs base, tangent, and ds")
-    if mode not in ("fixed_q", "fixed_amplitude", "arclength"):
-        raise InputError("unknown solve mode %r" % mode)
-
-    npts = grid.npts
+    extra, border = _solve_mode(grid, mode, amplitude_target, base, tangent,
+                                ds)
     h = np.array(h0, dtype=float)
     h[:, 0] = 0.0
     Q = float(Q0)
 
-    def closure(hc, Qc):
-        if mode == "fixed_amplitude":
-            return amplitude(hc) - amplitude_target
-        if mode == "arclength":
-            return _scaled_dot(hc[:, 1:] - base[0][:, 1:], Qc - base[1],
-                               tangent[0][:, 1:], tangent[1]) - ds
-        return None
+    def full_residual(hc, Qc, derivs):
+        F = pack_residual(*_residual(grid, vf, g, hc, Qc, derivs))
+        return F if extra is None else np.append(F, extra(hc, Qc))
 
-    def full_residual(hc, Qc):
-        R, S = residual_parts(grid, vf, g, hc, Qc)
-        F = pack_residual(R, S)
-        extra = closure(hc, Qc)
-        if extra is not None:
-            F = np.append(F, extra)
-        return F
-
-    F = full_residual(h, Q)
+    derivs = _derivatives(grid, h)
+    F = full_residual(h, Q, derivs)
     prev_nrm = None
     for it in range(max_iter + 1):
         nrm = float(np.max(np.abs(F)))
-        tol = _tolerance(Q)
-        if nrm < tol:
+        if nrm < newton_tolerance(Q):
             return SolverResult(h, Q, it, nrm)
         if it == max_iter:
             raise NoConvergenceError(
@@ -243,48 +244,30 @@ def newton_solve(grid, vf, g, h0, Q0, mode="fixed_q", *, amplitude_target=None,
                 % (it, prev_nrm, nrm, nrm / prev_nrm, max_contraction))
         prev_nrm = nrm
 
-        J_hh, dF_dQ = jacobian_blocks(grid, vf, g, h, Q)
-        if mode == "fixed_q":
-            delta = splu(J_hh).solve(-F)
-            dh_flat, dQ = delta, 0.0
-        else:
-            n = J_hh.shape[0]
-            r = np.zeros(n)
-            if mode == "fixed_amplitude":
-                r[0 * (npts - 1) + (npts - 2)] = 1.0
-                r[(grid.nq - 1) * (npts - 1) + (npts - 2)] = -1.0
-                corner = 0.0
-            else:
-                r = tangent[0][:, 1:].ravel() / n
-                corner = tangent[1]
-            J = sparse.bmat(
-                [[J_hh, dF_dQ[:, None]], [r[None, :], np.array([[corner]])]],
-                format="csc")
-            delta = splu(J).solve(-F)
-            dh_flat, dQ = delta[:-1], float(delta[-1])
-
+        J, dF_dQ = _jacobian(grid, vf, g, derivs)
+        if border is not None:
+            J = sparse.bmat([[J, dF_dQ[:, None]],
+                             [border[0][None, :], np.array([[border[1]]])]],
+                            format="csc")
+        delta = splu(J).solve(-F)
         dh = np.zeros_like(h)
-        dh[:, 1:] = dh_flat.reshape(grid.nq, npts - 1)
+        dh[:, 1:] = delta[:dF_dQ.size].reshape(grid.nq, grid.npts - 1)
+        dQ = 0.0 if border is None else float(delta[-1])
 
         step = 1.0
-        floor_blocked = False
-        accepted = False
         for _ in range(MAX_HALVINGS + 1):
             hc = h + step * dh
             Qc = Q + step * dQ
-            if _min_hp(grid, hc) <= HP_FLOOR:
-                floor_blocked = True
-                step *= 0.5
-                continue
-            floor_blocked = False
-            Fc = full_residual(hc, Qc)
-            nc = float(np.max(np.abs(Fc)))
-            if nc < nrm or nc < _tolerance(Qc):
-                h, Q, F = hc, Qc, Fc
-                accepted = True
-                break
+            dc = _derivatives(grid, hc)
+            floor_blocked = np.min(dc[0]) <= HP_FLOOR  # dc[0] is h_p
+            if not floor_blocked:
+                Fc = full_residual(hc, Qc, dc)
+                nc = float(np.max(np.abs(Fc)))
+                if nc < nrm or nc < newton_tolerance(Qc):
+                    h, Q, F, derivs = hc, Qc, Fc, dc
+                    break
             step *= 0.5
-        if not accepted:
+        else:
             if floor_blocked:
                 raise StagnationApproachError(
                     "line search blocked by the h_p positivity floor")
@@ -307,13 +290,11 @@ def discrete_laminar(grid, vf, g, lam, max_iter=25):
     hcol = flow.height(grid.p)
     hcol[0] = 0.0
     Q = flow.Q
-    gam = _gamma_column(grid, vf)
+    gam = vf.gamma(-grid.p)
 
     def col_residual(hc):
-        hp = (grid.w1[1:-1, 0] * hc[:-2] + grid.w1[1:-1, 1] * hc[1:-1]
-              + grid.w1[1:-1, 2] * hc[2:])
-        hpp = (grid.w2[1:-1, 0] * hc[:-2] + grid.w2[1:-1, 1] * hc[1:-1]
-               + grid.w2[1:-1, 2] * hc[2:])
+        hp = _three_point(grid.w1, hc)
+        hpp = _three_point(grid.w2, hc)
         hps = hc[-grid.ws.size:] @ grid.ws
         if min(np.min(hp), hps) <= 0.0:
             raise StagnationError("h_p <= 0 in the laminar column")
@@ -324,7 +305,7 @@ def discrete_laminar(grid, vf, g, lam, max_iter=25):
 
     for it in range(max_iter):
         F, hp, hps = col_residual(hcol)
-        if np.max(np.abs(F)) < _tolerance(Q):
+        if np.max(np.abs(F)) < newton_tolerance(Q):
             return hcol, Q, it
         Jd = np.zeros((npts - 1, npts - 1))
         for t in range(npts - 2):
@@ -379,15 +360,22 @@ def _mode_operator(vf, g, k, lam, p, Gamma, gam):
     return sub, diag, sup
 
 
-def _largest_eigenvalue(sub, diag, sup):
+def _top_eigenpair(sub, diag, sup):
+    """Largest eigenvalue of the tridiagonal (sub, diag, sup) and its
+    eigenvector."""
     offprod = sup * sub
+    n = diag.size
     if np.all(offprod > 0.0):
-        n = diag.size
-        return float(eigvalsh_tridiagonal(
-            diag, np.sqrt(offprod), select="i",
-            select_range=(n - 1, n - 1))[0])
+        vals, vecs = eigh_tridiagonal(diag, np.sqrt(offprod), select="i",
+                                      select_range=(n - 1, n - 1))
+        # undo the diagonal similarity that symmetrized the tridiagonal
+        scale = np.ones(n)
+        scale[1:] = np.cumprod(np.sqrt(sup / sub))
+        return float(vals[0]), vecs[:, 0] / scale
     A = np.diag(diag) + np.diag(sub, -1) + np.diag(sup, 1)
-    return float(np.max(np.linalg.eigvals(A).real))
+    vals, vecs = np.linalg.eig(A)
+    top = np.argmax(vals.real)
+    return float(vals[top].real), vecs[:, top].real
 
 
 def find_bifurcation(vf, g, L, m, lam_range=None, *, npts=4001, beta=0.5):
@@ -409,7 +397,7 @@ def find_bifurcation(vf, g, L, m, lam_range=None, *, npts=4001, beta=0.5):
     k = np.pi / L
 
     def mu(lam):
-        return _largest_eigenvalue(*_mode_operator(vf, g, k, lam, p, Gamma, gam))
+        return _top_eigenpair(*_mode_operator(vf, g, k, lam, p, Gamma, gam))[0]
 
     mu_lo, mu_hi = mu(lo), mu(hi)
     if not (mu_lo > 0.0 > mu_hi):
@@ -434,22 +422,7 @@ def bifurcation_mode(grid, vf, g, lam_star):
     Gamma = vf.Gamma(p)
     gam = vf.gamma(-p)
     k = np.pi / grid.L
-    sub, diag, sup = _mode_operator(vf, g, k, lam_star, p, Gamma, gam)
-    offprod = sup * sub
-    if np.all(offprod > 0.0):
-        e = np.sqrt(offprod)
-        n = diag.size
-        _, vecs = eigh_tridiagonal(diag, e, select="i",
-                                   select_range=(n - 1, n - 1))
-        v_sym = vecs[:, 0]
-        # undo the diagonal similarity that symmetrized the tridiagonal
-        scale = np.ones(n)
-        scale[1:] = np.cumprod(np.sqrt(sup / sub))
-        v = v_sym / scale
-    else:
-        A = np.diag(diag) + np.diag(sub, -1) + np.diag(sup, 1)
-        eigvals, eigvecs = np.linalg.eig(A)
-        v = eigvecs[:, np.argmax(eigvals.real)].real
+    _, v = _top_eigenpair(*_mode_operator(vf, g, k, lam_star, p, Gamma, gam))
     if abs(v[-1]) < 1e-12 * np.max(np.abs(v)):
         raise NumericsError("mode shape vanishes at the surface")
     phi = np.concatenate([[0.0], v])

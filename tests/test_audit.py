@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import vorwave.audit as audit_module
 from vorwave.audit import (AuditReport, Tolerances, audit_wave,
                            pressure_normal_derivative, surface_curve)
 from vorwave.errors import InputError, StagnationError
@@ -164,6 +165,31 @@ class TestNormalDerivative:
     def test_negative_on_solved_waves(self, moderate_wave, sheared_wave):
         for wf in (moderate_wave, sheared_wave):
             assert np.all(pressure_normal_derivative(wf) < 0.0)
+
+    def test_computed_once_per_audit(self, moderate_wave, monkeypatch):
+        # pressure_top, turning_angle and overturn share one surface curve.
+        calls = []
+        real = audit_module.pressure_normal_derivative
+
+        def counting(wf):
+            calls.append(wf)
+            return real(wf)
+
+        monkeypatch.setattr(audit_module, "pressure_normal_derivative",
+                            counting)
+        audit_wave(moderate_wave)
+        assert len(calls) == 1
+
+    def test_overturn_reads_the_shared_curve(self, moderate_wave):
+        # A surface node with u > 0 sends overturn to its pressure-sink
+        # branch, which must report the half-period maximum of dP/dn.
+        wf = copy.copy(moderate_wave)
+        wf.u = wf.u.copy()
+        wf.u[3, -1] = 0.1
+        diag = audit_wave(wf).by_id("D-overturn")
+        assert diag.value["overturning"] is True
+        assert diag.value["max_dPdn"] == float(
+            np.max(pressure_normal_derivative(wf)))
 
     def test_stagnant_surface_rejected(self, moderate_wave):
         wf = copy.copy(moderate_wave)

@@ -240,6 +240,34 @@ class TestAudit:
                      "--out", str(tmp_path / "bad")])
         assert code == 3
 
+    @pytest.mark.parametrize("damage", ["truncated h", "nudged node",
+                                        "cut-off file", "missing key",
+                                        "non-finite h"])
+    def test_damaged_point_is_an_input_error(self, pipeline_run, tmp_path,
+                                             damage):
+        # A stored point is checked before it is audited: a file that does
+        # not hold a solution of the discrete system exits 2, not 1.
+        root, cfg, _ = pipeline_run
+        out = tmp_path / "run"
+        shutil.copytree(root / "out" / "branch", out / "branch")
+        point = out / "branch" / "point_0003.json"
+        text = point.read_text()
+        data = json.loads(text)
+        middle = len(data["h"]) // 2
+        if damage == "truncated h":
+            data["h"] = data["h"][:-1]
+        elif damage == "nudged node":
+            data["h"][middle] += 1e-3
+        elif damage == "missing key":
+            del data["Q"]
+        elif damage == "non-finite h":
+            data["h"][middle] = float("nan")
+        point.write_text(text[:len(text) // 2] if damage == "cut-off file"
+                         else json.dumps(data))
+        assert main(["audit", "--config", str(cfg), "--out", str(out),
+                     "--point", "3"]) == 2
+        assert not (out / "reports" / "report_0003.json").exists()
+
 
 class TestReconstruct:
     def test_one_point(self, tmp_path):
