@@ -134,11 +134,15 @@ class WaveField:
             "uxx": self.uxx.ravel(), "uxy": self.uxy.ravel(),
         }
         data = np.column_stack([cols[name] for name in CSV_COLUMNS])
+        # the rows np.savetxt(fmt="%.17g", delimiter=",") would write, one
+        # q-column of npts rows per format operation
+        block = (",".join(["%.17g"] * len(CSV_COLUMNS)) + "\n") * npts
         with open(path, "w") as fh:
             fh.write("# vorwave field g=%.17g Q=%.17g d=%.17g\n"
                      % (self.g, self.Q, self.d))
             fh.write(",".join(CSV_COLUMNS) + "\n")
-            np.savetxt(fh, data, fmt="%.17g", delimiter=",")
+            for rows in data.reshape(nq, -1):
+                fh.write(block % tuple(rows.tolist()))
 
     @classmethod
     def from_csv(cls, path, vf=None):

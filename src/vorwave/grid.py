@@ -31,6 +31,10 @@ class StripGrid:
     taken from the same window the field reconstruction uses so that the
     converged surface residual and the reconstructed surface pressure are the
     same number. wb is the matching one-sided window at the bed.
+
+    newton_patterns holds, per solve mode, the sparsity pattern and column
+    ordering of the Newton matrix that the solver works out on its first
+    factorization on this grid and reuses for every later one.
     """
 
     def __init__(self, L, m, nq, npts, beta=0.5):
@@ -56,9 +60,15 @@ class StripGrid:
         self.w1 = w1
         self.w2 = w2
         width = ColumnOps.WIDTH
+        # ws and wb are strided views into fd_weights' table. Keep them so:
+        # a 1-D `x @ ws` on a strided view can differ in the last bit from
+        # the same product on a contiguous copy, and discrete_laminar and
+        # continuation.trough_criterion_value use that form, so contiguous
+        # weights would move every branch by about 1e-13.
         self.ws = fd_weights(self.p[-width:], self.p[-1], 1)
         self.wb = fd_weights(self.p[:width], self.p[0], 1)
         self.dp_max = float(np.max(np.diff(self.p)))
+        self.newton_patterns = {}
 
     @property
     def delta(self):

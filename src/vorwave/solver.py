@@ -93,8 +93,39 @@ def _reflect(idx, n):
     return np.where(idx > n - 1, 2 * (n - 1) - idx, idx)
 
 
-def _jacobian(grid, vf, g, derivs):
-    nq, npts, dq = grid.nq, grid.npts, grid.dq
+def _surface_rows(grid):
+    """Rows (and columns) of the surface unknowns h(q_i, 0)."""
+    return np.arange(grid.nq) * (grid.npts - 1) + (grid.npts - 2)
+
+
+def _jacobian_positions(grid):
+    """(rows, cols) of the entries of J_hh, in the order _jacobian_values
+    gives their values; entries at one position add up."""
+    nq, npts = grid.nq, grid.npts
+    I, J = np.meshgrid(np.arange(nq), np.arange(1, npts - 1), indexing="ij")
+    row_int = I * (npts - 1) + (J - 1)
+    blocks = []
+    for di in (-1, 0, 1):
+        col_i = _reflect(I + di, nq) * (npts - 1)
+        for dj in (-1, 0, 1):
+            keep = J + dj >= 1
+            blocks.append((row_int[keep], (col_i + (J - 1 + dj))[keep]))
+    i = np.arange(nq)
+    row_s = _surface_rows(grid)
+    wd = grid.ws.size
+    for k in range(wd):
+        blocks.append((row_s, i * (npts - 1) + (npts - 1 - wd + k)))
+    for di in (-1, 1):
+        blocks.append((row_s, _reflect(i + di, nq) * (npts - 1) + (npts - 2)))
+    blocks.append((row_s, row_s))
+    rows, cols = (np.concatenate(parts) for parts in zip(*blocks))
+    return rows, cols
+
+
+def _jacobian_values(grid, vf, g, derivs):
+    """Values of the entries of J_hh at the positions of
+    _jacobian_positions."""
+    dq = grid.dq
     hp, hq, hpq, hqq, hpp = derivs
     gam = vf.gamma(-grid.p)[1:-1]
     hqc, hpc, hpqc, hqqc = hq[:, 1:-1], hp[:, 1:-1], hpq[:, 1:-1], hqq[:, 1:-1]
@@ -103,47 +134,30 @@ def _jacobian(grid, vf, g, derivs):
     A3 = -2.0 * hqc * hpqc + 2.0 * hpc * hqqc + 3.0 * gam * hpc ** 2
     A4 = hpc ** 2
     A5 = -2.0 * hqc * hpc
+    w1, w2 = grid.w1[1:-1], grid.w2[1:-1]
 
-    I, J = np.meshgrid(np.arange(nq), np.arange(1, npts - 1), indexing="ij")
-    row_int = I * (npts - 1) + (J - 1)
-    entries = []  # (rows, cols, values) blocks of the COO assembly
+    values = []
     for di in (-1, 0, 1):
-        ii = _reflect(I + di, nq)
         for dj in (-1, 0, 1):
-            jj = J + dj
             if di == 0:
-                c = A1 * grid.w2[J, 1 + dj] + A3 * grid.w1[J, 1 + dj]
+                c = A1 * w2[:, 1 + dj] + A3 * w1[:, 1 + dj]
                 if dj == 0:
                     c = c + A4 * (-2.0 / dq ** 2)
             else:
-                c = di * A5 * grid.w1[J, 1 + dj] / (2.0 * dq)
+                c = di * A5 * w1[:, 1 + dj] / (2.0 * dq)
                 if dj == 0:
                     c = c + A4 / dq ** 2 + di * A2 / (2.0 * dq)
-            keep = jj >= 1
-            entries.append((row_int[keep],
-                            (ii * (npts - 1) + (jj - 1))[keep], c[keep]))
+            # the j = 1 row has no j - 1 unknown: the bed is pinned
+            values.append((c[:, 1:] if dj == -1 else c).ravel())
 
     # surface rows: S = (1+hq^2)/(2 hp^2) + g h - Q at p = 0
-    i = np.arange(nq)
-    row_s = i * (npts - 1) + (npts - 2)
     hq_s, hp_s = hq[:, -1], hp[:, -1]
     dS_dhp = -(1.0 + hq_s ** 2) / hp_s ** 3
-    wd = grid.ws.size
-    for k in range(wd):
-        entries.append((row_s, i * (npts - 1) + (npts - 1 - wd + k),
-                        dS_dhp * grid.ws[k]))
+    values += [dS_dhp * w for w in grid.ws]
     dS_dhq = hq_s / hp_s ** 2
-    for di in (-1, 1):
-        entries.append((row_s, _reflect(i + di, nq) * (npts - 1) + (npts - 2),
-                        di * dS_dhq / (2.0 * dq)))
-    entries.append((row_s, row_s, np.full(nq, g)))
-
-    rows, cols, vals = (np.concatenate(blocks) for blocks in zip(*entries))
-    n = nq * (npts - 1)
-    J_hh = sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsc()
-    dF_dQ = np.zeros(n)
-    dF_dQ[row_s] = -1.0
-    return J_hh, dF_dQ
+    values += [di * dS_dhq / (2.0 * dq) for di in (-1, 1)]
+    values.append(np.full(grid.nq, g))
+    return np.concatenate(values)
 
 
 def jacobian_blocks(grid, vf, g, h, Q):
@@ -151,7 +165,116 @@ def jacobian_blocks(grid, vf, g, h, Q):
 
     Row/column order matches pack_residual: n(i,j) = i*(npts-1) + (j-1).
     """
-    return _jacobian(grid, vf, g, _derivatives(grid, h))
+    J_hh = _newton_matrix(grid, "fixed_q", None).matrix(
+        _jacobian_values(grid, vf, g, _derivatives(grid, h)))
+    dF_dQ = np.zeros(J_hh.shape[0])
+    dF_dQ[_surface_rows(grid)] = -1.0
+    return J_hh, dF_dQ
+
+
+class _CscPattern:
+    """Compressed-column structure of an n x n matrix whose entries always
+    come in one order, at positions (rows, cols); entries at one position
+    add up, explicit zeros stay."""
+
+    def __init__(self, rows, cols, n):
+        order = np.lexsort((rows, cols))  # stable: repeats keep their order
+        r, c = rows[order], cols[order]
+        first = np.ones(order.size, dtype=bool)
+        first[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
+        self.n = n
+        self.indices = r[first].astype(np.intc)
+        self.indptr = np.concatenate(
+            [[0], np.cumsum(np.bincount(c[first], minlength=n))]).astype(np.intc)
+        self.first = order[first].astype(np.intc)  # sets each stored value
+        self.repeat_slots = (np.cumsum(first) - 1)[~first]
+        self.repeats = order[~first]  # entries added on top of it
+
+    def permute(self, perm_c):
+        """Store column c as column perm_c[c] from now on. The arrays are
+        rewritten in place: new long-lived arrays allocated between LU
+        factorizations fragment the heap and raise the peak memory."""
+        counts = np.diff(self.indptr)
+        old = np.argsort(np.repeat(perm_c, counts), kind="stable")
+        new = np.empty_like(old)
+        new[old] = np.arange(old.size)
+        self.indices[:] = self.indices[old]
+        self.indptr[1:] = np.cumsum(counts[np.argsort(perm_c)])
+        self.first[:] = self.first[old]
+        self.repeat_slots[:] = new[self.repeat_slots]
+
+    def matrix(self, values):
+        """The matrix with these entry values, as CSC."""
+        data = values[self.first]
+        np.add.at(data, self.repeat_slots, values[self.repeats])
+        return sparse.csc_matrix((data, self.indices, self.indptr),
+                                 shape=(self.n, self.n))
+
+
+class _NewtonMatrix:
+    """Structure of the Newton matrix of one grid in one solve mode.
+
+    The matrix is J_hh, bordered, when the mode appends an equation, by the
+    dF/dQ column (-1 on the surface rows) and the mode's row, whose entries
+    sit at `border_cols` (column n is the corner). The structure is fixed,
+    explicit zeros included, so each iteration only fills in values. The
+    first factorization orders the columns by SuperLU's default, COLAMD,
+    and the structure is then stored in that column order: every later
+    matrix is assembled directly in it and factored with the natural
+    ordering. No ordering is computed again, and the solutions come out bit
+    for bit as from a fresh COLAMD factorization (tests/test_solver.py
+    checks this along a branch). The structure changes on the first
+    solve, so one grid is solved on by one thread at a time.
+    """
+
+    def __init__(self, grid, border_cols):
+        rows, cols = _jacobian_positions(grid)
+        n = grid.nq * (grid.npts - 1)
+        self.dF_dQ = None
+        if border_cols is not None:
+            surface = _surface_rows(grid)
+            self.dF_dQ = np.full(surface.size, -1.0)
+            rows = np.concatenate([rows, surface,
+                                   np.full(border_cols.size, n)])
+            cols = np.concatenate([cols, np.full(surface.size, n),
+                                   border_cols])
+            n += 1
+        self.pattern = _CscPattern(rows, cols, n)
+        self.perm_c = None  # the pattern's column order, once factored
+
+    def matrix(self, jac_values):
+        """The unbordered matrix J_hh with these entry values, columns in
+        natural order, with index arrays of its own (the pattern's get
+        reordered)."""
+        A = self.pattern.matrix(jac_values)
+        return A.copy() if self.perm_c is None else A[:, self.perm_c]
+
+    def solve(self, jac_values, border_values, rhs):
+        """Solution of the system whose matrix has the values of J_hh's
+        entries and of the border row (None without a border)."""
+        values = jac_values
+        if border_values is not None:
+            values = np.concatenate([jac_values, self.dF_dQ, border_values])
+        A = self.pattern.matrix(values)
+        if self.perm_c is not None:
+            return splu(A, permc_spec="NATURAL").solve(rhs)[self.perm_c]
+        lu = splu(A)
+        # a copy: lu.perm_c is a view that would keep the factors alive
+        x, perm_c = lu.solve(rhs), lu.perm_c.copy()
+        del lu  # free the factors before the pattern is reordered
+        self.pattern.permute(perm_c)
+        self.perm_c = perm_c
+        return x
+
+
+def _newton_matrix(grid, mode, border):
+    """The grid's Newton matrix structure for a solve mode, built on first
+    use and kept on the grid."""
+    matrix = grid.newton_patterns.get(mode)
+    if matrix is None:
+        matrix = _NewtonMatrix(grid, None if border is None else border[0])
+        grid.newton_patterns[mode] = matrix
+    return matrix
 
 
 @dataclass
@@ -176,23 +299,25 @@ def scaled_dot(ah, aQ, bh, bQ):
 
 def _solve_mode(grid, mode, amplitude_target, base, tangent, ds):
     """(extra, border) of a solve mode: extra(h, Q) is the equation appended
-    to the residual, border the (row, corner) appended to J_hh beside dF/dQ.
-    Both are None for "fixed_q", which holds Q."""
+    to the residual, border the (columns, values) of its row in the Newton
+    matrix, where column n is the corner beside dF/dQ. Both are None for
+    "fixed_q", which holds Q."""
     n = grid.nq * (grid.npts - 1)
     if mode == "fixed_q":
         return None, None
     if mode == "fixed_amplitude":
         if amplitude_target is None:
             raise InputError("fixed_amplitude mode needs amplitude_target")
-        row = np.zeros(n)
-        row[grid.npts - 2] = 1.0  # crest surface node
-        row[n - 1] = -1.0  # trough surface node
-        return (lambda h, Q: amplitude(h) - amplitude_target), (row, 0.0)
+        # the crest and trough surface nodes; the corner stays empty
+        return ((lambda h, Q: amplitude(h) - amplitude_target),
+                (np.array([grid.npts - 2, n - 1]), np.array([1.0, -1.0])))
     if mode == "arclength":
         if base is None or tangent is None or ds is None:
             raise InputError("arclength mode needs base, tangent, and ds")
-        return (lambda h, Q: scaled_dot(h - base[0], Q - base[1], *tangent)
-                - ds), (tangent[0][:, 1:].ravel() / n, tangent[1])
+        return ((lambda h, Q: scaled_dot(h - base[0], Q - base[1], *tangent)
+                 - ds),
+                (np.arange(n + 1),
+                 np.append(tangent[0][:, 1:].ravel() / n, tangent[1])))
     raise InputError("unknown solve mode %r" % mode)
 
 
@@ -209,6 +334,13 @@ def newton_solve(grid, vf, g, h0, Q0, mode="fixed_q", *, amplitude_target=None,
     Jacobian. Steps are halved whenever the candidate would push min h_p
     below the positivity floor or fails to reduce the residual norm.
 
+    Each iteration factors the Newton matrix once with `splu`. Its sparsity
+    pattern and SuperLU's COLAMD column ordering are worked out once per grid
+    and solve mode, on the first factorization, and kept on the grid: later
+    iterations, and later solves on the same grid, fill the values into that
+    pattern in the stored column order and factor with the natural ordering,
+    which gives the same solution bits as ordering again.
+
     With `max_contraction` set to theta < 1, the iteration gives up with
     NoConvergenceError as soon as an iteration that has not converged cuts
     the max-norm residual by less than that factor (new > theta * old): a
@@ -218,6 +350,7 @@ def newton_solve(grid, vf, g, h0, Q0, mode="fixed_q", *, amplitude_target=None,
     """
     extra, border = _solve_mode(grid, mode, amplitude_target, base, tangent,
                                 ds)
+    matrix = _newton_matrix(grid, mode, border)
     h = np.array(h0, dtype=float)
     h[:, 0] = 0.0
     Q = float(Q0)
@@ -244,14 +377,10 @@ def newton_solve(grid, vf, g, h0, Q0, mode="fixed_q", *, amplitude_target=None,
                 % (it, prev_nrm, nrm, nrm / prev_nrm, max_contraction))
         prev_nrm = nrm
 
-        J, dF_dQ = _jacobian(grid, vf, g, derivs)
-        if border is not None:
-            J = sparse.bmat([[J, dF_dQ[:, None]],
-                             [border[0][None, :], np.array([[border[1]]])]],
-                            format="csc")
-        delta = splu(J).solve(-F)
+        delta = matrix.solve(_jacobian_values(grid, vf, g, derivs),
+                             None if border is None else border[1], -F)
         dh = np.zeros_like(h)
-        dh[:, 1:] = delta[:dF_dQ.size].reshape(grid.nq, grid.npts - 1)
+        dh[:, 1:] = delta[:h[:, 1:].size].reshape(grid.nq, grid.npts - 1)
         dQ = 0.0 if border is None else float(delta[-1])
 
         step = 1.0
@@ -360,6 +489,17 @@ def _mode_operator(vf, g, k, lam, p, Gamma, gam):
     return sub, diag, sup
 
 
+def _top_eigenvalue(sub, diag, sup):
+    """Largest eigenvalue of the tridiagonal (sub, diag, sup); the same
+    number _top_eigenpair gives, without the eigenvector."""
+    offprod = sup * sub
+    if not np.all(offprod > 0.0):
+        return _top_eigenpair(sub, diag, sup)[0]
+    n = diag.size
+    return float(eigh_tridiagonal(diag, np.sqrt(offprod), eigvals_only=True,
+                                  select="i", select_range=(n - 1, n - 1))[0])
+
+
 def _top_eigenpair(sub, diag, sup):
     """Largest eigenvalue of the tridiagonal (sub, diag, sup) and its
     eigenvector."""
@@ -397,7 +537,7 @@ def find_bifurcation(vf, g, L, m, lam_range=None, *, npts=4001, beta=0.5):
     k = np.pi / L
 
     def mu(lam):
-        return _top_eigenpair(*_mode_operator(vf, g, k, lam, p, Gamma, gam))[0]
+        return _top_eigenvalue(*_mode_operator(vf, g, k, lam, p, Gamma, gam))
 
     mu_lo, mu_hi = mu(lo), mu(hi)
     if not (mu_lo > 0.0 > mu_hi):

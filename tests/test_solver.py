@@ -17,8 +17,10 @@ import re
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
+from scipy.sparse.linalg import splu
 
 from vorwave import solver
 from vorwave.continuation import continue_branch
@@ -228,6 +230,161 @@ class TestNewton:
         assert 1 <= iteration <= 3
         assert len(factorizations) == iteration
         assert 0.9 * old < new < old
+
+
+def bmat_solve(grid):
+    """Stand-in for _NewtonMatrix.solve that assembles every matrix afresh,
+    as each Newton iteration did before the pattern was kept: J_hh from COO
+    triplets, the border added by sparse.bmat from dense blocks (which drops
+    their zeros), then splu with its default COLAMD ordering."""
+    rows, cols = solver._jacobian_positions(grid)
+    n = grid.nq * (grid.npts - 1)
+    dF_dQ = np.zeros(n)
+    dF_dQ[solver._surface_rows(grid)] = -1.0
+
+    def solve(self, jac_values, border_values, rhs):
+        J = sparse.coo_matrix((jac_values, (rows, cols)), shape=(n, n)).tocsc()
+        if border_values is not None:
+            if border_values.size == n + 1:  # arclength: tangent row, corner
+                row = border_values
+            else:  # fixed amplitude: crest minus trough, no corner
+                row = np.zeros(n + 1)
+                row[grid.npts - 2], row[n - 1] = border_values
+            J = sparse.bmat([[J, dF_dQ[:, None]],
+                             [row[None, :n], row[None, n:]]], format="csc")
+        return splu(J).solve(rhs)
+
+    return solve
+
+
+def recording_splu(monkeypatch):
+    """Patch solver.splu to record (permc_spec, n, nnz) of every call."""
+    calls = []
+    real_splu = solver.splu
+
+    def record(A, *args, **kwargs):
+        calls.append((kwargs.get("permc_spec"), A.shape[0], A.nnz))
+        return real_splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "splu", record)
+    return calls
+
+
+class TestNewtonMatrixPattern:
+    def test_branch_matches_fresh_factorizations(self, monkeypatch):
+        # The pattern and the COLAMD ordering are kept from the first
+        # factorization; every later one, assembled in that column order
+        # and factored with the natural ordering, must solve bit for bit as
+        # a fresh bmat assembly and COLAMD factorization would, through the
+        # maximum of Q, where the attempts that fail are many.
+        vf = VorticityFunction.constant(-0.3, m=M)
+        lam_star = find_bifurcation(vf, G, L, M)
+        calls = recording_splu(monkeypatch)
+        kept = continue_branch(StripGrid(L, M, 24, 20, beta=0.5), vf, G, 20,
+                               lam_star=lam_star)
+        grid = StripGrid(L, M, 24, 20, beta=0.5)
+        monkeypatch.setattr(solver._NewtonMatrix, "solve", bmat_solve(grid))
+        fresh = continue_branch(grid, vf, G, 20, lam_star=lam_star)
+
+        Qs = [pt.Q for pt in kept.points]
+        assert 0 < int(np.argmax(Qs)) < len(Qs) - 1
+        assert kept.stop_reason == fresh.stop_reason
+        assert len(kept.points) == len(fresh.points)
+        for a, b in zip(kept.points, fresh.points):
+            assert np.array_equal(a.h, b.h)
+            assert (a.Q, a.ds, a.newton_iterations) == \
+                (b.Q, b.ds, b.newton_iterations)
+        # one COLAMD ordering per solve mode (fixed amplitude, arclength)
+        orderings = [c for c in calls if c[0] is None]
+        assert len(orderings) == 2
+        assert len(calls) > 50
+        assert all(c[0] == "NATURAL" for c in calls
+                   if c not in orderings)
+
+    def test_tangent_with_an_exact_zero_entry(self, monkeypatch):
+        # bmat drops the zero from the tangent row; the pattern keeps it as
+        # an explicit zero, so the matrix keeps its structure and the solve
+        # converges to the same wave, whether the ordering comes from this
+        # tangent or from an earlier one without zeros.
+        vf = VorticityFunction.constant(-0.3, m=M)
+        lam_star = find_bifurcation(vf, G, L, M)
+        grid = StripGrid(L, M, 16, 16, beta=0.5)
+        h0, Q0 = seed_wave(grid, vf, G, lam_star, 0.02)
+        first = newton_solve(grid, vf, G, h0, Q0, mode="fixed_amplitude",
+                             amplitude_target=0.02)
+        hcol, Qt, _ = discrete_laminar(grid, vf, G, lam_star)
+        t_h = first.h - np.tile(hcol, (grid.nq, 1))
+        t_Q = first.Q - Qt
+        nrm = np.sqrt(float(np.sum(t_h[:, 1:] ** 2)) / t_h[:, 1:].size
+                      + t_Q ** 2)
+        t_h, t_Q = t_h / nrm, t_Q / nrm
+        zeroed = t_h.copy()
+        zeroed[3, 5] = 0.0
+        ds = 0.03
+
+        def arclength(on_grid, tangent_h):
+            return newton_solve(on_grid, vf, G, first.h + ds * tangent_h,
+                                first.Q + ds * t_Q, mode="arclength",
+                                base=(first.h, first.Q),
+                                tangent=(tangent_h, t_Q), ds=ds)
+
+        calls = recording_splu(monkeypatch)
+        new_grid = StripGrid(L, M, 16, 16, beta=0.5)
+        ordered_by_zero = arclength(new_grid, zeroed)
+        arclength(grid, t_h)
+        ordered_before = arclength(grid, zeroed)
+        assert len({nnz for _, _, nnz in calls}) == 1
+        assert [c[0] for c in calls].count(None) == 2
+
+        monkeypatch.setattr(solver._NewtonMatrix, "solve", bmat_solve(grid))
+        reference = arclength(grid, zeroed)
+        n = t_h[:, 1:].size
+        for res in (ordered_by_zero, ordered_before):
+            closure = (float((res.h - first.h)[:, 1:].ravel()
+                             @ zeroed[:, 1:].ravel()) / n
+                       + (res.Q - first.Q) * t_Q)
+            assert abs(closure - ds) < 1e-9
+            assert np.max(np.abs(res.h - reference.h)) < 1e-9
+            assert abs(res.Q - reference.Q) < 1e-9
+
+    def test_each_grid_gets_its_own_pattern(self, monkeypatch):
+        vf = VorticityFunction.constant(0.0, m=M)
+        lam_star = find_bifurcation(vf, G, L, M)
+        shapes = [(12, 14, 0.5), (16, 12, 0.5), (12, 14, 0.3)]
+        grids = [StripGrid(L, M, nq, npts, beta=b) for nq, npts, b in shapes]
+        seeds = [seed_wave(grid, vf, G, lam_star, 1e-3) for grid in grids]
+
+        def solve(grid, seed):
+            return newton_solve(grid, vf, G, *seed, mode="fixed_amplitude",
+                                amplitude_target=1e-3)
+
+        alone = [solve(StripGrid(L, M, nq, npts, beta=b), seed)
+                 for (nq, npts, b), seed in zip(shapes, seeds)]
+        calls = recording_splu(monkeypatch)
+        for grid, seed, ref in zip(grids + grids, seeds + seeds,
+                                   alone + alone):
+            start = len(calls)
+            res = solve(grid, seed)
+            assert np.array_equal(res.h, ref.h) and res.Q == ref.Q
+            assert res.iterations == len(calls) - start > 0
+        assert [c[0] for c in calls].count(None) == len(grids)
+        patterns = [grid.newton_patterns["fixed_amplitude"] for grid in grids]
+        assert len({id(p) for p in patterns}) == len(grids)
+
+    def test_jacobian_blocks_after_a_solve_on_the_grid(self):
+        # a solve stores the fixed_q pattern in its LU's column order;
+        # jacobian_blocks still returns J_hh in the order of pack_residual
+        vf = VorticityFunction.constant(-1.0, m=M)
+        grid = StripGrid(L, M, 10, 24, beta=0.5)
+        h0 = np.tile(laminar_flow(vf, 1.0, G).height(grid.p), (grid.nq, 1))
+        before = jacobian_blocks(grid, vf, G, h0, 3.0)[0]
+        newton_solve(grid, vf, G, h0, laminar_flow(vf, 1.0, G).Q)
+        perm_c = grid.newton_patterns["fixed_q"].perm_c
+        assert np.any(perm_c != np.arange(perm_c.size))
+        after = jacobian_blocks(grid, vf, G, h0, 3.0)[0]
+        for a, b in ((after.indptr, before.indptr),
+                     (after.indices, before.indices), (after.data, before.data)):
+            assert np.array_equal(a, b)
 
 
 class TestDiscreteLaminar:
