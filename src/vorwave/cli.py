@@ -18,8 +18,10 @@ import datetime
 import hashlib
 import json
 import os
+import queue
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack
 from dataclasses import asdict
 from pathlib import Path
 
@@ -31,7 +33,7 @@ from .config import RunConfig
 from .continuation import continue_branch, load_point, point_filename, \
     save_branch
 from .errors import ConfigError, InputError, SolverError
-from .fields import WaveField, reconstruct
+from .fields import CsvWriter, WaveField, reconstruct
 from .gerstner import TrochoidalWave
 from .laminar import critical_lambda, gamma_small_criterion, \
     gamma_smallest_criterion, laminar_depth, laminar_head
@@ -131,18 +133,19 @@ def _run_dispersion(cfg, outdir):
     return 0
 
 
-def _lambda_star(cfg, vf):
+def _lambda_star(cfg, vf, lam_c=None):
     return float(find_bifurcation(vf, cfg.g, cfg.L, cfg.m,
-                                  beta=cfg.grid.stretching))
+                                  beta=cfg.grid.stretching, lam_c=lam_c))
 
 
 def _run_bifurcate(cfg, outdir):
     """Write bifurcation.json and return its payload."""
     vf = cfg.build_vorticity()
-    lam_star = _lambda_star(cfg, vf)
+    lam_c = critical_lambda(vf, cfg.g)
+    lam_star = _lambda_star(cfg, vf, lam_c)
     payload = {
         "lambda_star": lam_star,
-        "lambda_c": critical_lambda(vf, cfg.g),
+        "lambda_c": lam_c,
         "Q_star": float(laminar_head(vf, lam_star, cfg.g)),
         "depth": float(laminar_depth(vf, lam_star)),
     }
@@ -150,17 +153,18 @@ def _run_bifurcate(cfg, outdir):
     return payload
 
 
-def _make_branch(cfg, vf, lam_star):
+def _make_branch(cfg, grid, vf, lam_star, on_point=None):
     cont = cfg.continuation
-    return continue_branch(cfg.build_grid(), vf, cfg.g, cont.steps,
-                           lam_star=lam_star, ds0=cont.ds0,
-                           ds_max=cont.ds_max, eps_stag=cont.eps_stag,
-                           trough_margin=cont.trough_margin)
+    return continue_branch(grid, vf, cfg.g, cont.steps, lam_star=lam_star,
+                           ds0=cont.ds0, ds_max=cont.ds_max,
+                           eps_stag=cont.eps_stag,
+                           trough_margin=cont.trough_margin,
+                           on_point=on_point)
 
 
 def _run_continue(cfg, outdir):
     vf = cfg.build_vorticity()
-    branch = _make_branch(cfg, vf, _lambda_star(cfg, vf))
+    branch = _make_branch(cfg, cfg.build_grid(), vf, _lambda_star(cfg, vf))
     save_branch(branch, outdir / "branch")
     return 0
 
@@ -232,21 +236,51 @@ def _run_gerstner(args, outdir):
 
 
 def _run_pipeline(cfg, outdir):
-    bif = _run_bifurcate(cfg, outdir)
-    branch = _make_branch(cfg, cfg.build_vorticity(), bif["lambda_star"])
-    save_branch(branch, outdir / "branch")
-    (outdir / "fields").mkdir(exist_ok=True)
-    reports_dir = outdir / "reports"
-    reports_dir.mkdir(exist_ok=True)
-    tol = cfg.build_tolerances()
+    """Bifurcate, then continue the branch while worker threads reconstruct,
+    write and audit each point as soon as continuation stores it.
 
-    def work(pt):
-        wf = reconstruct(branch.grid, branch.vf, branch.g, pt.h, pt.Q)
-        wf.to_csv(outdir / "fields" / _field_filename(pt.index))
-        return _audit_one(wf, tol, bif["lambda_c"], reports_dir, pt.index)
+    SuperLU's factorization and the CSV row formatting both hold the GIL,
+    so the formatting runs in CsvWriter processes, one per worker thread,
+    while continuation goes on in this thread.
+    """
+    threads = _thread_count()
+    with ExitStack() as stack:
+        # Fork every writer now, from the main thread and before any worker
+        # thread exists, and never more of them than there can be points.
+        writers = queue.SimpleQueue()
+        for _ in range(min(threads, cfg.continuation.steps + 1)):
+            writers.put(stack.enter_context(CsvWriter()))
+        bif = _run_bifurcate(cfg, outdir)
+        grid, vf = cfg.build_grid(), cfg.build_vorticity()
+        fields_dir = outdir / "fields"
+        fields_dir.mkdir(exist_ok=True)
+        reports_dir = outdir / "reports"
+        reports_dir.mkdir(exist_ok=True)
+        tol = cfg.build_tolerances()
 
-    with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
-        outcomes = list(pool.map(work, branch.points))
+        def work(pt):
+            wf = reconstruct(grid, vf, cfg.g, pt.h, pt.Q)
+            writer = writers.get()
+            try:
+                wf.to_csv(fields_dir / _field_filename(pt.index), writer)
+            finally:
+                writers.put(writer)
+            return _audit_one(wf, tol, bif["lambda_c"], reports_dir,
+                              pt.index)
+
+        pool = stack.enter_context(ThreadPoolExecutor(max_workers=threads))
+        futures = []
+        try:
+            branch = _make_branch(
+                cfg, grid, vf, bif["lambda_star"],
+                on_point=lambda pt: futures.append(pool.submit(work, pt)))
+            save_branch(branch, outdir / "branch")
+            outcomes = [future.result() for future in futures]
+        except BaseException:
+            # the pool then waits only for the points already running
+            for future in futures:
+                future.cancel()
+            raise
     summary = {
         "points": len(branch.points),
         "stop_reason": branch.stop_reason,

@@ -77,7 +77,7 @@ def near_stagnation(grid, h, eps_stag):
 
 def continue_branch(grid, vf, g, steps, *, lam_star=None, ds0=0.005,
                     ds_max=0.04, eps_stag=None, trough_margin=0.0,
-                    max_retries=8):
+                    max_retries=8, on_point=None):
     """Continue the branch for up to `steps` nontrivial points.
 
     Returns a Branch whose first point is always the trivial wave. The
@@ -95,6 +95,13 @@ def continue_branch(grid, vf, g, steps, *, lam_star=None, ds0=0.005,
     Stop reasons: "max-steps", "near-stagnation" (the offending point is not
     a valid wave and is discarded), "trough-criterion" (the point is kept),
     "newton-failure" (after `max_retries` halvings of the step).
+
+    `on_point`, if given, is called in this thread with each BranchPoint as
+    soon as it is stored, so a caller can process points while the branch
+    is still being traced: the trivial point first, then every later point
+    the branch keeps (the trough-criterion point too, the discarded
+    near-stagnation point never). The calls are in order and together see
+    exactly the final `points`. Continuation never modifies a stored point.
     """
     if steps < 0:
         raise NumericsError("steps must be nonnegative")
@@ -106,7 +113,13 @@ def continue_branch(grid, vf, g, steps, *, lam_star=None, ds0=0.005,
     hcol, Q_triv, _ = discrete_laminar(grid, vf, g, lam_star)
     h_triv = np.tile(hcol, (grid.nq, 1))
     branch = Branch(grid, vf, g, float(lam_star))
-    branch.points.append(BranchPoint(0, h_triv, float(Q_triv), 0.0, 0.0, 0))
+
+    def store(pt):
+        branch.points.append(pt)
+        if on_point is not None:
+            on_point(pt)
+
+    store(BranchPoint(0, h_triv, float(Q_triv), 0.0, 0.0, 0))
     trough_cut = trough_margin + TROUGH_BAND * max(1.0, g)
 
     def departure(ds):
@@ -126,9 +139,8 @@ def continue_branch(grid, vf, g, steps, *, lam_star=None, ds0=0.005,
             raise NumericsError(
                 "amplitude %.6g did not increase past %.6g along the branch"
                 % (a, branch.points[-1].amplitude))
-        branch.points.append(BranchPoint(len(branch.points), res.h,
-                                         float(res.Q), a, ds_used,
-                                         res.iterations))
+        store(BranchPoint(len(branch.points), res.h, float(res.Q), a,
+                          ds_used, res.iterations))
         if trough_criterion_value(grid, vf, g, res.h) <= trough_cut:
             branch.stop_reason = "trough-criterion"
             return False

@@ -47,10 +47,12 @@ class WaveField:
     Instances come from `reconstruct` (given a solved height field) or
     `WaveField.from_csv`. The stored arrays are authoritative; h_q and h_p are
     rebuilt from h so the derivative closures dx/dy work on either path.
+    `ops` is the ColumnOps of p when the caller has one already; the field
+    builds its own otherwise.
     """
 
     def __init__(self, q, p, g, Q, d, h, u, v, P, psi, omega,
-                 ux, uy, vx, vy, uxx, uxy, vf=None):
+                 ux, uy, vx, vy, uxx, uxy, vf=None, ops=None):
         self.q = np.asarray(q, dtype=float)
         self.p = np.asarray(p, dtype=float)
         self.g = float(g)
@@ -62,7 +64,7 @@ class WaveField:
         self.ux, self.uy, self.vx, self.vy = ux, uy, vx, vy
         self.uxx, self.uxy = uxx, uxy
         self.dq = float(self.q[1] - self.q[0])
-        self.ops = ColumnOps(self.p)
+        self.ops = ColumnOps(self.p) if ops is None else ops
         self.hp = self.ops.d1(h)
         if np.min(self.hp) <= 0.0:
             raise StagnationError("h_p <= 0 in a reconstructed field")
@@ -121,8 +123,14 @@ class WaveField:
     def divergence(self):
         return self.ux + self.vy
 
-    def to_csv(self, path):
-        """Write the field as CSV, one node per row in i-major order."""
+    def to_csv(self, path, writer=None):
+        """Write the field as CSV, one node per row in i-major order.
+
+        The rows are formatted by write_field_csv: in this thread, or, given
+        a CsvWriter, in its process while this thread waits with the GIL
+        released. Either way the bytes are the same and the file is complete
+        when to_csv returns.
+        """
         nq, npts = self.nq, self.npts
         cols = {
             "q": np.repeat(self.q, npts), "p": np.tile(self.p, nq),
@@ -134,15 +142,13 @@ class WaveField:
             "uxx": self.uxx.ravel(), "uxy": self.uxy.ravel(),
         }
         data = np.column_stack([cols[name] for name in CSV_COLUMNS])
-        # the rows np.savetxt(fmt="%.17g", delimiter=",") would write, one
-        # q-column of npts rows per format operation
-        block = (",".join(["%.17g"] * len(CSV_COLUMNS)) + "\n") * npts
-        with open(path, "w") as fh:
-            fh.write("# vorwave field g=%.17g Q=%.17g d=%.17g\n"
-                     % (self.g, self.Q, self.d))
-            fh.write(",".join(CSV_COLUMNS) + "\n")
-            for rows in data.reshape(nq, -1):
-                fh.write(block % tuple(rows.tolist()))
+        data = data.reshape(nq, npts, len(CSV_COLUMNS))
+        meta = ("# vorwave field g=%.17g Q=%.17g d=%.17g\n"
+                % (self.g, self.Q, self.d))
+        if writer is None:
+            write_field_csv(path, meta, data)
+        else:
+            writer.write(path, meta, data)
 
     @classmethod
     def from_csv(cls, path, vf=None):
@@ -198,7 +204,8 @@ def reconstruct(grid, vf, g, h, Q):
     d = float(np.trapezoid(h[:, -1], dx=grid.dq) / grid.L)
     # The field computes h_p (refusing stagnation) and h_q from h; every
     # other array is filled in from them, the derivatives by its dx and dy.
-    wf = WaveField(grid.q, grid.p, g, float(Q), d, h, *[None] * 11, vf=vf)
+    wf = WaveField(grid.q, grid.p, g, float(Q), d, h, *[None] * 11, vf=vf,
+                   ops=grid.column_ops)
     u = -1.0 / wf.hp
     v = -wf.hq / wf.hp
     wf.u = u
@@ -213,3 +220,88 @@ def reconstruct(grid, vf, g, h, Q):
     wf.uxx = wf.dx(wf.ux, "odd")
     wf.uxy = wf.dy(wf.ux)
     return wf
+
+
+def write_field_csv(path, meta, data):
+    """Write a field CSV: the metadata line `meta`, the column header, then
+    the rows of `data`, an (nq, npts, columns) array, one q-column of npts
+    rows per format operation. The bytes are those of
+    np.savetxt(fmt="%.17g", delimiter=",")."""
+    nq, npts, ncols = data.shape
+    block = (",".join(["%.17g"] * ncols) + "\n") * npts
+    with open(path, "w") as fh:
+        fh.write(meta)
+        fh.write(",".join(CSV_COLUMNS) + "\n")
+        for rows in data.reshape(nq, -1):
+            fh.write(block % tuple(rows.tolist()))
+
+
+def _serve_writes(conn, parent_end):
+    """Body of a CsvWriter process: run write_field_csv for each request
+    and answer None or the exception it raised, until told to stop."""
+    # Without the parent's end of the pipe open here, the writer sees EOF
+    # and exits should the parent die without stopping it.
+    parent_end.close()
+    while True:
+        try:
+            request = conn.recv()
+        except EOFError:
+            return
+        if request is None:
+            return
+        path, meta, shape = request
+        data = np.frombuffer(conn.recv_bytes(), dtype=float).reshape(shape)
+        try:
+            write_field_csv(path, meta, data)
+        except Exception as exc:  # raised again in the caller
+            conn.send(exc)
+        else:
+            conn.send(None)
+
+
+class CsvWriter:
+    """One forked process that formats and writes field CSVs.
+
+    A write sends the metadata line and the array's shape over a pipe, then
+    the raw array, and waits for the answer: the waiting thread holds no
+    GIL while the writer formats, so a CSV is written while the calling
+    process computes. The process is forked (POSIX only) when the writer is
+    made, rather than spawned, which would import numpy afresh for every
+    writer of every run. Make writers from the main thread before starting
+    any other thread, and close the writer, or leave its `with` block, to
+    stop and join it.
+    """
+
+    def __init__(self):
+        import multiprocessing
+
+        ctx = multiprocessing.get_context("fork")
+        self._conn, child_end = ctx.Pipe()
+        self.process = ctx.Process(target=_serve_writes,
+                                   args=(child_end, self._conn),
+                                   name="vorwave-csv-writer", daemon=True)
+        self.process.start()
+        child_end.close()
+
+    def write(self, path, meta, data):
+        """write_field_csv(path, meta, data) in the writer process, for a
+        C-contiguous float `data`; raises what it raised there."""
+        self._conn.send((str(path), meta, data.shape))
+        self._conn.send_bytes(memoryview(data))
+        error = self._conn.recv()
+        if error is not None:
+            raise error
+
+    def close(self):
+        try:
+            self._conn.send(None)
+        except OSError:  # the writer is gone already
+            pass
+        self._conn.close()
+        self.process.join()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.close()

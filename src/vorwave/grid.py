@@ -34,7 +34,9 @@ class StripGrid:
 
     newton_patterns holds, per solve mode, the sparsity pattern and column
     ordering of the Newton matrix that the solver works out on its first
-    factorization on this grid and reuses for every later one.
+    factorization on this grid and reuses for every later one. column_ops,
+    the vertical derivative operator the field reconstruction uses, is
+    likewise built on first use and kept.
     """
 
     def __init__(self, L, m, nq, npts, beta=0.5):
@@ -69,6 +71,14 @@ class StripGrid:
         self.wb = fd_weights(self.p[:width], self.p[0], 1)
         self.dp_max = float(np.max(np.diff(self.p)))
         self.newton_patterns = {}
+        self._column_ops = None
+
+    @property
+    def column_ops(self):
+        """ColumnOps on p, built on first use."""
+        if self._column_ops is None:
+            self._column_ops = ColumnOps(self.p)
+        return self._column_ops
 
     @property
     def delta(self):

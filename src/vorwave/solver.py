@@ -518,13 +518,16 @@ def _top_eigenpair(sub, diag, sup):
     return float(vals[top].real), vecs[:, top].real
 
 
-def find_bifurcation(vf, g, L, m, lam_range=None, *, npts=4001, beta=0.5):
+def find_bifurcation(vf, g, L, m, lam_range=None, *, npts=4001, beta=0.5,
+                     lam_c=None):
     """Squared surface speed lam* where a cos(pi q / L) mode branches off.
 
     Root of the largest eigenvalue of the transverse mode operator on a fine
-    dedicated vertical grid; always strictly below lambda_c.
+    dedicated vertical grid; always strictly below lambda_c. `lam_c` is
+    critical_lambda(vf, g), computed here unless the caller has it.
     """
-    lam_c = critical_lambda(vf, g)
+    if lam_c is None:
+        lam_c = critical_lambda(vf, g)
     floor = -2.0 * vf.Gamma_min()
     if lam_range is None:
         lam_range = (floor + 1e-4 * (lam_c - floor), lam_c)

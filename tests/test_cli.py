@@ -6,14 +6,18 @@ the packaging entry point resolves.
 """
 
 import json
+import multiprocessing
 import shutil
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
 
+from vorwave import cli, solver
 from vorwave.cli import main
+from vorwave.errors import NumericsError, SolverError
 
 GMEAN = 9.81 ** (2.0 / 3.0)  # critical lambda for irrotational unit flux
 
@@ -177,6 +181,121 @@ class TestPipeline:
         monkeypatch.setenv("VORWAVE_THREADS", "0")
         assert main(["pipeline", "--config", str(cfg), "--out",
                      str(tmp_path / "x")]) == 2
+
+
+class TestPipelineStreaming:
+    """pipeline reconstructs, writes and audits each point while
+    continuation goes on, and cleans up whichever way the run ends."""
+
+    @staticmethod
+    def run(tmp_path, steps=2):
+        cfg = write_config(tmp_path / "cfg.json", grid={"Nq": 24, "Np": 20},
+                           continuation={"steps": steps})
+        out = tmp_path / "out"
+        return main(["pipeline", "--config", str(cfg), "--out",
+                     str(out)]), out
+
+    def test_point_work_starts_before_continuation_returns(
+            self, tmp_path, monkeypatch):
+        started = threading.Event()
+        real_reconstruct = cli.reconstruct
+        real_continue = cli.continue_branch
+
+        def reconstruct(*args, **kwargs):
+            started.set()
+            return real_reconstruct(*args, **kwargs)
+
+        def continue_branch(*args, **kwargs):
+            on_point = kwargs.get("on_point")
+            if on_point is not None:
+                def hook(pt):
+                    on_point(pt)
+                    if pt.index == 0:
+                        started.wait(timeout=60)
+                kwargs["on_point"] = hook
+            branch = real_continue(*args, **kwargs)
+            seen.append(started.is_set())
+            return branch
+
+        seen = []
+        monkeypatch.setattr(cli, "reconstruct", reconstruct)
+        monkeypatch.setattr(cli, "continue_branch", continue_branch)
+        code, _ = self.run(tmp_path)
+        assert code == 0
+        assert seen == [True]
+
+    def test_audit_error_on_one_point_exits_3(self, tmp_path, monkeypatch):
+        real_audit = cli.audit_wave
+        calls = []
+        lock = threading.Lock()
+
+        def audit_wave(*args, **kwargs):
+            with lock:
+                calls.append(None)
+                if len(calls) == 2:
+                    raise SolverError("injected audit failure")
+            return real_audit(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "audit_wave", audit_wave)
+        code, out = self.run(tmp_path)
+        assert code == 3
+        assert (out / "manifest.json").is_file()
+        assert not (out / "pipeline.json").exists()
+        assert multiprocessing.active_children() == []
+
+    def test_continuation_error_exits_3_and_joins_writers(
+            self, tmp_path, monkeypatch):
+        real_continue = cli.continue_branch
+
+        def continue_branch(*args, **kwargs):
+            on_point = kwargs["on_point"]
+
+            def hook(pt):
+                on_point(pt)
+                if pt.index == 1:
+                    raise NumericsError("injected continuation failure")
+            kwargs["on_point"] = hook
+            return real_continue(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "continue_branch", continue_branch)
+        code, out = self.run(tmp_path, steps=4)
+        assert code == 3
+        assert (out / "manifest.json").is_file()
+        assert not (out / "pipeline.json").exists()
+        assert multiprocessing.active_children() == []
+
+    def test_writers_capped_by_the_number_of_points(self, tmp_path,
+                                                    monkeypatch):
+        made = []
+
+        class CountingWriter(cli.CsvWriter):
+            def __init__(self):
+                made.append(self)
+                super().__init__()
+
+        monkeypatch.setattr(cli, "CsvWriter", CountingWriter)
+        monkeypatch.setenv("VORWAVE_THREADS", "50")
+        code, out = self.run(tmp_path, steps=2)
+        assert code == 0
+        assert 1 <= len(made) <= 3
+        assert all(w.process.exitcode == 0 for w in made)
+        assert multiprocessing.active_children() == []
+        assert len(list((out / "fields").iterdir())) == 3
+
+
+def test_bifurcate_computes_lambda_c_once(tmp_path, monkeypatch):
+    calls = []
+    for module in (cli, solver):
+        real = module.critical_lambda
+
+        def counted(*args, _real=real, **kwargs):
+            calls.append(None)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(module, "critical_lambda", counted)
+    cfg = write_config(tmp_path / "cfg.json")
+    assert main(["bifurcate", "--config", str(cfg), "--out",
+                 str(tmp_path / "b")]) == 0
+    assert len(calls) == 1
 
 
 class TestAudit:

@@ -66,6 +66,25 @@ class TestStopRules:
         for pt in br.points:
             assert np.max(solver_hp(grid, pt.h)) < 1.0 / eps
 
+    @pytest.mark.parametrize("stop", ["max-steps", "trough-criterion",
+                                      "near-stagnation"])
+    def test_on_point_sees_exactly_the_stored_points(
+            self, setup_irrotational, stop):
+        # the stop rules of the tests above: the trough-criterion point is
+        # kept, the near-stagnation point discarded
+        grid, vf, lam_star = setup_irrotational
+        steps, kwargs = {
+            "max-steps": (3, {}),
+            "trough-criterion": (10, {"trough_margin": G - 1e-9}),
+            "near-stagnation": (40, {"eps_stag": 0.5 * np.sqrt(lam_star)}),
+        }[stop]
+        seen = []
+        br = continue_branch(grid, vf, G, steps, lam_star=lam_star,
+                             on_point=seen.append, **kwargs)
+        assert br.stop_reason == stop
+        assert len(seen) == len(br.points)
+        assert all(a is b for a, b in zip(seen, br.points))
+
     def test_negative_steps_rejected(self, setup_irrotational):
         grid, vf, lam_star = setup_irrotational
         from vorwave.errors import NumericsError

@@ -7,11 +7,13 @@ condition, incompressibility, momentum balance) with refinement studies where
 the identity only holds to truncation order.
 """
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
 from vorwave.errors import InputError, StagnationError
-from vorwave.fields import CSV_COLUMNS, WaveField, reconstruct
+from vorwave.fields import CSV_COLUMNS, CsvWriter, WaveField, reconstruct
 from vorwave.grid import StripGrid
 from vorwave.laminar import laminar_flow
 from vorwave.solver import find_bifurcation, newton_solve, seed_wave
@@ -226,3 +228,38 @@ class TestCsv:
         bad.to_csv(path)
         with pytest.raises(InputError):
             WaveField.from_csv(path)
+
+
+class TestCsvWriter:
+    def test_same_bytes_as_in_this_thread(self, wave, tmp_path):
+        _, wf = wave
+        wf.to_csv(tmp_path / "here.csv")
+        back = WaveField.from_csv(tmp_path / "here.csv")
+        back.to_csv(tmp_path / "back_here.csv")
+        with CsvWriter() as writer:
+            wf.to_csv(tmp_path / "there.csv", writer)
+            back.to_csv(tmp_path / "back_there.csv", writer)
+        for name in ("here", "back_here"):
+            expected = (tmp_path / ("%s.csv" % name)).read_bytes()
+            twin = name.replace("here", "there")
+            assert (tmp_path / ("%s.csv" % twin)).read_bytes() == expected
+        assert (tmp_path / "back_here.csv").read_bytes() == \
+            (tmp_path / "here.csv").read_bytes()
+
+    def test_unwritable_path_raises_in_the_caller(self, wave, tmp_path):
+        _, wf = wave
+        with CsvWriter() as writer:
+            with pytest.raises(FileNotFoundError):
+                wf.to_csv(tmp_path / "no-such-dir" / "field.csv", writer)
+            # the writer outlives a failed write
+            wf.to_csv(tmp_path / "field.csv", writer)
+        assert writer.process.exitcode == 0
+        assert writer.process not in multiprocessing.active_children()
+        assert (tmp_path / "field.csv").is_file()
+
+
+def test_reconstruct_keeps_one_column_operator_per_grid(wave):
+    grid, wf = wave
+    again = reconstruct(grid, wf.vf, wf.g, wf.h, wf.Q)
+    assert wf.ops is grid.column_ops
+    assert again.ops is grid.column_ops
