@@ -7,8 +7,8 @@ manifest: the numeric artifacts (reports, tables, branch files, CSVs)
 are byte-identical across reruns with the same inputs.
 
 Exit codes: 0 all good (and every requested audit passed), 1 an audit
-reported a failed diagnostic, 2 configuration or input trouble, 3 the
-numerics gave up.
+reported a failed diagnostic, 2 configuration or input trouble, or an
+output file that cannot be written, 3 the numerics gave up.
 """
 
 from __future__ import annotations
@@ -17,11 +17,10 @@ import argparse
 import datetime
 import hashlib
 import json
+import multiprocessing
 import os
-import queue
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import ExitStack
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 from pathlib import Path
 
@@ -33,7 +32,7 @@ from .config import RunConfig
 from .continuation import continue_branch, load_point, point_filename, \
     save_branch
 from .errors import ConfigError, InputError, SolverError
-from .fields import CsvWriter, WaveField, reconstruct
+from .fields import WaveField, reconstruct
 from .gerstner import TrochoidalWave
 from .laminar import critical_lambda, gamma_small_criterion, \
     gamma_smallest_criterion, laminar_depth, laminar_head
@@ -236,51 +235,42 @@ def _run_gerstner(args, outdir):
 
 
 def _run_pipeline(cfg, outdir):
-    """Bifurcate, then continue the branch while worker threads reconstruct,
-    write and audit each point as soon as continuation stores it.
+    """Bifurcate, then continue the branch, reconstructing, writing and
+    auditing each point in this thread as soon as continuation stores it.
 
-    SuperLU's factorization and the CSV row formatting both hold the GIL,
-    so the formatting runs in CsvWriter processes, one per worker thread,
-    while continuation goes on in this thread.
+    Formatting a point's CSV rows holds the GIL, so the CSVs are written by
+    a pool of processes while this thread goes on. The pool is forked, not
+    spawned, which would import numpy afresh in every process of every run.
+    With "fork" the pool forks all its processes at the first submit, which
+    on_point makes here, in the main thread, before the pool starts its own
+    thread. Every write is awaited before pipeline.json is written, and the
+    pool is joined on every exit.
     """
-    threads = _thread_count()
-    with ExitStack() as stack:
-        # Fork every writer now, from the main thread and before any worker
-        # thread exists, and never more of them than there can be points.
-        writers = queue.SimpleQueue()
-        for _ in range(min(threads, cfg.continuation.steps + 1)):
-            writers.put(stack.enter_context(CsvWriter()))
-        bif = _run_bifurcate(cfg, outdir)
-        grid, vf = cfg.build_grid(), cfg.build_vorticity()
-        fields_dir = outdir / "fields"
-        fields_dir.mkdir(exist_ok=True)
-        reports_dir = outdir / "reports"
-        reports_dir.mkdir(exist_ok=True)
-        tol = cfg.build_tolerances()
+    workers = min(_thread_count(), cfg.continuation.steps + 1)
+    bif = _run_bifurcate(cfg, outdir)
+    grid, vf = cfg.build_grid(), cfg.build_vorticity()
+    fields_dir = outdir / "fields"
+    fields_dir.mkdir(exist_ok=True)
+    reports_dir = outdir / "reports"
+    reports_dir.mkdir(exist_ok=True)
+    tol = cfg.build_tolerances()
+    writes, outcomes = [], []
+    with ProcessPoolExecutor(
+            max_workers=workers,
+            mp_context=multiprocessing.get_context("fork")) as pool:
 
-        def work(pt):
+        def on_point(pt):
             wf = reconstruct(grid, vf, cfg.g, pt.h, pt.Q)
-            writer = writers.get()
-            try:
-                wf.to_csv(fields_dir / _field_filename(pt.index), writer)
-            finally:
-                writers.put(writer)
-            return _audit_one(wf, tol, bif["lambda_c"], reports_dir,
-                              pt.index)
+            writes.append(
+                wf.to_csv(fields_dir / _field_filename(pt.index), pool))
+            outcomes.append(_audit_one(wf, tol, bif["lambda_c"],
+                                       reports_dir, pt.index))
 
-        pool = stack.enter_context(ThreadPoolExecutor(max_workers=threads))
-        futures = []
-        try:
-            branch = _make_branch(
-                cfg, grid, vf, bif["lambda_star"],
-                on_point=lambda pt: futures.append(pool.submit(work, pt)))
-            save_branch(branch, outdir / "branch")
-            outcomes = [future.result() for future in futures]
-        except BaseException:
-            # the pool then waits only for the points already running
-            for future in futures:
-                future.cancel()
-            raise
+        branch = _make_branch(cfg, grid, vf, bif["lambda_star"],
+                              on_point=on_point)
+        save_branch(branch, outdir / "branch")
+        for write in writes:
+            write.result()
     summary = {
         "points": len(branch.points),
         "stop_reason": branch.stop_reason,
@@ -386,6 +376,9 @@ def main(argv=None):
     except SolverError as exc:
         print("vorwave: solver error: %s" % exc, file=sys.stderr)
         return 3
+    except OSError as exc:
+        print("vorwave: output error: %s" % exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

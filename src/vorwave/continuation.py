@@ -93,15 +93,18 @@ def continue_branch(grid, vf, g, steps, *, lam_star=None, ds0=0.005,
     with the stretching of `grid`.
 
     Stop reasons: "max-steps", "near-stagnation" (the offending point is not
-    a valid wave and is discarded), "trough-criterion" (the point is kept),
-    "newton-failure" (after `max_retries` halvings of the step).
+    a valid wave and is discarded), "amplitude-reversal" (the new point's
+    amplitude does not exceed the last stored one; it is discarded and the
+    branch ends on the last good point), "trough-criterion" (the point is
+    kept), "newton-failure" (after `max_retries` halvings of the step).
 
     `on_point`, if given, is called in this thread with each BranchPoint as
     soon as it is stored, so a caller can process points while the branch
     is still being traced: the trivial point first, then every later point
     the branch keeps (the trough-criterion point too, the discarded
-    near-stagnation point never). The calls are in order and together see
-    exactly the final `points`. Continuation never modifies a stored point.
+    near-stagnation and amplitude-reversal points never). The calls are in
+    order and together see exactly the final `points`. Continuation never
+    modifies a stored point.
     """
     if steps < 0:
         raise NumericsError("steps must be nonnegative")
@@ -136,9 +139,8 @@ def continue_branch(grid, vf, g, steps, *, lam_star=None, ds0=0.005,
             return False
         a = amplitude(res.h)
         if a <= branch.points[-1].amplitude:
-            raise NumericsError(
-                "amplitude %.6g did not increase past %.6g along the branch"
-                % (a, branch.points[-1].amplitude))
+            branch.stop_reason = "amplitude-reversal"
+            return False
         store(BranchPoint(len(branch.points), res.h, float(res.Q), a,
                           ds_used, res.iterations))
         if trough_criterion_value(grid, vf, g, res.h) <= trough_cut:

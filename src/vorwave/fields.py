@@ -123,13 +123,15 @@ class WaveField:
     def divergence(self):
         return self.ux + self.vy
 
-    def to_csv(self, path, writer=None):
+    def to_csv(self, path, executor=None):
         """Write the field as CSV, one node per row in i-major order.
 
-        The rows are formatted by write_field_csv: in this thread, or, given
-        a CsvWriter, in its process while this thread waits with the GIL
-        released. Either way the bytes are the same and the file is complete
-        when to_csv returns.
+        The rows are formatted by write_field_csv. Without an `executor`
+        that happens in this thread, and the file is complete when to_csv
+        returns. With one, such as a process pool, to_csv returns the Future
+        of write_field_csv submitted to it; its result() is None once the
+        file is complete and raises what the write raised. The bytes are
+        the same either way.
         """
         nq, npts = self.nq, self.npts
         cols = {
@@ -145,10 +147,10 @@ class WaveField:
         data = data.reshape(nq, npts, len(CSV_COLUMNS))
         meta = ("# vorwave field g=%.17g Q=%.17g d=%.17g\n"
                 % (self.g, self.Q, self.d))
-        if writer is None:
+        if executor is None:
             write_field_csv(path, meta, data)
-        else:
-            writer.write(path, meta, data)
+            return None
+        return executor.submit(write_field_csv, path, meta, data)
 
     @classmethod
     def from_csv(cls, path, vf=None):
@@ -234,74 +236,3 @@ def write_field_csv(path, meta, data):
         fh.write(",".join(CSV_COLUMNS) + "\n")
         for rows in data.reshape(nq, -1):
             fh.write(block % tuple(rows.tolist()))
-
-
-def _serve_writes(conn, parent_end):
-    """Body of a CsvWriter process: run write_field_csv for each request
-    and answer None or the exception it raised, until told to stop."""
-    # Without the parent's end of the pipe open here, the writer sees EOF
-    # and exits should the parent die without stopping it.
-    parent_end.close()
-    while True:
-        try:
-            request = conn.recv()
-        except EOFError:
-            return
-        if request is None:
-            return
-        path, meta, shape = request
-        data = np.frombuffer(conn.recv_bytes(), dtype=float).reshape(shape)
-        try:
-            write_field_csv(path, meta, data)
-        except Exception as exc:  # raised again in the caller
-            conn.send(exc)
-        else:
-            conn.send(None)
-
-
-class CsvWriter:
-    """One forked process that formats and writes field CSVs.
-
-    A write sends the metadata line and the array's shape over a pipe, then
-    the raw array, and waits for the answer: the waiting thread holds no
-    GIL while the writer formats, so a CSV is written while the calling
-    process computes. The process is forked (POSIX only) when the writer is
-    made, rather than spawned, which would import numpy afresh for every
-    writer of every run. Make writers from the main thread before starting
-    any other thread, and close the writer, or leave its `with` block, to
-    stop and join it.
-    """
-
-    def __init__(self):
-        import multiprocessing
-
-        ctx = multiprocessing.get_context("fork")
-        self._conn, child_end = ctx.Pipe()
-        self.process = ctx.Process(target=_serve_writes,
-                                   args=(child_end, self._conn),
-                                   name="vorwave-csv-writer", daemon=True)
-        self.process.start()
-        child_end.close()
-
-    def write(self, path, meta, data):
-        """write_field_csv(path, meta, data) in the writer process, for a
-        C-contiguous float `data`; raises what it raised there."""
-        self._conn.send((str(path), meta, data.shape))
-        self._conn.send_bytes(memoryview(data))
-        error = self._conn.recv()
-        if error is not None:
-            raise error
-
-    def close(self):
-        try:
-            self._conn.send(None)
-        except OSError:  # the writer is gone already
-            pass
-        self._conn.close()
-        self.process.join()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        self.close()

@@ -113,6 +113,15 @@ class TestConfigErrors:
         assert main(["dispersion", "--config", str(cfg)]) == 0
         assert (tmp_path / "from-config" / "dispersion.json").exists()
 
+    def test_unwritable_output_directory_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json")
+        (tmp_path / "plain").write_text("not a directory")
+        assert main(["dispersion", "--config", str(cfg), "--out",
+                     str(tmp_path / "plain" / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("vorwave: output error: ")
+        assert err.count("\n") == 1
+
 
 class TestPipeline:
     def test_exit_and_layout(self, pipeline_run):
@@ -266,21 +275,32 @@ class TestPipelineStreaming:
 
     def test_writers_capped_by_the_number_of_points(self, tmp_path,
                                                     monkeypatch):
-        made = []
+        sizes = []
 
-        class CountingWriter(cli.CsvWriter):
-            def __init__(self):
-                made.append(self)
-                super().__init__()
+        class CountingPool(cli.ProcessPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers, **kwargs)
 
-        monkeypatch.setattr(cli, "CsvWriter", CountingWriter)
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", CountingPool)
         monkeypatch.setenv("VORWAVE_THREADS", "50")
         code, out = self.run(tmp_path, steps=2)
         assert code == 0
-        assert 1 <= len(made) <= 3
-        assert all(w.process.exitcode == 0 for w in made)
+        assert len(sizes) == 1 and 1 <= sizes[0] <= 3
         assert multiprocessing.active_children() == []
         assert len(list((out / "fields").iterdir())) == 3
+
+    def test_csv_write_error_exits_2(self, tmp_path, monkeypatch, capsys):
+        # every CSV path points into a directory that does not exist, so
+        # each write fails in the pool and reaches main through result()
+        monkeypatch.setattr(cli, "_field_filename",
+                            lambda index: "missing/point_%04d.csv" % index)
+        code, out = self.run(tmp_path)
+        assert code == 2
+        assert capsys.readouterr().err.startswith("vorwave: output error: ")
+        assert (out / "manifest.json").is_file()
+        assert not (out / "pipeline.json").exists()
+        assert multiprocessing.active_children() == []
 
 
 def test_bifurcate_computes_lambda_c_once(tmp_path, monkeypatch):

@@ -85,6 +85,19 @@ class TestStopRules:
         assert len(seen) == len(br.points)
         assert all(a is b for a, b in zip(seen, br.points))
 
+    def test_amplitude_reversal_ends_on_the_last_good_point(self):
+        # on this coarse grid the irrotational branch's amplitude turns back
+        # at min|u| near 0.49, long before any other stop rule fires
+        vf = VorticityFunction.constant(0.0, m=M)
+        grid = StripGrid(L, M, 24, 20, beta=0.5)
+        seen = []
+        br = continue_branch(grid, vf, G, 60, on_point=seen.append)
+        assert br.stop_reason == "amplitude-reversal"
+        assert 2 < len(br.points) < 61
+        assert np.all(np.diff(br.amplitudes) > 0.0)
+        assert len(seen) == len(br.points)
+        assert all(a is b for a, b in zip(seen, br.points))
+
     def test_negative_steps_rejected(self, setup_irrotational):
         grid, vf, lam_star = setup_irrotational
         from vorwave.errors import NumericsError

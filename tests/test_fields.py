@@ -8,12 +8,13 @@ the identity only holds to truncation order.
 """
 
 import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
 from vorwave.errors import InputError, StagnationError
-from vorwave.fields import CSV_COLUMNS, CsvWriter, WaveField, reconstruct
+from vorwave.fields import CSV_COLUMNS, WaveField, reconstruct
 from vorwave.grid import StripGrid
 from vorwave.laminar import laminar_flow
 from vorwave.solver import find_bifurcation, newton_solve, seed_wave
@@ -230,15 +231,25 @@ class TestCsv:
             WaveField.from_csv(path)
 
 
-class TestCsvWriter:
+class TestCsvInProcessPool:
+    """to_csv(path, executor) on a fork-context process pool, as pipeline
+    writes its CSVs."""
+
+    @staticmethod
+    def pool():
+        return ProcessPoolExecutor(
+            max_workers=1, mp_context=multiprocessing.get_context("fork"))
+
     def test_same_bytes_as_in_this_thread(self, wave, tmp_path):
         _, wf = wave
         wf.to_csv(tmp_path / "here.csv")
         back = WaveField.from_csv(tmp_path / "here.csv")
         back.to_csv(tmp_path / "back_here.csv")
-        with CsvWriter() as writer:
-            wf.to_csv(tmp_path / "there.csv", writer)
-            back.to_csv(tmp_path / "back_there.csv", writer)
+        with self.pool() as pool:
+            writes = [wf.to_csv(tmp_path / "there.csv", pool),
+                      back.to_csv(tmp_path / "back_there.csv", pool)]
+            assert [w.result(timeout=60) for w in writes] == [None, None]
+        assert multiprocessing.active_children() == []
         for name in ("here", "back_here"):
             expected = (tmp_path / ("%s.csv" % name)).read_bytes()
             twin = name.replace("here", "there")
@@ -248,13 +259,14 @@ class TestCsvWriter:
 
     def test_unwritable_path_raises_in_the_caller(self, wave, tmp_path):
         _, wf = wave
-        with CsvWriter() as writer:
+        with self.pool() as pool:
+            failed = wf.to_csv(tmp_path / "no-such-dir" / "field.csv", pool)
             with pytest.raises(FileNotFoundError):
-                wf.to_csv(tmp_path / "no-such-dir" / "field.csv", writer)
-            # the writer outlives a failed write
-            wf.to_csv(tmp_path / "field.csv", writer)
-        assert writer.process.exitcode == 0
-        assert writer.process not in multiprocessing.active_children()
+                failed.result(timeout=60)
+            # the pool outlives a failed write
+            assert wf.to_csv(tmp_path / "field.csv", pool).result(
+                timeout=60) is None
+        assert multiprocessing.active_children() == []
         assert (tmp_path / "field.csv").is_file()
 
 
