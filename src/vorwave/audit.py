@@ -24,7 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InputError, StagnationError
-from .fd import dq_even
+from .fd import dq, three_point_weights
 from .laminar import critical_lambda
 
 PASS = "pass"
@@ -79,6 +79,8 @@ class Diagnostic:
             "location": loc,
             "margin": _jsonable(self.margin),
             "paper_ref": self.paper_ref,
+            "description": self.description,
+            "tolerance": _jsonable(self.tolerance),
         }
 
 
@@ -199,7 +201,7 @@ def surface_curve(wf):
     theta = np.unwrap(np.arctan2(v_full, u_full))
     # ds = dx / u: cumulative trapezoid, s(0) = 0.
     inv_u = 1.0 / u_full
-    ds = 0.5 * wf.dq * (inv_u[1:] + inv_u[:-1])
+    ds = 0.5 * np.diff(x) * (inv_u[1:] + inv_u[:-1])
     s = np.concatenate([[0.0], np.cumsum(ds)])
     return SurfaceCurve(s=s, X=x, Y=y_full, theta=theta, dPdn=dpdn,
                         u=u_full, v=v_full)
@@ -242,8 +244,7 @@ class _Auditor:
         self.bern_tol = (tol.bern if tol.bern is not None
                          else 1e-6 * max(1.0, abs(wf.Q)))
         self.eq_tol = tol.eq if tol.eq is not None else 1e-6 * g * wf.d
-        dp_max = float(np.max(np.diff(wf.p)))
-        delta = max(wf.dq, dp_max)
+        delta = max(np.max(np.diff(wf.q)), np.max(np.diff(wf.p)))
         self.res_tol = tol.residual_scale * delta ** 2
         self.band = tol.boundary_band
         self.out = []
@@ -683,7 +684,7 @@ class _Auditor:
                                None)
             return
         W = self.u[:, -1] ** 2
-        Wx = dq_even(W, wf.dq)
+        Wx = dq(W, wf.wq1, "even")
         mn = float(np.min(Wx[1:-1]))
         idx = int(np.argmin(Wx[1:-1])) + 1
         self.add("D-monotone-u2", desc, "surface:speed-monotone",
@@ -693,16 +694,16 @@ class _Auditor:
     def turning_angle(self):
         wf = self.wf
         curve = self.curve
-        n = wf.nq - 1
         # Periodic tangent-angle derivative in x, then chain rule to s.
-        theta = curve.theta[:2 * n]
-        closure = curve.theta[0]
-        theta_pad = np.concatenate([[theta[-1]], theta, [closure]])
-        theta_x = (theta_pad[2:] - theta_pad[:-2]) / (2.0 * wf.dq)
+        theta = curve.theta
+        spacing = np.diff(curve.X, append=2.0 * wf.L)
+        w1, _ = three_point_weights(np.roll(spacing, 1), spacing)
+        theta_x = (w1[:, 0] * (np.roll(theta, 1) - theta)
+                   + w1[:, 2] * (np.roll(theta, -1) - theta))
         spd = np.hypot(curve.u, curve.v)
         theta_s = curve.u * theta_x
         rhs = self.g * np.cos(theta) / spd
-        applies = curve.dPdn[:2 * n] <= 0.0
+        applies = curve.dPdn <= 0.0
         if np.any(applies):
             margins = theta_s[applies] - rhs[applies]
             mn = float(np.min(margins))

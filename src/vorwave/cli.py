@@ -174,16 +174,21 @@ def _branch_point_files(outdir, point):
     if not branch_json.exists():
         raise ConfigError("no branch under %s; run `continue` (or "
                           "`pipeline`) first" % outdir)
-    with open(branch_json) as fh:
-        index = json.load(fh)["points"]
+    try:
+        with open(branch_json) as fh:
+            index = json.load(fh)["points"]
+        files = [(int(row["index"]), outdir / "branch" / row["file"])
+                 for row in index]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise InputError("unusable branch index %s: %s: %s"
+                         % (branch_json, type(exc).__name__, exc)) from exc
     if point is not None:
-        matches = [row for row in index if row["index"] == point]
+        matches = [pair for pair in files if pair[0] == point]
         if not matches:
             raise ConfigError("branch has no point %d (it holds %d points)"
-                              % (point, len(index)))
-        index = matches
-    return [(row["index"], outdir / "branch" / row["file"])
-            for row in index]
+                              % (point, len(files)))
+        files = matches
+    return files
 
 
 def _run_reconstruct(cfg, outdir, point):
@@ -212,11 +217,12 @@ def _run_audit(cfg, outdir, field_csv, point, manifest):
         report = audit_wave(wf, tol=tol)
         _write_json(outdir / "report.json", report.as_json())
         return 0 if report.passed() else 1
+    files = _branch_point_files(outdir, point)
     reports_dir = outdir / "reports"
     reports_dir.mkdir(exist_ok=True)
     all_pass = True
     lam_c = None
-    for idx, path in _branch_point_files(outdir, point):
+    for idx, path in files:
         grid, vf, g, h, Q = load_point(path)
         if lam_c is None:
             # every point of a branch shares its vorticity and g

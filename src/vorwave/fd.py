@@ -1,23 +1,26 @@
 """Finite-difference machinery shared by the solver, field reconstruction,
-and profile checks.
+and profile checks: every derivative weight comes from here.
 
-Horizontal derivatives act on the half period [0, L] where every physical
-field has a definite parity (even or odd about both q = 0 and q = L), so the
-boundary stencils use reflection ghosts and are exact for the symmetry.
-Vertical derivatives act on a possibly nonuniform node set; weights come from
-Fornberg's algorithm. Every node uses a 6-point sliding window (local order
-5): applying a first-derivative operator twice differentiates the truncation
-error of the first pass, which costs one order wherever the error coefficient
-jumps, and the coefficient does jump at the clipped end windows. Starting
-from order 5 leaves the composed derivative at worst O(dp^4) there, which is
-what lets the reconstructed vorticity of a smooth laminar flow track gamma to
-1e-8 on a few hundred nodes. Narrower windows were tried first: with 4 points
-the composed edge error is O(dp^2) with a coefficient near ten, far too big.
+The solver's 3-point weights, along q and p alike, come from the node
+spacings. Horizontal derivatives act on the half period [0, L] where every
+physical field has a definite parity (even or odd about both q = 0 and
+q = L), so the boundary stencils use mirror ghosts and are exact for the
+symmetry. Vertical derivatives of the reconstructed fields use Fornberg's
+weights. Every node uses a 6-point sliding window (local order 5): applying
+a first-derivative operator twice differentiates the truncation error of the
+first pass, which costs one order wherever the error coefficient jumps, and
+the coefficient does jump at the clipped end windows. Starting from order 5
+leaves the composed derivative at worst O(dp^4) there, which is what lets the
+reconstructed vorticity of a smooth laminar flow track gamma to 1e-8 on a few
+hundred nodes. Narrower windows were tried first: with 4 points the composed
+edge error is O(dp^2) with a coefficient near ten, far too big.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .errors import InputError
 
 
 def fd_weights(nodes, x0, order):
@@ -53,34 +56,47 @@ def fd_weights(nodes, x0, order):
     return c[:, order]
 
 
-def dq_even(F, dq):
-    """d/dq along axis 0 of a field even about q=0 and q=L.
+def three_point_weights(hm, hp):
+    """(w1, w2): 3-point first and second derivative weights, shape (n, 3),
+    at nodes whose left and right spacings are hm and hp, each (n,).
 
-    Reflection ghosts make the derivative exactly zero at the ends, which is
-    the discrete statement of the symmetry.
+    The centre weight is the closed form, not -(w0 + w2): the ulp between
+    them moves find_bifurcation's root by up to 3e-9 relative.
     """
+    w1 = np.stack([-hp / (hm * (hm + hp)),
+                   (hp - hm) / (hm * hp),
+                   hm / (hp * (hm + hp))], axis=-1)
+    w2 = np.stack([2.0 / (hm * (hm + hp)),
+                   -2.0 / (hm * hp),
+                   2.0 / (hp * (hm + hp))], axis=-1)
+    return w1, w2
+
+
+def mirror_weights(q):
+    """three_point_weights on the nodes q, whose end nodes see mirror ghosts
+    at the first and last spacing: the weights `dq` takes."""
+    h = np.diff(q)
+    return three_point_weights(np.append(h[0], h), np.append(h, h[-1]))
+
+
+def dq(F, w, parity):
+    """Derivative along axis 0 of a field F that is "even" or "odd" (parity)
+    about q = 0 and q = L, with weights w (nq, 3) from mirror_weights: its
+    first entry for d/dq, its second for d2/dq2. The ghost beyond each end
+    mirrors the first interior node, negated for an odd field. The difference
+    form w0 (F[i-1] - F[i]) + w2 (F[i+1] - F[i]) gives exactly zero on a
+    constant, and on an even field's first derivative at both ends.
+    """
+    if parity not in ("even", "odd"):
+        raise InputError("parity must be 'even' or 'odd'")
+    sign = 1.0 if parity == "even" else -1.0
+    shape = (-1,) + (1,) * (F.ndim - 1)
+    w0, w2 = w[:, 0].reshape(shape), w[:, 2].reshape(shape)
     out = np.empty_like(F, dtype=float)
-    out[1:-1] = (F[2:] - F[:-2]) / (2.0 * dq)
-    out[0] = 0.0
-    out[-1] = 0.0
-    return out
-
-
-def dq_odd(F, dq):
-    """d/dq along axis 0 of a field odd about q=0 and q=L."""
-    out = np.empty_like(F, dtype=float)
-    out[1:-1] = (F[2:] - F[:-2]) / (2.0 * dq)
-    out[0] = F[1] / dq
-    out[-1] = -F[-2] / dq
-    return out
-
-
-def dqq_even(F, dq):
-    """d2/dq2 along axis 0 of a field even about q=0 and q=L."""
-    out = np.empty_like(F, dtype=float)
-    out[1:-1] = (F[2:] - 2.0 * F[1:-1] + F[:-2]) / dq**2
-    out[0] = 2.0 * (F[1] - F[0]) / dq**2
-    out[-1] = 2.0 * (F[-2] - F[-1]) / dq**2
+    out[1:-1] = (w0[1:-1] * (F[:-2] - F[1:-1])
+                 + w2[1:-1] * (F[2:] - F[1:-1]))
+    out[0] = w0[0] * (sign * F[1] - F[0]) + w2[0] * (F[1] - F[0])
+    out[-1] = w0[-1] * (F[-2] - F[-1]) + w2[-1] * (sign * F[-2] - F[-1])
     return out
 
 
@@ -90,7 +106,8 @@ class ColumnOps:
     Acts on the last axis. Every node uses a 6-point window starting two
     nodes to its left, clipped at the ends, so the local error is O(dp^5)
     with a coefficient that only changes character at the four outermost
-    rows (see the module docstring).
+    rows (see the module docstring). Row j of `w` holds node j's weights on
+    the nodes `idx[j]`.
     """
 
     WIDTH = 6
@@ -105,14 +122,14 @@ class ColumnOps:
             raise ValueError("vertical nodes must be strictly increasing")
         self.p = p
         starts = np.clip(np.arange(n) - 2, 0, n - w)
-        self._idx = starts[:, None] + np.arange(w)[None, :]
-        self._w = np.empty((n, w))
+        self.idx = starts[:, None] + np.arange(w)[None, :]
+        self.w = np.empty((n, w))
         for j in range(n):
-            self._w[j] = fd_weights(p[self._idx[j]], p[j], 1)
+            self.w[j] = fd_weights(p[self.idx[j]], p[j], 1)
 
     def d1(self, F):
         F = np.asarray(F, dtype=float)
-        return np.einsum("...jk,jk->...j", F[..., self._idx], self._w)
+        return np.einsum("...jk,jk->...j", F[..., self.idx], self.w)
 
 
 def derivative_matrix(x, order, width=5):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, StagnationError
-from .fd import ColumnOps, dq_even, dq_odd, dqq_even
+from .fd import ColumnOps, dq, mirror_weights
 
 CSV_COLUMNS = ("q", "p", "x", "y", "u", "v", "P", "psi", "omega",
                "ux", "uy", "vx", "vy", "uxx", "uxy")
@@ -63,16 +63,16 @@ class WaveField:
         self.u, self.v, self.P, self.psi, self.omega = u, v, P, psi, omega
         self.ux, self.uy, self.vx, self.vy = ux, uy, vx, vy
         self.uxx, self.uxy = uxx, uxy
-        self.dq = float(self.q[1] - self.q[0])
+        self.wq1, self.wq2 = mirror_weights(self.q)
         self.ops = ColumnOps(self.p) if ops is None else ops
         self.hp = self.ops.d1(h)
         if np.min(self.hp) <= 0.0:
             raise StagnationError("h_p <= 0 in a reconstructed field")
-        self.hq = dq_even(h, self.dq)
+        self.hq = dq(h, self.wq1, "even")
         self.y = h - self.d
         self.eta = h[:, -1] - self.d
-        self.eta_x = dq_even(self.eta, self.dq)
-        self.eta_xx = dqq_even(self.eta, self.dq)
+        self.eta_x = dq(self.eta, self.wq1, "even")
+        self.eta_xx = dq(self.eta, self.wq2, "even")
 
     @property
     def L(self):
@@ -92,13 +92,7 @@ class WaveField:
 
     def dx(self, F, parity):
         """x-derivative of a strip quantity with the given q-parity."""
-        if parity == "even":
-            Fq = dq_even(F, self.dq)
-        elif parity == "odd":
-            Fq = dq_odd(F, self.dq)
-        else:
-            raise InputError("parity must be 'even' or 'odd'")
-        return Fq - self.hq / self.hp * self.ops.d1(F)
+        return dq(F, self.wq1, parity) - self.hq / self.hp * self.ops.d1(F)
 
     def dy(self, F):
         """y-derivative of a strip quantity."""
@@ -162,16 +156,23 @@ class WaveField:
             header = fh.readline().strip()
             if header != ",".join(CSV_COLUMNS):
                 raise InputError("unexpected column header in %s" % path)
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+            try:
+                g, Q_meta = float(meta.group("g")), float(meta.group("Q"))
+                data = np.loadtxt(fh, delimiter=",", ndmin=2)
+            except ValueError as exc:
+                raise InputError("unparseable number in %s: %s"
+                                 % (path, exc)) from exc
         if data.shape[1] != len(CSV_COLUMNS):
             raise InputError("wrong column count in %s" % path)
-        g = float(meta.group("g"))
         q_col, p_col = data[:, 0], data[:, 1]
         block = np.nonzero(q_col != q_col[0])[0]
         npts = int(block[0]) if block.size else data.shape[0]
         if data.shape[0] % npts != 0:
             raise InputError("row count is not a whole number of columns")
         nq = data.shape[0] // npts
+        if nq < 4 or npts < 7:
+            raise InputError("%s holds %d x %d nodes; a field needs "
+                             "nq >= 4 and npts >= 7" % (path, nq, npts))
         q = q_col[::npts].copy()
         p = p_col[:npts].copy()
         if np.any(np.diff(q) <= 0) or np.any(np.diff(p) <= 0):
@@ -184,7 +185,6 @@ class WaveField:
         u, v, P = grids["u"], grids["v"], grids["P"]
         Q = float(P[0, -1] + 0.5 * (u[0, -1] ** 2 + v[0, -1] ** 2)
                   + g * (y[0, -1] + d))
-        Q_meta = float(meta.group("Q"))
         if abs(Q - Q_meta) > 1e-9 * max(1.0, abs(Q_meta)):
             raise InputError(
                 "surface Bernoulli head %.12g disagrees with metadata %.12g"
@@ -203,7 +203,7 @@ def reconstruct(grid, vf, g, h, Q):
     h = np.asarray(h, dtype=float)
     if h.shape != (grid.nq, grid.npts):
         raise InputError("height array does not match the grid")
-    d = float(np.trapezoid(h[:, -1], dx=grid.dq) / grid.L)
+    d = float(np.trapezoid(h[:, -1], x=grid.q) / grid.L)
     # The field computes h_p (refusing stagnation) and h_q from h; every
     # other array is filled in from them, the derivatives by its dx and dy.
     wf = WaveField(grid.q, grid.p, g, float(Q), d, h, *[None] * 11, vf=vf,

@@ -23,7 +23,7 @@ from scipy.sparse.linalg import splu
 
 from .errors import (BifurcationNotFoundError, InputError, NoConvergenceError,
                      NumericsError, StagnationApproachError, StagnationError)
-from .fd import dq_even, dqq_even
+from .fd import dq, three_point_weights
 from .grid import stretched_nodes
 from .laminar import critical_lambda, laminar_flow
 
@@ -57,8 +57,8 @@ def _derivatives(grid, h):
     """(h_p, h_q, h_pq, h_qq, h_pp): the one evaluation that the residual
     and the Jacobian share; h_pp covers the interior rows only."""
     hp = solver_hp(grid, h)
-    return (hp, dq_even(h, grid.dq), dq_even(hp, grid.dq),
-            dqq_even(h, grid.dq), _three_point(grid.w2, h))
+    return (hp, dq(h, grid.wq1, "even"), dq(hp, grid.wq1, "even"),
+            dq(h, grid.wq2, "even"), _three_point(grid.w2, h))
 
 
 def _residual(grid, vf, g, h, Q, derivs):
@@ -115,7 +115,7 @@ def _jacobian_positions(grid):
     wd = grid.ws.size
     for k in range(wd):
         blocks.append((row_s, i * (npts - 1) + (npts - 1 - wd + k)))
-    for di in (-1, 1):
+    for di in (-1, 0, 1):
         blocks.append((row_s, _reflect(i + di, nq) * (npts - 1) + (npts - 2)))
     blocks.append((row_s, row_s))
     rows, cols = (np.concatenate(parts) for parts in zip(*blocks))
@@ -125,7 +125,6 @@ def _jacobian_positions(grid):
 def _jacobian_values(grid, vf, g, derivs):
     """Values of the entries of J_hh at the positions of
     _jacobian_positions."""
-    dq = grid.dq
     hp, hq, hpq, hqq, hpp = derivs
     gam = vf.gamma(-grid.p)[1:-1]
     hqc, hpc, hpqc, hqqc = hq[:, 1:-1], hp[:, 1:-1], hpq[:, 1:-1], hqq[:, 1:-1]
@@ -135,18 +134,16 @@ def _jacobian_values(grid, vf, g, derivs):
     A4 = hpc ** 2
     A5 = -2.0 * hqc * hpc
     w1, w2 = grid.w1[1:-1], grid.w2[1:-1]
+    wq1, wq2 = grid.wq1[:, :, None], grid.wq2[:, :, None]
 
     values = []
     for di in (-1, 0, 1):
         for dj in (-1, 0, 1):
+            c = A5 * wq1[:, 1 + di] * w1[:, 1 + dj]
             if di == 0:
-                c = A1 * w2[:, 1 + dj] + A3 * w1[:, 1 + dj]
-                if dj == 0:
-                    c = c + A4 * (-2.0 / dq ** 2)
-            else:
-                c = di * A5 * w1[:, 1 + dj] / (2.0 * dq)
-                if dj == 0:
-                    c = c + A4 / dq ** 2 + di * A2 / (2.0 * dq)
+                c = c + A1 * w2[:, 1 + dj] + A3 * w1[:, 1 + dj]
+            if dj == 0:
+                c = c + A4 * wq2[:, 1 + di] + A2 * wq1[:, 1 + di]
             # the j = 1 row has no j - 1 unknown: the bed is pinned
             values.append((c[:, 1:] if dj == -1 else c).ravel())
 
@@ -155,7 +152,7 @@ def _jacobian_values(grid, vf, g, derivs):
     dS_dhp = -(1.0 + hq_s ** 2) / hp_s ** 3
     values += [dS_dhp * w for w in grid.ws]
     dS_dhq = hq_s / hp_s ** 2
-    values += [di * dS_dhq / (2.0 * dq) for di in (-1, 1)]
+    values += [dS_dhq * grid.wq1[:, 1 + di] for di in (-1, 0, 1)]
     values.append(np.full(grid.nq, g))
     return np.concatenate(values)
 
@@ -451,29 +448,16 @@ def discrete_laminar(grid, vf, g, lam, max_iter=25):
 
 # -- bifurcation from the trivial branch ------------------------------------
 
-def _mode_weights(p):
-    """Closed-form 3-point first/second-derivative weights on the nodes."""
-    hm = np.diff(p)[:-1]
-    hp = np.diff(p)[1:]
-    w1 = np.stack([-hp / (hm * (hm + hp)),
-                   (hp - hm) / (hm * hp),
-                   hm / (hp * (hm + hp))], axis=1)
-    w2 = np.stack([2.0 / (hm * (hm + hp)),
-                   -2.0 / (hm * hp),
-                   2.0 / (hp * (hm + hp))], axis=1)
-    return w1, w2
-
-
-def _mode_operator(vf, g, k, lam, p, Gamma, gam):
+def _mode_operator(vf, g, k, lam, p, Gamma, gam, w1, w2):
     """Tridiagonal (sub, diag, sup) of the transverse linearization.
 
     Rows cover nodes p[1:]; the bed value is eliminated and the surface row
     uses a mirrored ghost node carrying the Robin condition
-    phi'(0) = g H'(0)^3 phi(0).
+    phi'(0) = g H'(0)^3 phi(0). w1 and w2 are the 3-point weights of the
+    interior nodes p[1:-1].
     """
     n = p.size
     Hp2 = 1.0 / (lam + 2.0 * Gamma)
-    w1, w2 = _mode_weights(p)
     adv = 3.0 * gam[1:-1] * Hp2[1:-1]
     sub = np.empty(n - 2)
     diag = np.empty(n - 1)
@@ -538,9 +522,12 @@ def find_bifurcation(vf, g, L, m, lam_range=None, *, npts=4001, beta=0.5,
     Gamma = vf.Gamma(p)
     gam = vf.gamma(-p)
     k = np.pi / L
+    dp = np.diff(p)
+    w1, w2 = three_point_weights(dp[:-1], dp[1:])
 
     def mu(lam):
-        return _top_eigenvalue(*_mode_operator(vf, g, k, lam, p, Gamma, gam))
+        return _top_eigenvalue(*_mode_operator(vf, g, k, lam, p, Gamma, gam,
+                                               w1, w2))
 
     mu_lo, mu_hi = mu(lo), mu(hi)
     if not (mu_lo > 0.0 > mu_hi):
@@ -565,7 +552,8 @@ def bifurcation_mode(grid, vf, g, lam_star):
     Gamma = vf.Gamma(p)
     gam = vf.gamma(-p)
     k = np.pi / grid.L
-    _, v = _top_eigenpair(*_mode_operator(vf, g, k, lam_star, p, Gamma, gam))
+    _, v = _top_eigenpair(*_mode_operator(vf, g, k, lam_star, p, Gamma, gam,
+                                          grid.w1[1:-1], grid.w2[1:-1]))
     if abs(v[-1]) < 1e-12 * np.max(np.abs(v)):
         raise NumericsError("mode shape vanishes at the surface")
     phi = np.concatenate([[0.0], v])

@@ -310,7 +310,12 @@ class TestReportPlumbing:
         assert set(doc["summary"]) == {"pass", "fail", "boundary", "na"}
         for entry in doc["diagnostics"]:
             assert list(entry) == ["id", "status", "value", "location",
-                                   "margin", "paper_ref"]
+                                   "margin", "paper_ref", "description",
+                                   "tolerance"]
+            assert isinstance(entry["description"], str)
+            assert entry["description"]
+            assert (entry["tolerance"] is None
+                    or isinstance(entry["tolerance"], float))
         counts = doc["summary"]
         assert sum(counts.values()) == len(doc["diagnostics"])
         # Strict JSON round trip (no Infinity/NaN tokens).

@@ -408,6 +408,52 @@ class TestAudit:
         assert not (out / "reports" / "report_0003.json").exists()
 
 
+    @pytest.mark.parametrize("damage", ["cut-off file", "row without file"])
+    def test_damaged_branch_index_is_an_input_error(self, pipeline_run,
+                                                    tmp_path, capsys, damage):
+        root, cfg, _ = pipeline_run
+        out = tmp_path / "run"
+        shutil.copytree(root / "out" / "branch", out / "branch")
+        index = out / "branch" / "branch.json"
+        text = index.read_text()
+        if damage == "cut-off file":
+            index.write_text(text[:len(text) // 2])
+        else:
+            data = json.loads(text)
+            del data["points"][2]["file"]
+            index.write_text(json.dumps(data))
+        assert main(["audit", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "branch.json" in capsys.readouterr().err
+        assert not (out / "reports").exists()
+
+    def test_non_numeric_field_cell_exits_2(self, pipeline_run, tmp_path,
+                                            capsys):
+        root, cfg, _ = pipeline_run
+        lines = (root / "out" / "fields" / "point_0003.csv").read_text() \
+            .splitlines()
+        cells = lines[10].split(",")
+        cells[5] = "oops"
+        lines[10] = ",".join(cells)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        assert main(["audit", str(bad), "--config", str(cfg),
+                     "--out", str(tmp_path / "bad")]) == 2
+        assert "bad.csv" in capsys.readouterr().err
+
+    def test_single_column_field_exits_2(self, pipeline_run, tmp_path,
+                                         capsys):
+        # one q-column of a real field: too few nodes to differentiate
+        root, cfg, _ = pipeline_run
+        lines = (root / "out" / "fields" / "point_0003.csv").read_text() \
+            .splitlines()
+        npts = 36
+        bad = tmp_path / "column.csv"
+        bad.write_text("\n".join(lines[:2 + npts]) + "\n")
+        assert main(["audit", str(bad), "--config", str(cfg),
+                     "--out", str(tmp_path / "column")]) == 2
+        assert "column.csv" in capsys.readouterr().err
+
+
 class TestReconstruct:
     def test_one_point(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json",

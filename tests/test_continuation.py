@@ -6,7 +6,7 @@ import pytest
 from vorwave import continuation, solver
 from vorwave.continuation import (Branch, continue_branch, load_point,
                                   save_branch, trough_criterion_value)
-from vorwave.fd import dq_even
+from vorwave.fd import dq
 from vorwave.grid import StripGrid
 from vorwave.solver import find_bifurcation, solver_hp
 from vorwave.vorticity import VorticityFunction
@@ -120,7 +120,7 @@ class TestBranchShape:
     def test_even_symmetry_holds_exactly(self, branch_irrotational):
         grid = branch_irrotational.grid
         for pt in branch_irrotational.points:
-            hq = dq_even(pt.h, grid.dq)
+            hq = dq(pt.h, grid.wq1, "even")
             assert np.all(hq[0] == 0.0)
             assert np.all(hq[-1] == 0.0)
 

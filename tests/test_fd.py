@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from vorwave.fd import (ColumnOps, derivative_matrix, dq_even, dq_odd,
-                        dqq_even, fd_weights)
+from vorwave.fd import (ColumnOps, derivative_matrix, dq, fd_weights,
+                        mirror_weights, three_point_weights)
+from vorwave.grid import stretched_nodes
 
 
 def test_weights_match_classic_stencils():
@@ -48,27 +49,61 @@ def _order_from_errors(errors, factor=2.0):
     return np.log(errors[:-1] / errors[1:]) / np.log(factor)
 
 
-@pytest.mark.parametrize("op,fn,dfn", [
-    (dq_even, lambda q: np.cos(2 * q), lambda q: -2 * np.sin(2 * q)),
-    (dq_odd, lambda q: np.sin(2 * q), lambda q: 2 * np.cos(2 * q)),
-    (dqq_even, lambda q: np.cos(2 * q), lambda q: -4 * np.cos(2 * q)),
+def _q_nodes(n, uniform, L=np.pi):
+    """Nodes on [0, L]: uniform, or clustered toward q = 0 by the vertical
+    stretch map."""
+    if uniform:
+        return np.linspace(0.0, L, n)
+    q = -L * stretched_nodes(1.0, n, 0.6)[::-1]
+    q[0] = 0.0
+    return q
+
+
+def test_three_point_weights_match_fornberg():
+    rng = np.random.default_rng(11)
+    hm = rng.uniform(0.01, 1.0, size=50)
+    hp = rng.uniform(0.01, 1.0, size=50)
+    w1, w2 = three_point_weights(hm, hp)
+    for k in range(hm.size):
+        nodes = np.array([-hm[k], 0.0, hp[k]])
+        for w, order in ((w1[k], 1), (w2[k], 2)):
+            ref = fd_weights(nodes, 0.0, order)
+            assert np.max(np.abs(w - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+# Each case names the derivative and the parity it stands for: the first
+# (dq_*) or second (dqq_*) derivative of an even or odd field.
+@pytest.mark.parametrize("case,fn,dfn", [
+    ("dq_even", lambda q: np.cos(2 * q), lambda q: -2 * np.sin(2 * q)),
+    ("dq_odd", lambda q: np.sin(2 * q), lambda q: 2 * np.cos(2 * q)),
+    ("dqq_even", lambda q: np.cos(2 * q), lambda q: -4 * np.cos(2 * q)),
 ])
-def test_parity_stencils_second_order(op, fn, dfn):
-    errors = []
-    for n in (33, 65, 129):
-        q = np.linspace(0.0, np.pi, n)
-        dq = q[1] - q[0]
-        got = op(fn(q)[:, None], dq)[:, 0]
-        errors.append(np.max(np.abs(got - dfn(q))))
-    orders = _order_from_errors(np.array(errors))
-    assert np.all(orders > 1.8) and np.all(orders < 2.3)
+def test_parity_stencils_second_order(case, fn, dfn):
+    second = case.startswith("dqq")
+    parity = case.rsplit("_", 1)[1]
+    for uniform in (True, False):
+        errors = []
+        for n in (33, 65, 129):
+            q = _q_nodes(n, uniform)
+            w = mirror_weights(q)[1 if second else 0]
+            got = dq(fn(q)[:, None], w, parity)[:, 0]
+            errors.append(np.max(np.abs(got - dfn(q))))
+        orders = _order_from_errors(np.array(errors))
+        assert np.all(orders > 1.8) and np.all(orders < 2.3), (uniform, orders)
 
 
 def test_even_derivative_vanishes_at_ends_exactly():
-    q = np.linspace(0.0, np.pi, 41)
-    F = np.cosh(np.cos(q))[:, None]
-    d = dq_even(F, q[1] - q[0])
-    assert d[0, 0] == 0.0 and d[-1, 0] == 0.0
+    for uniform in (True, False):
+        q = _q_nodes(41, uniform)
+        wq1, wq2 = mirror_weights(q)
+        F = np.cosh(np.cos(q))
+        for field in (F, F[:, None]):  # a surface row, a strip field
+            d = dq(field, wq1, "even")
+            assert np.all(d[0] == 0.0) and np.all(d[-1] == 0.0)
+        # a constant differentiates to exactly zero, whatever the spacing
+        const = np.full((q.size, 3), 0.7315)
+        for w in (wq1, wq2):
+            assert np.all(dq(const, w, "even") == 0.0)
 
 
 def test_odd_endpoint_uses_reflection():
@@ -76,20 +111,15 @@ def test_odd_endpoint_uses_reflection():
     # the end reduces to (F[1] - (-F[1])) / (2 dq) = F[1]/dq.
     q = np.linspace(0.0, 1.0, 11)
     F = (q ** 3 - q ** 5)[:, None]
-    d = dq_odd(F, q[1] - q[0])
+    d = dq(F, mirror_weights(q)[0], "odd")
     assert d[0, 0] == pytest.approx(F[1, 0] / (q[1] - q[0]))
     assert d[-1, 0] == pytest.approx(-F[-2, 0] / (q[1] - q[0]))
-
-
-def _stretched_nodes(n, m=1.0, beta=0.5):
-    zeta = np.linspace(0.0, 1.0, n)
-    return -m + m * ((1 - beta) * zeta + beta * np.sin(np.pi * zeta / 2))
 
 
 def test_column_ops_second_order_on_stretched_grid():
     errors = []
     for n in (25, 49, 97):
-        p = _stretched_nodes(n)
+        p = stretched_nodes(1.0, n, 0.5)
         ops = ColumnOps(p)
         F = np.exp(p)[None, :].repeat(4, axis=0)
         errors.append(np.max(np.abs(ops.d1(F) - np.exp(p))))
@@ -102,7 +132,7 @@ def test_column_ops_twice_applied_keeps_second_order():
     # end rows; this is why every node carries the same wide sliding window.
     errors = []
     for n in (25, 49, 97):
-        p = _stretched_nodes(n)
+        p = stretched_nodes(1.0, n, 0.5)
         ops = ColumnOps(p)
         F = np.sin(2 * p + 0.3)[None, :].repeat(4, axis=0)
         got = ops.d1(ops.d1(F))

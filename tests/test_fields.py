@@ -100,7 +100,7 @@ class TestSolvedWave:
 
     def test_eta_has_zero_mean(self, wave):
         grid, wf = wave
-        assert abs(np.trapezoid(wf.eta, dx=wf.dq)) < 1e-8 * grid.L
+        assert abs(np.trapezoid(wf.eta, x=wf.q)) < 1e-8 * grid.L
 
     def test_velocity_signs(self, wave):
         _, wf = wave

@@ -26,8 +26,8 @@ from vorwave import solver
 from vorwave.continuation import continue_branch
 from vorwave.errors import (BifurcationNotFoundError, InputError,
                             NoConvergenceError, StagnationError)
-from vorwave.fd import dq_even
-from vorwave.grid import StripGrid
+from vorwave.fd import dq, mirror_weights
+from vorwave.grid import StripGrid, stretched_nodes
 from vorwave.laminar import critical_lambda, laminar_flow
 from vorwave.solver import (amplitude, bifurcation_mode, discrete_laminar,
                             find_bifurcation, jacobian_blocks, newton_solve,
@@ -92,7 +92,18 @@ class TestJacobian:
     @pytest.mark.parametrize("gamma", [0.0, -0.8])
     def test_matches_directional_finite_difference(self, gamma):
         vf = VorticityFunction.constant(gamma, m=M)
-        grid = StripGrid(L, M, 10, 14, beta=0.5)
+        uniform = StripGrid(L, M, 10, 14, beta=0.5)
+        # the same grid with q nodes clustered toward the crest: a term of
+        # the Jacobian that still assumes uniform q spacing fails here
+        stretched = StripGrid(L, M, 10, 14, beta=0.5)
+        stretched.q = -L * stretched_nodes(1.0, stretched.nq, 0.6)[::-1]
+        stretched.q[0] = 0.0
+        stretched.wq1, stretched.wq2 = mirror_weights(stretched.q)
+        for grid in (uniform, stretched):
+            self._check_directional_derivatives(grid, vf)
+
+    @staticmethod
+    def _check_directional_derivatives(grid, vf):
         lam = 2.5
         hcol, Q, _ = discrete_laminar(grid, vf, G, lam)
         h = np.tile(hcol, (grid.nq, 1))
@@ -142,7 +153,7 @@ class TestNewton:
         res = newton_solve(grid, vf, G, h0, Q0, mode="fixed_amplitude",
                            amplitude_target=1e-3)
         assert abs(amplitude(res.h) - 1e-3) < 1e-9
-        hq = dq_even(res.h, grid.dq)
+        hq = dq(res.h, grid.wq1, "even")
         # v = -h_q/h_p > 0 strictly inside the half period, above the bed
         assert np.all(hq[1:-1, 1:] < 0.0)
         assert np.all(hq[0] == 0.0)
