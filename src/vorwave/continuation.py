@@ -3,8 +3,9 @@
 The branch starts at the trivial (laminar) wave at the bifurcation value of
 the squared surface speed, takes one amplitude-controlled step onto the
 nontrivial branch, and then advances with secant tangents and an adaptive
-arclength step. Stop rules watch for the approach to stagnation and for the
-trough vortex-force criterion g - gamma(0) * u > 0 turning non-positive.
+arclength step. It ends on one of five stop rules, which branch.json names
+"max-steps", "near-stagnation", "amplitude-reversal", "trough-criterion"
+(g - gamma(0) * u > 0 at the trough turns non-positive) and "newton-failure".
 """
 
 from __future__ import annotations
@@ -19,8 +20,9 @@ from .errors import (InputError, NumericsError, SolverError,
                      StagnationError)
 from .grid import StripGrid
 from .solver import (amplitude, bifurcation_mode, discrete_laminar,
-                     find_bifurcation, newton_solve, newton_tolerance,
-                     pack_residual, residual_parts, scaled_dot, solver_hp)
+                     find_bifurcation, mode_seed, newton_solve,
+                     newton_tolerance, pack_residual, residual_parts,
+                     scaled_dot, solver_hp)
 from .vorticity import VorticityFunction, vorticity_from_config
 
 TROUGH_BAND = 1e-8
@@ -33,6 +35,8 @@ TROUGH_BAND = 1e-8
 # for up to 50 iterations before failing all the same.
 NEWTON_MAX_ITER = 10
 NEWTON_MAX_CONTRACTION = 0.9
+# step halvings, each after a failed Newton attempt, before "newton-failure"
+MAX_RETRIES = 8
 
 
 @dataclass
@@ -59,10 +63,6 @@ class Branch:
         return np.array([pt.amplitude for pt in self.points])
 
 
-def _scaled_norm(dh, dQ):
-    return float(np.sqrt(np.sum(dh[:, 1:] ** 2) / dh[:, 1:].size + dQ ** 2))
-
-
 def trough_criterion_value(grid, vf, g, h):
     """g - gamma(0) * u evaluated at the trough (q = L, p = 0)."""
     hp_surface = float(h[-1, -grid.ws.size:] @ grid.ws)
@@ -77,7 +77,7 @@ def near_stagnation(grid, h, eps_stag):
 
 def continue_branch(grid, vf, g, steps, *, lam_star=None, ds0=0.005,
                     ds_max=0.04, eps_stag=None, trough_margin=0.0,
-                    max_retries=8, on_point=None):
+                    on_point=None):
     """Continue the branch for up to `steps` nontrivial points.
 
     Returns a Branch whose first point is always the trivial wave. The
@@ -96,7 +96,7 @@ def continue_branch(grid, vf, g, steps, *, lam_star=None, ds0=0.005,
     a valid wave and is discarded), "amplitude-reversal" (the new point's
     amplitude does not exceed the last stored one; it is discarded and the
     branch ends on the last good point), "trough-criterion" (the point is
-    kept), "newton-failure" (after `max_retries` halvings of the step).
+    kept), "newton-failure" (after MAX_RETRIES halvings of the step).
 
     `on_point`, if given, is called in this thread with each BranchPoint as
     soon as it is stored, so a caller can process points while the branch
@@ -115,6 +115,7 @@ def continue_branch(grid, vf, g, steps, *, lam_star=None, ds0=0.005,
 
     hcol, Q_triv, _ = discrete_laminar(grid, vf, g, lam_star)
     h_triv = np.tile(hcol, (grid.nq, 1))
+    phi = bifurcation_mode(grid, vf, g, lam_star)
     branch = Branch(grid, vf, g, float(lam_star))
 
     def store(pt):
@@ -127,11 +128,9 @@ def continue_branch(grid, vf, g, steps, *, lam_star=None, ds0=0.005,
 
     def departure(ds):
         # amplitude-controlled departure from the trivial wave: the seed of
-        # seed_wave, built on the laminar column solved above
-        phi = bifurcation_mode(grid, vf, g, lam_star)
-        seed = h_triv + ds * np.cos(np.pi * grid.q / grid.L)[:, None] * phi
-        seed[:, 0] = 0.0
-        return seed, Q_triv, dict(mode="fixed_amplitude", amplitude_target=ds)
+        # seed_wave, built on the laminar column and mode shape above
+        return (mode_seed(grid, hcol, phi, ds), Q_triv,
+                dict(mode="fixed_amplitude", amplitude_target=ds))
 
     def accept(res, ds_used):
         if near_stagnation(grid, res.h, eps_stag):
@@ -157,7 +156,7 @@ def continue_branch(grid, vf, g, steps, *, lam_star=None, ds0=0.005,
             prev, cur = branch.points[-2:]
             t_h = cur.h - prev.h
             t_Q = cur.Q - prev.Q
-            nrm = _scaled_norm(t_h, t_Q)
+            nrm = np.sqrt(scaled_dot(t_h, t_Q, t_h, t_Q))
             if nrm == 0.0:
                 raise NumericsError("degenerate secant tangent")
             t_h = t_h / nrm
@@ -171,7 +170,7 @@ def continue_branch(grid, vf, g, steps, *, lam_star=None, ds0=0.005,
                         dict(mode="arclength", base=(cur.h, cur.Q),
                              tangent=tangent, ds=ds))
 
-        for _ in range(max_retries):
+        for _ in range(MAX_RETRIES):
             h0, Q0, mode = attempt(ds)
             try:
                 res = newton_solve(grid, vf, g, h0, Q0, **mode,

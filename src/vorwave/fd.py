@@ -13,7 +13,9 @@ the coefficient does jump at the clipped end windows. Starting from order 5
 leaves the composed derivative at worst O(dp^4) there, which is what lets the
 reconstructed vorticity of a smooth laminar flow track gamma to 1e-8 on a few
 hundred nodes. Narrower windows were tried first: with 4 points the composed
-edge error is O(dp^2) with a coefficient near ten, far too big.
+edge error is O(dp^2) with a coefficient near ten, far too big. The
+shear-profile check takes the same sliding windows 5 points wide, for its
+first to third derivatives.
 """
 
 from __future__ import annotations
@@ -101,50 +103,31 @@ def dq(F, w, parity):
 
 
 class ColumnOps:
-    """First-derivative operator along a nonuniform vertical node set.
+    """Derivative operator of one order along a nonuniform vertical node set.
 
-    Acts on the last axis. Every node uses a 6-point window starting two
-    nodes to its left, clipped at the ends, so the local error is O(dp^5)
-    with a coefficient that only changes character at the four outermost
-    rows (see the module docstring). Row j of `w` holds node j's weights on
-    the nodes `idx[j]`.
+    Acts on the last axis. Every node uses a window of `width` nodes
+    starting two nodes to its left, clipped at the ends. At the default
+    first order and width 6 the local error is O(dp^5) with a coefficient
+    that only changes character at the four outermost rows (see the module
+    docstring). Row j of `w` holds node j's weights on the nodes `idx[j]`.
     """
 
     WIDTH = 6
 
-    def __init__(self, p):
+    def __init__(self, p, order=1, width=WIDTH):
         p = np.asarray(p, dtype=float)
         n = p.size
-        w = self.WIDTH
-        if n < w:
-            raise ValueError("need at least %d vertical nodes" % w)
+        if n < width:
+            raise ValueError("need at least %d vertical nodes" % width)
         if np.any(np.diff(p) <= 0):
             raise ValueError("vertical nodes must be strictly increasing")
         self.p = p
-        starts = np.clip(np.arange(n) - 2, 0, n - w)
-        self.idx = starts[:, None] + np.arange(w)[None, :]
-        self.w = np.empty((n, w))
+        starts = np.clip(np.arange(n) - 2, 0, n - width)
+        self.idx = starts[:, None] + np.arange(width)[None, :]
+        self.w = np.empty((n, width))
         for j in range(n):
-            self.w[j] = fd_weights(p[self.idx[j]], p[j], 1)
+            self.w[j] = fd_weights(p[self.idx[j]], p[j], order)
 
-    def d1(self, F):
+    def apply(self, F):
         F = np.asarray(F, dtype=float)
         return np.einsum("...jk,jk->...j", F[..., self.idx], self.w)
-
-
-def derivative_matrix(x, order, width=5):
-    """Dense differentiation matrix of the given order on arbitrary nodes.
-
-    Each row uses a window of `width` nodes clipped to the range, so boundary
-    rows are one-sided. Used for profile checks, not for the strip solver.
-    """
-    x = np.asarray(x, dtype=float)
-    n = x.size
-    if n < width:
-        raise ValueError("need at least %d samples" % width)
-    D = np.zeros((n, n))
-    half = width // 2
-    for j in range(n):
-        lo = min(max(j - half, 0), n - width)
-        D[j, lo : lo + width] = fd_weights(x[lo : lo + width], x[j], order)
-    return D

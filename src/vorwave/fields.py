@@ -8,9 +8,10 @@ the strip,
     F_x = F_q - (h_q / h_p) F_p,      F_y = F_p / h_p,
 
 where F_q respects the even/odd symmetry of F across q = 0 and q = L. The
-surface value of h_p uses the same four-point window as the interior solver's
-Bernoulli row, which makes the reconstructed surface pressure agree with the
-converged residual to Newton tolerance rather than to truncation order.
+surface value of h_p uses the same six-point window (ColumnOps.WIDTH) as the
+solver's Bernoulli row, which makes the reconstructed surface pressure agree
+with the converged residual to Newton tolerance rather than to truncation
+order.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ class WaveField:
         self.uxx, self.uxy = uxx, uxy
         self.wq1, self.wq2 = mirror_weights(self.q)
         self.ops = ColumnOps(self.p) if ops is None else ops
-        self.hp = self.ops.d1(h)
+        self.hp = self.ops.apply(h)
         if np.min(self.hp) <= 0.0:
             raise StagnationError("h_p <= 0 in a reconstructed field")
         self.hq = dq(h, self.wq1, "even")
@@ -92,11 +93,11 @@ class WaveField:
 
     def dx(self, F, parity):
         """x-derivative of a strip quantity with the given q-parity."""
-        return dq(F, self.wq1, parity) - self.hq / self.hp * self.ops.d1(F)
+        return dq(F, self.wq1, parity) - self.hq / self.hp * self.ops.apply(F)
 
     def dy(self, F):
         """y-derivative of a strip quantity."""
-        return self.ops.d1(F) / self.hp
+        return self.ops.apply(F) / self.hp
 
     def speed_squared(self):
         return self.u ** 2 + self.v ** 2

@@ -124,7 +124,8 @@ class LaminarFlow:
         """Height above the bed as a function of p in [-m, 0].
 
         h(p) = int_{-m}^p ds/sqrt(lambda + 2 Gamma(s)); h(0) = d. Computed by
-        per-interval quadrature on the requested nodes.
+        per-interval quadrature on the requested nodes, one `quad` call per
+        node: a reference to check discrete columns against.
         """
         p = np.atleast_1d(np.asarray(p, dtype=float))
         order = np.argsort(p)

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
+from scipy.integrate import cumulative_trapezoid
 from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import brentq
 from scipy.sparse.linalg import splu
@@ -25,10 +26,14 @@ from .errors import (BifurcationNotFoundError, InputError, NoConvergenceError,
                      NumericsError, StagnationApproachError, StagnationError)
 from .fd import dq, three_point_weights
 from .grid import stretched_nodes
-from .laminar import critical_lambda, laminar_flow
+from .laminar import critical_lambda, laminar_head
 
 HP_FLOOR = 1e-8
 MAX_HALVINGS = 30
+# nodes of find_bifurcation's vertical grid
+BIFURCATION_NODES = 4001
+# Newton iterations of discrete_laminar before it gives up
+LAMINAR_MAX_ITER = 25
 
 
 def _three_point(w, h):
@@ -404,111 +409,104 @@ def newton_solve(grid, vf, g, h0, Q0, mode="fixed_q", *, amplitude_target=None,
 
 # -- trivial (laminar) point on the discrete grid ---------------------------
 
-def discrete_laminar(grid, vf, g, lam, max_iter=25):
+def discrete_laminar(grid, vf, g, lam):
     """Column heights of the discrete laminar root at head Q = head(lam).
 
-    The q-independent reduction of the height system is a small dense Newton
+    The q-independent reduction of the height system is a small Newton
     problem; solving it directly avoids the full-strip Jacobian, which is
-    nearly singular when lam sits at a bifurcation point.
+    nearly singular when lam sits at a bifurcation point. Newton starts from
+    the trapezoid sweep of H' = (lam + 2 Gamma)^(-1/2); the interior rows of
+    its Jacobian are _mode_operator's at k = 0.
     """
-    flow = laminar_flow(vf, lam, g)
-    npts = grid.npts
-    hcol = flow.height(grid.p)
-    hcol[0] = 0.0
-    Q = flow.Q
-    gam = vf.gamma(-grid.p)
-
-    def col_residual(hc):
-        hp = _three_point(grid.w1, hc)
-        hpp = _three_point(grid.w2, hc)
-        hps = hc[-grid.ws.size:] @ grid.ws
+    Q = laminar_head(vf, lam, g)
+    hcol = cumulative_trapezoid((lam + 2.0 * vf.Gamma(grid.p)) ** -0.5,
+                                grid.p, initial=0.0)
+    gam = vf.gamma(-grid.p)[1:-1]
+    wd = grid.ws.size
+    for it in range(LAMINAR_MAX_ITER):
+        hp = _three_point(grid.w1, hcol)
+        hps = hcol[-wd:] @ grid.ws
         if min(np.min(hp), hps) <= 0.0:
             raise StagnationError("h_p <= 0 in the laminar column")
-        F = np.empty(npts - 1)
-        F[:-1] = hpp + gam[1:-1] * hp ** 3
-        F[-1] = 1.0 / (2.0 * hps ** 2) + g * hc[-1] - Q
-        return F, hp, hps
-
-    for it in range(max_iter):
-        F, hp, hps = col_residual(hcol)
+        F = np.append(_three_point(grid.w2, hcol) + gam * hp ** 3,
+                      1.0 / (2.0 * hps ** 2) + g * hcol[-1] - Q)
         if np.max(np.abs(F)) < newton_tolerance(Q):
             return hcol, Q, it
-        Jd = np.zeros((npts - 1, npts - 1))
-        for t in range(npts - 2):
-            j = t + 1
-            coeff = grid.w2[j] + 3.0 * gam[j] * hp[t] ** 2 * grid.w1[j]
-            for k, jj in enumerate(range(j - 1, j + 2)):
-                if jj >= 1:
-                    Jd[t, jj - 1] += coeff[k]
-        Jd[-1, -grid.ws.size:] += -grid.ws / hps ** 3
-        Jd[-1, -1] += g
-        hcol[1:] += np.linalg.solve(Jd, -F)
+        sub, diag, sup = _mode_operator(hp ** 2, gam, grid.w1[1:-1],
+                                        grid.w2[1:-1], 0.0)
+        # the surface row: the Bernoulli residual's derivative over ws
+        J = (np.diag(np.append(diag, g)) + np.diag(np.append(sub, 0.0), -1)
+             + np.diag(sup, 1))
+        J[-1, -wd:] -= grid.ws / hps ** 3
+        hcol[1:] += np.linalg.solve(J, -F)
     raise NoConvergenceError("laminar column Newton did not converge")
 
 
 # -- bifurcation from the trivial branch ------------------------------------
 
-def _mode_operator(vf, g, k, lam, p, Gamma, gam, w1, w2):
-    """Tridiagonal (sub, diag, sup) of the transverse linearization.
-
-    Rows cover nodes p[1:]; the bed value is eliminated and the surface row
-    uses a mirrored ghost node carrying the Robin condition
-    phi'(0) = g H'(0)^3 phi(0). w1 and w2 are the 3-point weights of the
-    interior nodes p[1:-1].
+def _mode_operator(Hp2, gam, w1, w2, k):
+    """Tridiagonal (sub, diag, sup) of w'' + 3 gamma H'^2 w' - k^2 H'^2 w,
+    the linearization of H'' + gamma H'^3 = 0 about a column with
+    H'^2 = Hp2, in the rows of the interior nodes p[1:-1], where all four
+    arguments are given. The pinned bed value is left out; sup's last entry
+    reaches the surface node, whose row the caller appends.
     """
-    n = p.size
-    Hp2 = 1.0 / (lam + 2.0 * Gamma)
-    adv = 3.0 * gam[1:-1] * Hp2[1:-1]
-    sub = np.empty(n - 2)
-    diag = np.empty(n - 1)
-    sup = np.empty(n - 2)
-    sub[:-1] = (w2[1:, 0] + adv[1:] * w1[1:, 0])
-    diag[:-1] = (w2[:, 1] + adv * w1[:, 1]) - k ** 2 * Hp2[1:-1]
-    sup[:] = (w2[:, 2] + adv * w1[:, 2])
-    dlast = p[-1] - p[-2]
-    R = g * Hp2[-1] ** 1.5
-    sub[-1] = 2.0 / dlast ** 2
-    diag[-1] = (2.0 * R / dlast - 2.0 / dlast ** 2
-                + 3.0 * gam[-1] * Hp2[-1] * R - k ** 2 * Hp2[-1])
+    adv = 3.0 * gam * Hp2
+    sub = w2[1:, 0] + adv[1:] * w1[1:, 0]
+    diag = (w2[:, 1] + adv * w1[:, 1]) - k ** 2 * Hp2
+    sup = w2[:, 2] + adv * w1[:, 2]
     return sub, diag, sup
 
 
-def _top_eigenvalue(sub, diag, sup):
-    """Largest eigenvalue of the tridiagonal (sub, diag, sup); the same
-    number _top_eigenpair gives, without the eigenvector."""
-    offprod = sup * sub
-    if not np.all(offprod > 0.0):
-        return _top_eigenpair(sub, diag, sup)[0]
-    n = diag.size
-    return float(eigh_tridiagonal(diag, np.sqrt(offprod), eigvals_only=True,
-                                  select="i", select_range=(n - 1, n - 1))[0])
+def _transverse_operator(vf, g, k, p, w1, w2):
+    """lam -> tridiagonal (sub, diag, sup) on the nodes p[1:] of the
+    cos(k q) mode about the laminar flow at lam: _mode_operator's rows at
+    H'^2 = 1/(lam + 2 Gamma), w1 and w2 being the interior 3-point weights,
+    and a surface row whose mirrored ghost node carries the Robin condition
+    phi'(0) = g H'(0)^3 phi(0).
+    """
+    Gamma, gam = vf.Gamma(p), vf.gamma(-p)
+    dlast = p[-1] - p[-2]
+
+    def operator(lam):
+        Hp2 = 1.0 / (lam + 2.0 * Gamma)
+        sub, diag, sup = _mode_operator(Hp2[1:-1], gam[1:-1], w1, w2, k)
+        R = g * Hp2[-1] ** 1.5
+        return (np.append(sub, 2.0 / dlast ** 2),
+                np.append(diag, 2.0 * R / dlast - 2.0 / dlast ** 2
+                          + 3.0 * gam[-1] * Hp2[-1] * R - k ** 2 * Hp2[-1]),
+                sup)
+
+    return operator
 
 
-def _top_eigenpair(sub, diag, sup):
+def _top_eigenpair(sub, diag, sup, vector=True):
     """Largest eigenvalue of the tridiagonal (sub, diag, sup) and its
-    eigenvector."""
+    eigenvector, or None for it without `vector`: then eigh_tridiagonal
+    takes its cheaper eigenvalues-only path."""
     offprod = sup * sub
     n = diag.size
-    if np.all(offprod > 0.0):
-        vals, vecs = eigh_tridiagonal(diag, np.sqrt(offprod), select="i",
-                                      select_range=(n - 1, n - 1))
-        # undo the diagonal similarity that symmetrized the tridiagonal
-        scale = np.ones(n)
-        scale[1:] = np.cumprod(np.sqrt(sup / sub))
-        return float(vals[0]), vecs[:, 0] / scale
-    A = np.diag(diag) + np.diag(sub, -1) + np.diag(sup, 1)
-    vals, vecs = np.linalg.eig(A)
-    top = np.argmax(vals.real)
-    return float(vals[top].real), vecs[:, top].real
+    if not np.all(offprod > 0.0):
+        vals, vecs = np.linalg.eig(np.diag(diag) + np.diag(sub, -1)
+                                   + np.diag(sup, 1))
+        top = np.argmax(vals.real)
+        return float(vals[top].real), vecs[:, top].real if vector else None
+    out = eigh_tridiagonal(diag, np.sqrt(offprod), eigvals_only=not vector,
+                           select="i", select_range=(n - 1, n - 1))
+    if not vector:
+        return float(out[0]), None
+    # undo the diagonal similarity that symmetrized the tridiagonal
+    scale = np.append(1.0, np.cumprod(np.sqrt(sup / sub)))
+    return float(out[0][0]), out[1][:, 0] / scale
 
 
-def find_bifurcation(vf, g, L, m, lam_range=None, *, npts=4001, beta=0.5,
-                     lam_c=None):
+def find_bifurcation(vf, g, L, m, lam_range=None, *, beta=0.5, lam_c=None):
     """Squared surface speed lam* where a cos(pi q / L) mode branches off.
 
-    Root of the largest eigenvalue of the transverse mode operator on a fine
-    dedicated vertical grid; always strictly below lambda_c. `lam_c` is
-    critical_lambda(vf, g), computed here unless the caller has it.
+    Root of the largest eigenvalue of the transverse mode operator on a
+    dedicated vertical grid of BIFURCATION_NODES nodes; always strictly below
+    lambda_c. `lam_c` is critical_lambda(vf, g), computed here unless the
+    caller has it.
     """
     if lam_c is None:
         lam_c = critical_lambda(vf, g)
@@ -518,16 +516,13 @@ def find_bifurcation(vf, g, L, m, lam_range=None, *, npts=4001, beta=0.5,
     lo, hi = lam_range
     if not (floor < lo < hi <= lam_c + 1e-12):
         raise InputError("lambda range must sit inside (floor, lambda_c]")
-    p = stretched_nodes(m, npts, beta)
-    Gamma = vf.Gamma(p)
-    gam = vf.gamma(-p)
-    k = np.pi / L
+    p = stretched_nodes(m, BIFURCATION_NODES, beta)
     dp = np.diff(p)
-    w1, w2 = three_point_weights(dp[:-1], dp[1:])
+    operator = _transverse_operator(vf, g, np.pi / L, p,
+                                    *three_point_weights(dp[:-1], dp[1:]))
 
     def mu(lam):
-        return _top_eigenvalue(*_mode_operator(vf, g, k, lam, p, Gamma, gam,
-                                               w1, w2))
+        return _top_eigenpair(*operator(lam), vector=False)[0]
 
     mu_lo, mu_hi = mu(lo), mu(hi)
     if not (mu_lo > 0.0 > mu_hi):
@@ -548,12 +543,8 @@ def bifurcation_mode(grid, vf, g, lam_star):
     (near zero at lam_star); used only to seed Newton, so the fine-grid /
     solver-grid discretization mismatch is harmless.
     """
-    p = grid.p
-    Gamma = vf.Gamma(p)
-    gam = vf.gamma(-p)
-    k = np.pi / grid.L
-    _, v = _top_eigenpair(*_mode_operator(vf, g, k, lam_star, p, Gamma, gam,
-                                          grid.w1[1:-1], grid.w2[1:-1]))
+    _, v = _top_eigenpair(*_transverse_operator(
+        vf, g, np.pi / grid.L, grid.p, grid.w1[1:-1], grid.w2[1:-1])(lam_star))
     if abs(v[-1]) < 1e-12 * np.max(np.abs(v)):
         raise NumericsError("mode shape vanishes at the surface")
     phi = np.concatenate([[0.0], v])
@@ -561,14 +552,18 @@ def bifurcation_mode(grid, vf, g, lam_star):
     return phi
 
 
-def seed_wave(grid, vf, g, lam_star, a0):
-    """Initial guess (h0, Q0) on the nontrivial branch at amplitude a0.
-
-    The discrete laminar column plus a0 * cos(pi q / L) times the mode shape;
-    the cosine sign puts the crest at q = 0 and the trough at q = L.
+def mode_seed(grid, hcol, phi, a0):
+    """The laminar column hcol plus a0 * cos(pi q / L) times the mode shape
+    phi, bed row zeroed: Newton's start at amplitude a0 on the nontrivial
+    branch. The cosine sign puts the crest at q = 0 and the trough at q = L.
     """
-    hcol, Q, _ = discrete_laminar(grid, vf, g, lam_star)
-    phi = bifurcation_mode(grid, vf, g, lam_star)
-    h0 = hcol[None, :] + a0 * np.cos(np.pi * grid.q / grid.L)[:, None] * phi[None, :]
+    h0 = hcol + a0 * np.cos(np.pi * grid.q / grid.L)[:, None] * phi
     h0[:, 0] = 0.0
-    return h0, Q
+    return h0
+
+
+def seed_wave(grid, vf, g, lam_star, a0):
+    """Initial guess (h0, Q0) on the nontrivial branch at amplitude a0."""
+    hcol, Q, _ = discrete_laminar(grid, vf, g, lam_star)
+    return mode_seed(grid, hcol, bifurcation_mode(grid, vf, g, lam_star),
+                     a0), Q

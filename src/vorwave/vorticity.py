@@ -21,7 +21,7 @@ from numpy.polynomial import Polynomial
 from scipy.interpolate import CubicSpline
 
 from .errors import InputError
-from .fd import derivative_matrix
+from .fd import ColumnOps
 
 _DOMAIN_SLACK = 1e-12
 
@@ -226,7 +226,7 @@ def check_shear_profile(y, u0):
     """Sign conditions on a laminar shear profile u0(y) < 0 on [-d, 0].
 
     Checks u0y >= 0, u0yy <= 0, and u0*u0yyy - u0y*u0yy <= 0 from
-    finite-difference derivatives of the samples, with tolerance 10*h^2.
+    5-point finite-difference windows on the samples, with tolerance 10*h^2.
     """
     y = np.asarray(y, dtype=float)
     u0 = np.asarray(u0, dtype=float)
@@ -238,9 +238,7 @@ def check_shear_profile(y, u0):
     if np.any(u0 >= 0.0):
         raise InputError("stagnation in profile: u0 >= 0 at some sample")
     tol = 10.0 * h[0] ** 2
-    uy = derivative_matrix(y, 1) @ u0
-    uyy = derivative_matrix(y, 2) @ u0
-    uyyy = derivative_matrix(y, 3) @ u0
+    uy, uyy, uyyy = (ColumnOps(y, order, 5).apply(u0) for order in (1, 2, 3))
     third = u0 * uyyy - uy * uyy
     conds = []
     for vals, name, sign in ((uy, "u0y>=0", -1.0),

@@ -166,8 +166,9 @@ class TestPipeline:
                 for file in sorted((first / sub).iterdir()):
                     twin = later / sub / file.name
                     assert twin.read_bytes() == file.read_bytes()
-            assert (later / "pipeline.json").read_bytes() == \
-                (first / "pipeline.json").read_bytes()
+            for file in ("pipeline.json", "bifurcation.json"):
+                assert (later / file).read_bytes() == \
+                    (first / file).read_bytes()
 
     def test_one_lambda_star_with_stretched_grid(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json",

@@ -6,6 +6,7 @@ import pytest
 from vorwave import continuation, solver
 from vorwave.continuation import (Branch, continue_branch, load_point,
                                   save_branch, trough_criterion_value)
+from vorwave.errors import NoConvergenceError
 from vorwave.fd import dq
 from vorwave.grid import StripGrid
 from vorwave.solver import find_bifurcation, solver_hp
@@ -184,6 +185,34 @@ class TestEarlyNewtonFailure:
             assert (a.Q, a.ds, a.newton_iterations) == \
                 (b.Q, b.ds, b.newton_iterations)
         assert fast_lu < slow_lu
+
+
+class TestDeparture:
+    def test_mode_shape_is_computed_once_per_branch(self, setup_irrotational,
+                                                    monkeypatch):
+        # the first departure attempt fails and is retried at half the step;
+        # the retry reuses the mode shape
+        grid, vf, lam_star = setup_irrotational
+        modes, attempts = [], []
+        real_mode = continuation.bifurcation_mode
+        real_newton = continuation.newton_solve
+
+        def counting_mode(*args):
+            modes.append(1)
+            return real_mode(*args)
+
+        def failing_once(*args, **kwargs):
+            attempts.append(kwargs["mode"])
+            if len(attempts) == 1:
+                raise NoConvergenceError("first attempt fails")
+            return real_newton(*args, **kwargs)
+
+        monkeypatch.setattr(continuation, "bifurcation_mode", counting_mode)
+        monkeypatch.setattr(continuation, "newton_solve", failing_once)
+        br = continue_branch(grid, vf, G, 2, lam_star=lam_star)
+        assert attempts[:2] == ["fixed_amplitude", "fixed_amplitude"]
+        assert br.points[1].ds == 0.0025
+        assert len(modes) == 1
 
 
 class TestSerialization:

@@ -22,7 +22,7 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 from scipy.sparse.linalg import splu
 
-from vorwave import solver
+from vorwave import laminar, solver
 from vorwave.continuation import continue_branch
 from vorwave.errors import (BifurcationNotFoundError, InputError,
                             NoConvergenceError, StagnationError)
@@ -31,7 +31,8 @@ from vorwave.grid import StripGrid, stretched_nodes
 from vorwave.laminar import critical_lambda, laminar_flow
 from vorwave.solver import (amplitude, bifurcation_mode, discrete_laminar,
                             find_bifurcation, jacobian_blocks, newton_solve,
-                            pack_residual, residual_parts, seed_wave)
+                            newton_tolerance, pack_residual, residual_parts,
+                            seed_wave)
 from vorwave.vorticity import VorticityFunction
 
 G = 9.81
@@ -409,6 +410,31 @@ class TestDiscreteLaminar:
             assert Q == pytest.approx(flow.Q, rel=1e-12)
             errs.append(np.max(np.abs(hcol - flow.height(grid.p))))
         assert 3.0 < errs[0] / errs[1] < 5.5
+
+    @pytest.mark.parametrize("gamma", [-1.0, -0.3, 0.0, 0.5, 1.0])
+    def test_tiled_column_solves_the_strip(self, gamma):
+        vf = VorticityFunction.constant(gamma, m=M)
+        lam = find_bifurcation(vf, G, L, M)
+        grid = StripGrid(L, M, 6, 21, beta=0.5)
+        hcol, Q, iterations = discrete_laminar(grid, vf, G, lam)
+        assert iterations <= 3
+        assert hcol[0] == 0.0
+        h = np.tile(hcol, (grid.nq, 1))
+        assert residual_norm(grid, vf, G, h, Q) < newton_tolerance(Q)
+
+    def test_one_depth_quadrature(self, monkeypatch):
+        # Newton starts from a trapezoid sweep; only the head Q integrates
+        calls = []
+        real_quad = laminar._quad_checked
+
+        def counting_quad(*args):
+            calls.append(args[-1])
+            return real_quad(*args)
+
+        monkeypatch.setattr(laminar, "_quad_checked", counting_quad)
+        vf = VorticityFunction.constant(-0.3, m=M)
+        discrete_laminar(StripGrid(L, M, 8, 48, beta=0.5), vf, G, 4.0)
+        assert len(calls) <= 1
 
 
 class TestBifurcation:
