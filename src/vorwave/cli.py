@@ -35,7 +35,7 @@ from .errors import ConfigError, InputError, SolverError
 from .fields import WaveField, reconstruct
 from .gerstner import TrochoidalWave
 from .laminar import critical_lambda, gamma_small_criterion, \
-    gamma_smallest_criterion, laminar_depth, laminar_head
+    gamma_smallest_criterion, head_from_depth, laminar_depth, laminar_head
 from .solver import find_bifurcation
 
 
@@ -142,11 +142,12 @@ def _run_bifurcate(cfg, outdir):
     vf = cfg.build_vorticity()
     lam_c = critical_lambda(vf, cfg.g)
     lam_star = _lambda_star(cfg, vf, lam_c)
+    depth = laminar_depth(vf, lam_star)
     payload = {
         "lambda_star": lam_star,
         "lambda_c": lam_c,
-        "Q_star": float(laminar_head(vf, lam_star, cfg.g)),
-        "depth": float(laminar_depth(vf, lam_star)),
+        "Q_star": float(head_from_depth(lam_star, cfg.g, depth)),
+        "depth": float(depth),
     }
     _write_json(outdir / "bifurcation.json", payload)
     return payload

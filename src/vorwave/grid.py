@@ -38,9 +38,9 @@ class StripGrid:
     surface residual and the reconstructed surface pressure are the same
     number.
 
-    newton_patterns holds, per solve mode, the sparsity pattern and column
-    ordering of the Newton matrix that the solver works out on its first
-    factorization on this grid and reuses for every later one.
+    newton_patterns holds, per solve mode, the structure of the Newton
+    matrix, in nested-dissection order, that the solver builds on its first
+    solve on this grid and reuses, unchanged, for every later one.
     """
 
     def __init__(self, L, m, nq, npts, beta=0.5):

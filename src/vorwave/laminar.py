@@ -55,9 +55,14 @@ def laminar_depth(vf, lam):
         lambda s: (lam + 2.0 * vf.Gamma(s)) ** -0.5, -vf.m, 0.0, "depth")
 
 
+def head_from_depth(lam, g, d):
+    """Total head lambda/2 + g*d of the laminar flow of depth d."""
+    return 0.5 * lam + g * d
+
+
 def laminar_head(vf, lam, g):
     """Total head of the laminar flow with squared surface speed lambda."""
-    return 0.5 * lam + g * laminar_depth(vf, lam)
+    return head_from_depth(lam, g, laminar_depth(vf, lam))
 
 
 def head_slope(vf, lam, g):
@@ -142,7 +147,7 @@ class LaminarFlow:
 def laminar_flow(vf, lam, g):
     """Construct the laminar flow at the given squared surface speed."""
     d = laminar_depth(vf, lam)
-    return LaminarFlow(vf, float(lam), float(g), d, 0.5 * lam + g * d)
+    return LaminarFlow(vf, float(lam), float(g), d, head_from_depth(lam, g, d))
 
 
 # -- surface-vorticity smallness criteria ----------------------------------

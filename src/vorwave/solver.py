@@ -174,43 +174,22 @@ def jacobian_blocks(grid, vf, g, h, Q):
     return J_hh, dF_dQ
 
 
-class _CscPattern:
-    """Compressed-column structure of an n x n matrix whose entries always
-    come in one order, at positions (rows, cols); entries at one position
-    add up, explicit zeros stay."""
+# blocks of at most this many grid nodes are not dissected further
+DISSECTION_LEAF = 16
 
-    def __init__(self, rows, cols, n):
-        order = np.lexsort((rows, cols))  # stable: repeats keep their order
-        r, c = rows[order], cols[order]
-        first = np.ones(order.size, dtype=bool)
-        first[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
-        self.n = n
-        self.indices = r[first].astype(np.intc)
-        self.indptr = np.concatenate(
-            [[0], np.cumsum(np.bincount(c[first], minlength=n))]).astype(np.intc)
-        self.first = order[first].astype(np.intc)  # sets each stored value
-        self.repeat_slots = (np.cumsum(first) - 1)[~first]
-        self.repeats = order[~first]  # entries added on top of it
 
-    def permute(self, perm_c):
-        """Store column c as column perm_c[c] from now on. The arrays are
-        rewritten in place: new long-lived arrays allocated between LU
-        factorizations fragment the heap and raise the peak memory."""
-        counts = np.diff(self.indptr)
-        old = np.argsort(np.repeat(perm_c, counts), kind="stable")
-        new = np.empty_like(old)
-        new[old] = np.arange(old.size)
-        self.indices[:] = self.indices[old]
-        self.indptr[1:] = np.cumsum(counts[np.argsort(perm_c)])
-        self.first[:] = self.first[old]
-        self.repeat_slots[:] = new[self.repeat_slots]
-
-    def matrix(self, values):
-        """The matrix with these entry values, as CSC."""
-        data = values[self.first]
-        np.add.at(data, self.repeat_slots, values[self.repeats])
-        return sparse.csc_matrix((data, self.indices, self.indptr),
-                                 shape=(self.n, self.n))
+def _dissection_order(idx):
+    """The entries of the 2-D grid array idx in geometric nested dissection
+    order (George 1973): the longer side is split at its middle grid line,
+    both halves come first, each ordered so in turn, then the line; blocks
+    of at most DISSECTION_LEAF nodes come row by row."""
+    if idx.size <= DISSECTION_LEAF:
+        return idx.ravel()
+    axis = int(idx.shape[1] > idx.shape[0])
+    k = idx.shape[axis] // 2
+    first, line, second = np.split(idx, [k, k + 1], axis=axis)
+    return np.concatenate([_dissection_order(first),
+                           _dissection_order(second), line.ravel()])
 
 
 class _NewtonMatrix:
@@ -218,20 +197,20 @@ class _NewtonMatrix:
 
     The matrix is J_hh, bordered, when the mode appends an equation, by the
     dF/dQ column (-1 on the surface rows) and the mode's row, whose entries
-    sit at `border_cols` (column n is the corner). The structure is fixed,
-    explicit zeros included, so each iteration only fills in values. The
-    first factorization orders the columns by SuperLU's default, COLAMD,
-    and the structure is then stored in that column order: every later
-    matrix is assembled directly in it and factored with the natural
-    ordering. No ordering is computed again, and the solutions come out bit
-    for bit as from a fresh COLAMD factorization (tests/test_solver.py
-    checks this along a branch). The structure changes on the first
-    solve, so one grid is solved on by one thread at a time.
+    sit at `border_cols` (column n is the corner). Its entries always come
+    in the one order of their positions; entries at one position add up,
+    and explicit zeros stay. The compressed-column structure is built once,
+    with rows and columns in one fixed order: the grid unknowns by nested
+    dissection, then the border. Each iteration only fills in values and
+    factors with the natural ordering; nothing changes the structure after
+    it is built.
     """
 
     def __init__(self, grid, border_cols):
         rows, cols = _jacobian_positions(grid)
         n = grid.nq * (grid.npts - 1)
+        self.order = _dissection_order(
+            np.arange(n).reshape(grid.nq, grid.npts - 1))
         self.dF_dQ = None
         if border_cols is not None:
             surface = _surface_rows(grid)
@@ -240,16 +219,33 @@ class _NewtonMatrix:
                                    np.full(border_cols.size, n)])
             cols = np.concatenate([cols, np.full(surface.size, n),
                                    border_cols])
+            self.order = np.append(self.order, n)
             n += 1
-        self.pattern = _CscPattern(rows, cols, n)
-        self.perm_c = None  # the pattern's column order, once factored
+        self.position = np.argsort(self.order)
+        rows, cols = self.position[rows], self.position[cols]
+        entries = np.lexsort((rows, cols))  # stable: repeats keep their order
+        r, c = rows[entries], cols[entries]
+        first = np.ones(entries.size, dtype=bool)
+        first[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
+        self.indices = r[first].astype(np.intc)
+        self.indptr = np.concatenate(
+            [[0], np.cumsum(np.bincount(c[first], minlength=n))]).astype(np.intc)
+        self.first = entries[first].astype(np.intc)  # sets each stored value
+        self.repeat_slots = (np.cumsum(first) - 1)[~first]
+        self.repeats = entries[~first]  # entries added on top of it
+
+    def _stored(self, values):
+        """The matrix with these entry values, in the stored order, as CSC."""
+        data = values[self.first]
+        np.add.at(data, self.repeat_slots, values[self.repeats])
+        n = self.indptr.size - 1
+        return sparse.csc_matrix((data, self.indices, self.indptr),
+                                 shape=(n, n))
 
     def matrix(self, jac_values):
-        """The unbordered matrix J_hh with these entry values, columns in
-        natural order, with index arrays of its own (the pattern's get
-        reordered)."""
-        A = self.pattern.matrix(jac_values)
-        return A.copy() if self.perm_c is None else A[:, self.perm_c]
+        """The unbordered matrix J_hh with these entry values, in the order
+        of pack_residual."""
+        return self._stored(jac_values)[self.position][:, self.position]
 
     def solve(self, jac_values, border_values, rhs):
         """Solution of the system whose matrix has the values of J_hh's
@@ -257,15 +253,9 @@ class _NewtonMatrix:
         values = jac_values
         if border_values is not None:
             values = np.concatenate([jac_values, self.dF_dQ, border_values])
-        A = self.pattern.matrix(values)
-        if self.perm_c is not None:
-            return splu(A, permc_spec="NATURAL").solve(rhs)[self.perm_c]
-        lu = splu(A)
-        # a copy: lu.perm_c is a view that would keep the factors alive
-        x, perm_c = lu.solve(rhs), lu.perm_c.copy()
-        del lu  # free the factors before the pattern is reordered
-        self.pattern.permute(perm_c)
-        self.perm_c = perm_c
+        lu = splu(self._stored(values), permc_spec="NATURAL")
+        x = np.empty_like(rhs)
+        x[self.order] = lu.solve(rhs[self.order])
         return x
 
 
@@ -337,11 +327,11 @@ def newton_solve(grid, vf, g, h0, Q0, mode="fixed_q", *, amplitude_target=None,
     below the positivity floor or fails to reduce the residual norm.
 
     Each iteration factors the Newton matrix once with `splu`. Its sparsity
-    pattern and SuperLU's COLAMD column ordering are worked out once per grid
-    and solve mode, on the first factorization, and kept on the grid: later
-    iterations, and later solves on the same grid, fill the values into that
-    pattern in the stored column order and factor with the natural ordering,
-    which gives the same solution bits as ordering again.
+    pattern is built once per grid and solve mode and kept on the grid, with
+    rows and columns in a fixed fill-reducing order: the grid unknowns by
+    nested dissection, the appended equation last. Every iteration fills the
+    values into that pattern and factors with SuperLU's natural ordering,
+    so SuperLU never computes an ordering of its own.
 
     With `max_contraction` set to theta < 1, the iteration gives up with
     NoConvergenceError as soon as an iteration that has not converged cuts

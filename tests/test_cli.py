@@ -15,7 +15,7 @@ import threading
 import numpy as np
 import pytest
 
-from vorwave import cli, solver
+from vorwave import cli, laminar, solver
 from vorwave.cli import main
 from vorwave.errors import NumericsError, SolverError
 
@@ -317,6 +317,22 @@ def test_bifurcate_computes_lambda_c_once(tmp_path, monkeypatch):
     assert main(["bifurcate", "--config", str(cfg), "--out",
                  str(tmp_path / "b")]) == 0
     assert len(calls) == 1
+
+
+def test_bifurcate_integrates_the_depth_once(tmp_path, monkeypatch):
+    # Q_star is the head of the one depth quadrature at lambda_star
+    calls = []
+    real_quad = laminar._quad_checked
+
+    def counting_quad(*args):
+        calls.append(args[-1])
+        return real_quad(*args)
+
+    monkeypatch.setattr(laminar, "_quad_checked", counting_quad)
+    cfg = write_config(tmp_path / "cfg.json")
+    assert main(["bifurcate", "--config", str(cfg), "--out",
+                 str(tmp_path / "b")]) == 0
+    assert calls.count("depth") == 1
 
 
 class TestAudit:

@@ -14,6 +14,9 @@ The closed-form anchors used here:
 """
 
 import re
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -284,11 +287,11 @@ def recording_splu(monkeypatch):
 
 class TestNewtonMatrixPattern:
     def test_branch_matches_fresh_factorizations(self, monkeypatch):
-        # The pattern and the COLAMD ordering are kept from the first
-        # factorization; every later one, assembled in that column order
-        # and factored with the natural ordering, must solve bit for bit as
-        # a fresh bmat assembly and COLAMD factorization would, through the
-        # maximum of Q, where the attempts that fail are many.
+        # Every matrix is filled into the one structure, ordered by nested
+        # dissection, and factored with the natural ordering. Through the
+        # maximum of Q, where the attempts that fail are many, the branch
+        # must follow the one of a fresh bmat assembly and COLAMD
+        # factorization: the same steps, to rounding in the pivot order.
         vf = VorticityFunction.constant(-0.3, m=M)
         lam_star = find_bifurcation(vf, G, L, M)
         calls = recording_splu(monkeypatch)
@@ -303,21 +306,18 @@ class TestNewtonMatrixPattern:
         assert kept.stop_reason == fresh.stop_reason
         assert len(kept.points) == len(fresh.points)
         for a, b in zip(kept.points, fresh.points):
-            assert np.array_equal(a.h, b.h)
-            assert (a.Q, a.ds, a.newton_iterations) == \
-                (b.Q, b.ds, b.newton_iterations)
-        # one COLAMD ordering per solve mode (fixed amplitude, arclength)
-        orderings = [c for c in calls if c[0] is None]
-        assert len(orderings) == 2
+            assert (a.ds, a.newton_iterations) == (b.ds, b.newton_iterations)
+            assert np.max(np.abs(a.h - b.h)) <= 1e-9
+            assert abs(a.Q - b.Q) <= 1e-9
+        # SuperLU never computes an ordering of its own
         assert len(calls) > 50
-        assert all(c[0] == "NATURAL" for c in calls
-                   if c not in orderings)
+        assert all(c[0] == "NATURAL" for c in calls)
 
     def test_tangent_with_an_exact_zero_entry(self, monkeypatch):
         # bmat drops the zero from the tangent row; the pattern keeps it as
         # an explicit zero, so the matrix keeps its structure and the solve
-        # converges to the same wave, whether the ordering comes from this
-        # tangent or from an earlier one without zeros.
+        # converges to the same wave, on a fresh grid as on one that has
+        # solved with a tangent without zeros.
         vf = VorticityFunction.constant(-0.3, m=M)
         lam_star = find_bifurcation(vf, G, L, M)
         grid = StripGrid(L, M, 16, 16, beta=0.5)
@@ -342,16 +342,16 @@ class TestNewtonMatrixPattern:
 
         calls = recording_splu(monkeypatch)
         new_grid = StripGrid(L, M, 16, 16, beta=0.5)
-        ordered_by_zero = arclength(new_grid, zeroed)
+        on_new_grid = arclength(new_grid, zeroed)
         arclength(grid, t_h)
-        ordered_before = arclength(grid, zeroed)
+        solved_before = arclength(grid, zeroed)
         assert len({nnz for _, _, nnz in calls}) == 1
-        assert [c[0] for c in calls].count(None) == 2
+        assert all(c[0] == "NATURAL" for c in calls)
 
         monkeypatch.setattr(solver._NewtonMatrix, "solve", bmat_solve(grid))
         reference = arclength(grid, zeroed)
         n = t_h[:, 1:].size
-        for res in (ordered_by_zero, ordered_before):
+        for res in (on_new_grid, solved_before):
             closure = (float((res.h - first.h)[:, 1:].ravel()
                              @ zeroed[:, 1:].ravel()) / n
                        + (res.Q - first.Q) * t_Q)
@@ -379,24 +379,95 @@ class TestNewtonMatrixPattern:
             res = solve(grid, seed)
             assert np.array_equal(res.h, ref.h) and res.Q == ref.Q
             assert res.iterations == len(calls) - start > 0
-        assert [c[0] for c in calls].count(None) == len(grids)
+        assert all(c[0] == "NATURAL" for c in calls)
         patterns = [grid.newton_patterns["fixed_amplitude"] for grid in grids]
         assert len({id(p) for p in patterns}) == len(grids)
 
     def test_jacobian_blocks_after_a_solve_on_the_grid(self):
-        # a solve stores the fixed_q pattern in its LU's column order;
-        # jacobian_blocks still returns J_hh in the order of pack_residual
+        # the fixed_q pattern is stored in dissection order; jacobian_blocks
+        # returns J_hh in the order of pack_residual, before a solve on the
+        # grid as after it
         vf = VorticityFunction.constant(-1.0, m=M)
         grid = StripGrid(L, M, 10, 24, beta=0.5)
         h0 = np.tile(laminar_flow(vf, 1.0, G).height(grid.p), (grid.nq, 1))
         before = jacobian_blocks(grid, vf, G, h0, 3.0)[0]
         newton_solve(grid, vf, G, h0, laminar_flow(vf, 1.0, G).Q)
-        perm_c = grid.newton_patterns["fixed_q"].perm_c
-        assert np.any(perm_c != np.arange(perm_c.size))
         after = jacobian_blocks(grid, vf, G, h0, 3.0)[0]
         for a, b in ((after.indptr, before.indptr),
                      (after.indices, before.indices), (after.data, before.data)):
             assert np.array_equal(a, b)
+
+    def test_dissection_fills_less_than_colamd(self, monkeypatch):
+        # nnz(L) + nnz(U) is a count, the same on every run: the stored
+        # order must fill at most 0.8 times what COLAMD fills on the same
+        # bordered arclength matrix
+        vf = VorticityFunction.constant(-0.3, m=M)
+        lam_star = find_bifurcation(vf, G, L, M)
+        grid = StripGrid(L, M, 64, 48, beta=0.5)
+        h0, Q0 = seed_wave(grid, vf, G, lam_star, 0.05)
+        first = newton_solve(grid, vf, G, h0, Q0, mode="fixed_amplitude",
+                             amplitude_target=0.05)
+        hcol, Qt, _ = discrete_laminar(grid, vf, G, lam_star)
+        t_h = first.h - np.tile(hcol, (grid.nq, 1))
+        t_Q = first.Q - Qt
+        nrm = np.sqrt(float(np.sum(t_h[:, 1:] ** 2)) / t_h[:, 1:].size
+                      + t_Q ** 2)
+        t_h, t_Q = t_h / nrm, t_Q / nrm
+        matrices = []
+        real_splu = solver.splu
+
+        def keep_matrix(A, **kwargs):
+            matrices.append(A.copy())
+            return real_splu(A, **kwargs)
+
+        monkeypatch.setattr(solver, "splu", keep_matrix)
+        ds = 0.02
+        newton_solve(grid, vf, G, first.h + ds * t_h, first.Q + ds * t_Q,
+                     mode="arclength", base=(first.h, first.Q),
+                     tangent=(t_h, t_Q), ds=ds)
+        A = matrices[0]
+        assert A.shape[0] == grid.nq * (grid.npts - 1) + 1
+
+        def fill(lu):
+            return lu.L.nnz + lu.U.nnz
+
+        stored = fill(real_splu(A, permc_spec="NATURAL"))
+        assert stored == fill(real_splu(A, permc_spec="NATURAL"))
+        assert stored <= 0.8 * fill(real_splu(A))
+
+    def test_threads_solving_on_one_grid(self):
+        # nothing changes the stored structure once it is built, so threads
+        # that solve on one fresh grid at once get the serial solution
+        vf = VorticityFunction.constant(-0.3, m=M)
+        lam_star = find_bifurcation(vf, G, L, M)
+        seed = seed_wave(StripGrid(L, M, 24, 20, beta=0.5), vf, G, lam_star,
+                         0.02)
+
+        def solve(grid):
+            return newton_solve(grid, vf, G, *seed, mode="fixed_amplitude",
+                                amplitude_target=0.02)
+
+        serial = solve(StripGrid(L, M, 24, 20, beta=0.5))
+        grid = StripGrid(L, M, 24, 20, beta=0.5)
+        threads = 4  # more than the cores of a CI runner
+        start = threading.Barrier(threads, timeout=60)
+
+        def solve_together(_):
+            start.wait()
+            return solve(grid)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                results = list(pool.map(solve_together, range(threads),
+                                        timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(results) == threads
+        for res in results:
+            assert np.array_equal(res.h, serial.h) and res.Q == serial.Q
+            assert res.iterations == serial.iterations
 
 
 class TestDiscreteLaminar:
