@@ -17,10 +17,7 @@ import argparse
 import datetime
 import hashlib
 import json
-import multiprocessing
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 from pathlib import Path
 
@@ -58,17 +55,9 @@ def _utcnow():
 
 
 def _thread_count():
-    raw = os.environ.get("VORWAVE_THREADS")
-    if raw is None:
-        return min(4, os.cpu_count() or 1)
-    try:
-        count = int(raw)
-    except ValueError:
-        count = 0
-    if count < 1:
-        raise ConfigError(
-            "VORWAVE_THREADS must be a positive integer, got %r" % raw)
-    return count
+    """Threads a run uses: every subcommand runs in the calling thread.
+    The benchmark's machine facts read this."""
+    return 1
 
 
 class Manifest:
@@ -242,18 +231,12 @@ def _run_gerstner(args, outdir):
 
 
 def _run_pipeline(cfg, outdir):
-    """Bifurcate, then continue the branch, reconstructing, writing and
-    auditing each point in this thread as soon as continuation stores it.
+    """Bifurcate, then continue the branch, reconstructing and auditing
+    each point in this thread as soon as continuation stores it.
 
-    Formatting a point's CSV rows holds the GIL, so the CSVs are written by
-    a pool of processes while this thread goes on. The pool is forked, not
-    spawned, which would import numpy afresh in every process of every run.
-    With "fork" the pool forks all its processes at the first submit, which
-    on_point makes here, in the main thread, before the pool starts its own
-    thread. Every write is awaited before pipeline.json is written, and the
-    pool is joined on every exit.
+    Only the last stored point, the steepest wave, gets its field CSV;
+    `reconstruct` writes the others on demand.
     """
-    workers = min(_thread_count(), cfg.continuation.steps + 1)
     bif = _run_bifurcate(cfg, outdir)
     grid, vf = cfg.build_grid(), cfg.build_vorticity()
     fields_dir = outdir / "fields"
@@ -261,23 +244,21 @@ def _run_pipeline(cfg, outdir):
     reports_dir = outdir / "reports"
     reports_dir.mkdir(exist_ok=True)
     tol = cfg.build_tolerances()
-    writes, outcomes = [], []
-    with ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=multiprocessing.get_context("fork")) as pool:
+    outcomes = []
+    last = None
 
-        def on_point(pt):
-            wf = reconstruct(grid, vf, cfg.g, pt.h, pt.Q)
-            writes.append(
-                wf.to_csv(fields_dir / _field_filename(pt.index), pool))
-            outcomes.append(_audit_one(wf, tol, bif["lambda_c"],
-                                       reports_dir, pt.index))
+    def on_point(pt):
+        nonlocal last
+        wf = reconstruct(grid, vf, cfg.g, pt.h, pt.Q)
+        last = pt.index, wf
+        outcomes.append(_audit_one(wf, tol, bif["lambda_c"], reports_dir,
+                                   pt.index))
 
-        branch = _make_branch(cfg, grid, vf, bif["lambda_star"],
-                              on_point=on_point)
-        save_branch(branch, outdir / "branch")
-        for write in writes:
-            write.result()
+    branch = _make_branch(cfg, grid, vf, bif["lambda_star"],
+                          on_point=on_point)
+    save_branch(branch, outdir / "branch")
+    index, wf = last
+    wf.to_csv(fields_dir / _field_filename(index))
     summary = {
         "points": len(branch.points),
         "stop_reason": branch.stop_reason,
@@ -324,8 +305,8 @@ def build_parser():
                             help="wavenumber (default 1.0)")
     gerstner_p.add_argument("--eps", type=float, default=0.5,
                             help="steepness in (0,1) (default 0.5)")
-    add("pipeline", "bifurcate, continue, then reconstruct and audit "
-                    "every point")
+    add("pipeline", "bifurcate, continue, audit every point, and write "
+                    "the last point's field CSV")
     return parser
 
 

@@ -118,15 +118,12 @@ class WaveField:
     def divergence(self):
         return self.ux + self.vy
 
-    def to_csv(self, path, executor=None):
+    def to_csv(self, path):
         """Write the field as CSV, one node per row in i-major order.
 
-        The rows are formatted by write_field_csv. Without an `executor`
-        that happens in this thread, and the file is complete when to_csv
-        returns. With one, such as a process pool, to_csv returns the Future
-        of write_field_csv submitted to it; its result() is None once the
-        file is complete and raises what the write raised. The bytes are
-        the same either way.
+        The rows are formatted one q-column of npts rows at a time; the
+        bytes are those of np.savetxt(fmt="%.17g", delimiter=",") after the
+        metadata line and the column header.
         """
         nq, npts = self.nq, self.npts
         cols = {
@@ -139,13 +136,13 @@ class WaveField:
             "uxx": self.uxx.ravel(), "uxy": self.uxy.ravel(),
         }
         data = np.column_stack([cols[name] for name in CSV_COLUMNS])
-        data = data.reshape(nq, npts, len(CSV_COLUMNS))
-        meta = ("# vorwave field g=%.17g Q=%.17g d=%.17g\n"
-                % (self.g, self.Q, self.d))
-        if executor is None:
-            write_field_csv(path, meta, data)
-            return None
-        return executor.submit(write_field_csv, path, meta, data)
+        block = (",".join(["%.17g"] * len(CSV_COLUMNS)) + "\n") * npts
+        with open(path, "w") as fh:
+            fh.write("# vorwave field g=%.17g Q=%.17g d=%.17g\n"
+                     % (self.g, self.Q, self.d))
+            fh.write(",".join(CSV_COLUMNS) + "\n")
+            for rows in data.reshape(nq, -1):
+                fh.write(block % tuple(rows.tolist()))
 
     @classmethod
     def from_csv(cls, path, vf=None):
@@ -224,16 +221,3 @@ def reconstruct(grid, vf, g, h, Q):
     wf.uxy = wf.dy(wf.ux)
     return wf
 
-
-def write_field_csv(path, meta, data):
-    """Write a field CSV: the metadata line `meta`, the column header, then
-    the rows of `data`, an (nq, npts, columns) array, one q-column of npts
-    rows per format operation. The bytes are those of
-    np.savetxt(fmt="%.17g", delimiter=",")."""
-    nq, npts, ncols = data.shape
-    block = (",".join(["%.17g"] * ncols) + "\n") * npts
-    with open(path, "w") as fh:
-        fh.write(meta)
-        fh.write(",".join(CSV_COLUMNS) + "\n")
-        for rows in data.reshape(nq, -1):
-            fh.write(block % tuple(rows.tolist()))

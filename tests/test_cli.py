@@ -6,7 +6,6 @@ the packaging entry point resolves.
 """
 
 import json
-import multiprocessing
 import shutil
 import subprocess
 import sys
@@ -15,9 +14,9 @@ import threading
 import numpy as np
 import pytest
 
-from vorwave import cli, laminar, solver
+from vorwave import cli, continuation, laminar, solver
 from vorwave.cli import main
-from vorwave.errors import NumericsError, SolverError
+from vorwave.errors import NoConvergenceError, NumericsError, SolverError
 
 GMEAN = 9.81 ** (2.0 / 3.0)  # critical lambda for irrotational unit flux
 
@@ -37,10 +36,16 @@ def write_config(path, **overrides):
 
 @pytest.fixture(scope="module")
 def pipeline_run(tmp_path_factory):
+    """A 5-step pipeline in `out/`. pipeline writes only the last point's
+    CSV, so `rebuilt/` holds a copy of its branch with every point's CSV
+    rebuilt by `reconstruct`."""
     root = tmp_path_factory.mktemp("pipeline")
     cfg = write_config(root / "cfg.json")
     code = main(["pipeline", "--config", str(cfg), "--out",
                  str(root / "out")])
+    shutil.copytree(root / "out" / "branch", root / "rebuilt" / "branch")
+    main(["reconstruct", "--config", str(cfg), "--out",
+          str(root / "rebuilt")])
     return root, cfg, code
 
 
@@ -130,9 +135,10 @@ class TestPipeline:
         out = root / "out"
         branch = json.loads((out / "branch" / "branch.json").read_text())
         assert len(branch["points"]) == 6  # laminar start + 5 steps
+        assert [f.name for f in (out / "fields").iterdir()] == \
+            ["point_0005.csv"]
         for i in range(6):
             assert (out / "branch" / ("point_%04d.json" % i)).exists()
-            assert (out / "fields" / ("point_%04d.csv" % i)).exists()
             report = json.loads(
                 (out / "reports" / ("report_%04d.json" % i)).read_text())
             assert report["summary"]["fail"] == 0
@@ -151,12 +157,23 @@ class TestPipeline:
         assert amps[0] == pytest.approx(0.0, abs=1e-12)
         assert np.all(np.diff(amps) > 0.0)
 
-    def test_rerun_is_byte_identical(self, tmp_path, monkeypatch):
+    def test_last_csv_is_what_reconstruct_writes(self, pipeline_run,
+                                                 tmp_path):
+        root, cfg, _ = pipeline_run
+        shutil.copytree(root / "out" / "branch", tmp_path / "branch")
+        assert main(["reconstruct", "--config", str(cfg), "--out",
+                     str(tmp_path), "--point", "5"]) == 0
+        for directory in (root / "out" / "fields", tmp_path / "fields"):
+            assert [f.name for f in directory.iterdir()] == \
+                ["point_0005.csv"]
+        assert (root / "out" / "fields" / "point_0005.csv").read_bytes() \
+            == (tmp_path / "fields" / "point_0005.csv").read_bytes()
+
+    def test_rerun_is_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json",
                            continuation={"steps": 3})
         paths = []
-        for name, threads in (("a", "3"), ("b", "3"), ("c", "1")):
-            monkeypatch.setenv("VORWAVE_THREADS", threads)
+        for name in ("a", "b"):
             assert main(["pipeline", "--config", str(cfg), "--out",
                          str(tmp_path / name)]) == 0
             paths.append(tmp_path / name)
@@ -185,17 +202,60 @@ class TestPipeline:
             assert json.loads((tmp_path / path).read_text())[
                 "lambda_star"] == lam
 
-    def test_bad_thread_env(self, tmp_path, monkeypatch):
+    def test_poly_vorticity_from_config(self, tmp_path):
+        # the config's poly kind end to end; `audit` re-audits the stored
+        # points to the same bytes
         cfg = write_config(tmp_path / "cfg.json",
-                           continuation={"steps": 1})
-        monkeypatch.setenv("VORWAVE_THREADS", "0")
+                           vorticity={"kind": "poly",
+                                      "coeffs": [-0.3, -0.2]},
+                           grid={"Nq": 24, "Np": 20},
+                           continuation={"steps": 3})
+        out = tmp_path / "out"
         assert main(["pipeline", "--config", str(cfg), "--out",
-                     str(tmp_path / "x")]) == 2
+                     str(out)]) == 0
+        summary = json.loads((out / "pipeline.json").read_text())
+        assert summary["all_pass"] is True
+        assert summary["points"] == 4
+        assert summary["lambda_star"] == pytest.approx(4.033209127967112,
+                                                       rel=1e-9)
+        reports = {f.name: f.read_bytes()
+                   for f in (out / "reports").iterdir()}
+        assert len(reports) == 4
+        shutil.rmtree(out / "reports")
+        assert main(["audit", "--config", str(cfg), "--out",
+                     str(out)]) == 0
+        assert {f.name: f.read_bytes()
+                for f in (out / "reports").iterdir()} == reports
+
+    def test_newton_failure_keeps_the_trivial_point(self, tmp_path,
+                                                    monkeypatch):
+        tried = []
+
+        def newton_solve(*args, **kwargs):
+            tried.append(kwargs["amplitude_target"])
+            raise NoConvergenceError("injected")
+
+        monkeypatch.setattr(continuation, "newton_solve", newton_solve)
+        cfg = write_config(tmp_path / "cfg.json", grid={"Nq": 24, "Np": 20},
+                           continuation={"steps": 3, "ds0": 0.01})
+        out = tmp_path / "out"
+        assert main(["pipeline", "--config", str(cfg), "--out",
+                     str(out)]) == 0
+        assert tried == [0.01 * 0.5 ** k
+                         for k in range(continuation.MAX_RETRIES)]
+        branch = json.loads((out / "branch" / "branch.json").read_text())
+        assert branch["stop_reason"] == "newton-failure"
+        assert [row["index"] for row in branch["points"]] == [0]
+        assert [f.name for f in (out / "fields").iterdir()] == \
+            ["point_0000.csv"]
+        summary = json.loads((out / "pipeline.json").read_text())
+        assert summary["stop_reason"] == "newton-failure"
+        assert summary["points"] == 1
 
 
 class TestPipelineStreaming:
-    """pipeline reconstructs, writes and audits each point while
-    continuation goes on, and cleans up whichever way the run ends."""
+    """pipeline reconstructs and audits each point while continuation goes
+    on, and leaves a manifest but no summary when the run fails."""
 
     @staticmethod
     def run(tmp_path, steps=2):
@@ -251,7 +311,6 @@ class TestPipelineStreaming:
         assert code == 3
         assert (out / "manifest.json").is_file()
         assert not (out / "pipeline.json").exists()
-        assert multiprocessing.active_children() == []
 
     def test_continuation_error_exits_3_and_joins_writers(
             self, tmp_path, monkeypatch):
@@ -272,28 +331,10 @@ class TestPipelineStreaming:
         assert code == 3
         assert (out / "manifest.json").is_file()
         assert not (out / "pipeline.json").exists()
-        assert multiprocessing.active_children() == []
-
-    def test_writers_capped_by_the_number_of_points(self, tmp_path,
-                                                    monkeypatch):
-        sizes = []
-
-        class CountingPool(cli.ProcessPoolExecutor):
-            def __init__(self, max_workers=None, **kwargs):
-                sizes.append(max_workers)
-                super().__init__(max_workers, **kwargs)
-
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", CountingPool)
-        monkeypatch.setenv("VORWAVE_THREADS", "50")
-        code, out = self.run(tmp_path, steps=2)
-        assert code == 0
-        assert len(sizes) == 1 and 1 <= sizes[0] <= 3
-        assert multiprocessing.active_children() == []
-        assert len(list((out / "fields").iterdir())) == 3
 
     def test_csv_write_error_exits_2(self, tmp_path, monkeypatch, capsys):
-        # every CSV path points into a directory that does not exist, so
-        # each write fails in the pool and reaches main through result()
+        # the CSV path points into a directory that does not exist, so the
+        # write fails and reaches main as an OSError
         monkeypatch.setattr(cli, "_field_filename",
                             lambda index: "missing/point_%04d.csv" % index)
         code, out = self.run(tmp_path)
@@ -301,7 +342,6 @@ class TestPipelineStreaming:
         assert capsys.readouterr().err.startswith("vorwave: output error: ")
         assert (out / "manifest.json").is_file()
         assert not (out / "pipeline.json").exists()
-        assert multiprocessing.active_children() == []
 
 
 def test_bifurcate_computes_lambda_c_once(tmp_path, monkeypatch):
@@ -369,7 +409,7 @@ class TestAudit:
 
     def test_unattainable_tolerance_fails_run(self, pipeline_run, tmp_path):
         root, _, _ = pipeline_run
-        field = root / "out" / "fields" / "point_0002.csv"
+        field = root / "rebuilt" / "fields" / "point_0002.csv"
         cfg = write_config(tmp_path / "strict.json",
                            tolerances={"bern": 1e-30})
         code = main(["audit", str(field), "--config", str(cfg),
@@ -385,7 +425,7 @@ class TestAudit:
         # Push one surface node below its neighbors' column so the height
         # loses monotonicity; field construction must refuse it.
         root, cfg, _ = pipeline_run
-        source = root / "out" / "fields" / "point_0003.csv"
+        source = root / "rebuilt" / "fields" / "point_0003.csv"
         lines = source.read_text().splitlines()
         cells = lines[-1].split(",")
         cells[3] = repr(float(cells[3]) - 50.0)
@@ -446,8 +486,8 @@ class TestAudit:
     def test_non_numeric_field_cell_exits_2(self, pipeline_run, tmp_path,
                                             capsys):
         root, cfg, _ = pipeline_run
-        lines = (root / "out" / "fields" / "point_0003.csv").read_text() \
-            .splitlines()
+        lines = (root / "rebuilt" / "fields" / "point_0003.csv") \
+            .read_text().splitlines()
         cells = lines[10].split(",")
         cells[5] = "oops"
         lines[10] = ",".join(cells)
@@ -461,8 +501,8 @@ class TestAudit:
                                          capsys):
         # one q-column of a real field: too few nodes to differentiate
         root, cfg, _ = pipeline_run
-        lines = (root / "out" / "fields" / "point_0003.csv").read_text() \
-            .splitlines()
+        lines = (root / "rebuilt" / "fields" / "point_0003.csv") \
+            .read_text().splitlines()
         npts = 36
         bad = tmp_path / "column.csv"
         bad.write_text("\n".join(lines[:2 + npts]) + "\n")

@@ -7,9 +7,6 @@ condition, incompressibility, momentum balance) with refinement studies where
 the identity only holds to truncation order.
 """
 
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
-
 import numpy as np
 import pytest
 
@@ -193,6 +190,14 @@ class TestCsv:
         assert back.L == wf.L
         assert back.m == wf.m
 
+    def test_reload_writes_the_same_bytes(self, wave, tmp_path):
+        _, wf = wave
+        wf.to_csv(tmp_path / "field.csv")
+        WaveField.from_csv(tmp_path / "field.csv").to_csv(
+            tmp_path / "again.csv")
+        assert (tmp_path / "again.csv").read_bytes() == \
+            (tmp_path / "field.csv").read_bytes()
+
     def test_header_layout(self, wave, tmp_path):
         _, wf = wave
         path = tmp_path / "field.csv"
@@ -229,45 +234,6 @@ class TestCsv:
         bad.to_csv(path)
         with pytest.raises(InputError):
             WaveField.from_csv(path)
-
-
-class TestCsvInProcessPool:
-    """to_csv(path, executor) on a fork-context process pool, as pipeline
-    writes its CSVs."""
-
-    @staticmethod
-    def pool():
-        return ProcessPoolExecutor(
-            max_workers=1, mp_context=multiprocessing.get_context("fork"))
-
-    def test_same_bytes_as_in_this_thread(self, wave, tmp_path):
-        _, wf = wave
-        wf.to_csv(tmp_path / "here.csv")
-        back = WaveField.from_csv(tmp_path / "here.csv")
-        back.to_csv(tmp_path / "back_here.csv")
-        with self.pool() as pool:
-            writes = [wf.to_csv(tmp_path / "there.csv", pool),
-                      back.to_csv(tmp_path / "back_there.csv", pool)]
-            assert [w.result(timeout=60) for w in writes] == [None, None]
-        assert multiprocessing.active_children() == []
-        for name in ("here", "back_here"):
-            expected = (tmp_path / ("%s.csv" % name)).read_bytes()
-            twin = name.replace("here", "there")
-            assert (tmp_path / ("%s.csv" % twin)).read_bytes() == expected
-        assert (tmp_path / "back_here.csv").read_bytes() == \
-            (tmp_path / "here.csv").read_bytes()
-
-    def test_unwritable_path_raises_in_the_caller(self, wave, tmp_path):
-        _, wf = wave
-        with self.pool() as pool:
-            failed = wf.to_csv(tmp_path / "no-such-dir" / "field.csv", pool)
-            with pytest.raises(FileNotFoundError):
-                failed.result(timeout=60)
-            # the pool outlives a failed write
-            assert wf.to_csv(tmp_path / "field.csv", pool).result(
-                timeout=60) is None
-        assert multiprocessing.active_children() == []
-        assert (tmp_path / "field.csv").is_file()
 
 
 def test_reconstruct_keeps_one_column_operator_per_grid(wave):
