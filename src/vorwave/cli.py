@@ -27,19 +27,13 @@ from . import __version__
 from .audit import Tolerances, audit_wave
 from .config import RunConfig
 from .continuation import continue_branch, load_point, point_filename, \
-    save_branch
+    save_branch, write_json
 from .errors import ConfigError, InputError, SolverError
 from .fields import WaveField, reconstruct
 from .gerstner import TrochoidalWave
 from .laminar import critical_lambda, gamma_small_criterion, \
     gamma_smallest_criterion, head_from_depth, laminar_depth, laminar_head
 from .solver import find_bifurcation
-
-
-def _write_json(path, payload):
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-        fh.write("\n")
 
 
 def _sha256(path):
@@ -77,7 +71,7 @@ class Manifest:
 
     def write(self, outdir):
         self.payload["finished"] = _utcnow()
-        _write_json(Path(outdir) / "manifest.json", self.payload)
+        write_json(Path(outdir) / "manifest.json", self.payload)
 
 
 def _resolve_outdir(cfg, out_flag):
@@ -112,12 +106,13 @@ def _run_dispersion(cfg, outdir):
         "lambda_c": lam_c,
         "Qtilde_table": table,
         "criteria": {
-            "gammasmall": asdict(gamma_small_criterion(vf, cfg.g, cfg.L)),
+            "gammasmall": asdict(
+                gamma_small_criterion(vf, cfg.g, cfg.L, lam_c=lam_c)),
             "gammasmallest": asdict(
-                gamma_smallest_criterion(vf, cfg.g, cfg.L)),
+                gamma_smallest_criterion(vf, cfg.g, cfg.L, lam_c=lam_c)),
         },
     }
-    _write_json(outdir / "dispersion.json", payload)
+    write_json(outdir / "dispersion.json", payload)
     return 0
 
 
@@ -138,7 +133,7 @@ def _run_bifurcate(cfg, outdir):
         "Q_star": float(head_from_depth(lam_star, cfg.g, depth)),
         "depth": float(depth),
     }
-    _write_json(outdir / "bifurcation.json", payload)
+    write_json(outdir / "bifurcation.json", payload)
     return payload
 
 
@@ -193,7 +188,7 @@ def _run_reconstruct(cfg, outdir, point):
 
 def _audit_one(wf, tol, lam_c, reports_dir, index):
     report = audit_wave(wf, tol=tol, lam_c=lam_c)
-    _write_json(reports_dir / _report_filename(index), report.as_json())
+    write_json(reports_dir / _report_filename(index), report.as_json())
     return report.passed()
 
 
@@ -205,7 +200,7 @@ def _run_audit(cfg, outdir, field_csv, point, manifest):
         manifest.add_input(field_csv)
         wf = WaveField.from_csv(field_csv, vf=cfg.build_vorticity())
         report = audit_wave(wf, tol=tol)
-        _write_json(outdir / "report.json", report.as_json())
+        write_json(outdir / "report.json", report.as_json())
         return 0 if report.passed() else 1
     files = _branch_point_files(outdir, point)
     reports_dir = outdir / "reports"
@@ -226,7 +221,7 @@ def _run_gerstner(args, outdir):
     g = args.cfg.g if args.cfg is not None else 9.81
     wave = TrochoidalWave(args.k, args.eps, g=g)
     wave.to_csv(outdir / "gerstner.csv")
-    _write_json(outdir / "gerstner_report.json", wave.mini_report())
+    write_json(outdir / "gerstner_report.json", wave.mini_report())
     return 0
 
 
@@ -266,7 +261,7 @@ def _run_pipeline(cfg, outdir):
         "audits_passed": int(sum(outcomes)),
         "all_pass": bool(all(outcomes)),
     }
-    _write_json(outdir / "pipeline.json", summary)
+    write_json(outdir / "pipeline.json", summary)
     return 0 if all(outcomes) else 1
 
 

@@ -65,8 +65,7 @@ class Branch:
 
 def trough_criterion_value(grid, vf, g, h):
     """g - gamma(0) * u evaluated at the trough (q = L, p = 0)."""
-    hp_surface = float(h[-1, -grid.ws.size:] @ grid.ws)
-    u_trough = -1.0 / hp_surface
+    u_trough = -1.0 / float(solver_hp(grid, h[-1])[-1])
     return g - vf.gamma_surface * u_trough
 
 
@@ -197,6 +196,14 @@ def point_filename(index):
     return "point_%04d.json" % index
 
 
+def write_json(path, payload):
+    """Write payload as JSON with sorted keys and a final newline: every
+    JSON artifact goes through here."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, sort_keys=True, indent=1)
+        fh.write("\n")
+
+
 def save_branch(branch, outdir):
     """Write branch.json plus one point_NNNN.json per stored wave.
 
@@ -221,8 +228,7 @@ def save_branch(branch, outdir):
             "h": [float(x) for x in pt.h.ravel()],
         })
         name = point_filename(pt.index)
-        with open(outdir / name, "w") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=1)
+        write_json(outdir / name, payload)
         index.append({
             "index": pt.index, "file": name, "amplitude": pt.amplitude,
             "Q": pt.Q, "ds": pt.ds, "newton_iterations": pt.newton_iterations,
@@ -233,8 +239,7 @@ def save_branch(branch, outdir):
         "stop_reason": branch.stop_reason,
         "points": index,
     })
-    with open(outdir / "branch.json", "w") as fh:
-        json.dump(summary, fh, sort_keys=True, indent=1)
+    write_json(outdir / "branch.json", summary)
     return outdir / "branch.json"
 
 

@@ -2,20 +2,23 @@
 and profile checks: every derivative weight comes from here.
 
 The solver's 3-point weights, along q and p alike, come from the node
-spacings. Horizontal derivatives act on the half period [0, L] where every
-physical field has a definite parity (even or odd about both q = 0 and
-q = L), so the boundary stencils use mirror ghosts and are exact for the
-symmetry. Vertical derivatives of the reconstructed fields use Fornberg's
-weights. Every node uses a 6-point sliding window (local order 5): applying
-a first-derivative operator twice differentiates the truncation error of the
-first pass, which costs one order wherever the error coefficient jumps, and
-the coefficient does jump at the clipped end windows. Starting from order 5
-leaves the composed derivative at worst O(dp^4) there, which is what lets the
-reconstructed vorticity of a smooth laminar flow track gamma to 1e-8 on a few
-hundred nodes. Narrower windows were tried first: with 4 points the composed
-edge error is O(dp^2) with a coefficient near ten, far too big. The
-shear-profile check takes the same sliding windows 5 points wide, for its
-first to third derivatives.
+spacings; `dq` and `dp` apply them in difference form, so a constant gives
+exactly zero on both axes. Horizontal derivatives act on the half period
+[0, L] where every physical field has a definite parity (even or odd about
+both q = 0 and q = L), so the boundary stencils use mirror ghosts and are exact
+for the symmetry. Vertical derivatives of the reconstructed fields use
+Fornberg's weights in `ColumnOps`, in sum form (a constant gives about
+1e-13): in difference form its 6-point windows measured 3-4x slower per
+`apply` at 64x48. Every node uses a 6-point sliding window (local order 5):
+applying a first-derivative operator twice differentiates the truncation
+error of the first pass, which costs one order wherever the error
+coefficient jumps, and the coefficient does jump at the clipped end windows.
+Starting from order 5 leaves the composed derivative at worst O(dp^4) there,
+which is what lets the reconstructed vorticity of a smooth laminar flow
+track gamma to 1e-8 on a few hundred nodes. Narrower windows were tried
+first: with 4 points the composed edge error is O(dp^2) with a coefficient
+near ten, far too big. The shear-profile check takes the same sliding
+windows 5 points wide, for its first to third derivatives.
 """
 
 from __future__ import annotations
@@ -93,13 +96,21 @@ def dq(F, w, parity):
         raise InputError("parity must be 'even' or 'odd'")
     sign = 1.0 if parity == "even" else -1.0
     shape = (-1,) + (1,) * (F.ndim - 1)
-    w0, w2 = w[:, 0].reshape(shape), w[:, 2].reshape(shape)
+    left, right = w[:, 0].reshape(shape), w[:, 2].reshape(shape)
     out = np.empty_like(F, dtype=float)
-    out[1:-1] = (w0[1:-1] * (F[:-2] - F[1:-1])
-                 + w2[1:-1] * (F[2:] - F[1:-1]))
-    out[0] = w0[0] * (sign * F[1] - F[0]) + w2[0] * (F[1] - F[0])
-    out[-1] = w0[-1] * (F[-2] - F[-1]) + w2[-1] * (sign * F[-2] - F[-1])
+    out[1:-1] = (left[1:-1] * (F[:-2] - F[1:-1])
+                 + right[1:-1] * (F[2:] - F[1:-1]))
+    out[0] = left[0] * (sign * F[1] - F[0]) + right[0] * (F[1] - F[0])
+    out[-1] = left[-1] * (F[-2] - F[-1]) + right[-1] * (sign * F[-2] - F[-1])
     return out
+
+
+def dp(F, w):
+    """Derivative along the last axis of F at its interior nodes, shape
+    (..., n - 2), with interior weights w (n - 2, 3), StripGrid.w1 or w2,
+    in dq's difference form: a constant gives exactly zero."""
+    return (w[:, 0] * (F[..., :-2] - F[..., 1:-1])
+            + w[:, 2] * (F[..., 2:] - F[..., 1:-1]))
 
 
 class ColumnOps:

@@ -27,8 +27,8 @@ def stretched_nodes(m, npts, beta):
 class StripGrid:
     """Grid data plus the finite-difference weights the solver needs.
 
-    w1/w2 (npts, 3) hold the 3-point first/second p-derivative weights of
-    the interior rows (the bed and surface rows are zero). wq1/wq2 (nq, 3)
+    w1/w2 (npts - 2, 3) hold the 3-point first/second p-derivative weights
+    of the interior rows p[1:-1], as `fd.dp` takes them. wq1/wq2 (nq, 3)
     hold the 3-point first/second q-derivative weights of every column, the
     end columns with mirror ghosts, as `fd.dq` takes them. column_ops is the
     vertical derivative operator of the field reconstruction; ws and wb are
@@ -59,9 +59,7 @@ class StripGrid:
         self.p = stretched_nodes(self.m, self.npts, self.beta)
         self.wq1, self.wq2 = mirror_weights(self.q)
         dp = np.diff(self.p)
-        self.w1 = np.zeros((self.npts, 3))
-        self.w2 = np.zeros((self.npts, 3))
-        self.w1[1:-1], self.w2[1:-1] = three_point_weights(dp[:-1], dp[1:])
+        self.w1, self.w2 = three_point_weights(dp[:-1], dp[1:])
         self.column_ops = ColumnOps(self.p)
         self.ws = self.column_ops.w[-1]
         self.wb = self.column_ops.w[0]

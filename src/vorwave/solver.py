@@ -24,7 +24,7 @@ from scipy.sparse.linalg import splu
 
 from .errors import (BifurcationNotFoundError, InputError, NoConvergenceError,
                      NumericsError, StagnationApproachError, StagnationError)
-from .fd import dq, three_point_weights
+from .fd import dp, dq, three_point_weights
 from .grid import stretched_nodes
 from .laminar import critical_lambda, laminar_head
 
@@ -36,20 +36,15 @@ BIFURCATION_NODES = 4001
 LAMINAR_MAX_ITER = 25
 
 
-def _three_point(w, h):
-    """Apply the interior 3-point weights w (npts, 3) along the last axis."""
-    return (w[1:-1, 0] * h[..., :-2] + w[1:-1, 1] * h[..., 1:-1]
-            + w[1:-1, 2] * h[..., 2:])
-
-
 def solver_hp(grid, h):
-    """h_p with the solver's stencils: centered inside, one-sided at the
-    bed and surface rows."""
+    """h_p along the last axis of h (any leading shape) with the solver's
+    stencils, centered inside and one-sided at the bed and surface rows, all
+    in difference form: a column constant in p gives exactly zero."""
     hp = np.empty_like(h)
-    hp[:, 1:-1] = _three_point(grid.w1, h)
+    hp[..., 1:-1] = dp(h, grid.w1)
     wd = grid.ws.size
-    hp[:, 0] = h[:, :wd] @ grid.wb
-    hp[:, -1] = h[:, -wd:] @ grid.ws
+    hp[..., 0] = (h[..., 1:wd] - h[..., :1]) @ grid.wb[1:]
+    hp[..., -1] = (h[..., -wd:-1] - h[..., -1:]) @ grid.ws[:-1]
     return hp
 
 
@@ -63,7 +58,7 @@ def _derivatives(grid, h):
     and the Jacobian share; h_pp covers the interior rows only."""
     hp = solver_hp(grid, h)
     return (hp, dq(h, grid.wq1, "even"), dq(hp, grid.wq1, "even"),
-            dq(h, grid.wq2, "even"), _three_point(grid.w2, h))
+            dq(h, grid.wq2, "even"), dp(h, grid.w2))
 
 
 def _residual(grid, vf, g, h, Q, derivs):
@@ -138,15 +133,14 @@ def _jacobian_values(grid, vf, g, derivs):
     A3 = -2.0 * hqc * hpqc + 2.0 * hpc * hqqc + 3.0 * gam * hpc ** 2
     A4 = hpc ** 2
     A5 = -2.0 * hqc * hpc
-    w1, w2 = grid.w1[1:-1], grid.w2[1:-1]
     wq1, wq2 = grid.wq1[:, :, None], grid.wq2[:, :, None]
 
     values = []
     for di in (-1, 0, 1):
         for dj in (-1, 0, 1):
-            c = A5 * wq1[:, 1 + di] * w1[:, 1 + dj]
+            c = A5 * wq1[:, 1 + di] * grid.w1[:, 1 + dj]
             if di == 0:
-                c = c + A1 * w2[:, 1 + dj] + A3 * w1[:, 1 + dj]
+                c = c + A1 * grid.w2[:, 1 + dj] + A3 * grid.w1[:, 1 + dj]
             if dj == 0:
                 c = c + A4 * wq2[:, 1 + di] + A2 * wq1[:, 1 + di]
             # the j = 1 row has no j - 1 unknown: the bed is pinned
@@ -230,14 +224,13 @@ class _NewtonMatrix:
         self.indices = r[first].astype(np.intc)
         self.indptr = np.concatenate(
             [[0], np.cumsum(np.bincount(c[first], minlength=n))]).astype(np.intc)
-        self.first = entries[first].astype(np.intc)  # sets each stored value
-        self.repeat_slots = (np.cumsum(first) - 1)[~first]
-        self.repeats = entries[~first]  # entries added on top of it
+        self.slot = np.empty(entries.size, dtype=np.intp)
+        self.slot[entries] = np.cumsum(first) - 1  # each entry's stored value
 
     def _stored(self, values):
         """The matrix with these entry values, in the stored order, as CSC."""
-        data = values[self.first]
-        np.add.at(data, self.repeat_slots, values[self.repeats])
+        data = np.bincount(self.slot, weights=values,
+                           minlength=self.indices.size)
         n = self.indptr.size - 1
         return sparse.csc_matrix((data, self.indices, self.indptr),
                                  shape=(n, n))
@@ -412,22 +405,20 @@ def discrete_laminar(grid, vf, g, lam):
     hcol = cumulative_trapezoid((lam + 2.0 * vf.Gamma(grid.p)) ** -0.5,
                                 grid.p, initial=0.0)
     gam = vf.gamma(-grid.p)[1:-1]
-    wd = grid.ws.size
     for it in range(LAMINAR_MAX_ITER):
-        hp = _three_point(grid.w1, hcol)
-        hps = hcol[-wd:] @ grid.ws
-        if min(np.min(hp), hps) <= 0.0:
+        hp = solver_hp(grid, hcol)
+        if np.min(hp[1:]) <= 0.0:
             raise StagnationError("h_p <= 0 in the laminar column")
-        F = np.append(_three_point(grid.w2, hcol) + gam * hp ** 3,
-                      1.0 / (2.0 * hps ** 2) + g * hcol[-1] - Q)
+        F = np.append(dp(hcol, grid.w2) + gam * hp[1:-1] ** 3,
+                      1.0 / (2.0 * hp[-1] ** 2) + g * hcol[-1] - Q)
         if np.max(np.abs(F)) < newton_tolerance(Q):
             return hcol, Q, it
-        sub, diag, sup = _mode_operator(hp ** 2, gam, grid.w1[1:-1],
-                                        grid.w2[1:-1], 0.0)
+        sub, diag, sup = _mode_operator(hp[1:-1] ** 2, gam, grid.w1,
+                                        grid.w2, 0.0)
         # the surface row: the Bernoulli residual's derivative over ws
         J = (np.diag(np.append(diag, g)) + np.diag(np.append(sub, 0.0), -1)
              + np.diag(sup, 1))
-        J[-1, -wd:] -= grid.ws / hps ** 3
+        J[-1, -grid.ws.size:] -= grid.ws / hp[-1] ** 3
         hcol[1:] += np.linalg.solve(J, -F)
     raise NoConvergenceError("laminar column Newton did not converge")
 
@@ -490,26 +481,22 @@ def _top_eigenpair(sub, diag, sup, vector=True):
     return float(out[0][0]), out[1][:, 0] / scale
 
 
-def find_bifurcation(vf, g, L, m, lam_range=None, *, beta=0.5, lam_c=None):
+def find_bifurcation(vf, g, L, m, *, beta=0.5, lam_c=None):
     """Squared surface speed lam* where a cos(pi q / L) mode branches off.
 
     Root of the largest eigenvalue of the transverse mode operator on a
-    dedicated vertical grid of BIFURCATION_NODES nodes; always strictly below
-    lambda_c. `lam_c` is critical_lambda(vf, g), computed here unless the
-    caller has it.
+    dedicated vertical grid of BIFURCATION_NODES nodes, searched between
+    -2 min Gamma and lambda_c; always strictly below lambda_c. `lam_c` is
+    critical_lambda(vf, g), computed here unless the caller has it.
     """
     if lam_c is None:
         lam_c = critical_lambda(vf, g)
     floor = -2.0 * vf.Gamma_min()
-    if lam_range is None:
-        lam_range = (floor + 1e-4 * (lam_c - floor), lam_c)
-    lo, hi = lam_range
-    if not (floor < lo < hi <= lam_c + 1e-12):
-        raise InputError("lambda range must sit inside (floor, lambda_c]")
+    lo, hi = floor + 1e-4 * (lam_c - floor), lam_c
     p = stretched_nodes(m, BIFURCATION_NODES, beta)
-    dp = np.diff(p)
-    operator = _transverse_operator(vf, g, np.pi / L, p,
-                                    *three_point_weights(dp[:-1], dp[1:]))
+    spacing = np.diff(p)
+    operator = _transverse_operator(
+        vf, g, np.pi / L, p, *three_point_weights(spacing[:-1], spacing[1:]))
 
     def mu(lam):
         return _top_eigenpair(*operator(lam), vector=False)[0]
@@ -534,7 +521,7 @@ def bifurcation_mode(grid, vf, g, lam_star):
     solver-grid discretization mismatch is harmless.
     """
     _, v = _top_eigenpair(*_transverse_operator(
-        vf, g, np.pi / grid.L, grid.p, grid.w1[1:-1], grid.w2[1:-1])(lam_star))
+        vf, g, np.pi / grid.L, grid.p, grid.w1, grid.w2)(lam_star))
     if abs(v[-1]) < 1e-12 * np.max(np.abs(v)):
         raise NumericsError("mode shape vanishes at the surface")
     phi = np.concatenate([[0.0], v])

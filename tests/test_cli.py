@@ -344,18 +344,36 @@ class TestPipelineStreaming:
         assert not (out / "pipeline.json").exists()
 
 
-def test_bifurcate_computes_lambda_c_once(tmp_path, monkeypatch):
+def _count_critical_lambda(monkeypatch, modules):
+    """A list that gains an entry per critical_lambda call made through
+    the name in any of `modules`."""
     calls = []
-    for module in (cli, solver):
+    for module in modules:
         real = module.critical_lambda
 
         def counted(*args, _real=real, **kwargs):
             calls.append(None)
             return _real(*args, **kwargs)
         monkeypatch.setattr(module, "critical_lambda", counted)
+    return calls
+
+
+def test_bifurcate_computes_lambda_c_once(tmp_path, monkeypatch):
+    calls = _count_critical_lambda(monkeypatch, (cli, solver))
     cfg = write_config(tmp_path / "cfg.json")
     assert main(["bifurcate", "--config", str(cfg), "--out",
                  str(tmp_path / "b")]) == 0
+    assert len(calls) == 1
+
+
+def test_dispersion_computes_lambda_c_once(tmp_path, monkeypatch):
+    # both shear criteria take dispersion's lambda_c; gammasmallest's
+    # constant-vorticity cross-check passes it on to gammasmall
+    calls = _count_critical_lambda(monkeypatch, (cli, laminar))
+    cfg = write_config(tmp_path / "cfg.json",
+                       vorticity={"kind": "constant", "gamma": -0.3})
+    assert main(["dispersion", "--config", str(cfg), "--out",
+                 str(tmp_path / "d")]) == 0
     assert len(calls) == 1
 
 

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from vorwave.fd import (ColumnOps, dq, fd_weights, mirror_weights,
+from vorwave.fd import (ColumnOps, dp, dq, fd_weights, mirror_weights,
                         three_point_weights)
-from vorwave.grid import stretched_nodes
+from vorwave.grid import StripGrid, stretched_nodes
+from vorwave.solver import solver_hp
 
 
 def test_weights_match_classic_stencils():
@@ -104,6 +105,19 @@ def test_even_derivative_vanishes_at_ends_exactly():
         const = np.full((q.size, 3), 0.7315)
         for w in (wq1, wq2):
             assert np.all(dq(const, w, "even") == 0.0)
+
+
+def test_p_stencils_vanish_exactly_on_a_p_constant():
+    # the p axis in the same difference form as dq: the interior weights,
+    # and solver_hp's one-sided bed and surface rows too
+    for beta in (0.0, 0.5):
+        grid = StripGrid(np.pi, 1.0, 12, 41, beta=beta)
+        strip = np.cosh(np.cos(grid.q))[:, None] * np.ones(grid.npts)
+        column = np.full(grid.npts, 0.7315)
+        for field in (strip, column):
+            for w in (grid.w1, grid.w2):
+                assert np.all(dp(field, w) == 0.0)
+            assert np.all(solver_hp(grid, field) == 0.0)
 
 
 def test_odd_endpoint_uses_reflection():

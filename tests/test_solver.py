@@ -553,14 +553,10 @@ class TestBifurcation:
         assert 0.0 < lam_small < find_bifurcation(vf, G, L, M)
 
     def test_range_without_sign_change_raises(self):
+        # the search ends at lam_c; one below lam* ~ 4.37 leaves no root
         vf = VorticityFunction.constant(0.0, m=M)
         with pytest.raises(BifurcationNotFoundError):
-            find_bifurcation(vf, G, L, M, lam_range=(4.45, 4.58))
-
-    def test_invalid_range_rejected(self):
-        vf = VorticityFunction.constant(0.0, m=M)
-        with pytest.raises(InputError):
-            find_bifurcation(vf, G, L, M, lam_range=(-1.0, 2.0))
+            find_bifurcation(vf, G, L, M, lam_c=4.3)
 
     def test_mode_shape_matches_closed_form(self):
         vf = VorticityFunction.constant(0.0, m=M)
