@@ -41,12 +41,17 @@ MAX_RETRIES = 8
 
 @dataclass
 class BranchPoint:
+    """A stored wave. The counters are those of the Newton solve that
+    found it (zero for the trivial wave): its iterations, its LU
+    factorizations and its GMRES iterations."""
     index: int
     h: np.ndarray
     Q: float
     amplitude: float
     ds: float
     newton_iterations: int
+    factorizations: int
+    linear_iterations: int
 
 
 @dataclass
@@ -86,7 +91,7 @@ def continue_branch(grid, vf, g, steps, *, lam_star=None, ds0=0.005,
     fails halves the step and retries; attempts are capped at
     NEWTON_MAX_ITER iterations and abandoned at the first iteration that
     contracts the residual by less than NEWTON_MAX_CONTRACTION, so a stalled
-    attempt costs a few LU factorizations instead of dozens. After an attempt
+    attempt costs a few linear solves instead of dozens. After an attempt
     that converges in at most 4 iterations the step grows by 1.3, up to
     ds_max. `lam_star` defaults to find_bifurcation on a vertical grid
     with the stretching of `grid`.
@@ -122,7 +127,7 @@ def continue_branch(grid, vf, g, steps, *, lam_star=None, ds0=0.005,
         if on_point is not None:
             on_point(pt)
 
-    store(BranchPoint(0, h_triv, float(Q_triv), 0.0, 0.0, 0))
+    store(BranchPoint(0, h_triv, float(Q_triv), 0.0, 0.0, 0, 0, 0))
     trough_cut = trough_margin + TROUGH_BAND * max(1.0, g)
 
     def departure(ds):
@@ -140,7 +145,8 @@ def continue_branch(grid, vf, g, steps, *, lam_star=None, ds0=0.005,
             branch.stop_reason = "amplitude-reversal"
             return False
         store(BranchPoint(len(branch.points), res.h, float(res.Q), a,
-                          ds_used, res.iterations))
+                          ds_used, res.iterations, res.factorizations,
+                          res.linear_iterations))
         if trough_criterion_value(grid, vf, g, res.h) <= trough_cut:
             branch.stop_reason = "trough-criterion"
             return False
@@ -204,6 +210,19 @@ def write_json(path, payload):
         fh.write("\n")
 
 
+def _write_point(path, payload, h):
+    """write_json(path, payload with "h" the list of h's values), to the
+    byte, but with the long list encoded by the C encoder: indent=1 makes
+    json use its pure-Python one, a float at a time. The list's items sit
+    at depth 2, each on its own line."""
+    items = json.dumps(h.ravel().tolist(), separators=(",\n  ", ""))
+    text = json.dumps(dict(payload, h=None), sort_keys=True, indent=1)
+    text = text.replace('\n "h": null', '\n "h": [\n  %s\n ]' % items[1:-1],
+                        1)
+    with open(path, "w") as fh:
+        fh.write(text + "\n")
+
+
 def save_branch(branch, outdir):
     """Write branch.json plus one point_NNNN.json per stored wave.
 
@@ -225,13 +244,14 @@ def save_branch(branch, outdir):
             "index": pt.index,
             "Q": pt.Q,
             "amplitude": pt.amplitude,
-            "h": [float(x) for x in pt.h.ravel()],
         })
         name = point_filename(pt.index)
-        write_json(outdir / name, payload)
+        _write_point(outdir / name, payload, pt.h)
         index.append({
             "index": pt.index, "file": name, "amplitude": pt.amplitude,
             "Q": pt.Q, "ds": pt.ds, "newton_iterations": pt.newton_iterations,
+            "factorizations": pt.factorizations,
+            "linear_iterations": pt.linear_iterations,
         })
     summary = dict(common)
     summary.update({

@@ -20,7 +20,7 @@ from scipy import sparse
 from scipy.integrate import cumulative_trapezoid
 from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import brentq
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import LinearOperator, gmres, splu
 
 from .errors import (BifurcationNotFoundError, InputError, NoConvergenceError,
                      NumericsError, StagnationApproachError, StagnationError)
@@ -195,9 +195,10 @@ class _NewtonMatrix:
     in the one order of their positions; entries at one position add up,
     and explicit zeros stay. The compressed-column structure is built once,
     with rows and columns in one fixed order: the grid unknowns by nested
-    dissection, then the border. Each iteration only fills in values and
-    factors with the natural ordering; nothing changes the structure after
-    it is built.
+    dissection, then the border. Each Newton system only fills in values;
+    nothing changes the structure after it is built, so solves on one grid
+    share it. Factorizations are not shared: each solve gets its own from
+    `solver()`.
     """
 
     def __init__(self, grid, border_cols):
@@ -227,8 +228,12 @@ class _NewtonMatrix:
         self.slot = np.empty(entries.size, dtype=np.intp)
         self.slot[entries] = np.cumsum(first) - 1  # each entry's stored value
 
-    def _stored(self, values):
-        """The matrix with these entry values, in the stored order, as CSC."""
+    def stored(self, jac_values, border_values=None):
+        """The matrix with these values of J_hh's entries and of the border
+        row (None without a border), in the stored order, as CSC."""
+        values = jac_values
+        if border_values is not None:
+            values = np.concatenate([jac_values, self.dF_dQ, border_values])
         data = np.bincount(self.slot, weights=values,
                            minlength=self.indices.size)
         n = self.indptr.size - 1
@@ -238,18 +243,71 @@ class _NewtonMatrix:
     def matrix(self, jac_values):
         """The unbordered matrix J_hh with these entry values, in the order
         of pack_residual."""
-        return self._stored(jac_values)[self.position][:, self.position]
+        return self.stored(jac_values)[self.position][:, self.position]
 
-    def solve(self, jac_values, border_values, rhs):
+    def solver(self):
+        """The linear solver of one Newton iteration sequence, with no
+        factorization yet."""
+        return _KeptLU(self)
+
+
+# The first Newton system of a solve is factored by splu; each later one is
+# solved by GMRES, left-preconditioned by the solve's last factorization.
+# GMRES's answer counts only if its true residual is at most LINEAR_RTOL
+# times the right-hand side's (2-norms): a forcing term this small keeps the
+# inexact Newton steps (Eisenstat & Walker 1996) within rounding of the exact
+# ones, so the iterations and the converged wave stay those of exact Newton.
+# GMRES stops its inner iteration on the preconditioned residual, which can
+# pass while the true one does not, so it gets GMRES_CYCLES restart cycles of
+# GMRES_RESTART iterations; when it misses all the same, the system is
+# factored. A system that needed more than LU_REFRESH_ITER iterations drops
+# the factorization, so the next one is factored afresh.
+LINEAR_RTOL = 1e-6
+GMRES_RESTART = 20
+GMRES_CYCLES = 2
+LU_REFRESH_ITER = 10
+
+
+class _KeptLU:
+    """Solves the Newton systems of one newton_solve call, factoring as few
+    as the policy above allows; counts the factorizations and the GMRES
+    iterations. Being per call, the answers never depend on other solves on
+    the grid, and threads never share a factorization."""
+
+    def __init__(self, matrix):
+        self.matrix = matrix
+        self.lu = None
+        self.factorizations = 0
+        self.linear_iterations = 0
+
+    def __call__(self, jac_values, border_values, rhs):
         """Solution of the system whose matrix has the values of J_hh's
         entries and of the border row (None without a border)."""
-        values = jac_values
-        if border_values is not None:
-            values = np.concatenate([jac_values, self.dF_dQ, border_values])
-        lu = splu(self._stored(values), permc_spec="NATURAL")
+        A = self.matrix.stored(jac_values, border_values)
+        order = self.matrix.order
+        b = rhs[order]
+        y = None if self.lu is None else self._gmres(A, b)
+        if y is None:
+            self.lu = splu(A, permc_spec="NATURAL")
+            self.factorizations += 1
+            y = self.lu.solve(b)
         x = np.empty_like(rhs)
-        x[self.order] = lu.solve(rhs[self.order])
+        x[order] = y
         return x
+
+    def _gmres(self, A, b):
+        """GMRES's answer if its true residual passes, else None."""
+        residuals = []
+        y, _ = gmres(A, b, rtol=LINEAR_RTOL, restart=GMRES_RESTART,
+                     maxiter=GMRES_CYCLES,
+                     M=LinearOperator(A.shape, self.lu.solve, dtype=float),
+                     callback=residuals.append, callback_type="pr_norm")
+        self.linear_iterations += len(residuals)
+        if len(residuals) > LU_REFRESH_ITER:
+            self.lu = None
+        if np.linalg.norm(A @ y - b) <= LINEAR_RTOL * np.linalg.norm(b):
+            return y
+        return None
 
 
 def _newton_matrix(grid, mode, border):
@@ -264,10 +322,14 @@ def _newton_matrix(grid, mode, border):
 
 @dataclass
 class SolverResult:
+    """A converged solve; `factorizations` counts its splu calls and
+    `linear_iterations` its GMRES iterations."""
     h: np.ndarray
     Q: float
     iterations: int
     residual_norm: float
+    factorizations: int
+    linear_iterations: int
 
 
 def newton_tolerance(Q):
@@ -319,12 +381,17 @@ def newton_solve(grid, vf, g, h0, Q0, mode="fixed_q", *, amplitude_target=None,
     Jacobian. Steps are halved whenever the candidate would push min h_p
     below the positivity floor or fails to reduce the residual norm.
 
-    Each iteration factors the Newton matrix once with `splu`. Its sparsity
-    pattern is built once per grid and solve mode and kept on the grid, with
-    rows and columns in a fixed fill-reducing order: the grid unknowns by
-    nested dissection, the appended equation last. Every iteration fills the
-    values into that pattern and factors with SuperLU's natural ordering,
-    so SuperLU never computes an ordering of its own.
+    The Newton matrix's sparsity pattern is built once per grid and solve
+    mode and kept on the grid, with rows and columns in a fixed
+    fill-reducing order: the grid unknowns by nested dissection, the
+    appended equation last. Every iteration fills the values into that
+    pattern. The call's first system is factored by `splu` with SuperLU's
+    natural ordering, so SuperLU never computes an ordering of its own; the
+    later ones are solved by GMRES preconditioned with the call's last
+    factorization, and factored only when GMRES misses a true relative
+    residual of LINEAR_RTOL (see _KeptLU). Factorizations never outlive the
+    call, so a solve's result does not depend on earlier solves on the grid.
+    The result counts the factorizations and the GMRES iterations.
 
     With `max_contraction` set to theta < 1, the iteration gives up with
     NoConvergenceError as soon as an iteration that has not converged cuts
@@ -335,7 +402,7 @@ def newton_solve(grid, vf, g, h0, Q0, mode="fixed_q", *, amplitude_target=None,
     """
     extra, border = _solve_mode(grid, mode, amplitude_target, base, tangent,
                                 ds)
-    matrix = _newton_matrix(grid, mode, border)
+    solve = _newton_matrix(grid, mode, border).solver()
     h = np.array(h0, dtype=float)
     h[:, 0] = 0.0
     Q = float(Q0)
@@ -350,7 +417,8 @@ def newton_solve(grid, vf, g, h0, Q0, mode="fixed_q", *, amplitude_target=None,
     for it in range(max_iter + 1):
         nrm = float(np.max(np.abs(F)))
         if nrm < newton_tolerance(Q):
-            return SolverResult(h, Q, it, nrm)
+            return SolverResult(h, Q, it, nrm, solve.factorizations,
+                                solve.linear_iterations)
         if it == max_iter:
             raise NoConvergenceError(
                 "residual %.3g after %d Newton iterations" % (nrm, max_iter))
@@ -362,8 +430,8 @@ def newton_solve(grid, vf, g, h0, Q0, mode="fixed_q", *, amplitude_target=None,
                 % (it, prev_nrm, nrm, nrm / prev_nrm, max_contraction))
         prev_nrm = nrm
 
-        delta = matrix.solve(_jacobian_values(grid, vf, g, derivs),
-                             None if border is None else border[1], -F)
+        delta = solve(_jacobian_values(grid, vf, g, derivs),
+                      None if border is None else border[1], -F)
         dh = np.zeros_like(h)
         dh[:, 1:] = delta[:h[:, 1:].size].reshape(grid.nq, grid.npts - 1)
         dQ = 0.0 if border is None else float(delta[-1])

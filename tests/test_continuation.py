@@ -266,3 +266,40 @@ class TestSerialization:
             a = (tmp_path / "r1" / name).read_bytes()
             b = (tmp_path / "r2" / name).read_bytes()
             assert a == b
+
+    def test_point_files_have_the_bytes_of_json_dump(self,
+                                                     branch_irrotational,
+                                                     tmp_path):
+        # the point writer encodes h by the C encoder; its files must be
+        # what json.dump(indent=1) writes, trailing newline included
+        import json
+        br = branch_irrotational
+        save_branch(br, tmp_path / "b")
+        grid = br.grid
+        for pt in br.points:
+            payload = {
+                "L": grid.L, "m": grid.m, "nq": grid.nq, "npts": grid.npts,
+                "beta": grid.beta, "g": br.g, "vorticity": br.vf.to_config(),
+                "index": pt.index, "Q": pt.Q, "amplitude": pt.amplitude,
+                "h": [float(x) for x in pt.h.ravel()],
+            }
+            expected = json.dumps(payload, sort_keys=True, indent=1) + "\n"
+            path = tmp_path / "b" / continuation.point_filename(pt.index)
+            assert path.read_bytes() == expected.encode()
+
+    def test_index_records_the_solve_counters(self, branch_irrotational,
+                                              tmp_path):
+        import json
+        save_branch(branch_irrotational, tmp_path / "c")
+        with open(tmp_path / "c" / "branch.json") as fh:
+            rows = json.load(fh)["points"]
+        for row, pt in zip(rows, branch_irrotational.points):
+            assert row["factorizations"] == pt.factorizations
+            assert row["linear_iterations"] == pt.linear_iterations
+        trivial, *solved = branch_irrotational.points
+        assert (trivial.factorizations, trivial.linear_iterations) == (0, 0)
+        for pt in solved:
+            assert 1 <= pt.factorizations <= pt.newton_iterations
+        # the kept LU saves at least half of the factorizations
+        assert 2 * sum(pt.factorizations for pt in solved) <= \
+            sum(pt.newton_iterations for pt in solved)

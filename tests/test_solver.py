@@ -247,29 +247,38 @@ class TestNewton:
         assert 0.9 * old < new < old
 
 
-def bmat_solve(grid):
-    """Stand-in for _NewtonMatrix.solve that assembles every matrix afresh,
-    as each Newton iteration did before the pattern was kept: J_hh from COO
-    triplets, the border added by sparse.bmat from dense blocks (which drops
-    their zeros), then splu with its default COLAMD ordering."""
+def bmat_solver(grid, factored):
+    """Stand-in for _NewtonMatrix.solver whose solver assembles every matrix
+    afresh and factors each, as each Newton iteration did before the pattern
+    and the factorization were kept: J_hh from COO triplets, the border
+    added by sparse.bmat from dense blocks (which drops their zeros), then
+    splu with its default COLAMD ordering. Appends 1 to `factored` per
+    factorization."""
     rows, cols = solver._jacobian_positions(grid)
     n = grid.nq * (grid.npts - 1)
     dF_dQ = np.zeros(n)
     dF_dQ[solver._surface_rows(grid)] = -1.0
 
-    def solve(self, jac_values, border_values, rhs):
-        J = sparse.coo_matrix((jac_values, (rows, cols)), shape=(n, n)).tocsc()
-        if border_values is not None:
-            if border_values.size == n + 1:  # arclength: tangent row, corner
-                row = border_values
-            else:  # fixed amplitude: crest minus trough, no corner
-                row = np.zeros(n + 1)
-                row[grid.npts - 2], row[n - 1] = border_values
-            J = sparse.bmat([[J, dF_dQ[:, None]],
-                             [row[None, :n], row[None, n:]]], format="csc")
-        return splu(J).solve(rhs)
+    class Fresh:
+        factorizations = 0
+        linear_iterations = 0
 
-    return solve
+        def __call__(self, jac_values, border_values, rhs):
+            J = sparse.coo_matrix((jac_values, (rows, cols)),
+                                  shape=(n, n)).tocsc()
+            if border_values is not None:
+                if border_values.size == n + 1:  # arclength: tangent, corner
+                    row = border_values
+                else:  # fixed amplitude: crest minus trough, no corner
+                    row = np.zeros(n + 1)
+                    row[grid.npts - 2], row[n - 1] = border_values
+                J = sparse.bmat([[J, dF_dQ[:, None]],
+                                 [row[None, :n], row[None, n:]]], format="csc")
+            self.factorizations += 1
+            factored.append(1)
+            return splu(J).solve(rhs)
+
+    return lambda matrix: Fresh()
 
 
 def recording_splu(monkeypatch):
@@ -298,7 +307,9 @@ class TestNewtonMatrixPattern:
         kept = continue_branch(StripGrid(L, M, 24, 20, beta=0.5), vf, G, 20,
                                lam_star=lam_star)
         grid = StripGrid(L, M, 24, 20, beta=0.5)
-        monkeypatch.setattr(solver._NewtonMatrix, "solve", bmat_solve(grid))
+        iterations = []  # one fresh factorization per Newton iteration
+        monkeypatch.setattr(solver._NewtonMatrix, "solver",
+                            bmat_solver(grid, iterations))
         fresh = continue_branch(grid, vf, G, 20, lam_star=lam_star)
 
         Qs = [pt.Q for pt in kept.points]
@@ -309,8 +320,13 @@ class TestNewtonMatrixPattern:
             assert (a.ds, a.newton_iterations) == (b.ds, b.newton_iterations)
             assert np.max(np.abs(a.h - b.h)) <= 1e-9
             assert abs(a.Q - b.Q) <= 1e-9
+        # each solve factors at least once, and the branch, failed attempts
+        # included, factors fewer times than it takes Newton iterations;
         # SuperLU never computes an ordering of its own
-        assert len(calls) > 50
+        assert all(pt.factorizations >= 1 for pt in kept.points[1:])
+        assert sum(pt.factorizations for pt in kept.points) < \
+            sum(pt.newton_iterations for pt in kept.points)
+        assert 0 < len(calls) < len(iterations)
         assert all(c[0] == "NATURAL" for c in calls)
 
     def test_tangent_with_an_exact_zero_entry(self, monkeypatch):
@@ -348,7 +364,8 @@ class TestNewtonMatrixPattern:
         assert len({nnz for _, _, nnz in calls}) == 1
         assert all(c[0] == "NATURAL" for c in calls)
 
-        monkeypatch.setattr(solver._NewtonMatrix, "solve", bmat_solve(grid))
+        monkeypatch.setattr(solver._NewtonMatrix, "solver",
+                            bmat_solver(grid, []))
         reference = arclength(grid, zeroed)
         n = t_h[:, 1:].size
         for res in (on_new_grid, solved_before):
@@ -378,7 +395,8 @@ class TestNewtonMatrixPattern:
             start = len(calls)
             res = solve(grid, seed)
             assert np.array_equal(res.h, ref.h) and res.Q == ref.Q
-            assert res.iterations == len(calls) - start > 0
+            assert 1 <= res.factorizations == len(calls) - start
+            assert res.factorizations <= res.iterations
         assert all(c[0] == "NATURAL" for c in calls)
         patterns = [grid.newton_patterns["fixed_amplitude"] for grid in grids]
         assert len({id(p) for p in patterns}) == len(grids)
@@ -468,6 +486,95 @@ class TestNewtonMatrixPattern:
         for res in results:
             assert np.array_equal(res.h, serial.h) and res.Q == serial.Q
             assert res.iterations == serial.iterations
+
+
+class TestKeptFactorization:
+    """A solve factors its first Newton system; each later one goes to
+    GMRES, preconditioned by the solve's last LU, whose answer counts only
+    on its true residual; a miss factors the system."""
+
+    @pytest.fixture(scope="class")
+    def problem(self):
+        vf = VorticityFunction.constant(-0.3, m=M)
+        lam_star = find_bifurcation(vf, G, L, M)
+        seeds = {a: seed_wave(StripGrid(L, M, 24, 20, beta=0.5), vf, G,
+                              lam_star, a) for a in (0.05, 0.1, 0.15)}
+        return vf, seeds
+
+    @staticmethod
+    def solve(vf, seeds, a, grid=None):
+        if grid is None:
+            grid = StripGrid(L, M, 24, 20, beta=0.5)
+        return newton_solve(grid, vf, G, *seeds[a], mode="fixed_amplitude",
+                            amplitude_target=a)
+
+    def test_gmres_solves_the_later_systems(self, problem):
+        vf, seeds = problem
+        res = self.solve(vf, seeds, 0.1)
+        assert res.iterations >= 3
+        assert 1 <= res.factorizations < res.iterations
+        assert res.linear_iterations > 0
+
+    def test_a_wrong_answer_reported_as_converged_is_refactored(
+            self, problem, monkeypatch):
+        vf, seeds = problem
+        grid = StripGrid(L, M, 24, 20, beta=0.5)
+        calls = recording_splu(monkeypatch)
+        monkeypatch.setattr(solver, "gmres",
+                            lambda A, b, **kwargs: (np.ones_like(b), 0))
+        res = self.solve(vf, seeds, 0.1, grid)
+        assert res.factorizations == res.iterations == len(calls)
+        assert all(c[0] == "NATURAL" for c in calls)
+        monkeypatch.setattr(solver._NewtonMatrix, "solver",
+                            bmat_solver(grid, []))
+        fresh = self.solve(vf, seeds, 0.1, grid)
+        assert res.iterations == fresh.iterations
+        assert np.max(np.abs(res.h - fresh.h)) <= 1e-9
+        assert abs(res.Q - fresh.Q) <= 1e-9
+
+    def test_failing_gmres_factors_every_system(self, problem, monkeypatch):
+        vf, seeds = problem
+        kept = self.solve(vf, seeds, 0.1)
+
+        def failing_gmres(A, b, **kwargs):
+            return np.full_like(b, np.nan), solver.GMRES_CYCLES
+
+        monkeypatch.setattr(solver, "gmres", failing_gmres)
+        res = self.solve(vf, seeds, 0.1)
+        assert res.factorizations == res.iterations == kept.iterations
+        assert res.linear_iterations == 0
+        assert np.max(np.abs(res.h - kept.h)) <= 1e-9
+        assert abs(res.Q - kept.Q) <= 1e-9
+
+    def test_a_long_gmres_solve_drops_the_lu(self, problem, monkeypatch):
+        # with no GMRES iteration allowed before the LU is dropped, GMRES
+        # solves every other system and the rest are factored
+        vf, seeds = problem
+        kept = self.solve(vf, seeds, 0.1)
+        monkeypatch.setattr(solver, "LU_REFRESH_ITER", 0)
+        res = self.solve(vf, seeds, 0.1)
+        assert res.iterations == kept.iterations
+        assert res.factorizations == (res.iterations + 1) // 2
+        assert np.max(np.abs(res.h - kept.h)) <= 1e-9
+
+    def test_a_used_grid_solves_as_a_fresh_one(self, problem):
+        # nothing of a factorization outlives its solve: after solves in
+        # other modes and at other points on the grid, a solve gives the
+        # bits it gives on a fresh grid
+        vf, seeds = problem
+        grid = StripGrid(L, M, 24, 20, beta=0.5)
+        flow = laminar_flow(vf, 1.0, G)
+        newton_solve(grid, vf, G, np.tile(flow.height(grid.p), (grid.nq, 1)),
+                     flow.Q + 0.01)
+        for a in (0.05, 0.15):
+            self.solve(vf, seeds, a, grid)
+        used = self.solve(vf, seeds, 0.1, grid)
+        fresh = self.solve(vf, seeds, 0.1)
+        assert np.array_equal(used.h, fresh.h) and used.Q == fresh.Q
+        assert (used.iterations, used.factorizations,
+                used.linear_iterations) == (fresh.iterations,
+                                            fresh.factorizations,
+                                            fresh.linear_iterations)
 
 
 class TestDiscreteLaminar:
