@@ -244,8 +244,7 @@ class _Auditor:
         self.bern_tol = (tol.bern if tol.bern is not None
                          else 1e-6 * max(1.0, abs(wf.Q)))
         self.eq_tol = tol.eq if tol.eq is not None else 1e-6 * g * wf.d
-        delta = max(np.max(np.diff(wf.q)), np.max(np.diff(wf.p)))
-        self.res_tol = tol.residual_scale * delta ** 2
+        self.res_tol = tol.residual_scale * wf.grid.delta ** 2
         self.band = tol.boundary_band
         self.out = []
 
@@ -684,7 +683,7 @@ class _Auditor:
                                None)
             return
         W = self.u[:, -1] ** 2
-        Wx = dq(W, wf.wq1, "even")
+        Wx = dq(W, wf.grid.wq1, "even")
         mn = float(np.min(Wx[1:-1]))
         idx = int(np.argmin(Wx[1:-1])) + 1
         self.add("D-monotone-u2", desc, "surface:speed-monotone",

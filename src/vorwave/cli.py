@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import datetime
 import hashlib
-import json
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -26,8 +25,8 @@ import numpy as np
 from . import __version__
 from .audit import Tolerances, audit_wave
 from .config import RunConfig
-from .continuation import continue_branch, load_point, point_filename, \
-    save_branch, write_json
+from .continuation import _point_files, continue_branch, load_point, \
+    point_filename, save_branch, write_json
 from .errors import ConfigError, InputError, SolverError
 from .fields import WaveField, reconstruct
 from .gerstner import TrochoidalWave
@@ -88,10 +87,6 @@ def _field_filename(index):
     return point_filename(index).replace(".json", ".csv")
 
 
-def _report_filename(index):
-    return "report_%04d.json" % index
-
-
 # -- subcommand bodies -------------------------------------------------------
 
 
@@ -137,13 +132,12 @@ def _run_bifurcate(cfg, outdir):
     return payload
 
 
-def _make_branch(cfg, grid, vf, lam_star, on_point=None):
+def _make_branch(cfg, grid, vf, lam_star):
     cont = cfg.continuation
     return continue_branch(grid, vf, cfg.g, cont.steps, lam_star=lam_star,
                            ds0=cont.ds0, ds_max=cont.ds_max,
                            eps_stag=cont.eps_stag,
-                           trough_margin=cont.trough_margin,
-                           on_point=on_point)
+                           trough_margin=cont.trough_margin)
 
 
 def _run_continue(cfg, outdir):
@@ -155,18 +149,10 @@ def _run_continue(cfg, outdir):
 
 def _branch_point_files(outdir, point):
     """(index, path) pairs for stored branch points, oldest first."""
-    branch_json = outdir / "branch" / "branch.json"
-    if not branch_json.exists():
+    if not (outdir / "branch" / "branch.json").exists():
         raise ConfigError("no branch under %s; run `continue` (or "
                           "`pipeline`) first" % outdir)
-    try:
-        with open(branch_json) as fh:
-            index = json.load(fh)["points"]
-        files = [(int(row["index"]), outdir / "branch" / row["file"])
-                 for row in index]
-    except (ValueError, KeyError, TypeError) as exc:
-        raise InputError("unusable branch index %s: %s: %s"
-                         % (branch_json, type(exc).__name__, exc)) from exc
+    files = _point_files(outdir / "branch")
     if point is not None:
         matches = [pair for pair in files if pair[0] == point]
         if not matches:
@@ -177,19 +163,30 @@ def _branch_point_files(outdir, point):
 
 
 def _run_reconstruct(cfg, outdir, point):
+    files = _branch_point_files(outdir, point)
     fields_dir = outdir / "fields"
     fields_dir.mkdir(exist_ok=True)
-    for idx, path in _branch_point_files(outdir, point):
-        grid, vf, g, h, Q = load_point(path)
-        wf = reconstruct(grid, vf, g, h, Q)
-        wf.to_csv(fields_dir / _field_filename(idx))
+    for i, path in files:
+        reconstruct(*load_point(path)).to_csv(fields_dir / _field_filename(i))
     return 0
 
 
-def _audit_one(wf, tol, lam_c, reports_dir, index):
-    report = audit_wave(wf, tol=tol, lam_c=lam_c)
-    write_json(reports_dir / _report_filename(index), report.as_json())
-    return report.passed()
+def _audit_points(points, tol, lam_c, outdir):
+    """Reconstruct and audit each (index, grid, vf, g, h, Q), writing its
+    reports/report_NNNN.json; return whether each passed and the last
+    (index, field). lam_c None means the first point's; all share vf, g."""
+    reports_dir = outdir / "reports"
+    reports_dir.mkdir(exist_ok=True)
+    outcomes, last = [], None
+    for i, grid, vf, g, h, Q in points:
+        if lam_c is None:
+            lam_c = critical_lambda(vf, g)
+        wf = reconstruct(grid, vf, g, h, Q)
+        report = audit_wave(wf, tol=tol, lam_c=lam_c)
+        write_json(reports_dir / ("report_%04d.json" % i), report.as_json())
+        outcomes.append(report.passed())
+        last = i, wf
+    return outcomes, last
 
 
 def _run_audit(cfg, outdir, field_csv, point, manifest):
@@ -203,18 +200,9 @@ def _run_audit(cfg, outdir, field_csv, point, manifest):
         write_json(outdir / "report.json", report.as_json())
         return 0 if report.passed() else 1
     files = _branch_point_files(outdir, point)
-    reports_dir = outdir / "reports"
-    reports_dir.mkdir(exist_ok=True)
-    all_pass = True
-    lam_c = None
-    for idx, path in files:
-        grid, vf, g, h, Q = load_point(path)
-        if lam_c is None:
-            # every point of a branch shares its vorticity and g
-            lam_c = critical_lambda(vf, g)
-        wf = reconstruct(grid, vf, g, h, Q)
-        all_pass = _audit_one(wf, tol, lam_c, reports_dir, idx) and all_pass
-    return 0 if all_pass else 1
+    outcomes, _ = _audit_points(((idx, *load_point(path))
+                                 for idx, path in files), tol, None, outdir)
+    return 0 if all(outcomes) else 1
 
 
 def _run_gerstner(args, outdir):
@@ -226,34 +214,18 @@ def _run_gerstner(args, outdir):
 
 
 def _run_pipeline(cfg, outdir):
-    """Bifurcate, then continue the branch, reconstructing and auditing
-    each point in this thread as soon as continuation stores it.
-
-    Only the last stored point, the steepest wave, gets its field CSV;
-    `reconstruct` writes the others on demand.
-    """
+    """Bifurcate, continue and store the branch, then audit every point.
+    Only the last point, the steepest wave, gets its field CSV;
+    `reconstruct` writes the others on demand."""
     bif = _run_bifurcate(cfg, outdir)
     grid, vf = cfg.build_grid(), cfg.build_vorticity()
-    fields_dir = outdir / "fields"
-    fields_dir.mkdir(exist_ok=True)
-    reports_dir = outdir / "reports"
-    reports_dir.mkdir(exist_ok=True)
-    tol = cfg.build_tolerances()
-    outcomes = []
-    last = None
-
-    def on_point(pt):
-        nonlocal last
-        wf = reconstruct(grid, vf, cfg.g, pt.h, pt.Q)
-        last = pt.index, wf
-        outcomes.append(_audit_one(wf, tol, bif["lambda_c"], reports_dir,
-                                   pt.index))
-
-    branch = _make_branch(cfg, grid, vf, bif["lambda_star"],
-                          on_point=on_point)
+    branch = _make_branch(cfg, grid, vf, bif["lambda_star"])
     save_branch(branch, outdir / "branch")
-    index, wf = last
-    wf.to_csv(fields_dir / _field_filename(index))
+    outcomes, (index, wf) = _audit_points(
+        ((pt.index, grid, vf, cfg.g, pt.h, pt.Q) for pt in branch.points),
+        cfg.build_tolerances(), bif["lambda_c"], outdir)
+    (outdir / "fields").mkdir(exist_ok=True)
+    wf.to_csv(outdir / "fields" / _field_filename(index))
     summary = {
         "points": len(branch.points),
         "stop_reason": branch.stop_reason,

@@ -80,8 +80,7 @@ def near_stagnation(grid, h, eps_stag):
 
 
 def continue_branch(grid, vf, g, steps, *, lam_star=None, ds0=0.005,
-                    ds_max=0.04, eps_stag=None, trough_margin=0.0,
-                    on_point=None):
+                    ds_max=0.04, eps_stag=None, trough_margin=0.0):
     """Continue the branch for up to `steps` nontrivial points.
 
     Returns a Branch whose first point is always the trivial wave. The
@@ -101,14 +100,6 @@ def continue_branch(grid, vf, g, steps, *, lam_star=None, ds0=0.005,
     amplitude does not exceed the last stored one; it is discarded and the
     branch ends on the last good point), "trough-criterion" (the point is
     kept), "newton-failure" (after MAX_RETRIES halvings of the step).
-
-    `on_point`, if given, is called in this thread with each BranchPoint as
-    soon as it is stored, so a caller can process points while the branch
-    is still being traced: the trivial point first, then every later point
-    the branch keeps (the trough-criterion point too, the discarded
-    near-stagnation and amplitude-reversal points never). The calls are in
-    order and together see exactly the final `points`. Continuation never
-    modifies a stored point.
     """
     if steps < 0:
         raise NumericsError("steps must be nonnegative")
@@ -121,13 +112,8 @@ def continue_branch(grid, vf, g, steps, *, lam_star=None, ds0=0.005,
     h_triv = np.tile(hcol, (grid.nq, 1))
     phi = bifurcation_mode(grid, vf, g, lam_star)
     branch = Branch(grid, vf, g, float(lam_star))
-
-    def store(pt):
-        branch.points.append(pt)
-        if on_point is not None:
-            on_point(pt)
-
-    store(BranchPoint(0, h_triv, float(Q_triv), 0.0, 0.0, 0, 0, 0))
+    branch.points.append(BranchPoint(0, h_triv, float(Q_triv), 0.0, 0.0,
+                                     0, 0, 0))
     trough_cut = trough_margin + TROUGH_BAND * max(1.0, g)
 
     def departure(ds):
@@ -144,9 +130,9 @@ def continue_branch(grid, vf, g, steps, *, lam_star=None, ds0=0.005,
         if a <= branch.points[-1].amplitude:
             branch.stop_reason = "amplitude-reversal"
             return False
-        store(BranchPoint(len(branch.points), res.h, float(res.Q), a,
-                          ds_used, res.iterations, res.factorizations,
-                          res.linear_iterations))
+        branch.points.append(BranchPoint(
+            len(branch.points), res.h, float(res.Q), a, ds_used,
+            res.iterations, res.factorizations, res.linear_iterations))
         if trough_criterion_value(grid, vf, g, res.h) <= trough_cut:
             branch.stop_reason = "trough-criterion"
             return False
@@ -261,6 +247,24 @@ def save_branch(branch, outdir):
     })
     write_json(outdir / "branch.json", summary)
     return outdir / "branch.json"
+
+
+def _point_files(branch_dir):
+    """(index, path) of each point branch_dir/branch.json lists. InputError
+    if it is unreadable or a row's file is not point_filename(index)."""
+    branch_json = Path(branch_dir) / "branch.json"
+    try:
+        with open(branch_json) as fh:
+            rows = json.load(fh)["points"]
+        files = [(int(row["index"]), row["file"]) for row in rows]
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise InputError("unusable branch index %s: %s: %s"
+                         % (branch_json, type(exc).__name__, exc)) from exc
+    for index, name in files:
+        if name != point_filename(index):
+            raise InputError("branch index %s names %r as point %d"
+                             % (branch_json, name, index))
+    return [(index, branch_json.parent / name) for index, name in files]
 
 
 def load_point(path):

@@ -7,11 +7,11 @@ the strip,
 
     F_x = F_q - (h_q / h_p) F_p,      F_y = F_p / h_p,
 
-where F_q respects the even/odd symmetry of F across q = 0 and q = L. The
-surface value of h_p uses the same six-point window (ColumnOps.WIDTH) as the
-solver's Bernoulli row, which makes the reconstructed surface pressure agree
-with the converged residual to Newton tolerance rather than to truncation
-order.
+where F_q respects the even/odd symmetry of F across q = 0 and q = L. Every
+weight is the field's StripGrid's; the surface h_p uses the same six-point
+window (column_ops) as the solver's Bernoulli row, which makes the
+reconstructed surface pressure agree with the converged residual to Newton
+tolerance rather than to truncation order.
 """
 
 from __future__ import annotations
@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, StagnationError
-from .fd import ColumnOps, dq, mirror_weights
+from .fd import dq
+from .grid import StripGrid
 
 CSV_COLUMNS = ("q", "p", "x", "y", "u", "v", "P", "psi", "omega",
                "ux", "uy", "vx", "vy", "uxx", "uxy")
@@ -45,17 +46,17 @@ class SurfaceTrace:
 class WaveField:
     """Velocities, pressure, and derivatives of one computed wave.
 
-    Instances come from `reconstruct` (given a solved height field) or
-    `WaveField.from_csv`. The stored arrays are authoritative; h_q and h_p are
-    rebuilt from h so the derivative closures dx/dy work on either path.
-    `ops` is the ColumnOps of p when the caller has one already; the field
-    builds its own otherwise.
+    Instances come from `reconstruct` (a solved height field on its grid) or
+    `WaveField.from_csv` (on `StripGrid.from_nodes` of the file's nodes); the
+    field differentiates with its `grid`'s weights. The stored arrays are
+    authoritative; h_q and h_p are rebuilt from h so dx/dy work on either.
     """
 
-    def __init__(self, q, p, g, Q, d, h, u, v, P, psi, omega,
-                 ux, uy, vx, vy, uxx, uxy, vf=None, ops=None):
-        self.q = np.asarray(q, dtype=float)
-        self.p = np.asarray(p, dtype=float)
+    def __init__(self, grid, g, Q, d, h, u, v, P, psi, omega,
+                 ux, uy, vx, vy, uxx, uxy, vf=None):
+        self.grid = grid
+        self.q, self.p, self.L, self.m = grid.q, grid.p, grid.L, grid.m
+        self.nq, self.npts = grid.nq, grid.npts
         self.g = float(g)
         self.Q = float(Q)
         self.d = float(d)
@@ -64,40 +65,23 @@ class WaveField:
         self.u, self.v, self.P, self.psi, self.omega = u, v, P, psi, omega
         self.ux, self.uy, self.vx, self.vy = ux, uy, vx, vy
         self.uxx, self.uxy = uxx, uxy
-        self.wq1, self.wq2 = mirror_weights(self.q)
-        self.ops = ColumnOps(self.p) if ops is None else ops
-        self.hp = self.ops.apply(h)
+        self.hp = grid.column_ops.apply(h)
         if np.min(self.hp) <= 0.0:
             raise StagnationError("h_p <= 0 in a reconstructed field")
-        self.hq = dq(h, self.wq1, "even")
+        self.hq = dq(h, grid.wq1, "even")
         self.y = h - self.d
         self.eta = h[:, -1] - self.d
-        self.eta_x = dq(self.eta, self.wq1, "even")
-        self.eta_xx = dq(self.eta, self.wq2, "even")
-
-    @property
-    def L(self):
-        return float(self.q[-1])
-
-    @property
-    def m(self):
-        return float(-self.p[0])
-
-    @property
-    def nq(self):
-        return self.q.size
-
-    @property
-    def npts(self):
-        return self.p.size
+        self.eta_x = dq(self.eta, grid.wq1, "even")
+        self.eta_xx = dq(self.eta, grid.wq2, "even")
 
     def dx(self, F, parity):
         """x-derivative of a strip quantity with the given q-parity."""
-        return dq(F, self.wq1, parity) - self.hq / self.hp * self.ops.apply(F)
+        return (dq(F, self.grid.wq1, parity)
+                - self.hq / self.hp * self.grid.column_ops.apply(F))
 
     def dy(self, F):
         """y-derivative of a strip quantity."""
-        return self.ops.apply(F) / self.hp
+        return self.grid.column_ops.apply(F) / self.hp
 
     def speed_squared(self):
         return self.u ** 2 + self.v ** 2
@@ -167,15 +151,11 @@ class WaveField:
         npts = int(block[0]) if block.size else data.shape[0]
         if data.shape[0] % npts != 0:
             raise InputError("row count is not a whole number of columns")
-        nq = data.shape[0] // npts
-        if nq < 4 or npts < 7:
-            raise InputError("%s holds %d x %d nodes; a field needs "
-                             "nq >= 4 and npts >= 7" % (path, nq, npts))
-        q = q_col[::npts].copy()
-        p = p_col[:npts].copy()
-        if np.any(np.diff(q) <= 0) or np.any(np.diff(p) <= 0):
-            raise InputError("nodes out of order in %s" % path)
-        grids = {name: data[:, idx].reshape(nq, npts)
+        try:
+            grid = StripGrid.from_nodes(q_col[::npts], p_col[:npts])
+        except InputError as exc:
+            raise InputError("%s: %s" % (path, exc)) from exc
+        grids = {name: data[:, idx].reshape(grid.nq, npts)
                  for idx, name in enumerate(CSV_COLUMNS)}
         y = grids["y"]
         d = float(-y[0, 0])
@@ -187,7 +167,7 @@ class WaveField:
             raise InputError(
                 "surface Bernoulli head %.12g disagrees with metadata %.12g"
                 % (Q, Q_meta))
-        return cls(q, p, g, Q_meta, d, h, u, v, P, grids["psi"],
+        return cls(grid, g, Q_meta, d, h, u, v, P, grids["psi"],
                    grids["omega"], grids["ux"], grids["uy"], grids["vx"],
                    grids["vy"], grids["uxx"], grids["uxy"], vf=vf)
 
@@ -204,8 +184,7 @@ def reconstruct(grid, vf, g, h, Q):
     d = float(np.trapezoid(h[:, -1], x=grid.q) / grid.L)
     # The field computes h_p (refusing stagnation) and h_q from h; every
     # other array is filled in from them, the derivatives by its dx and dy.
-    wf = WaveField(grid.q, grid.p, g, float(Q), d, h, *[None] * 11, vf=vf,
-                   ops=grid.column_ops)
+    wf = WaveField(grid, g, float(Q), d, h, *[None] * 11, vf=vf)
     u = -1.0 / wf.hp
     v = -wf.hq / wf.hp
     wf.u = u

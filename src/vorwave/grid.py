@@ -2,10 +2,10 @@
 
 The half period [0, L] x [-m, 0] carries a uniform horizontal grid and a
 vertical grid stretched toward p = 0, where the free-surface condition makes
-gradients steepest. Only the grid places nodes; all derivative weights,
-along q as along p, come from the actual node spacings, so no chain-rule
-factors or uniform-spacing formulas appear in the residual, the
-reconstruction or the audit.
+gradients steepest, or any nodes given to `StripGrid.from_nodes`. Only the
+grid places nodes; all derivative weights, along q as along p, come from the
+actual node spacings, so no chain-rule factors or uniform-spacing formulas
+appear in the residual, the reconstruction or the audit.
 """
 
 from __future__ import annotations
@@ -27,16 +27,19 @@ def stretched_nodes(m, npts, beta):
 class StripGrid:
     """Grid data plus the finite-difference weights the solver needs.
 
-    w1/w2 (npts - 2, 3) hold the 3-point first/second p-derivative weights
-    of the interior rows p[1:-1], as `fd.dp` takes them. wq1/wq2 (nq, 3)
-    hold the 3-point first/second q-derivative weights of every column, the
-    end columns with mirror ghosts, as `fd.dq` takes them. column_ops is the
-    vertical derivative operator of the field reconstruction; ws and wb are
-    its surface and bed rows, the one-sided weights for h_p at p = 0 and at
-    the bed over the last and first ColumnOps.WIDTH nodes. The solver's
-    surface row uses the same window as the reconstruction, so the converged
-    surface residual and the reconstructed surface pressure are the same
-    number.
+    The constructor places uniform q and `stretched_nodes` p nodes;
+    `from_nodes` takes given ones (L = q[-1], m = -p[0], beta None); both
+    then check them (nq >= 4, npts >= 7, strictly increasing) and build the
+    weights from them. w1/w2 (npts - 2, 3) hold the 3-point first/second
+    p-derivative weights of the interior rows p[1:-1], as `fd.dp` takes
+    them. wq1/wq2 (nq, 3) hold the 3-point first/second q-derivative weights
+    of every column, the end columns with mirror ghosts, as `fd.dq` takes
+    them. column_ops is the vertical derivative operator of the field
+    reconstruction; ws and wb are its surface and bed rows, the one-sided
+    weights for h_p at p = 0 and at the bed over the last and first
+    ColumnOps.WIDTH nodes. The solver's surface row uses the same window as
+    the reconstruction, so the converged surface residual and the
+    reconstructed surface pressure are the same number.
 
     newton_patterns holds, per solve mode, the structure of the Newton
     matrix, in nested-dissection order, that the solver builds on its first
@@ -46,21 +49,33 @@ class StripGrid:
     def __init__(self, L, m, nq, npts, beta=0.5):
         if L <= 0 or m <= 0:
             raise InputError("L and m must be positive")
-        if nq < 4 or npts < 7:
-            raise InputError("grid too small: need nq >= 4, npts >= 7")
         if not 0.0 <= beta <= 0.9:
             raise InputError("stretch parameter beta must be in [0, 0.9]")
-        self.L = float(L)
-        self.m = float(m)
-        self.nq = int(nq)
-        self.npts = int(npts)
+        # a count below 1 places one node, which _set_nodes rejects
+        self._set_nodes(np.linspace(0.0, float(L), max(int(nq), 1)),
+                        stretched_nodes(float(m), max(int(npts), 1), beta))
         self.beta = float(beta)
-        self.q = np.linspace(0.0, self.L, self.nq)
-        self.p = stretched_nodes(self.m, self.npts, self.beta)
-        self.wq1, self.wq2 = mirror_weights(self.q)
-        dp = np.diff(self.p)
+
+    @classmethod
+    def from_nodes(cls, q, p):
+        """The grid on the nodes q (0 to L) and p (-m to 0), copied."""
+        grid = cls.__new__(cls)
+        grid._set_nodes(np.array(q, dtype=float), np.array(p, dtype=float))
+        grid.beta = None
+        return grid
+
+    def _set_nodes(self, q, p):
+        if q.size < 4 or p.size < 7:
+            raise InputError("grid too small: %d x %d nodes, need nq >= 4, "
+                             "npts >= 7" % (q.size, p.size))
+        if np.any(np.diff(q) <= 0) or np.any(np.diff(p) <= 0):
+            raise InputError("grid nodes do not strictly increase")
+        self.q, self.p, self.nq, self.npts = q, p, q.size, p.size
+        self.L, self.m = float(q[-1]), float(-p[0])
+        self.wq1, self.wq2 = mirror_weights(q)
+        dp = np.diff(p)
         self.w1, self.w2 = three_point_weights(dp[:-1], dp[1:])
-        self.column_ops = ColumnOps(self.p)
+        self.column_ops = ColumnOps(p)
         self.ws = self.column_ops.w[-1]
         self.wb = self.column_ops.w[0]
         self.newton_patterns = {}
@@ -71,5 +86,5 @@ class StripGrid:
         return float(max(np.max(np.diff(self.q)), np.max(np.diff(self.p))))
 
     def __repr__(self):
-        return ("StripGrid(L=%g, m=%g, nq=%d, npts=%d, beta=%g)"
+        return ("StripGrid(L=%g, m=%g, nq=%d, npts=%d, beta=%s)"
                 % (self.L, self.m, self.nq, self.npts, self.beta))

@@ -9,7 +9,6 @@ import json
 import shutil
 import subprocess
 import sys
-import threading
 
 import numpy as np
 import pytest
@@ -254,8 +253,8 @@ class TestPipeline:
 
 
 class TestPipelineStreaming:
-    """pipeline reconstructs and audits each point while continuation goes
-    on, and leaves a manifest but no summary when the run fails."""
+    """pipeline audits each stored point after continuation, and leaves a
+    manifest but no summary when the run fails."""
 
     @staticmethod
     def run(tmp_path, steps=2):
@@ -265,71 +264,44 @@ class TestPipelineStreaming:
         return main(["pipeline", "--config", str(cfg), "--out",
                      str(out)]), out
 
-    def test_point_work_starts_before_continuation_returns(
-            self, tmp_path, monkeypatch):
-        started = threading.Event()
-        real_reconstruct = cli.reconstruct
-        real_continue = cli.continue_branch
-
-        def reconstruct(*args, **kwargs):
-            started.set()
-            return real_reconstruct(*args, **kwargs)
-
-        def continue_branch(*args, **kwargs):
-            on_point = kwargs.get("on_point")
-            if on_point is not None:
-                def hook(pt):
-                    on_point(pt)
-                    if pt.index == 0:
-                        started.wait(timeout=60)
-                kwargs["on_point"] = hook
-            branch = real_continue(*args, **kwargs)
-            seen.append(started.is_set())
-            return branch
-
-        seen = []
-        monkeypatch.setattr(cli, "reconstruct", reconstruct)
-        monkeypatch.setattr(cli, "continue_branch", continue_branch)
-        code, _ = self.run(tmp_path)
-        assert code == 0
-        assert seen == [True]
-
     def test_audit_error_on_one_point_exits_3(self, tmp_path, monkeypatch):
         real_audit = cli.audit_wave
         calls = []
-        lock = threading.Lock()
 
         def audit_wave(*args, **kwargs):
-            with lock:
-                calls.append(None)
-                if len(calls) == 2:
-                    raise SolverError("injected audit failure")
+            calls.append(None)
+            if len(calls) == 2:
+                raise SolverError("injected audit failure")
             return real_audit(*args, **kwargs)
 
         monkeypatch.setattr(cli, "audit_wave", audit_wave)
         code, out = self.run(tmp_path)
         assert code == 3
         assert (out / "manifest.json").is_file()
+        # the branch is stored before any point is audited
+        assert (out / "branch" / "branch.json").is_file()
+        assert [p.name for p in (out / "reports").iterdir()] == \
+            ["report_0000.json"]
         assert not (out / "pipeline.json").exists()
 
-    def test_continuation_error_exits_3_and_joins_writers(
-            self, tmp_path, monkeypatch):
-        real_continue = cli.continue_branch
+    def test_continuation_error_exits_3(self, tmp_path, monkeypatch):
+        real_trough = continuation.trough_criterion_value
+        calls = []
 
-        def continue_branch(*args, **kwargs):
-            on_point = kwargs["on_point"]
+        def trough_criterion_value(*args):
+            calls.append(None)
+            if len(calls) == 2:
+                raise NumericsError("injected continuation failure")
+            return real_trough(*args)
 
-            def hook(pt):
-                on_point(pt)
-                if pt.index == 1:
-                    raise NumericsError("injected continuation failure")
-            kwargs["on_point"] = hook
-            return real_continue(*args, **kwargs)
-
-        monkeypatch.setattr(cli, "continue_branch", continue_branch)
+        monkeypatch.setattr(continuation, "trough_criterion_value",
+                            trough_criterion_value)
         code, out = self.run(tmp_path, steps=4)
         assert code == 3
+        assert len(calls) == 2
         assert (out / "manifest.json").is_file()
+        assert not (out / "branch").exists()
+        assert not (out / "reports").exists()
         assert not (out / "pipeline.json").exists()
 
     def test_csv_write_error_exits_2(self, tmp_path, monkeypatch, capsys):
@@ -501,6 +473,26 @@ class TestAudit:
         assert "branch.json" in capsys.readouterr().err
         assert not (out / "reports").exists()
 
+    @pytest.mark.parametrize("name", ["point_0004.json",
+                                      "../branch/point_0001.json"])
+    def test_index_row_naming_another_file_is_an_input_error(
+            self, pipeline_run, tmp_path, capsys, name):
+        # a row's file must be point_filename of its index, so a doctored
+        # index cannot make point 1's report out of another file
+        root, cfg, _ = pipeline_run
+        out = tmp_path / "run"
+        shutil.copytree(root / "out" / "branch", out / "branch")
+        index = out / "branch" / "branch.json"
+        data = json.loads(index.read_text())
+        data["points"][1]["file"] = name
+        index.write_text(json.dumps(data))
+        for command in ("audit", "reconstruct"):
+            assert main([command, "--config", str(cfg), "--out", str(out),
+                         "--point", "1"]) == 2
+            assert "branch.json" in capsys.readouterr().err
+        assert not (out / "reports").exists()
+        assert not (out / "fields").exists()
+
     def test_non_numeric_field_cell_exits_2(self, pipeline_run, tmp_path,
                                             capsys):
         root, cfg, _ = pipeline_run
@@ -544,6 +536,13 @@ class TestReconstruct:
         cfg = write_config(tmp_path / "cfg.json")
         assert main(["reconstruct", "--config", str(cfg), "--out",
                      str(tmp_path / "empty")]) == 2
+
+    def test_before_continue_leaves_no_fields_directory(self, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json")
+        out = tmp_path / "empty"
+        assert main(["reconstruct", "--config", str(cfg), "--out",
+                     str(out)]) == 2
+        assert [p.name for p in out.iterdir()] == ["manifest.json"]
 
 
 class TestGerstner:

@@ -29,7 +29,7 @@ from vorwave import laminar, solver
 from vorwave.continuation import continue_branch
 from vorwave.errors import (BifurcationNotFoundError, InputError,
                             NoConvergenceError, StagnationError)
-from vorwave.fd import dq, mirror_weights
+from vorwave.fd import dq
 from vorwave.grid import StripGrid, stretched_nodes
 from vorwave.laminar import critical_lambda, laminar_flow
 from vorwave.solver import (amplitude, bifurcation_mode, discrete_laminar,
@@ -99,10 +99,9 @@ class TestJacobian:
         uniform = StripGrid(L, M, 10, 14, beta=0.5)
         # the same grid with q nodes clustered toward the crest: a term of
         # the Jacobian that still assumes uniform q spacing fails here
-        stretched = StripGrid(L, M, 10, 14, beta=0.5)
-        stretched.q = -L * stretched_nodes(1.0, stretched.nq, 0.6)[::-1]
-        stretched.q[0] = 0.0
-        stretched.wq1, stretched.wq2 = mirror_weights(stretched.q)
+        q = -L * stretched_nodes(1.0, uniform.nq, 0.6)[::-1]
+        q[0] = 0.0
+        stretched = StripGrid.from_nodes(q, uniform.p)
         for grid in (uniform, stretched):
             self._check_directional_derivatives(grid, vf)
 
