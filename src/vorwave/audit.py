@@ -7,8 +7,11 @@ hold up to discretization error (tangential surface relations, the
 elliptic equations for u_x/u and v/u, Bernoulli constancy), and the
 pressure inequalities with their hypotheses. Each diagnostic reports a
 status, the extremal value, where it occurred, and the margin to the
-constraint. `audit_wave` runs the full set and returns an `AuditReport`
-whose JSON form is the `vorwave audit` output.
+constraint. `DIAGNOSTICS` lists them, one row each in report order: the
+id, paper reference and description, and the check that computes the
+verdict from the quantities `_Auditor` shares among the checks. A new
+diagnostic is one row and one check method. `audit_wave` runs the table
+and returns an `AuditReport` whose JSON form is the `vorwave audit` output.
 
 Conventions: checks are evaluated on the computational half period
 (crest column first, trough column last); atmospheric pressure is read
@@ -181,9 +184,8 @@ def pressure_normal_derivative(wf):
     if np.min(spd) <= 0.0:
         raise StagnationError(
             "zero relative speed on the surface: normal direction undefined")
-    Px = wf.dx(wf.P, "even")[:, -1]
-    Py = wf.dy(wf.P)[:, -1]
-    return (vs * Px - us * Py) / spd
+    Px, Py = wf.grad(wf.P, "even")
+    return (vs * Px[:, -1] - us * Py[:, -1]) / spd
 
 
 def surface_curve(wf):
@@ -207,22 +209,25 @@ def surface_curve(wf):
                         u=u_full, v=v_full)
 
 
-def _node_loc(wf, i, j):
-    return (float(wf.q[i]), float(wf.p[j]))
+def _extremum(wf, arr, pick, offset=(0, 0)):
+    """The entry of arr that pick (np.argmax or np.argmin) selects, and its
+    node (q, p). arr[0, 0] sits at node offset; a 1-D arr is the surface row
+    from column offset[0] on."""
+    k = np.unravel_index(pick(arr), arr.shape)
+    j = k[1] + offset[1] if arr.ndim == 2 else -1
+    return float(arr[k]), (float(wf.q[k[0] + offset[0]]), float(wf.p[j]))
 
 
-def _argmax_loc(wf, arr):
-    i, j = np.unravel_index(np.argmax(arr), arr.shape)
-    return _node_loc(wf, i, j)
-
-
-def _argmin_loc(wf, arr):
-    i, j = np.unravel_index(np.argmin(arr), arr.shape)
-    return _node_loc(wf, i, j)
+def _not_applicable(hyp_margin, loc=None):
+    """The verdict of a check whose hypothesis fails by hyp_margin < 0."""
+    return (NOT_APPLICABLE, {"hypothesis": float(hyp_margin),
+                             "conclusion": None}, loc, float(hyp_margin))
 
 
 class _Auditor:
-    """Carries the shared arrays and tolerances while the list is built."""
+    """One wave's shared arrays, tolerances and derived quantities, computed
+    once; each check method returns its verdict, (status, value, location,
+    margin[, tolerance]), and reads no attribute another check sets."""
 
     def __init__(self, wf, vf, tol, lam_c):
         self.wf = wf
@@ -233,6 +238,7 @@ class _Auditor:
         self.g = g
         self.u, self.v = wf.u, wf.v
         self.spd2 = wf.speed_squared()
+        self.spd = np.sqrt(self.spd2)
         psi_col = -wf.p
         self.gam = vf.gamma(psi_col)[None, :]
         self.gam_pp = vf.gamma(psi_col, 2)[None, :]
@@ -240,16 +246,25 @@ class _Auditor:
         self.gamma0_p = vf.gamma(0.0, 1)
         self.patm = float(np.mean(wf.P[:, -1]))
         self.eta_span = float(np.max(wf.eta) - np.min(wf.eta))
-        self.trivial = self.eta_span <= _TRIVIAL_HEIGHT * max(1.0, wf.d)
+        # how far the surface is from flat; at or below zero the wave is
+        # treated as laminar
+        self.trivial_margin = self.eta_span - _TRIVIAL_HEIGHT * max(1.0, wf.d)
+        self.trivial = self.trivial_margin <= 0.0
         self.bern_tol = (tol.bern if tol.bern is not None
                          else 1e-6 * max(1.0, abs(wf.Q)))
         self.eq_tol = tol.eq if tol.eq is not None else 1e-6 * g * wf.d
         self.res_tol = tol.residual_scale * wf.grid.delta ** 2
         self.band = tol.boundary_band
-        self.out = []
-
-    def add(self, *args, **kwargs):
-        self.out.append(Diagnostic(*args, **kwargs))
+        # streamline slope |v/u| and its maximum
+        self.ratio = np.abs(self.v / self.u)
+        self.slope_max, self.slope_loc = _extremum(wf, self.ratio, np.argmax)
+        # the vortex force g + gamma u; where it is positive everywhere the
+        # slope bound refines to sigma^2 = max (g - gamma u)/(g + gamma u),
+        # otherwise sigma^2 = 1
+        self.force = g + self.gam * self.u
+        self.force_min, self.force_loc = _extremum(wf, self.force, np.argmin)
+        self.sigma2 = (1.0 if self.force_min <= 0.0 else
+                       float(np.max((g - self.gam * self.u) / self.force)))
 
     @cached_property
     def curve(self):
@@ -262,12 +277,11 @@ class _Auditor:
         return self.band * max(1.0, abs(scale))
 
     def rel_residual(self, residual, *terms):
-        scale = np.zeros_like(residual)
-        for t in terms:
-            scale = scale + np.abs(t)
-        denom = max(float(np.max(scale)), 1e-300)
-        idx = np.unravel_index(np.argmax(np.abs(residual)), residual.shape)
-        return float(np.max(np.abs(residual)) / denom), idx
+        """max |residual| over the largest summed term magnitude, and the
+        node where |residual| peaks."""
+        scale = float(np.max(sum(np.abs(t) for t in terms)))
+        worst, loc = _extremum(self.wf, np.abs(residual), np.argmax)
+        return worst / max(scale, 1e-300), loc
 
     def degrade(self, status, rel):
         """Weaken a sign-check pass to boundary when the identity residual
@@ -278,165 +292,122 @@ class _Auditor:
             return BOUNDARY
         return status
 
-    def na_hypothesis(self, diag_id, description, ref, hyp_margin, loc):
-        self.add(diag_id, description, ref, NOT_APPLICABLE,
-                 {"hypothesis": float(hyp_margin), "conclusion": None},
-                 loc, float(hyp_margin))
+    def identity(self, terms):
+        """Judge the pointwise identity sum(terms) = 0, summed left to
+        right, against the resolution yardstick: pass or boundary."""
+        resid = terms[0]
+        for term in terms[1:]:
+            resid = resid + term
+        rel, loc = self.rel_residual(resid, *terms)
+        return (PASS if rel <= self.res_tol else BOUNDARY, rel, loc,
+                self.res_tol - rel, self.res_tol)
 
     # -- individual diagnostics --------------------------------------------
 
     def slope(self):
-        ratio = np.abs(self.v / self.u)
-        rmax = float(np.max(ratio))
-        angle = float(np.degrees(np.arctan(rmax)))
-        surf = float(np.max(ratio[:, -1]))
+        rmax = self.slope_max
+        surf = float(np.max(self.ratio[:, -1]))
         margin = 1.0 - rmax
-        self.add("D-slope", "streamline slope stays below one",
-                 "bound:streamline-slope", _strict(margin, self.band),
-                 {"ratio": rmax, "angle_deg": angle,
-                  "surface_angle_deg": float(np.degrees(np.arctan(surf)))},
-                 _argmax_loc(self.wf, ratio), margin)
-        self._slope_max = rmax
-        self._ratio = ratio
+        return (_strict(margin, self.band),
+                {"ratio": rmax,
+                 "angle_deg": float(np.degrees(np.arctan(rmax))),
+                 "surface_angle_deg": float(np.degrees(np.arctan(surf)))},
+                self.slope_loc, margin)
 
     def sigma(self):
-        denom = self.g + self.gam * self.u
-        if np.min(denom) <= 0.0:
-            self.na_hypothesis(
-                "D-sigma", "refined slope bound via the vortex-force ratio",
-                "bound:slope-refined", float(np.min(denom)),
-                _argmin_loc(self.wf, np.broadcast_to(denom, self.u.shape)))
-            self._sigma2 = 1.0
-            return
-        sig2 = float(np.max((self.g - self.gam * self.u) / denom))
-        sigma = float(np.sqrt(sig2))
-        margin = sigma - self._slope_max
-        self.add("D-sigma", "refined slope bound via the vortex-force ratio",
-                 "bound:slope-refined", _strict(margin, self.band),
-                 {"sigma": sigma, "ratio": self._slope_max},
-                 _argmax_loc(self.wf, self._ratio), margin)
-        self._sigma2 = sig2
+        if self.force_min <= 0.0:
+            return _not_applicable(self.force_min, self.force_loc)
+        sigma = float(np.sqrt(self.sigma2))
+        margin = sigma - self.slope_max
+        return (_strict(margin, self.band),
+                {"sigma": sigma, "ratio": self.slope_max},
+                self.slope_loc, margin)
 
     def ux_sign(self):
-        region = self.wf.ux[1:-1, 1:]
-        mx = float(np.max(region))
-        i, j = np.unravel_index(np.argmax(region), region.shape)
-        self.add("D-ux", "horizontal velocity strictly decreasing in x",
-                 "sign:ux", _strict(-mx, self.band_for(self.res_tol)),
-                 mx, _node_loc(self.wf, i + 1, j + 1), -mx)
+        mx, loc = _extremum(self.wf, self.wf.ux[1:-1, 1:], np.argmax, (1, 1))
+        return _strict(-mx, self.band_for(self.res_tol)), mx, loc, -mx
 
     def v_sign(self):
-        region = self.v[1:-1, 1:]
-        mn = float(np.min(region))
-        i, j = np.unravel_index(np.argmin(region), region.shape)
-        self.add("D-mono", "vertical velocity positive on the half period",
-                 "sign:v", _strict(mn, self.band_for(self.res_tol)),
-                 mn, _node_loc(self.wf, i + 1, j + 1), mn)
+        mn, loc = _extremum(self.wf, self.v[1:-1, 1:], np.argmin, (1, 1))
+        return _strict(mn, self.band_for(self.res_tol)), mn, loc, mn
 
     def trough(self):
         val = self.g - self.gamma0 * self.u[-1, -1]
         # The horizontal strain at the trough is recorded alongside the
         # criterion because its sign there is an open question: it is
         # informational only and never judged.
-        self.add("D-trough", "vortex-force criterion at the trough",
-                 "criterion:vortex-force-trough", _strict(val, self.band_for(self.g)),
-                 {"vortex_force": float(val),
-                  "trough_uxx": float(self.wf.uxx[-1, -1])},
-                 _node_loc(self.wf, self.wf.nq - 1, self.wf.npts - 1),
-                 float(val))
+        return (_strict(val, self.band_for(self.g)),
+                {"vortex_force": float(val),
+                 "trough_uxx": float(self.wf.uxx[-1, -1])},
+                (self.wf.L, 0.0), float(val))
 
     def speed_gap(self):
         wf = self.wf
         f = 0.5 * (self.u ** 2 - self.v ** 2)
-        fx = wf.dx(f, "even")
-        fy = wf.dy(f)
+        fx, fy = wf.grad(f, "even")
         lhs = self.u * fx + self.v * fy
         rhs = self.spd2 * wf.ux - self.gam * self.u * self.v
         rel, _ = self.rel_residual(lhs - rhs, self.u * fx, self.v * fy,
                                    self.spd2 * wf.ux, self.gam * self.u * self.v)
-        fmin = float(np.min(f))
+        fmin, loc = _extremum(wf, f, np.argmin)
         status = self.degrade(_strict(fmin, self.band_for(self.spd2.max())), rel)
-        self.add("D-f", "u^2 exceeds v^2 and the gap obeys its flow identity",
-                 "identity:speed-gap", status,
-                 {"min": fmin, "identity_residual": rel},
-                 _argmin_loc(wf, f), fmin, self.res_tol)
+        return (status, {"min": fmin, "identity_residual": rel}, loc, fmin,
+                self.res_tol)
 
     def alpha_identity(self):
         wf = self.wf
-        alpha = self._sigma2
+        alpha = self.sigma2
         fa = alpha * self.u ** 2 - self.v ** 2
-        fax = wf.dx(fa, "even")
-        fay = wf.dy(fa)
+        fax, fay = wf.grad(fa, "even")
         lhs = self.u * fax + self.v * fay
-        gu = self.gam * self.u
         rhs = ((alpha + 1.0) * self.spd2 * wf.ux
-               - (alpha * (gu + self.g) + gu - self.g) * self.v)
+               - (alpha * self.force + self.gam * self.u - self.g) * self.v)
         # The equality uses the tangential surface relation to eliminate u_y,
         # so it binds on the surface row only; the sign bound below holds on
         # the whole half period.
         rel, _ = self.rel_residual(
             (lhs - rhs)[:, -1], (self.u * fax)[:, -1],
             (self.v * fay)[:, -1], rhs[:, -1])
-        interior = rhs[1:-1, :]
-        mx = float(np.max(interior))
-        i, j = np.unravel_index(np.argmax(interior), interior.shape)
+        mx, loc = _extremum(wf, rhs[1:-1, :], np.argmax, (1, 0))
         status = self.degrade(
             _nonstrict(-mx, self.band_for(self.g * self.spd2.max())), rel)
-        self.add("D-alpha", "weighted speed gap decreases along the flow",
-                 "identity:weighted-speed-gap", status,
-                 {"max": mx, "identity_residual": rel},
-                 _node_loc(wf, i + 1, j), -mx, self.res_tol)
+        return (status, {"max": mx, "identity_residual": rel}, loc, -mx,
+                self.res_tol)
 
     def w_pde(self):
         wf = self.wf
         w = wf.ux / self.u
-        wx = wf.dx(w, "odd")
-        wy = wf.dy(w)
-        lap_x, lap_y = wf.dx(wx, "even"), wf.dy(wy)
-        drift = 2.0 * (wf.ux / self.u) * wx + 2.0 * (wf.uy / self.u) * wy
+        wx, wy = wf.grad(w, "odd")
+        lap_x, lap_y = wf.grad(wx, "even")[0], wf.grad(wy, "odd")[1]
+        drift = 2.0 * w * wx + 2.0 * (wf.uy / self.u) * wy
         source = self.gam_pp * self.v
         resid = lap_x + lap_y + drift - source
         # The two second derivatives cancel almost exactly (the field is
         # near-harmonic), so the residual is scaled against them separately.
-        rel, idx = self.rel_residual(resid, lap_x, lap_y, drift, source)
+        rel, loc = self.rel_residual(resid, lap_x, lap_y, drift, source)
         mx_src = float(np.max(source))
         status = self.degrade(_nonstrict(-mx_src, self.band), rel)
-        self.add("D-w-pde", "elliptic equation for the relative strain u_x/u",
-                 "pde:relative-strain", status,
-                 {"residual": rel, "max_source": mx_src},
-                 _node_loc(wf, *idx), -mx_src, self.res_tol)
+        return (status, {"residual": rel, "max_source": mx_src}, loc,
+                -mx_src, self.res_tol)
 
     def s_pde(self):
         wf = self.wf
         s = self.v / self.u
-        sx = wf.dx(s, "odd")
-        sy = wf.dy(s)
-        lap_x, lap_y = wf.dx(sx, "even"), wf.dy(sy)
+        sx, sy = wf.grad(s, "odd")
+        lap_x, lap_y = wf.grad(sx, "even")[0], wf.grad(sy, "odd")[1]
         # Drift derived from first principles (eliminate u_y and v_x through
         # the curl and divergence relations): the two gamma terms carry
         # opposite signs. Verified against the trochoidal closed forms,
         # where the same-sign variant misses by O(1).
         t1 = 2.0 * self.v * (self.gam - self.u * sx) / self.spd2 * sx
         t2 = -2.0 * self.u * (self.gam + self.v * sy) / self.spd2 * sy
-        resid = lap_x + lap_y + t1 + t2
-        rel, idx = self.rel_residual(resid, lap_x, lap_y, t1, t2)
-        self.add("D-s-pde", "elliptic equation for the streamline slope v/u",
-                 "pde:streamline-slope",
-                 PASS if rel <= self.res_tol else BOUNDARY, rel,
-                 _node_loc(wf, *idx), self.res_tol - rel, self.res_tol)
+        return self.identity([lap_x, lap_y, t1, t2])
 
     def surface_first(self):
-        wf = self.wf
         us, vs = self.u[:, -1], self.v[:, -1]
-        uxs, uys = wf.ux[:, -1], wf.uy[:, -1]
-        terms = [(vs ** 2 - us ** 2) * uxs, -2.0 * us * vs * uys,
-                 -self.g * vs, -self.gamma0 * us * vs]
-        resid = terms[0] + terms[1] + terms[2] + terms[3]
-        rel, idx = self.rel_residual(resid, *terms)
-        self.add("D-p1", "first tangential derivative of surface Bernoulli",
-                 "surface:first-tangential",
-                 PASS if rel <= self.res_tol else BOUNDARY, rel,
-                 (float(wf.q[idx[0]]), 0.0), self.res_tol - rel, self.res_tol)
+        uxs, uys = self.wf.ux[:, -1], self.wf.uy[:, -1]
+        return self.identity([(vs ** 2 - us ** 2) * uxs, -2.0 * us * vs * uys,
+                              -self.g * vs, -self.gamma0 * us * vs])
 
     def surface_second(self):
         wf = self.wf
@@ -445,7 +416,7 @@ class _Auditor:
         uxxs, uxys = wf.uxx[:, -1], wf.uxy[:, -1]
         g, gam0, gam0p = self.g, self.gamma0, self.gamma0_p
         spd2 = us ** 2 + vs ** 2
-        terms = [
+        return self.identity([
             -2.0 * spd2 * (uxs ** 2 + uys ** 2),
             g * vs * uxs,
             -g * us * uys,
@@ -455,28 +426,17 @@ class _Auditor:
                      - 2.0 * us * vs * uxs + g * us),
             2.0 * gam0p * us ** 2 * vs ** 2,
             -gam0 ** 2 * us ** 2,
-        ]
-        resid = np.sum(terms, axis=0)
-        rel, idx = self.rel_residual(resid, *terms)
-        self.add("D-p2", "second tangential derivative of surface Bernoulli",
-                 "surface:second-tangential",
-                 PASS if rel <= self.res_tol else BOUNDARY, rel,
-                 (float(wf.q[idx[0]]), 0.0), self.res_tol - rel, self.res_tol)
+        ])
 
     def abc_coefficients(self):
         wf = self.wf
         us, vs = self.u[:, -1], self.v[:, -1]
         floor = self.tol.v_floor_rel * float(np.max(np.abs(us)))
         admitted = vs > floor
-        desc = "curvature coefficients of the surface strain equation"
         if self.gamma0 > 0.0 or self.gamma0_p > 0.0:
-            self.na_hypothesis("D-ABC", desc, "surface:curvature-coefficients",
-                               -max(self.gamma0, self.gamma0_p), None)
-            return
+            return _not_applicable(-max(self.gamma0, self.gamma0_p))
         if not np.any(admitted):
-            self.na_hypothesis("D-ABC", desc, "surface:curvature-coefficients",
-                               float(np.max(vs) - floor), None)
-            return
+            return _not_applicable(float(np.max(vs) - floor))
         ua, va = us[admitted], vs[admitted]
         spd2 = ua ** 2 + va ** 2
         g, gam0, gam0p = self.g, self.gamma0, self.gamma0_p
@@ -489,18 +449,17 @@ class _Auditor:
         margin = min(min_a, min_c)
         qa = wf.q[admitted]
         loc_idx = int(np.argmin(A if min_a <= min_c else C))
-        self.add("D-ABC", desc, "surface:curvature-coefficients",
-                 _strict(margin, 0.0),
-                 {"min_A": min_a, "min_C": min_c,
-                  "bound_max": float(np.max(bound_q))},
-                 (float(qa[loc_idx]), 0.0), margin)
+        return (_strict(margin, 0.0),
+                {"min_A": min_a, "min_C": min_c,
+                 "bound_max": float(np.max(bound_q))},
+                (float(qa[loc_idx]), 0.0), margin)
 
     def pressure_basic(self):
         wf = self.wf
         fp = wf.P - self.patm + self.g * wf.y
         lo = self.g * float(np.min(wf.eta))
         hi = self.g * float(np.max(wf.eta))
-        viol = float(max(np.max(lo - fp), np.max(fp - hi)))
+        viol, loc = _extremum(wf, np.maximum(lo - fp, fp - hi), np.argmax)
         # The reconstructed pressure is itself O(delta^2) accurate, so the
         # two-sided bound can only be asked to hold at that resolution.
         bound_tol = self.res_tol * self.g * wf.d
@@ -517,145 +476,100 @@ class _Auditor:
             too_close = clearance is not None and clearance < self.eq_tol
             if too_close or max(eq_crest, eq_trough) > self.eq_tol:
                 status = FAIL
-        self.add("D-press-a", "modified pressure bounded by surface extremes",
-                 "pressure:(a)", status,
-                 {"violation": viol, "clearance": clearance,
-                  "crest_equality_gap": eq_crest,
-                  "trough_equality_gap": eq_trough},
-                 _argmax_loc(wf, np.maximum(lo - fp, fp - hi)),
-                 -viol, bound_tol)
+        return (status,
+                {"violation": viol, "clearance": clearance,
+                 "crest_equality_gap": eq_crest,
+                 "trough_equality_gap": eq_trough},
+                loc, -viol, bound_tol)
 
     def pressure_curvature(self):
         wf = self.wf
-        desc = "surface concave at the crest, convex at the trough"
         if self.trivial:
-            self.na_hypothesis("D-press-b", desc, "pressure:(b)",
-                               self.eta_span - _TRIVIAL_HEIGHT * max(1.0, wf.d),
-                               None)
-            return
+            return _not_applicable(self.trivial_margin)
         crest, trough = float(wf.eta_xx[0]), float(wf.eta_xx[-1])
         margin = min(-crest, trough)
-        loc = (0.0, 0.0) if -crest <= trough else (float(wf.L), 0.0)
-        self.add("D-press-b", desc, "pressure:(b)",
-                 _strict(margin, self.band_for(self.eta_span)),
-                 {"crest_curvature": crest, "trough_curvature": trough},
-                 loc, margin)
+        loc = (0.0, 0.0) if -crest <= trough else (wf.L, 0.0)
+        return (_strict(margin, self.band_for(self.eta_span)),
+                {"crest_curvature": crest, "trough_curvature": trough},
+                loc, margin)
 
     def pressure_bed_range(self):
         wf = self.wf
-        desc = "wave height exceeds the bed pressure range over g"
         if self.trivial:
-            self.na_hypothesis("D-press-c", desc, "pressure:(c)",
-                               self.eta_span - _TRIVIAL_HEIGHT * max(1.0, wf.d),
-                               None)
-            return
-        bed = wf.P[:, 0]
+            return _not_applicable(self.trivial_margin)
+        bed = wf.P[:, :1]  # the bed row as an (nq, 1) block at p[0]
         spread = float(np.max(bed) - np.min(bed)) / self.g
         margin = self.eta_span - spread
-        self.add("D-press-c", desc, "pressure:(c)",
-                 _strict(margin, self.band_for(self.eta_span)),
-                 {"height": self.eta_span, "bed_range_over_g": spread},
-                 (float(wf.q[np.argmax(bed)]), float(wf.p[0])), margin)
+        return (_strict(margin, self.band_for(self.eta_span)),
+                {"height": self.eta_span, "bed_range_over_g": spread},
+                _extremum(wf, bed, np.argmax)[1], margin)
 
     def pressure_below_troughs(self):
         wf = self.wf
         mask = wf.y < float(np.min(wf.eta))
-        desc = "pressure above atmospheric below the troughs"
         if not np.any(mask):
-            self.na_hypothesis("D-press-d", desc, "pressure:(d)", -1.0, None)
-            return
+            return _not_applicable(-1.0)
         excess = np.where(mask, wf.P - self.patm, np.inf)
-        mn = float(np.min(excess))
-        self.add("D-press-d", desc, "pressure:(d)",
-                 _strict(mn, self.band_for(self.g * wf.d)),
-                 mn, _argmin_loc(wf, excess), mn)
+        mn, loc = _extremum(wf, excess, np.argmin)
+        return _strict(mn, self.band_for(self.g * wf.d)), mn, loc, mn
 
     def pressure_top(self):
         wf = self.wf
-        desc = "nonnegative vortex force keeps pressure above atmospheric"
-        hyp = np.broadcast_to(self.gam * self.u + self.g, self.u.shape)
-        hyp_min = float(np.min(hyp))
-        if hyp_min < 0.0:
-            self.na_hypothesis("D-press-e", desc, "pressure:(e)", hyp_min,
-                               _argmin_loc(wf, hyp))
-            return
-        interior = wf.P[:, :-1] - self.patm
-        mn_int = float(np.min(interior))
-        dpdn = self.curve.dPdn[:wf.nq]
-        mx_dpdn = float(np.max(dpdn))
+        if self.force_min < 0.0:
+            return _not_applicable(self.force_min, self.force_loc)
+        mn_int, loc_int = _extremum(wf, wf.P[:, :-1] - self.patm, np.argmin)
+        mx_dpdn, loc_dpdn = _extremum(wf, self.curve.dPdn[:wf.nq], np.argmax)
         surf_eq = float(np.max(np.abs(wf.P[:, -1] - self.patm)))
         margin = min(mn_int, -mx_dpdn)
         status = _strict(margin, self.band_for(self.g * wf.d))
         if surf_eq > self.eq_tol:
             status = FAIL
-        i, j = np.unravel_index(np.argmin(interior), interior.shape)
-        loc = (_node_loc(wf, i, j) if mn_int <= -mx_dpdn
-               else (float(wf.q[np.argmax(dpdn)]), 0.0))
-        self.add("D-press-e", desc, "pressure:(e)", status,
-                 {"hypothesis": hyp_min, "conclusion": margin}, loc, margin,
-                 self.eq_tol)
+        return (status, {"hypothesis": self.force_min, "conclusion": margin},
+                loc_int if mn_int <= -mx_dpdn else loc_dpdn, margin,
+                self.eq_tol)
 
     def pressure_shifted(self):
         wf = self.wf
-        desc = "vorticity-shifted pressure above atmospheric"
         mx_om = float(np.max(self.gam))
-        hyp = np.broadcast_to(mx_om * self.spd2 - 4.0 * self.g * self.u,
-                              self.u.shape)
-        hyp_min = float(np.min(hyp))
+        hyp_min, hyp_loc = _extremum(
+            wf, mx_om * self.spd2 - 4.0 * self.g * self.u, np.argmin)
         if hyp_min < 0.0:
-            self.na_hypothesis("D-press-f", desc, "pressure:(f)", hyp_min,
-                               _argmin_loc(wf, hyp))
-            return
+            return _not_applicable(hyp_min, hyp_loc)
         shifted = wf.P - self.patm + 0.5 * mx_om * wf.psi
-        mn_int = float(np.min(shifted[:, :-1]))
-        i, j = np.unravel_index(np.argmin(shifted[:, :-1]),
-                                shifted[:, :-1].shape)
-        self.add("D-press-f", desc, "pressure:(f)",
-                 _strict(mn_int, self.band_for(self.g * wf.d)),
-                 {"hypothesis": hyp_min, "conclusion": mn_int},
-                 _node_loc(wf, i, j), mn_int)
+        mn_int, loc = _extremum(wf, shifted[:, :-1], np.argmin)
+        return (_strict(mn_int, self.band_for(self.g * wf.d)),
+                {"hypothesis": hyp_min, "conclusion": mn_int}, loc, mn_int)
 
-    def _speed_extremum(self, diag_id, ref, at_trough):
-        wf = self.wf
-        spd = np.sqrt(self.spd2)
-        gam_col = self.gam[0]
-        if at_trough:
-            desc = "nonnegative vorticity puts the speed maximum at the trough"
-            hyp_min = float(np.min(gam_col))
-            if hyp_min < 0.0:
-                self.na_hypothesis(diag_id, desc, ref, hyp_min, None)
-                return
-            named = spd[-1, -1]
-            outside = spd.copy()
-            outside[-2:, -2:] = -np.inf
-            margin = float(named - np.max(outside))
-            loc = _argmax_loc(wf, spd)
-        else:
-            desc = "nonpositive vorticity puts the speed minimum at the crest"
-            hyp_max = float(np.max(gam_col))
-            if hyp_max > 0.0:
-                self.na_hypothesis(diag_id, desc, ref, -hyp_max, None)
-                return
-            hyp_min = -hyp_max
-            named = spd[0, -1]
-            outside = spd.copy()
-            outside[:2, -2:] = np.inf
-            margin = float(np.min(outside) - named)
-            loc = _argmin_loc(wf, spd)
-        self.add(diag_id, desc, ref,
-                 _nonstrict(margin, self.band_for(np.max(spd))),
-                 {"hypothesis": hyp_min, "conclusion": margin}, loc, margin)
+    def speed_max_at_trough(self):
+        hyp_min = float(np.min(self.gam))
+        if hyp_min < 0.0:
+            return _not_applicable(hyp_min)
+        outside = self.spd.copy()
+        outside[-2:, -2:] = -np.inf
+        margin = float(self.spd[-1, -1] - np.max(outside))
+        top, loc = _extremum(self.wf, self.spd, np.argmax)
+        return (_nonstrict(margin, self.band_for(top)),
+                {"hypothesis": hyp_min, "conclusion": margin}, loc, margin)
+
+    def speed_min_at_crest(self):
+        hyp_max = float(np.max(self.gam))
+        if hyp_max > 0.0:
+            return _not_applicable(-hyp_max)
+        outside = self.spd.copy()
+        outside[:2, -2:] = np.inf
+        margin = float(np.min(outside) - self.spd[0, -1])
+        _, loc = _extremum(self.wf, self.spd, np.argmin)
+        return (_nonstrict(margin, self.band_for(np.max(self.spd))),
+                {"hypothesis": -hyp_max, "conclusion": margin}, loc, margin)
 
     def bernoulli(self):
         wf = self.wf
         head = (wf.P - self.patm + 0.5 * self.spd2
                 + self.g * (wf.y + wf.d) - self.vf.Gamma(wf.p)[None, :])
         spread = float(np.max(head) - np.min(head))
-        dev = np.abs(head - np.median(head))
-        self.add("D-bern", "total head constant across the strip",
-                 "identity:total-head",
-                 PASS if spread <= self.bern_tol else FAIL, spread,
-                 _argmax_loc(wf, dev), self.bern_tol - spread, self.bern_tol)
+        _, loc = _extremum(wf, np.abs(head - np.median(head)), np.argmax)
+        return (PASS if spread <= self.bern_tol else FAIL, spread, loc,
+                self.bern_tol - spread, self.bern_tol)
 
     def head_reduction(self):
         wf = self.wf
@@ -668,27 +582,18 @@ class _Auditor:
         status = _strict(margin, self.band_for(lam_c))
         if ident_gap > self.eq_tol:
             status = FAIL
-        self.add("D-reduce", "trough speed bounded through the crest speed",
-                 "surface:head-reduction", status,
-                 {"identity_gap": ident_gap, "crest_speed_sq": uc2,
-                  "trough_speed_sq": ut2, "lambda_c": lam_c},
-                 (float(wf.L), 0.0), margin, self.eq_tol)
+        return (status,
+                {"identity_gap": ident_gap, "crest_speed_sq": uc2,
+                 "trough_speed_sq": ut2, "lambda_c": lam_c},
+                (wf.L, 0.0), margin, self.eq_tol)
 
     def speed_monotone(self):
         wf = self.wf
-        desc = "surface speed squared increases from crest to trough"
         if self.trivial:
-            self.na_hypothesis("D-monotone-u2", desc, "surface:speed-monotone",
-                               self.eta_span - _TRIVIAL_HEIGHT * max(1.0, wf.d),
-                               None)
-            return
-        W = self.u[:, -1] ** 2
-        Wx = dq(W, wf.grid.wq1, "even")
-        mn = float(np.min(Wx[1:-1]))
-        idx = int(np.argmin(Wx[1:-1])) + 1
-        self.add("D-monotone-u2", desc, "surface:speed-monotone",
-                 _strict(mn, self.band_for(np.max(np.abs(Wx)))),
-                 mn, (float(wf.q[idx]), 0.0), mn)
+            return _not_applicable(self.trivial_margin)
+        Wx = dq(self.u[:, -1] ** 2, wf.grid.wq1, "even")
+        mn, loc = _extremum(wf, Wx[1:-1], np.argmin, (1, 0))
+        return _strict(mn, self.band_for(np.max(np.abs(Wx)))), mn, loc, mn
 
     def turning_angle(self):
         wf = self.wf
@@ -714,45 +619,106 @@ class _Auditor:
         status = _nonstrict(mn, self.band_for(self.g))
         if winding != 0:
             status = FAIL
-        self.add("D-angle", "surface tangent angle turns without winding",
-                 "surface:turning-angle", status,
-                 {"winding": winding, "min_margin": mn}, loc, mn)
+        return status, {"winding": winding, "min_margin": mn}, loc, mn
 
     def overturn(self):
         wf = self.wf
-        us = self.u[:, -1]
-        mx_u = float(np.max(us))
+        mx_u, loc = _extremum(wf, self.u[:, -1], np.argmax)
         if mx_u < 0.0:
-            self.add("D-overturn", "overturning waves need a pressure sink",
-                     "surface:pressure-sink", PASS,
-                     {"overturning": False, "max_surface_u": mx_u},
-                     (float(wf.q[np.argmax(us)]), 0.0), -mx_u)
-            return
-        dpdn = self.curve.dPdn[:wf.nq]
-        sink = float(np.max(dpdn))
-        self.add("D-overturn", "overturning waves need a pressure sink",
-                 "surface:pressure-sink", _strict(sink, self.band_for(self.g)),
-                 {"overturning": True, "max_dPdn": sink},
-                 (float(wf.q[np.argmax(dpdn)]), 0.0), sink)
+            return (PASS, {"overturning": False, "max_surface_u": mx_u},
+                    loc, -mx_u)
+        sink, loc = _extremum(wf, self.curve.dPdn[:wf.nq], np.argmax)
+        return (_strict(sink, self.band_for(self.g)),
+                {"overturning": True, "max_dPdn": sink}, loc, sink)
 
     def bed_strain(self):
         wf = self.wf
-        w_bed = wf.ux[:, 0] / self.u[:, 0]
-        ends_zero = wf.ux[0, 0] == 0.0 and wf.ux[-1, 0] == 0.0
-        mn = float(np.min(w_bed[1:-1])) if wf.nq > 2 else np.inf
+        w_bed = wf.ux[:, :1] / self.u[:, :1]
+        mn, loc = _extremum(wf, w_bed[1:-1], np.argmin, (1, 0))
         status = _strict(mn, self.band_for(self.res_tol))
-        if not ends_zero:
+        if not (wf.ux[0, 0] == 0.0 and wf.ux[-1, 0] == 0.0):
             status = FAIL
-        idx = int(np.argmin(w_bed[1:-1])) + 1 if wf.nq > 2 else 0
-        self.add("D-w-bed", "relative strain positive on the open bed row",
-                 "sign:bed-strain", status,
-                 {"min": mn,
-                  "end_values": [float(w_bed[0]), float(w_bed[-1])]},
-                 _node_loc(wf, idx, 0), mn)
+        return (status,
+                {"min": mn,
+                 "end_values": [float(w_bed[0, 0]), float(w_bed[-1, 0])]},
+                loc, mn)
+
+
+# One row per diagnostic, in report order: (id, paper_ref, description,
+# check). A check takes the wave's _Auditor and returns (status, value,
+# location, margin[, tolerance]).
+DIAGNOSTICS = (
+    ("D-slope", "bound:streamline-slope",
+     "streamline slope stays below one", _Auditor.slope),
+    ("D-sigma", "bound:slope-refined",
+     "refined slope bound via the vortex-force ratio", _Auditor.sigma),
+    ("D-ux", "sign:ux",
+     "horizontal velocity strictly decreasing in x", _Auditor.ux_sign),
+    ("D-mono", "sign:v",
+     "vertical velocity positive on the half period", _Auditor.v_sign),
+    ("D-trough", "criterion:vortex-force-trough",
+     "vortex-force criterion at the trough", _Auditor.trough),
+    ("D-f", "identity:speed-gap",
+     "u^2 exceeds v^2 and the gap obeys its flow identity",
+     _Auditor.speed_gap),
+    ("D-alpha", "identity:weighted-speed-gap",
+     "weighted speed gap decreases along the flow", _Auditor.alpha_identity),
+    ("D-w-pde", "pde:relative-strain",
+     "elliptic equation for the relative strain u_x/u", _Auditor.w_pde),
+    ("D-s-pde", "pde:streamline-slope",
+     "elliptic equation for the streamline slope v/u", _Auditor.s_pde),
+    ("D-p1", "surface:first-tangential",
+     "first tangential derivative of surface Bernoulli",
+     _Auditor.surface_first),
+    ("D-p2", "surface:second-tangential",
+     "second tangential derivative of surface Bernoulli",
+     _Auditor.surface_second),
+    ("D-ABC", "surface:curvature-coefficients",
+     "curvature coefficients of the surface strain equation",
+     _Auditor.abc_coefficients),
+    ("D-press-a", "pressure:(a)",
+     "modified pressure bounded by surface extremes",
+     _Auditor.pressure_basic),
+    ("D-press-b", "pressure:(b)",
+     "surface concave at the crest, convex at the trough",
+     _Auditor.pressure_curvature),
+    ("D-press-c", "pressure:(c)",
+     "wave height exceeds the bed pressure range over g",
+     _Auditor.pressure_bed_range),
+    ("D-press-d", "pressure:(d)",
+     "pressure above atmospheric below the troughs",
+     _Auditor.pressure_below_troughs),
+    ("D-press-e", "pressure:(e)",
+     "nonnegative vortex force keeps pressure above atmospheric",
+     _Auditor.pressure_top),
+    ("D-press-f", "pressure:(f)",
+     "vorticity-shifted pressure above atmospheric",
+     _Auditor.pressure_shifted),
+    ("D-press-g", "pressure:(g)",
+     "nonnegative vorticity puts the speed maximum at the trough",
+     _Auditor.speed_max_at_trough),
+    ("D-press-h", "pressure:(h)",
+     "nonpositive vorticity puts the speed minimum at the crest",
+     _Auditor.speed_min_at_crest),
+    ("D-bern", "identity:total-head",
+     "total head constant across the strip", _Auditor.bernoulli),
+    ("D-reduce", "surface:head-reduction",
+     "trough speed bounded through the crest speed",
+     _Auditor.head_reduction),
+    ("D-monotone-u2", "surface:speed-monotone",
+     "surface speed squared increases from crest to trough",
+     _Auditor.speed_monotone),
+    ("D-angle", "surface:turning-angle",
+     "surface tangent angle turns without winding", _Auditor.turning_angle),
+    ("D-overturn", "surface:pressure-sink",
+     "overturning waves need a pressure sink", _Auditor.overturn),
+    ("D-w-bed", "sign:bed-strain",
+     "relative strain positive on the open bed row", _Auditor.bed_strain),
+)
 
 
 def audit_wave(wf, vf=None, tol=None, lam_c=None):
-    """Run every diagnostic on a reconstructed wave field.
+    """Run every diagnostic of DIAGNOSTICS on a reconstructed wave field.
 
     vf defaults to the field's own VorticityFunction; fields loaded from
     CSV must pass one explicitly. lam_c is critical_lambda(vf, wf.g),
@@ -768,30 +734,5 @@ def audit_wave(wf, vf=None, tol=None, lam_c=None):
     if lam_c is None:
         lam_c = critical_lambda(vf, wf.g)
     a = _Auditor(wf, vf, tol, lam_c)
-    a.slope()
-    a.sigma()
-    a.ux_sign()
-    a.v_sign()
-    a.trough()
-    a.speed_gap()
-    a.alpha_identity()
-    a.w_pde()
-    a.s_pde()
-    a.surface_first()
-    a.surface_second()
-    a.abc_coefficients()
-    a.pressure_basic()
-    a.pressure_curvature()
-    a.pressure_bed_range()
-    a.pressure_below_troughs()
-    a.pressure_top()
-    a.pressure_shifted()
-    a._speed_extremum("D-press-g", "pressure:(g)", at_trough=True)
-    a._speed_extremum("D-press-h", "pressure:(h)", at_trough=False)
-    a.bernoulli()
-    a.head_reduction()
-    a.speed_monotone()
-    a.turning_angle()
-    a.overturn()
-    a.bed_strain()
-    return AuditReport(a.out)
+    return AuditReport([Diagnostic(diag_id, description, ref, *check(a))
+                        for diag_id, ref, description, check in DIAGNOSTICS])

@@ -7,12 +7,12 @@ exactly zero on both axes. Horizontal derivatives act on the half period
 [0, L] where every physical field has a definite parity (even or odd about
 both q = 0 and q = L), so the boundary stencils use mirror ghosts and are exact
 for the symmetry. Vertical derivatives of the reconstructed fields use
-Fornberg's weights in `ColumnOps`, in sum form (a constant gives about
-1e-13): in difference form its 6-point windows measured 3-4x slower per
-`apply` at 64x48. Every node uses a 6-point sliding window (local order 5):
-applying a first-derivative operator twice differentiates the truncation
-error of the first pass, which costs one order wherever the error
-coefficient jumps, and the coefficient does jump at the clipped end windows.
+Fornberg's weights in `ColumnOps`, applied to consecutive differences, so a
+constant gives exactly zero there too. Every node uses a 6-point sliding
+window (local order 5): applying a first-derivative operator twice
+differentiates the truncation error of the first pass, which costs one
+order wherever the error coefficient jumps, and the coefficient does jump
+at the clipped end windows.
 Starting from order 5 leaves the composed derivative at worst O(dp^4) there,
 which is what lets the reconstructed vorticity of a smooth laminar flow
 track gamma to 1e-8 on a few hundred nodes. Narrower windows were tried
@@ -120,7 +120,9 @@ class ColumnOps:
     starting two nodes to its left, clipped at the ends. At the default
     first order and width 6 the local error is O(dp^5) with a coefficient
     that only changes character at the four outermost rows (see the module
-    docstring). Row j of `w` holds node j's weights on the nodes `idx[j]`.
+    docstring). Row j of `w` holds node j's weights on the nodes `idx[j]`;
+    `apply` takes them in the equivalent difference form (`diff_w` on the
+    differences `diff_idx`), exact zero on a constant.
     """
 
     WIDTH = 6
@@ -128,6 +130,8 @@ class ColumnOps:
     def __init__(self, p, order=1, width=WIDTH):
         p = np.asarray(p, dtype=float)
         n = p.size
+        if order < 1:
+            raise ValueError("derivative order must be at least 1")
         if n < width:
             raise ValueError("need at least %d vertical nodes" % width)
         if np.any(np.diff(p) <= 0):
@@ -138,7 +142,12 @@ class ColumnOps:
         self.w = np.empty((n, width))
         for j in range(n):
             self.w[j] = fd_weights(p[self.idx[j]], p[j], order)
+        # The weights of a derivative sum to zero, so sum_k w_k F_k equals
+        # sum_l W_l (F_{l+1} - F_l) with W_l = sum_{k>l} w_k: the window's
+        # consecutive differences, which vanish exactly on a constant.
+        self.diff_idx = self.idx[:, :-1]
+        self.diff_w = np.cumsum(self.w[:, ::-1], axis=1)[:, -2::-1]
 
     def apply(self, F):
-        F = np.asarray(F, dtype=float)
-        return np.einsum("...jk,jk->...j", F[..., self.idx], self.w)
+        D = np.diff(np.asarray(F, dtype=float), axis=-1)
+        return np.einsum("...jk,jk->...j", D[..., self.diff_idx], self.diff_w)

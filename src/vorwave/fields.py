@@ -17,7 +17,6 @@ tolerance rather than to truncation order.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,25 +30,13 @@ _META_RE = re.compile(
     r"^#\s*vorwave field\s+g=(?P<g>\S+)\s+Q=(?P<Q>\S+)\s+d=(?P<d>\S+)\s*$")
 
 
-@dataclass
-class SurfaceTrace:
-    """Velocity and its derivatives along the free surface p = 0."""
-    u: np.ndarray
-    v: np.ndarray
-    ux: np.ndarray
-    vx: np.ndarray
-    uy: np.ndarray
-    uxx: np.ndarray
-    uxy: np.ndarray
-
-
 class WaveField:
     """Velocities, pressure, and derivatives of one computed wave.
 
     Instances come from `reconstruct` (a solved height field on its grid) or
     `WaveField.from_csv` (on `StripGrid.from_nodes` of the file's nodes); the
     field differentiates with its `grid`'s weights. The stored arrays are
-    authoritative; h_q and h_p are rebuilt from h so dx/dy work on either.
+    authoritative; h_q and h_p are rebuilt from h so grad works on either.
     """
 
     def __init__(self, grid, g, Q, d, h, u, v, P, psi, omega,
@@ -74,27 +61,18 @@ class WaveField:
         self.eta_x = dq(self.eta, grid.wq1, "even")
         self.eta_xx = dq(self.eta, grid.wq2, "even")
 
-    def dx(self, F, parity):
-        """x-derivative of a strip quantity with the given q-parity."""
-        return (dq(F, self.grid.wq1, parity)
-                - self.hq / self.hp * self.grid.column_ops.apply(F))
-
-    def dy(self, F):
-        """y-derivative of a strip quantity."""
-        return self.grid.column_ops.apply(F) / self.hp
+    def grad(self, F, parity):
+        """(F_x, F_y) of a strip quantity F with the given q-parity."""
+        Fp = self.grid.column_ops.apply(F)
+        Fx = dq(F, self.grid.wq1, parity) - self.hq / self.hp * Fp
+        return Fx, Fp / self.hp
 
     def speed_squared(self):
         return self.u ** 2 + self.v ** 2
 
-    def surface_trace(self):
-        s = slice(None), -1
-        return SurfaceTrace(self.u[s], self.v[s], self.ux[s], self.vx[s],
-                            self.uy[s], self.uxx[s], self.uxy[s])
-
     def euler_residuals(self):
         """Residuals of the steady momentum balance at every node."""
-        Px = self.dx(self.P, "even")
-        Py = self.dy(self.P)
+        Px, Py = self.grad(self.P, "even")
         e1 = self.u * self.ux + self.v * self.uy + Px
         e2 = self.u * self.vx + self.v * self.vy + Py + self.g
         return e1, e2
@@ -183,7 +161,7 @@ def reconstruct(grid, vf, g, h, Q):
         raise InputError("height array does not match the grid")
     d = float(np.trapezoid(h[:, -1], x=grid.q) / grid.L)
     # The field computes h_p (refusing stagnation) and h_q from h; every
-    # other array is filled in from them, the derivatives by its dx and dy.
+    # other array is filled in from them, the derivatives by its grad.
     wf = WaveField(grid, g, float(Q), d, h, *[None] * 11, vf=vf)
     u = -1.0 / wf.hp
     v = -wf.hq / wf.hp
@@ -191,12 +169,9 @@ def reconstruct(grid, vf, g, h, Q):
     wf.v = v
     wf.psi = np.tile(-grid.p, (grid.nq, 1))
     wf.P = Q - 0.5 * (u ** 2 + v ** 2) - g * h + vf.Gamma(grid.p)[None, :]
-    wf.ux = wf.dx(u, "even")
-    wf.uy = wf.dy(u)
-    wf.vx = wf.dx(v, "odd")
-    wf.vy = wf.dy(v)
+    wf.ux, wf.uy = wf.grad(u, "even")
+    wf.vx, wf.vy = wf.grad(v, "odd")
     wf.omega = wf.vx - wf.uy
-    wf.uxx = wf.dx(wf.ux, "odd")
-    wf.uxy = wf.dy(wf.ux)
+    wf.uxx, wf.uxy = wf.grad(wf.ux, "odd")
     return wf
 

@@ -29,17 +29,18 @@ class StripGrid:
 
     The constructor places uniform q and `stretched_nodes` p nodes;
     `from_nodes` takes given ones (L = q[-1], m = -p[0], beta None); both
-    then check them (nq >= 4, npts >= 7, strictly increasing) and build the
-    weights from them. w1/w2 (npts - 2, 3) hold the 3-point first/second
-    p-derivative weights of the interior rows p[1:-1], as `fd.dp` takes
-    them. wq1/wq2 (nq, 3) hold the 3-point first/second q-derivative weights
-    of every column, the end columns with mirror ghosts, as `fd.dq` takes
-    them. column_ops is the vertical derivative operator of the field
-    reconstruction; ws and wb are its surface and bed rows, the one-sided
-    weights for h_p at p = 0 and at the bed over the last and first
-    ColumnOps.WIDTH nodes. The solver's surface row uses the same window as
-    the reconstruction, so the converged surface residual and the
-    reconstructed surface pressure are the same number.
+    then check them (nq >= 4, npts >= 7, strictly increasing, q from 0 and
+    p up to 0) and build the weights from them. w1/w2 (npts - 2, 3) hold
+    the 3-point first/second p-derivative weights of the interior rows
+    p[1:-1], as `fd.dp` takes them. wq1/wq2 (nq, 3) hold the 3-point
+    first/second q-derivative weights of every column, the end columns
+    with mirror ghosts, as `fd.dq` takes them. column_ops is the vertical
+    derivative operator of the field reconstruction; ws and wb are its
+    surface and bed rows, the one-sided weights for h_p at p = 0 and at
+    the bed over the last and first ColumnOps.WIDTH nodes. The solver's
+    surface row uses the same window as the reconstruction, so the
+    converged surface residual and the reconstructed surface pressure are
+    the same number.
 
     newton_patterns holds, per solve mode, the structure of the Newton
     matrix, in nested-dissection order, that the solver builds on its first
@@ -70,6 +71,10 @@ class StripGrid:
                              "npts >= 7" % (q.size, p.size))
         if np.any(np.diff(q) <= 0) or np.any(np.diff(p) <= 0):
             raise InputError("grid nodes do not strictly increase")
+        if q[0] != 0.0 or p[-1] != 0.0:
+            raise InputError("grid nodes must start at q = 0 and end at "
+                             "p = 0, not at q = %r and p = %r"
+                             % (float(q[0]), float(p[-1])))
         self.q, self.p, self.nq, self.npts = q, p, q.size, p.size
         self.L, self.m = float(q[-1]), float(-p[0])
         self.wq1, self.wq2 = mirror_weights(q)

@@ -18,10 +18,11 @@ from hypothesis import strategies as st
 import vorwave.audit as audit_module
 from vorwave.audit import (AuditReport, Tolerances, audit_wave,
                            pressure_normal_derivative, surface_curve)
+from vorwave.continuation import continue_branch
 from vorwave.errors import InputError, StagnationError
 from vorwave.fields import reconstruct
 from vorwave.grid import StripGrid
-from vorwave.laminar import laminar_flow
+from vorwave.laminar import critical_lambda, laminar_flow
 from vorwave.solver import (discrete_laminar, find_bifurcation, newton_solve,
                             seed_wave)
 from vorwave.vorticity import VorticityFunction
@@ -274,6 +275,45 @@ class TestShearedWave:
         assert diag.status == "pass"
         assert diag.value["end_values"] == [0.0, 0.0]
         assert diag.value["min"] > 0.0
+
+
+class TestPositiveVorticityBranch:
+    def test_gated_checks_not_applicable_and_nothing_fails(self):
+        # gamma = +0.5 everywhere: gamma(0) > 0 removes the hypothesis of
+        # the curvature coefficients, gamma > 0 that of the crest speed
+        # minimum, at every point of the branch
+        vf = VorticityFunction.constant(0.5, m=M)
+        grid = StripGrid(L, M, 32, 24, beta=0.5)
+        branch = continue_branch(grid, vf, G, 12,
+                                 lam_star=find_bifurcation(vf, G, L, M))
+        assert len(branch.points) == 13
+        lam_c = critical_lambda(vf, G)
+        for pt in branch.points:
+            rep = audit_wave(reconstruct(grid, vf, G, pt.h, pt.Q),
+                             lam_c=lam_c)
+            assert rep.summary["fail"] == 0, pt.index
+            for diag_id in ("D-ABC", "D-press-h"):
+                diag = rep.by_id(diag_id)
+                assert diag.status == "not-applicable", (pt.index, diag_id)
+                assert diag.value["hypothesis"] == -0.5
+
+
+class TestDiagnosticTable:
+    def test_report_follows_the_table(self, sheared_report):
+        ids = [row[0] for row in audit_module.DIAGNOSTICS]
+        assert len(set(ids)) == len(ids)
+        assert [d.id for d in sheared_report.diagnostics] == ids == ALL_IDS
+
+    def test_checks_do_not_depend_on_their_order(
+            self, sheared_wave, sheared_report, monkeypatch):
+        # no check reads what another one computed, so the reversed table
+        # gives the same entries in reverse order
+        monkeypatch.setattr(audit_module, "DIAGNOSTICS",
+                            audit_module.DIAGNOSTICS[::-1])
+        reverse = audit_wave(sheared_wave)
+        assert [json.dumps(d.json_entry()) for d in reverse.diagnostics] == \
+            [json.dumps(d.json_entry())
+             for d in sheared_report.diagnostics[::-1]]
 
 
 class TestResidualRefinement:

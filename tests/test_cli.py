@@ -15,7 +15,9 @@ import pytest
 
 from vorwave import cli, continuation, laminar, solver
 from vorwave.cli import main
-from vorwave.errors import NoConvergenceError, NumericsError, SolverError
+from vorwave.errors import (InputError, NoConvergenceError, NumericsError,
+                            SolverError)
+from vorwave.fields import WaveField
 
 GMEAN = 9.81 ** (2.0 / 3.0)  # critical lambda for irrotational unit flux
 
@@ -519,6 +521,26 @@ class TestAudit:
         assert main(["audit", str(bad), "--config", str(cfg),
                      "--out", str(tmp_path / "column")]) == 2
         assert "column.csv" in capsys.readouterr().err
+
+    def test_field_shifted_in_q_exits_2(self, pipeline_run, tmp_path,
+                                        capsys):
+        # q and x moved by 1: the nodes no longer start at q = 0, so the
+        # period L = q[-1] the audit would take is wrong
+        root, cfg, _ = pipeline_run
+        lines = (root / "out" / "fields" / "point_0005.csv") \
+            .read_text().splitlines()
+        for k in range(2, len(lines)):
+            cells = lines[k].split(",")
+            for col in (0, 2):
+                cells[col] = "%.17g" % (float(cells[col]) + 1.0)
+            lines[k] = ",".join(cells)
+        bad = tmp_path / "shifted.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InputError, match="shifted.csv: grid nodes must"):
+            WaveField.from_csv(bad)
+        assert main(["audit", str(bad), "--config", str(cfg),
+                     "--out", str(tmp_path / "shifted")]) == 2
+        assert "shifted.csv" in capsys.readouterr().err
 
 
 class TestReconstruct:

@@ -165,3 +165,10 @@ def test_column_ops_polynomial_exactness():
         ops = ColumnOps(x, order, 5)
         np.testing.assert_allclose(ops.apply(poly(x)), poly.deriv(order)(x),
                                    rtol=0, atol=1e-8)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_column_ops_differentiate_a_constant_to_exact_zero(order):
+    p = stretched_nodes(1.0, 48, 0.5)
+    F = np.full((5, p.size), 2.718281828459045)
+    assert np.all(ColumnOps(p, order).apply(F) == 0.0)

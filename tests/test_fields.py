@@ -68,21 +68,18 @@ class TestLaminar:
 
     def test_surface_trace_constants(self):
         _, wf = laminar_field(-1.0, 1.0, npts=501)
-        tr = wf.surface_trace()
-        assert tr.u[0] == pytest.approx(-1.0, abs=1e-9)   # -sqrt(lam)
-        assert np.max(np.abs(np.diff(tr.u))) < 1e-12
-        assert np.all(tr.v == 0.0)
-        assert np.all(tr.ux == 0.0)
-        assert np.all(tr.vx == 0.0)
+        assert wf.u[0, -1] == pytest.approx(-1.0, abs=1e-9)   # -sqrt(lam)
+        assert np.max(np.abs(np.diff(wf.u[:, -1]))) < 1e-12
+        for arr in (wf.v, wf.ux, wf.vx, wf.uxx, wf.uxy):
+            assert np.all(arr[:, -1] == 0.0)
         # u_y(0) = -gamma(0) along a laminar profile
-        np.testing.assert_allclose(tr.uy, 1.0, rtol=0, atol=1e-8)
-        assert np.all(tr.uxx == 0.0)
-        assert np.all(tr.uxy == 0.0)
+        np.testing.assert_allclose(wf.uy[:, -1], 1.0, rtol=0, atol=1e-8)
 
     def test_stream_function_consistency(self):
         _, wf = laminar_field(-0.4, 2.0)
-        np.testing.assert_allclose(wf.dy(wf.psi), wf.u, rtol=0, atol=1e-11)
-        assert np.max(np.abs(wf.dx(wf.psi, "even") + wf.v)) == 0.0
+        psi_x, psi_y = wf.grad(wf.psi, "even")
+        np.testing.assert_allclose(psi_y, wf.u, rtol=0, atol=1e-11)
+        assert np.max(np.abs(psi_x + wf.v)) == 0.0
 
 
 class TestSolvedWave:
@@ -92,8 +89,7 @@ class TestSolvedWave:
 
     def test_kinematic_condition_exact(self, wave):
         _, wf = wave
-        tr = wf.surface_trace()
-        assert np.max(np.abs(tr.v - wf.eta_x * tr.u)) < 1e-14
+        assert np.max(np.abs(wf.v[:, -1] - wf.eta_x * wf.u[:, -1])) < 1e-14
 
     def test_eta_has_zero_mean(self, wave):
         grid, wf = wave
@@ -106,13 +102,6 @@ class TestSolvedWave:
         assert np.all(wf.v[-1] == 0.0)
         assert np.all(wf.v[:, 0] == 0.0)
         assert np.all(wf.v[1:-1, 1:] > 0.0)
-
-    def test_trace_matches_field_rows(self, wave):
-        _, wf = wave
-        tr = wf.surface_trace()
-        assert np.array_equal(tr.u, wf.u[:, -1])
-        assert np.array_equal(tr.uxx, wf.uxx[:, -1])
-        assert tr.v[0] == 0.0 and tr.v[-1] == 0.0
 
     def test_incompressibility_and_momentum_second_order(
             self, lam_star_irrotational):
@@ -135,12 +124,12 @@ class TestSolvedWave:
         # Grids must nest (nq - 1 doubling) so fine.q[::2] lands exactly on
         # the coarse q nodes; otherwise the comparison below measures the
         # node displacement, not the discretization error.
-        traces = []
+        surface_u = []
         for nq, npts in ((17, 13), (33, 25), (65, 49)):
             _, wf = solve_wave(0.0, 0.05, nq, npts, lam_star_irrotational)
-            traces.append(wf.surface_trace())
-        d1 = np.max(np.abs(traces[1].u[::2] - traces[0].u))
-        d2 = np.max(np.abs(traces[2].u[::2] - traces[1].u))
+            surface_u.append(wf.u[:, -1])
+        d1 = np.max(np.abs(surface_u[1][::2] - surface_u[0]))
+        d2 = np.max(np.abs(surface_u[2][::2] - surface_u[1]))
         assert 2.5 < d1 / d2 < 6.5
 
     def test_vortical_wave_omega_matches_gamma(self):
@@ -169,7 +158,7 @@ class TestValidation:
     def test_bad_parity_name(self, wave):
         _, wf = wave
         with pytest.raises(InputError):
-            wf.dx(wf.u, "sideways")
+            wf.grad(wf.u, "sideways")
 
 
 class TestCsv:

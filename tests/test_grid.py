@@ -56,3 +56,12 @@ def test_out_of_order_nodes_rejected(axis, fault):
         x[3] = x[2]
     with pytest.raises(InputError, match="strictly increase"):
         StripGrid.from_nodes(nodes["q"], nodes["p"])
+
+
+@pytest.mark.parametrize("axis", ["q", "p"])
+def test_nodes_off_the_strip_ends_rejected(axis):
+    # L = q[-1] and m = -p[0] presume q starts at 0 and p ends at 0
+    nodes = {"q": np.linspace(0.0, L, 6), "p": np.linspace(-M, 0.0, 9)}
+    nodes[axis] = nodes[axis] + 1.0
+    with pytest.raises(InputError, match="start at q = 0 and end at p = 0"):
+        StripGrid.from_nodes(nodes["q"], nodes["p"])

@@ -20,6 +20,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy import sparse
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
@@ -663,6 +664,25 @@ class TestBifurcation:
         vf = VorticityFunction.constant(0.0, m=M)
         with pytest.raises(BifurcationNotFoundError):
             find_bifurcation(vf, G, L, M, lam_c=4.3)
+
+    def test_top_eigenpair_of_an_unsymmetrizable_tridiagonal(self):
+        # a zero off-diagonal product leaves no diagonal similarity to a
+        # symmetric tridiagonal, so the dense eigensolver answers; the zero
+        # splits the matrix into two blocks with real spectra
+        sub = np.array([1.0, 0.0, 0.5, 2.0])
+        diag = np.array([1.0, -2.0, 3.0, 0.5, -1.0])
+        sup = np.array([2.0, 3.0, 1.5, 1.0])
+        dense = np.diag(diag) + np.diag(sub, -1) + np.diag(sup, 1)
+        vals, vecs = scipy.linalg.eig(dense)
+        top = np.argmax(vals.real)
+        ref = vecs[:, top].real
+        mu, vec = solver._top_eigenpair(sub, diag, sup)
+        assert mu == pytest.approx(vals[top].real, rel=1e-12)
+        cosine = abs(vec @ ref) / (np.linalg.norm(vec) * np.linalg.norm(ref))
+        assert cosine == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(dense @ vec, mu * vec, rtol=0, atol=1e-12)
+        assert solver._top_eigenpair(sub, diag, sup, vector=False) == \
+            (mu, None)
 
     def test_mode_shape_matches_closed_form(self):
         vf = VorticityFunction.constant(0.0, m=M)
