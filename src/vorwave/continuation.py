@@ -93,7 +93,7 @@ def continue_branch(grid, vf, g, steps, *, lam_star=None, ds0=0.005,
     attempt costs a few linear solves instead of dozens. After an attempt
     that converges in at most 4 iterations the step grows by 1.3, up to
     ds_max. `lam_star` defaults to find_bifurcation on a vertical grid
-    with the stretching of `grid`.
+    with the stretching of `grid`, which StripGrid.from_nodes grids lack.
 
     Stop reasons: "max-steps", "near-stagnation" (the offending point is not
     a valid wave and is discarded), "amplitude-reversal" (the new point's
@@ -104,6 +104,8 @@ def continue_branch(grid, vf, g, steps, *, lam_star=None, ds0=0.005,
     if steps < 0:
         raise NumericsError("steps must be nonnegative")
     if lam_star is None:
+        if grid.beta is None:
+            raise InputError("a grid given by its nodes needs lam_star")
         lam_star = find_bifurcation(vf, g, grid.L, grid.m, beta=grid.beta)
     if eps_stag is None:
         eps_stag = 0.05 * np.sqrt(lam_star)

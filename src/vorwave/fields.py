@@ -124,6 +124,8 @@ class WaveField:
                                  % (path, exc)) from exc
         if data.shape[1] != len(CSV_COLUMNS):
             raise InputError("wrong column count in %s" % path)
+        if not np.all(np.isfinite(np.append(data, [g, Q_meta]))):
+            raise InputError("non-finite number in %s" % path)
         q_col, p_col = data[:, 0], data[:, 1]
         block = np.nonzero(q_col != q_col[0])[0]
         npts = int(block[0]) if block.size else data.shape[0]

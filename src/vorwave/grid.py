@@ -29,9 +29,9 @@ class StripGrid:
 
     The constructor places uniform q and `stretched_nodes` p nodes;
     `from_nodes` takes given ones (L = q[-1], m = -p[0], beta None); both
-    then check them (nq >= 4, npts >= 7, strictly increasing, q from 0 and
-    p up to 0) and build the weights from them. w1/w2 (npts - 2, 3) hold
-    the 3-point first/second p-derivative weights of the interior rows
+    then check them (nq >= 4, npts >= 7, finite, strictly increasing, q
+    from 0, p up to 0) and build the weights from them. w1/w2 (npts - 2, 3)
+    hold the 3-point first/second p-derivative weights of the interior rows
     p[1:-1], as `fd.dp` takes them. wq1/wq2 (nq, 3) hold the 3-point
     first/second q-derivative weights of every column, the end columns
     with mirror ghosts, as `fd.dq` takes them. column_ops is the vertical
@@ -69,6 +69,8 @@ class StripGrid:
         if q.size < 4 or p.size < 7:
             raise InputError("grid too small: %d x %d nodes, need nq >= 4, "
                              "npts >= 7" % (q.size, p.size))
+        if not (np.all(np.isfinite(q)) and np.all(np.isfinite(p))):
+            raise InputError("grid nodes must be finite numbers")
         if np.any(np.diff(q) <= 0) or np.any(np.diff(p) <= 0):
             raise InputError("grid nodes do not strictly increase")
         if q[0] != 0.0 or p[-1] != 0.0:

@@ -171,7 +171,8 @@ class CriterionResult:
 
 def _strict_less(name, lhs, rhs, note=""):
     margin = rhs - lhs
-    band = _BOUNDARY_BAND * max(1.0, abs(lhs), abs(rhs))
+    finite_sides = [abs(x) for x in (lhs, rhs) if math.isfinite(x)]
+    band = _BOUNDARY_BAND * max([1.0] + finite_sides)
     if abs(margin) <= band:
         status = "boundary"
     elif margin > 0:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 from scipy.integrate import cumulative_trapezoid
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import LinAlgError, solve_banded
 from scipy.optimize import brentq
 from scipy.sparse.linalg import LinearOperator, gmres, splu
 
@@ -512,7 +512,8 @@ def _transverse_operator(vf, g, k, p, w1, w2):
     cos(k q) mode about the laminar flow at lam: _mode_operator's rows at
     H'^2 = 1/(lam + 2 Gamma), w1 and w2 being the interior 3-point weights,
     and a surface row whose mirrored ghost node carries the Robin condition
-    phi'(0) = g H'(0)^3 phi(0).
+    phi'(0) = g H'(0)^3 phi(0). Only the surface row can make it singular:
+    its interior rows are strictly diagonally dominant (row sum -k^2 H'^2).
     """
     Gamma, gam = vf.Gamma(p), vf.gamma(-p)
     dlast = p[-1] - p[-2]
@@ -529,32 +530,30 @@ def _transverse_operator(vf, g, k, p, w1, w2):
     return operator
 
 
-def _top_eigenpair(sub, diag, sup, vector=True):
-    """Largest eigenvalue of the tridiagonal (sub, diag, sup) and its
-    eigenvector, or None for it without `vector`: then eigh_tridiagonal
-    takes its cheaper eigenvalues-only path."""
-    offprod = sup * sub
-    n = diag.size
-    if not np.all(offprod > 0.0):
-        vals, vecs = np.linalg.eig(np.diag(diag) + np.diag(sub, -1)
-                                   + np.diag(sup, 1))
-        top = np.argmax(vals.real)
-        return float(vals[top].real), vecs[:, top].real if vector else None
-    out = eigh_tridiagonal(diag, np.sqrt(offprod), eigvals_only=not vector,
-                           select="i", select_range=(n - 1, n - 1))
-    if not vector:
-        return float(out[0]), None
-    # undo the diagonal similarity that symmetrized the tridiagonal
-    scale = np.append(1.0, np.cumprod(np.sqrt(sup / sub)))
-    return float(out[0][0]), out[1][:, 0] / scale
+def _surface_mode(sub, diag, sup):
+    """(phi, r): phi solves all rows of the tridiagonal A = (sub, diag, sup)
+    but the last with phi[-1] = 1, by one banded solve, and r is the last
+    row's residual: A phi = r e_last, r = det(A) / det(A[:-1, :-1]).
+    Solving A x = e_last instead would meet a last pivot of exactly zero
+    where A is singular."""
+    ab = np.array([np.append(0.0, sup[:-1]), diag[:-1],
+                   np.append(sub[:-1], 0.0)])
+    try:
+        phi = solve_banded((1, 1), ab,
+                           np.append(np.zeros(diag.size - 2), -sup[-1]))
+    except LinAlgError as exc:
+        raise NumericsError("mode operator singular: %s" % exc) from exc
+    return np.append(phi, 1.0), float(sub[-1] * phi[-1] + diag[-1])
 
 
 def find_bifurcation(vf, g, L, m, *, beta=0.5, lam_c=None):
     """Squared surface speed lam* where a cos(pi q / L) mode branches off.
 
-    Root of the largest eigenvalue of the transverse mode operator on a
-    dedicated vertical grid of BIFURCATION_NODES nodes, searched between
-    -2 min Gamma and lambda_c; always strictly below lambda_c. `lam_c` is
+    Root of the transverse mode operator's surface residual (_surface_mode)
+    on a dedicated vertical grid of BIFURCATION_NODES nodes, searched
+    between -2 min Gamma and lambda_c; always strictly below lambda_c. The
+    residual is smooth in lam and zero exactly where the operator is
+    singular, so brentq resolves lam* to rounding. `lam_c` is
     critical_lambda(vf, g), computed here unless the caller has it.
     """
     if lam_c is None:
@@ -566,15 +565,15 @@ def find_bifurcation(vf, g, L, m, *, beta=0.5, lam_c=None):
     operator = _transverse_operator(
         vf, g, np.pi / L, p, *three_point_weights(spacing[:-1], spacing[1:]))
 
-    def mu(lam):
-        return _top_eigenpair(*operator(lam), vector=False)[0]
+    def r(lam):
+        return _surface_mode(*operator(lam))[1]
 
-    mu_lo, mu_hi = mu(lo), mu(hi)
-    if not (mu_lo > 0.0 > mu_hi):
+    r_lo, r_hi = r(lo), r(hi)
+    if not (r_lo > 0.0 > r_hi):
         raise BifurcationNotFoundError(
-            "largest mode eigenvalue does not change sign on [%g, %g] "
-            "(mu(lo)=%.3g, mu(hi)=%.3g)" % (lo, hi, mu_lo, mu_hi))
-    lam_star = brentq(mu, lo, hi, xtol=1e-9 * max(1.0, hi),
+            "mode operator's surface residual does not change sign on "
+            "[%g, %g] (r(lo)=%.3g, r(hi)=%.3g)" % (lo, hi, r_lo, r_hi))
+    lam_star = brentq(r, lo, hi, xtol=1e-15 * max(1.0, hi),
                       rtol=4.0 * np.finfo(float).eps)
     if not lam_star < lam_c:
         raise BifurcationNotFoundError("detected lam* is not below lambda_c")
@@ -582,19 +581,13 @@ def find_bifurcation(vf, g, L, m, *, beta=0.5, lam_c=None):
 
 
 def bifurcation_mode(grid, vf, g, lam_star):
-    """Vertical mode shape phi on grid.p, normalized to phi(0) = 1/2.
-
-    Eigenvector of the solver-grid mode operator for its largest eigenvalue
-    (near zero at lam_star); used only to seed Newton, so the fine-grid /
-    solver-grid discretization mismatch is harmless.
-    """
-    _, v = _top_eigenpair(*_transverse_operator(
+    """Vertical mode shape phi on grid.p, normalized to phi(0) = 1/2: the
+    solver-grid mode operator at lam_star solved in all rows but the
+    surface one (_surface_mode). Used only to seed Newton, so the
+    fine-grid / solver-grid discretization mismatch is harmless."""
+    v, _ = _surface_mode(*_transverse_operator(
         vf, g, np.pi / grid.L, grid.p, grid.w1, grid.w2)(lam_star))
-    if abs(v[-1]) < 1e-12 * np.max(np.abs(v)):
-        raise NumericsError("mode shape vanishes at the surface")
-    phi = np.concatenate([[0.0], v])
-    phi *= 0.5 / phi[-1]
-    return phi
+    return 0.5 * np.append(0.0, v)
 
 
 def mode_seed(grid, hcol, phi, a0):

@@ -217,7 +217,7 @@ class TestPipeline:
         summary = json.loads((out / "pipeline.json").read_text())
         assert summary["all_pass"] is True
         assert summary["points"] == 4
-        assert summary["lambda_star"] == pytest.approx(4.033209127967112,
+        assert summary["lambda_star"] == pytest.approx(4.033209118070473,
                                                        rel=1e-9)
         reports = {f.name: f.read_bytes()
                    for f in (out / "reports").iterdir()}
@@ -521,6 +521,27 @@ class TestAudit:
         assert main(["audit", str(bad), "--config", str(cfg),
                      "--out", str(tmp_path / "column")]) == 2
         assert "column.csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("column, value", [(7, "nan"), (-1, "inf")])
+    def test_non_finite_field_nodes_exit_2(self, pipeline_run, tmp_path,
+                                           capsys, column, value):
+        # one q column's node set to NaN, or the last one (L) to inf
+        root, cfg, _ = pipeline_run
+        lines = (root / "out" / "fields" / "point_0005.csv") \
+            .read_text().splitlines()
+        npts = 36
+        rows = list(range(2, len(lines)))
+        for k in rows[column * npts:][:npts]:
+            cells = lines[k].split(",")
+            cells[0] = value
+            lines[k] = ",".join(cells)
+        bad = tmp_path / "nonfinite.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InputError, match="nonfinite.csv"):
+            WaveField.from_csv(bad)
+        assert main(["audit", str(bad), "--config", str(cfg),
+                     "--out", str(tmp_path / "nonfinite")]) == 2
+        assert "nonfinite.csv" in capsys.readouterr().err
 
     def test_field_shifted_in_q_exits_2(self, pipeline_run, tmp_path,
                                         capsys):

@@ -6,7 +6,7 @@ import pytest
 from vorwave import continuation, solver
 from vorwave.continuation import (Branch, continue_branch, load_point,
                                   save_branch, trough_criterion_value)
-from vorwave.errors import NoConvergenceError
+from vorwave.errors import InputError, NoConvergenceError
 from vorwave.fd import dq
 from vorwave.grid import StripGrid
 from vorwave.solver import find_bifurcation, solver_hp
@@ -82,6 +82,13 @@ class TestStopRules:
         from vorwave.errors import NumericsError
         with pytest.raises(NumericsError):
             continue_branch(grid, vf, G, -1, lam_star=lam_star)
+
+    def test_grid_from_nodes_needs_lam_star(self, setup_irrotational):
+        # such a grid has no stretching to place find_bifurcation's nodes by
+        grid, vf, _ = setup_irrotational
+        nodes = StripGrid.from_nodes(grid.q, grid.p)
+        with pytest.raises(InputError, match="needs lam_star"):
+            continue_branch(nodes, vf, G, 1)
 
 
 class TestBranchShape:

@@ -65,3 +65,14 @@ def test_nodes_off_the_strip_ends_rejected(axis):
     nodes[axis] = nodes[axis] + 1.0
     with pytest.raises(InputError, match="start at q = 0 and end at p = 0"):
         StripGrid.from_nodes(nodes["q"], nodes["p"])
+
+
+@pytest.mark.parametrize("axis, k, value", [("q", 3, np.nan),
+                                            ("q", -1, np.inf),
+                                            ("p", 4, np.nan)])
+def test_non_finite_nodes_rejected(axis, k, value):
+    # NaN compares false, so the order check alone lets it through
+    nodes = {"q": np.linspace(0.0, L, 6), "p": np.linspace(-M, 0.0, 9)}
+    nodes[axis][k] = value
+    with pytest.raises(InputError, match="finite"):
+        StripGrid.from_nodes(nodes["q"], nodes["p"])

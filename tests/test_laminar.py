@@ -185,6 +185,15 @@ class TestFroude:
             rep = froude_criteria(prof)
             assert rep.all_amplitude.passed == (abs(gt) < 1.0 / 3.0)
 
+    def test_shear_free_profile_passes_the_small_criterion(self):
+        # S = 0 puts the bound at infinity, which sets no boundary band
+        y = np.linspace(-2.0, 0.0, 5)
+        rep = froude_criteria(FroudeInputs(
+            y=y, u=np.full_like(y, -math.sqrt(2.0 * G)), F=1.2, g=G))
+        assert rep.shear_product == 0.0
+        assert rep.F_bound == math.inf
+        assert rep.small.status == "pass"
+
     def test_normalization_enforced(self):
         y = np.linspace(-1.0, 0.0, 401)
         with pytest.raises(InputError):

@@ -20,7 +20,6 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-import scipy.linalg
 from scipy import sparse
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
@@ -29,7 +28,8 @@ from scipy.sparse.linalg import splu
 from vorwave import laminar, solver
 from vorwave.continuation import continue_branch
 from vorwave.errors import (BifurcationNotFoundError, InputError,
-                            NoConvergenceError, StagnationError)
+                            NoConvergenceError, NumericsError,
+                            StagnationError)
 from vorwave.fd import dq
 from vorwave.grid import StripGrid, stretched_nodes
 from vorwave.laminar import critical_lambda, laminar_flow
@@ -665,24 +665,37 @@ class TestBifurcation:
         with pytest.raises(BifurcationNotFoundError):
             find_bifurcation(vf, G, L, M, lam_c=4.3)
 
-    def test_top_eigenpair_of_an_unsymmetrizable_tridiagonal(self):
-        # a zero off-diagonal product leaves no diagonal similarity to a
-        # symmetric tridiagonal, so the dense eigensolver answers; the zero
-        # splits the matrix into two blocks with real spectra
-        sub = np.array([1.0, 0.0, 0.5, 2.0])
-        diag = np.array([1.0, -2.0, 3.0, 0.5, -1.0])
-        sup = np.array([2.0, 3.0, 1.5, 1.0])
+    def test_surface_mode_against_dense_algebra(self):
+        sub = np.array([1.0, 0.5, 2.0, 0.7])
+        diag = np.array([-3.0, -2.5, -4.0, -3.5, 1.5])
+        sup = np.array([2.0, 1.0, 1.5, 1.0])
         dense = np.diag(diag) + np.diag(sub, -1) + np.diag(sup, 1)
-        vals, vecs = scipy.linalg.eig(dense)
-        top = np.argmax(vals.real)
-        ref = vecs[:, top].real
-        mu, vec = solver._top_eigenpair(sub, diag, sup)
-        assert mu == pytest.approx(vals[top].real, rel=1e-12)
-        cosine = abs(vec @ ref) / (np.linalg.norm(vec) * np.linalg.norm(ref))
-        assert cosine == pytest.approx(1.0, abs=1e-12)
-        np.testing.assert_allclose(dense @ vec, mu * vec, rtol=0, atol=1e-12)
-        assert solver._top_eigenpair(sub, diag, sup, vector=False) == \
-            (mu, None)
+        phi, r = solver._surface_mode(sub, diag, sup)
+        assert phi[-1] == 1.0
+        np.testing.assert_allclose(dense @ phi, np.append(np.zeros(4), r),
+                                   rtol=0, atol=1e-14)
+        assert r == pytest.approx(np.linalg.det(dense)
+                                  / np.linalg.det(dense[:-1, :-1]), rel=1e-12)
+
+    def test_singular_rows_above_the_surface_are_a_numerics_error(self):
+        ones = np.ones(2)
+        with pytest.raises(NumericsError, match="singular"):
+            solver._surface_mode(ones, np.array([1.0, 1.0, 0.0]), ones)
+
+    @pytest.mark.parametrize("gamma", [0.0, -0.3, -0.7])
+    def test_lambda_star_is_stable_to_one_ulp_in_the_weights(
+            self, gamma, monkeypatch):
+        vf = VorticityFunction.constant(gamma, m=M)
+        lam_star = find_bifurcation(vf, G, L, M)
+        real = solver.three_point_weights
+
+        def nudged(hm, hp):
+            w1, w2 = real(hm, hp)
+            return w1, w2 * (1.0 + 2.0 ** -52)
+
+        monkeypatch.setattr(solver, "three_point_weights", nudged)
+        assert find_bifurcation(vf, G, L, M) == pytest.approx(lam_star,
+                                                              rel=1e-10)
 
     def test_mode_shape_matches_closed_form(self):
         vf = VorticityFunction.constant(0.0, m=M)
