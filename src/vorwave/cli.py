@@ -17,6 +17,8 @@ import argparse
 import datetime
 import hashlib
 import sys
+import time
+from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
 
@@ -54,7 +56,9 @@ def _thread_count():
 
 
 class Manifest:
-    """Provenance sidecar for one run; the only file carrying wall time."""
+    """Provenance sidecar for one run; the only file carrying wall time:
+    its timestamps and, for `pipeline`, "stage_seconds", the wall time of
+    each stage, a stage that raised included."""
 
     def __init__(self, command, config_payload):
         self.payload = {
@@ -67,6 +71,15 @@ class Manifest:
 
     def add_input(self, path):
         self.payload["inputs"][str(path)] = _sha256(path)
+
+    @contextmanager
+    def stage(self, name):
+        start = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.payload.setdefault("stage_seconds", {})[name] = \
+                time.perf_counter() - start
 
     def write(self, outdir):
         self.payload["finished"] = _utcnow()
@@ -213,19 +226,26 @@ def _run_gerstner(args, outdir):
     return 0
 
 
-def _run_pipeline(cfg, outdir):
+def _run_pipeline(cfg, outdir, manifest):
     """Bifurcate, continue and store the branch, then audit every point.
     Only the last point, the steepest wave, gets its field CSV;
-    `reconstruct` writes the others on demand."""
-    bif = _run_bifurcate(cfg, outdir)
+    `reconstruct` writes the others on demand. The manifest records each
+    stage's wall time."""
+    with manifest.stage("bifurcate"):
+        bif = _run_bifurcate(cfg, outdir)
     grid, vf = cfg.build_grid(), cfg.build_vorticity()
-    branch = _make_branch(cfg, grid, vf, bif["lambda_star"])
-    save_branch(branch, outdir / "branch")
-    outcomes, (index, wf) = _audit_points(
-        ((pt.index, grid, vf, cfg.g, pt.h, pt.Q) for pt in branch.points),
-        cfg.build_tolerances(), bif["lambda_c"], outdir)
-    (outdir / "fields").mkdir(exist_ok=True)
-    wf.to_csv(outdir / "fields" / _field_filename(index))
+    with manifest.stage("continue"):
+        branch = _make_branch(cfg, grid, vf, bif["lambda_star"])
+    with manifest.stage("save_branch"):
+        save_branch(branch, outdir / "branch")
+    with manifest.stage("audit"):
+        outcomes, (index, wf) = _audit_points(
+            ((pt.index, grid, vf, cfg.g, pt.h, pt.Q)
+             for pt in branch.points),
+            cfg.build_tolerances(), bif["lambda_c"], outdir)
+    with manifest.stage("last_csv"):
+        (outdir / "fields").mkdir(exist_ok=True)
+        wf.to_csv(outdir / "fields" / _field_filename(index))
     summary = {
         "points": len(branch.points),
         "stop_reason": branch.stop_reason,
@@ -306,7 +326,7 @@ def run(args):
         elif args.command == "gerstner":
             status = _run_gerstner(args, outdir)
         else:
-            status = _run_pipeline(cfg, outdir)
+            status = _run_pipeline(cfg, outdir, manifest)
     finally:
         # A failed solve still leaves a provenance record next to
         # whatever artifacts were written before it died.

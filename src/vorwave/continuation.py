@@ -10,6 +10,7 @@ arclength step. It ends on one of five stop rules, which branch.json names
 
 from __future__ import annotations
 
+import base64
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -37,6 +38,8 @@ NEWTON_MAX_ITER = 10
 NEWTON_MAX_CONTRACTION = 0.9
 # step halvings, each after a failed Newton attempt, before "newton-failure"
 MAX_RETRIES = 8
+# byte layout of a stored point's heights: raw little-endian float64
+H_DTYPE = "<f8"
 
 
 @dataclass
@@ -191,31 +194,22 @@ def point_filename(index):
 
 
 def write_json(path, payload):
-    """Write payload as JSON with sorted keys and a final newline: every
-    JSON artifact goes through here."""
+    """Write payload as JSON with sorted keys, indent 1 and a final
+    newline: every JSON artifact, the point files included, goes through
+    here."""
     with open(path, "w") as fh:
         json.dump(payload, fh, sort_keys=True, indent=1)
         fh.write("\n")
 
 
-def _write_point(path, payload, h):
-    """write_json(path, payload with "h" the list of h's values), to the
-    byte, but with the long list encoded by the C encoder: indent=1 makes
-    json use its pure-Python one, a float at a time. The list's items sit
-    at depth 2, each on its own line."""
-    items = json.dumps(h.ravel().tolist(), separators=(",\n  ", ""))
-    text = json.dumps(dict(payload, h=None), sort_keys=True, indent=1)
-    text = text.replace('\n "h": null', '\n "h": [\n  %s\n ]' % items[1:-1],
-                        1)
-    with open(path, "w") as fh:
-        fh.write(text + "\n")
-
-
 def save_branch(branch, outdir):
     """Write branch.json plus one point_NNNN.json per stored wave.
 
-    Key order is sorted and floats use repr, so identical branches produce
-    identical bytes.
+    A point file holds the grid (L, m, nq, npts, beta), g, the vorticity
+    config, the point's index, Q and amplitude, and "h": the base64 of
+    h's raw little-endian float64 bytes ("<f8"), C order, nq x npts, so
+    the heights read back to the bit. Key order is sorted and floats use
+    repr, so identical branches produce identical bytes.
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -232,9 +226,11 @@ def save_branch(branch, outdir):
             "index": pt.index,
             "Q": pt.Q,
             "amplitude": pt.amplitude,
+            "h": base64.b64encode(
+                np.asarray(pt.h, dtype=H_DTYPE).tobytes()).decode("ascii"),
         })
         name = point_filename(pt.index)
-        _write_point(outdir / name, payload, pt.h)
+        write_json(outdir / name, payload)
         index.append({
             "index": pt.index, "file": name, "amplitude": pt.amplitude,
             "Q": pt.Q, "ds": pt.ds, "newton_iterations": pt.newton_iterations,
@@ -270,12 +266,15 @@ def _point_files(branch_dir):
 
 
 def load_point(path):
-    """Rebuild (grid, vf, g, h, Q) from a point_NNNN.json file.
+    """Rebuild (grid, vf, g, h, Q) from a point_NNNN.json file that
+    save_branch wrote.
 
-    Raises InputError unless the file holds an h of its grid's size that,
-    with its Q, solves the discrete system: the residual max-norm must stay
-    below 100 times the Newton tolerance for Q (continuation stores points
-    below 1 times it), which a non-finite value anywhere never does.
+    Raises InputError, naming the file, unless its "h" is valid base64 of
+    exactly nq x npts little-endian float64 values that, with its Q, solve
+    the discrete system: the residual max-norm must stay below 100 times
+    the Newton tolerance for Q (continuation stores points below 1 times
+    it), which a non-finite value anywhere never does. An h stored as a
+    list of numbers, as older runs wrote it, is rejected: rerun `continue`.
     """
     try:
         with open(path) as fh:
@@ -283,7 +282,9 @@ def load_point(path):
         grid = StripGrid(data["L"], data["m"], data["nq"], data["npts"],
                          data["beta"])
         vf = vorticity_from_config(data["vorticity"], data["m"])
-        h = np.array(data["h"], dtype=float).reshape(grid.nq, grid.npts)
+        raw = base64.b64decode(data["h"], validate=True)
+        h = np.frombuffer(raw, dtype=H_DTYPE).astype(float).reshape(
+            grid.nq, grid.npts)
         g, Q = float(data["g"]), float(data["Q"])
         R, S = residual_parts(grid, vf, g, h, Q)
     except (OSError, KeyError, TypeError, ValueError, StagnationError) as exc:

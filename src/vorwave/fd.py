@@ -29,36 +29,43 @@ from .errors import InputError
 
 
 def fd_weights(nodes, x0, order):
-    """Weights w with sum(w * f(nodes)) ~ f^(order)(x0).
+    """Weights w with sum(w * f(nodes)) ~ f^(order)(x0), along the last
+    axis.
 
     Fornberg's recurrence on arbitrary distinct nodes; the result is exact
-    for polynomials of degree len(nodes) - 1.
+    for polynomials of degree n - 1. `nodes` is (..., n), one window of n
+    nodes per leading index, and `x0` broadcasts over the leading axes;
+    the weights come back shaped like `nodes`. Every window runs the same
+    scalar operations as a window on its own, so batching changes no bit.
     """
     nodes = np.asarray(nodes, dtype=float)
-    n = nodes.size
+    n = nodes.shape[-1]
     if order >= n:
         raise ValueError("need more nodes than the derivative order")
-    c = np.zeros((n, order + 1))
-    c[0, 0] = 1.0
+    x0 = np.asarray(x0, dtype=float)
+    lead = np.broadcast_shapes(nodes.shape[:-1], x0.shape)
+    c = np.zeros(lead + (n, order + 1))
+    c[..., 0, 0] = 1.0
     c1 = 1.0
-    c4 = nodes[0] - x0
+    c4 = nodes[..., 0] - x0
     for i in range(1, n):
         mn = min(i, order)
         c2 = 1.0
         c5 = c4
-        c4 = nodes[i] - x0
+        c4 = nodes[..., i] - x0
         for j in range(i):
-            c3 = nodes[i] - nodes[j]
-            c2 *= c3
+            c3 = nodes[..., i] - nodes[..., j]
+            c2 = c2 * c3
             if j == i - 1:
                 for k in range(mn, 0, -1):
-                    c[i, k] = c1 * (k * c[i - 1, k - 1] - c5 * c[i - 1, k]) / c2
-                c[i, 0] = -c1 * c5 * c[i - 1, 0] / c2
+                    c[..., i, k] = c1 * (k * c[..., i - 1, k - 1]
+                                         - c5 * c[..., i - 1, k]) / c2
+                c[..., i, 0] = -c1 * c5 * c[..., i - 1, 0] / c2
             for k in range(mn, 0, -1):
-                c[j, k] = (c4 * c[j, k] - k * c[j, k - 1]) / c3
-            c[j, 0] = c4 * c[j, 0] / c3
+                c[..., j, k] = (c4 * c[..., j, k] - k * c[..., j, k - 1]) / c3
+            c[..., j, 0] = c4 * c[..., j, 0] / c3
         c1 = c2
-    return c[:, order]
+    return c[..., order]
 
 
 def three_point_weights(hm, hp):
@@ -139,9 +146,9 @@ class ColumnOps:
         self.p = p
         starts = np.clip(np.arange(n) - 2, 0, n - width)
         self.idx = starts[:, None] + np.arange(width)[None, :]
-        self.w = np.empty((n, width))
-        for j in range(n):
-            self.w[j] = fd_weights(p[self.idx[j]], p[j], order)
+        # contiguous rows: StripGrid.ws and wb are rows of w, and a 1-D dot
+        # product's last bit depends on the stride of its operands
+        self.w = np.ascontiguousarray(fd_weights(p[self.idx], p, order))
         # The weights of a derivative sum to zero, so sum_k w_k F_k equals
         # sum_l W_l (F_{l+1} - F_l) with W_l = sum_{k>l} w_k: the window's
         # consecutive differences, which vanish exactly on a constant.

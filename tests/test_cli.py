@@ -5,6 +5,7 @@ real tracebacks; one test drives the installed console script to prove
 the packaging entry point resolves.
 """
 
+import base64
 import json
 import shutil
 import subprocess
@@ -169,6 +170,15 @@ class TestPipeline:
                 ["point_0005.csv"]
         assert (root / "out" / "fields" / "point_0005.csv").read_bytes() \
             == (tmp_path / "fields" / "point_0005.csv").read_bytes()
+
+    def test_manifest_records_stage_seconds(self, pipeline_run):
+        root, _, _ = pipeline_run
+        man = json.loads((root / "out" / "manifest.json").read_text())
+        stages = man["stage_seconds"]
+        assert set(stages) == {"bifurcate", "continue", "save_branch",
+                               "audit", "last_csv"}
+        for seconds in stages.values():
+            assert np.isfinite(seconds) and seconds >= 0.0
 
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json",
@@ -430,32 +440,44 @@ class TestAudit:
 
     @pytest.mark.parametrize("damage", ["truncated h", "nudged node",
                                         "cut-off file", "missing key",
-                                        "non-finite h"])
+                                        "non-finite h", "invalid base64",
+                                        "list-format h"])
     def test_damaged_point_is_an_input_error(self, pipeline_run, tmp_path,
-                                             damage):
+                                             capsys, damage):
         # A stored point is checked before it is audited: a file that does
-        # not hold a solution of the discrete system exits 2, not 1.
+        # not hold a solution of the discrete system, in save_branch's
+        # encoding, exits 2 and names the file, not 1.
         root, cfg, _ = pipeline_run
         out = tmp_path / "run"
         shutil.copytree(root / "out" / "branch", out / "branch")
         point = out / "branch" / "point_0003.json"
         text = point.read_text()
         data = json.loads(text)
-        middle = len(data["h"]) // 2
+        raw = base64.b64decode(data["h"])
+        h = np.frombuffer(raw, dtype="<f8").copy()
+        middle = h.size // 2
         if damage == "truncated h":
-            data["h"] = data["h"][:-1]
+            raw = raw[:-8]
         elif damage == "nudged node":
-            data["h"][middle] += 1e-3
-        elif damage == "missing key":
-            del data["Q"]
+            h[middle] += 1e-3
+            raw = h.tobytes()
         elif damage == "non-finite h":
-            data["h"][middle] = float("nan")
+            h[middle] = np.nan
+            raw = h.tobytes()
+        data["h"] = base64.b64encode(raw).decode("ascii")
+        if damage == "missing key":
+            del data["Q"]
+        elif damage == "invalid base64":
+            data["h"] = data["h"][:100] + "*" + data["h"][101:]
+        elif damage == "list-format h":
+            # how runs before the base64 encoding stored h
+            data["h"] = h.tolist()
         point.write_text(text[:len(text) // 2] if damage == "cut-off file"
                          else json.dumps(data))
         assert main(["audit", "--config", str(cfg), "--out", str(out),
                      "--point", "3"]) == 2
+        assert "point_0003.json" in capsys.readouterr().err
         assert not (out / "reports" / "report_0003.json").exists()
-
 
     @pytest.mark.parametrize("damage", ["cut-off file", "row without file"])
     def test_damaged_branch_index_is_an_input_error(self, pipeline_run,

@@ -1,5 +1,7 @@
 """Branch continuation: stop rules, monotonicity, tangency, serialization."""
 
+import base64
+
 import numpy as np
 import pytest
 
@@ -252,12 +254,10 @@ class TestSerialization:
             b = (tmp_path / "r2" / name).read_bytes()
             assert a == b
 
-    def test_point_files_have_the_bytes_of_json_dump(self,
-                                                     branch_irrotational,
-                                                     tmp_path):
-        # the point writer encodes h by the C encoder; its files must be
-        # what json.dump(indent=1) writes, trailing newline included
-        import json
+    def test_point_files_are_write_json_of_their_payload(
+            self, branch_irrotational, tmp_path):
+        # h is stored as base64 of its raw little-endian float64 bytes, and
+        # load_point gives back every bit, -0.0 and the last ulp included
         br = branch_irrotational
         save_branch(br, tmp_path / "b")
         grid = br.grid
@@ -266,11 +266,28 @@ class TestSerialization:
                 "L": grid.L, "m": grid.m, "nq": grid.nq, "npts": grid.npts,
                 "beta": grid.beta, "g": br.g, "vorticity": br.vf.to_config(),
                 "index": pt.index, "Q": pt.Q, "amplitude": pt.amplitude,
-                "h": [float(x) for x in pt.h.ravel()],
+                "h": base64.b64encode(
+                    pt.h.astype("<f8").tobytes()).decode("ascii"),
             }
-            expected = json.dumps(payload, sort_keys=True, indent=1) + "\n"
-            path = tmp_path / "b" / continuation.point_filename(pt.index)
-            assert path.read_bytes() == expected.encode()
+            name = continuation.point_filename(pt.index)
+            continuation.write_json(tmp_path / "expected.json", payload)
+            path = tmp_path / "b" / name
+            assert path.read_bytes() == \
+                (tmp_path / "expected.json").read_bytes()
+            _, _, _, h, Q = load_point(path)
+            assert h.shape == pt.h.shape
+            assert np.array_equal(h.view(np.uint64), pt.h.view(np.uint64))
+            assert Q == pt.Q
+
+    def test_point_files_hold_h_near_its_raw_size(self, branch_irrotational,
+                                                  tmp_path):
+        # base64 of the raw bytes is 4/3 of 8 bytes per height; a decimal
+        # encoding of the same heights takes about three times that
+        br = branch_irrotational
+        save_branch(br, tmp_path / "b")
+        raw = 8 * br.grid.nq * br.grid.npts
+        for path in (tmp_path / "b").glob("point_*.json"):
+            assert path.stat().st_size <= 4 * raw / 3 + 2048
 
     def test_index_records_the_solve_counters(self, branch_irrotational,
                                               tmp_path):

@@ -46,6 +46,64 @@ def test_weights_reject_too_high_order():
         fd_weights(np.array([0.0, 1.0, 2.0]), 0.0, 3)
 
 
+def _fornberg_one_window(nodes, x0, order):
+    """Fornberg's recurrence on one window, a scalar at a time: the
+    reference for the batched fd_weights."""
+    n = len(nodes)
+    c = np.zeros((n, order + 1))
+    c[0, 0] = 1.0
+    c1 = 1.0
+    c4 = nodes[0] - x0
+    for i in range(1, n):
+        mn = min(i, order)
+        c2 = 1.0
+        c5 = c4
+        c4 = nodes[i] - x0
+        for j in range(i):
+            c3 = nodes[i] - nodes[j]
+            c2 *= c3
+            if j == i - 1:
+                for k in range(mn, 0, -1):
+                    c[i, k] = c1 * (k * c[i - 1, k - 1] - c5 * c[i - 1, k]) / c2
+                c[i, 0] = -c1 * c5 * c[i - 1, 0] / c2
+            for k in range(mn, 0, -1):
+                c[j, k] = (c4 * c[j, k] - k * c[j, k - 1]) / c3
+            c[j, 0] = c4 * c[j, 0] / c3
+        c1 = c2
+    return c[:, order]
+
+
+def _same_bits(a, b):
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64),
+                                                 b.view(np.uint64))
+
+
+@pytest.mark.parametrize("width", [5, 6])
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_batched_weights_are_the_per_node_loop_to_the_bit(order, width):
+    rng = np.random.default_rng(5)
+    grids = [stretched_nodes(1.0, n, beta) for n in (20, 48, 96, 300)
+             for beta in (0.0, 0.5, 0.9)]
+    grids.append(np.cumsum(rng.uniform(0.01, 1.0, size=40)))
+    for p in grids:
+        ops = ColumnOps(p, order, width)
+        ref = np.array([_fornberg_one_window(p[ops.idx[j]], p[j], order)
+                        for j in range(p.size)])
+        assert _same_bits(ops.w, ref)
+        assert ops.w.flags.c_contiguous
+    nodes = np.sort(rng.uniform(-2.0, 2.0, size=(30, width)), axis=-1)
+    x0 = rng.uniform(-2.0, 2.0, size=30)
+    ref = np.array([_fornberg_one_window(nodes[r], x0[r], order)
+                    for r in range(30)])
+    assert _same_bits(fd_weights(nodes, x0, order), ref)
+    assert _same_bits(fd_weights(nodes[0], x0[0], order), ref[0])
+    # x0 broadcast: one point for every window
+    ref = np.array([_fornberg_one_window(nodes[r], 0.25, order)
+                    for r in range(30)])
+    assert _same_bits(fd_weights(nodes, 0.25, order), ref)
+
+
 def _order_from_errors(errors, factor=2.0):
     return np.log(errors[:-1] / errors[1:]) / np.log(factor)
 
