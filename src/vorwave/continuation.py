@@ -46,7 +46,9 @@ H_DTYPE = "<f8"
 class BranchPoint:
     """A stored wave. The counters are those of the Newton solve that
     found it (zero for the trivial wave): its iterations, its LU
-    factorizations and its GMRES iterations."""
+    factorizations and its GMRES iterations. An arclength point may record
+    0 factorizations, when every system it solved went to GMRES on the LU
+    the point before it handed on."""
     index: int
     h: np.ndarray
     Q: float
@@ -95,8 +97,13 @@ def continue_branch(grid, vf, g, steps, *, lam_star=None, ds0=0.005,
     contracts the residual by less than NEWTON_MAX_CONTRACTION, so a stalled
     attempt costs a few linear solves instead of dozens. After an attempt
     that converges in at most 4 iterations the step grows by 1.3, up to
-    ds_max. `lam_star` defaults to find_bifurcation on a vertical grid
-    with the stretching of `grid`, which StripGrid.from_nodes grids lack.
+    ds_max. An accepted arclength step hands its linear solver, with its
+    last LU, to the next step (newton_solve's `linear_solver`); a failed
+    attempt's is dropped, so its retry starts with no LU, and an accepted
+    point never depends on how long a failed attempt ran. The departure
+    starts with no LU and hands on none. `lam_star` defaults to
+    find_bifurcation on a vertical grid with the stretching of `grid`,
+    which StripGrid.from_nodes grids lack.
 
     Stop reasons: "max-steps", "near-stagnation" (the offending point is not
     a valid wave and is discarded), "amplitude-reversal" (the new point's
@@ -145,6 +152,7 @@ def continue_branch(grid, vf, g, steps, *, lam_star=None, ds0=0.005,
 
     ds = ds0
     tangent = None
+    handed = None  # the last accepted arclength step's linear solver
     while len(branch.points) - 1 < steps:
         if len(branch.points) == 1:
             attempt = departure
@@ -171,9 +179,11 @@ def continue_branch(grid, vf, g, steps, *, lam_star=None, ds0=0.005,
             try:
                 res = newton_solve(grid, vf, g, h0, Q0, **mode,
                                    max_iter=NEWTON_MAX_ITER,
-                                   max_contraction=NEWTON_MAX_CONTRACTION)
+                                   max_contraction=NEWTON_MAX_CONTRACTION,
+                                   linear_solver=handed)
                 break
             except SolverError:
+                handed = None
                 ds *= 0.5
         else:
             branch.stop_reason = "newton-failure"
@@ -182,6 +192,9 @@ def continue_branch(grid, vf, g, steps, *, lam_star=None, ds0=0.005,
             return branch
         if res.iterations <= 4:
             ds = min(ds * 1.3, ds_max)
+        # only `handed` may keep the LU alive, so one LU lives at a time
+        handed = res.solver if mode["mode"] == "arclength" else None
+        res = None
 
     branch.stop_reason = "max-steps"
     return branch
@@ -197,9 +210,9 @@ def write_json(path, payload):
     """Write payload as JSON with sorted keys, indent 1 and a final
     newline: every JSON artifact, the point files included, goes through
     here."""
+    text = json.dumps(payload, sort_keys=True, indent=1)
     with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def save_branch(branch, outdir):
@@ -210,10 +223,19 @@ def save_branch(branch, outdir):
     h's raw little-endian float64 bytes ("<f8"), C order, nq x npts, so
     the heights read back to the bit. Key order is sorted and floats use
     repr, so identical branches produce identical bytes.
+
+    A point file rebuilds its grid from (L, m, nq, npts, beta) and stores
+    no nodes yet, so a branch on a grid given by its nodes
+    (StripGrid.from_nodes, beta None) is an InputError, raised before any
+    file is written.
     """
+    grid, vf = branch.grid, branch.vf
+    if grid.beta is None:
+        raise InputError("point files do not store a grid's nodes yet, so "
+                         "a branch on a grid given by its nodes "
+                         "(StripGrid.from_nodes) cannot be saved")
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    grid, vf = branch.grid, branch.vf
     vort = vf.to_config()
     common = {
         "L": grid.L, "m": grid.m, "nq": grid.nq, "npts": grid.npts,

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 from scipy.integrate import cumulative_trapezoid
-from scipy.linalg import LinAlgError, solve_banded
+from scipy.linalg import LinAlgError, solve_banded, solve_triangular
 from scipy.optimize import brentq
-from scipy.sparse.linalg import LinearOperator, gmres, splu
+from scipy.sparse.linalg import splu
 
 from .errors import (BifurcationNotFoundError, InputError, NoConvergenceError,
                      NumericsError, StagnationApproachError, StagnationError)
@@ -197,8 +197,8 @@ class _NewtonMatrix:
     with rows and columns in one fixed order: the grid unknowns by nested
     dissection, then the border. Each Newton system only fills in values;
     nothing changes the structure after it is built, so solves on one grid
-    share it. Factorizations are not shared: each solve gets its own from
-    `solver()`.
+    share it. No factorization lives here: each solver from `solver()`
+    holds its own.
     """
 
     def __init__(self, grid, border_cols):
@@ -246,33 +246,81 @@ class _NewtonMatrix:
         return self.stored(jac_values)[self.position][:, self.position]
 
     def solver(self):
-        """The linear solver of one Newton iteration sequence, with no
+        """A linear solver for this structure's systems, with no
         factorization yet."""
         return _KeptLU(self)
 
 
-# The first Newton system of a solve is factored by splu; each later one is
-# solved by GMRES, left-preconditioned by the solve's last factorization.
+# A solver factors a Newton system by splu when it holds no LU; otherwise
+# the system is solved by GMRES, right-preconditioned by its last LU.
 # GMRES's answer counts only if its true residual is at most LINEAR_RTOL
 # times the right-hand side's (2-norms): a forcing term this small keeps the
 # inexact Newton steps (Eisenstat & Walker 1996) within rounding of the exact
 # ones, so the iterations and the converged wave stay those of exact Newton.
-# GMRES stops its inner iteration on the preconditioned residual, which can
-# pass while the true one does not, so it gets GMRES_CYCLES restart cycles of
-# GMRES_RESTART iterations; when it misses all the same, the system is
-# factored. A system that needed more than LU_REFRESH_ITER iterations drops
-# the factorization, so the next one is factored afresh.
+# GMRES gets one cycle of at most GMRES_RESTART iterations; when it misses,
+# the system is factored. A system that needed more than LU_REFRESH_ITER
+# iterations drops the factorization, so the next one is factored afresh.
 LINEAR_RTOL = 1e-6
 GMRES_RESTART = 20
-GMRES_CYCLES = 2
 LU_REFRESH_ITER = 10
 
 
+def _right_gmres(A, b, precondition, rtol, maxiter):
+    """(x, k): GMRES (Saad & Schultz 1986) for A x = b from x = 0, right-
+    preconditioned, stopped after the first of at most maxiter iterations
+    whose residual estimate is at most rtol ||b||; k counts the iterations.
+
+    Arnoldi runs on A M^-1, where precondition(v) = M^-1 v, and keeps each
+    z_j = M^-1 v_j, so x = Z y takes no further solve: one solve and one
+    product with A per iteration. Givens rotations reduce the Hessenberg
+    matrix to triangular form as it grows, which gives the least-squares
+    residual ||b - A x_k||, in exact arithmetic the true one. The basis is
+    orthogonalized by classical Gram-Schmidt applied twice (Giraud et al.
+    2005), as matrix products.
+    """
+    beta = float(np.linalg.norm(b))
+    if beta == 0.0:
+        return np.zeros_like(b), 0
+    V = np.empty((maxiter + 1, b.size))
+    Z = np.empty((maxiter, b.size))
+    R = np.zeros((maxiter, maxiter))  # the rotated Hessenberg matrix
+    rotations = []
+    g = np.zeros(maxiter + 1)  # the rotated beta e_1
+    g[0] = beta
+    V[0] = b / beta
+    for k in range(maxiter):
+        Z[k] = precondition(V[k])
+        w = A @ Z[k]
+        h = V[:k + 1] @ w
+        w -= h @ V[:k + 1]
+        again = V[:k + 1] @ w
+        w -= again @ V[:k + 1]
+        h += again
+        below = float(np.linalg.norm(w))
+        for i, (c, s) in enumerate(rotations):
+            h[i], h[i + 1] = c * h[i] + s * h[i + 1], c * h[i + 1] - s * h[i]
+        r = np.hypot(h[k], below)
+        c, s = h[k] / r, below / r
+        rotations.append((c, s))
+        h[k] = r
+        R[:k + 1, k] = h
+        g[k], g[k + 1] = c * g[k], -s * g[k]
+        if abs(g[k + 1]) <= rtol * beta or below == 0.0:
+            break
+        V[k + 1] = w / below
+    k += 1
+    y = solve_triangular(R[:k, :k], g[:k], check_finite=False)
+    return y @ Z[:k], k
+
+
 class _KeptLU:
-    """Solves the Newton systems of one newton_solve call, factoring as few
-    as the policy above allows; counts the factorizations and the GMRES
-    iterations. Being per call, the answers never depend on other solves on
-    the grid, and threads never share a factorization."""
+    """Solves Newton systems of one structure, factoring as few as the
+    policy above allows, and counts the factorizations and GMRES iterations
+    of the newton_solve call it serves. Each call gets a fresh one unless
+    its caller hands it the solver of an earlier call's result; no
+    factorization lives on the grid, so threads solving on one grid never
+    share one. At most one LU is alive per solver: the old one is dropped
+    before splu makes the new one."""
 
     def __init__(self, matrix):
         self.matrix = matrix
@@ -288,6 +336,7 @@ class _KeptLU:
         b = rhs[order]
         y = None if self.lu is None else self._gmres(A, b)
         if y is None:
+            self.lu = None  # freed before splu makes the next one
             self.lu = splu(A, permc_spec="NATURAL")
             self.factorizations += 1
             y = self.lu.solve(b)
@@ -297,13 +346,10 @@ class _KeptLU:
 
     def _gmres(self, A, b):
         """GMRES's answer if its true residual passes, else None."""
-        residuals = []
-        y, _ = gmres(A, b, rtol=LINEAR_RTOL, restart=GMRES_RESTART,
-                     maxiter=GMRES_CYCLES,
-                     M=LinearOperator(A.shape, self.lu.solve, dtype=float),
-                     callback=residuals.append, callback_type="pr_norm")
-        self.linear_iterations += len(residuals)
-        if len(residuals) > LU_REFRESH_ITER:
+        y, iterations = _right_gmres(A, b, self.lu.solve, LINEAR_RTOL,
+                                     GMRES_RESTART)
+        self.linear_iterations += iterations
+        if iterations > LU_REFRESH_ITER:
             self.lu = None
         if np.linalg.norm(A @ y - b) <= LINEAR_RTOL * np.linalg.norm(b):
             return y
@@ -322,14 +368,18 @@ def _newton_matrix(grid, mode, border):
 
 @dataclass
 class SolverResult:
-    """A converged solve; `factorizations` counts its splu calls and
-    `linear_iterations` its GMRES iterations."""
+    """A converged solve; `factorizations` counts its splu calls, 0 when
+    every system went to GMRES on an LU handed to it, and
+    `linear_iterations` its GMRES iterations. `solver` is its linear
+    solver, holding its last LU, for a later solve in the same mode on the
+    same grid (newton_solve's `linear_solver`)."""
     h: np.ndarray
     Q: float
     iterations: int
     residual_norm: float
     factorizations: int
     linear_iterations: int
+    solver: _KeptLU
 
 
 def newton_tolerance(Q):
@@ -370,7 +420,7 @@ def _solve_mode(grid, mode, amplitude_target, base, tangent, ds):
 
 def newton_solve(grid, vf, g, h0, Q0, mode="fixed_q", *, amplitude_target=None,
                  base=None, tangent=None, ds=None, max_iter=50,
-                 max_contraction=None):
+                 max_contraction=None, linear_solver=None):
     """Damped Newton iteration on the discrete height system.
 
     mode "fixed_q" holds Q; "fixed_amplitude" appends the closure
@@ -385,13 +435,17 @@ def newton_solve(grid, vf, g, h0, Q0, mode="fixed_q", *, amplitude_target=None,
     mode and kept on the grid, with rows and columns in a fixed
     fill-reducing order: the grid unknowns by nested dissection, the
     appended equation last. Every iteration fills the values into that
-    pattern. The call's first system is factored by `splu` with SuperLU's
-    natural ordering, so SuperLU never computes an ordering of its own; the
-    later ones are solved by GMRES preconditioned with the call's last
-    factorization, and factored only when GMRES misses a true relative
-    residual of LINEAR_RTOL (see _KeptLU). Factorizations never outlive the
-    call, so a solve's result does not depend on earlier solves on the grid.
-    The result counts the factorizations and the GMRES iterations.
+    pattern. A system is factored by `splu` with SuperLU's natural
+    ordering, so SuperLU never computes an ordering of its own, when the
+    call's linear solver holds no LU; otherwise it is solved by GMRES
+    right-preconditioned with the last LU, and factored only when GMRES
+    misses a true relative residual of LINEAR_RTOL (see _KeptLU). By
+    default the call gets a fresh solver, so its first system is factored
+    and its result does not depend on other solves on the grid. A caller
+    may pass `linear_solver`, an earlier result's `solver` in the same mode
+    on the same grid, to start from the LU that solve left; the caller
+    then owns that dependence. The result counts this call's
+    factorizations, which may then be 0, and GMRES iterations.
 
     With `max_contraction` set to theta < 1, the iteration gives up with
     NoConvergenceError as soon as an iteration that has not converged cuts
@@ -402,7 +456,9 @@ def newton_solve(grid, vf, g, h0, Q0, mode="fixed_q", *, amplitude_target=None,
     """
     extra, border = _solve_mode(grid, mode, amplitude_target, base, tangent,
                                 ds)
-    solve = _newton_matrix(grid, mode, border).solver()
+    solve = (_newton_matrix(grid, mode, border).solver()
+             if linear_solver is None else linear_solver)
+    solve.factorizations = solve.linear_iterations = 0
     h = np.array(h0, dtype=float)
     h[:, 0] = 0.0
     Q = float(Q0)
@@ -418,7 +474,7 @@ def newton_solve(grid, vf, g, h0, Q0, mode="fixed_q", *, amplitude_target=None,
         nrm = float(np.max(np.abs(F)))
         if nrm < newton_tolerance(Q):
             return SolverResult(h, Q, it, nrm, solve.factorizations,
-                                solve.linear_iterations)
+                                solve.linear_iterations, solve)
         if it == max_iter:
             raise NoConvergenceError(
                 "residual %.3g after %d Newton iterations" % (nrm, max_iter))

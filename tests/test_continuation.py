@@ -1,15 +1,18 @@
 """Branch continuation: stop rules, monotonicity, tangency, serialization."""
 
 import base64
+import json
 
 import numpy as np
 import pytest
 
 from vorwave import continuation, solver
+from vorwave.audit import audit_wave
 from vorwave.continuation import (Branch, continue_branch, load_point,
                                   save_branch, trough_criterion_value)
 from vorwave.errors import InputError, NoConvergenceError
 from vorwave.fd import dq
+from vorwave.fields import reconstruct
 from vorwave.grid import StripGrid
 from vorwave.solver import find_bifurcation, solver_hp
 from vorwave.vorticity import VorticityFunction
@@ -174,6 +177,74 @@ class TestEarlyNewtonFailure:
         assert fast_lu < slow_lu
 
 
+class TestHandedLU:
+    """The arclength steps share one linear solver while they succeed; a
+    failed attempt's solver, with its LU, is dropped."""
+
+    @staticmethod
+    def record(monkeypatch, fail=()):
+        """Wrap splu and continuation's newton_solve: one row per attempt,
+        (mode, the linear solver handed to it, whether that held an LU,
+        splu calls during the attempt, the solver of its result). Attempts
+        whose number is in `fail` run to the end and are then reported as
+        failed."""
+        factored, attempts = [], []
+        real_splu = solver.splu
+        real_newton = continuation.newton_solve
+
+        def counting_splu(*args, **kwargs):
+            factored.append(1)
+            return real_splu(*args, **kwargs)
+
+        def recording_newton(*args, **kwargs):
+            lu = kwargs["linear_solver"]
+            start = len(factored)
+            row = [kwargs["mode"], lu, lu is not None and lu.lu is not None]
+            attempts.append(row)
+            res = real_newton(*args, **kwargs)
+            row += [len(factored) - start, res.solver]
+            if len(attempts) - 1 in fail:
+                raise NoConvergenceError("attempt forced to fail")
+            return res
+
+        monkeypatch.setattr(solver, "splu", counting_splu)
+        monkeypatch.setattr(continuation, "newton_solve", recording_newton)
+        return attempts
+
+    def test_an_accepted_step_hands_its_lu_to_the_next(
+            self, setup_irrotational, monkeypatch):
+        grid, vf, lam_star = setup_irrotational
+        attempts = self.record(monkeypatch)
+        br = continue_branch(grid, vf, G, 8, lam_star=lam_star)
+        assert len(attempts) == len(br.points) - 1  # no attempt failed
+        departure, first, *later = attempts
+        # the departure and the first step start with no LU; each later
+        # step gets the solver, and the LU, of the step before it
+        assert departure[:3] == ["fixed_amplitude", None, False]
+        assert first[:3] == ["arclength", None, False] and first[3] >= 1
+        for before, step in zip([first] + later, later):
+            assert step[0] == "arclength" and step[1] is before[4]
+            assert step[2] and step[4] is first[4]
+        assert sum(row[3] for row in [first] + later) < len(later) + 1
+        assert [row[3] for row in attempts] == \
+            [pt.factorizations for pt in br.points[1:]]
+
+    def test_a_failed_attempt_hands_on_no_lu(self, setup_irrotational,
+                                             monkeypatch):
+        # the fourth attempt gets the LU the third one left, converges,
+        # and is reported as failed: its retry starts with no LU, factors,
+        # and hands its own solver on
+        grid, vf, lam_star = setup_irrotational
+        attempts = self.record(monkeypatch, fail=(3,))
+        br = continue_branch(grid, vf, G, 5, lam_star=lam_star)
+        failed, retry, after = attempts[3:6]
+        assert failed[1] is attempts[2][4] and failed[2]
+        assert retry[1] is None and retry[3] >= 1
+        assert retry[4] is not failed[4]
+        assert br.points[4].factorizations == retry[3]
+        assert after[1] is retry[4]
+
+
 class TestDeparture:
     def test_mode_shape_is_computed_once_per_branch(self, setup_irrotational,
                                                     monkeypatch):
@@ -230,7 +301,6 @@ class TestSerialization:
                                    rtol=0, atol=1e-14)
 
     def test_saved_index_matches_points(self, branch_irrotational, tmp_path):
-        import json
         save_branch(branch_irrotational, tmp_path / "b")
         with open(tmp_path / "b" / "branch.json") as fh:
             data = json.load(fh)
@@ -289,9 +359,38 @@ class TestSerialization:
         for path in (tmp_path / "b").glob("point_*.json"):
             assert path.stat().st_size <= 4 * raw / 3 + 2048
 
+    def test_write_json_writes_the_bytes_of_json_dump(
+            self, branch_irrotational, tmp_path):
+        # one write of json.dumps gives the bytes that json.dump writes
+        # token by token, for an audit report and for a point file
+        br = branch_irrotational
+        pt = br.points[2]
+        report = audit_wave(reconstruct(br.grid, br.vf, br.g, pt.h,
+                                        pt.Q)).as_json()
+        save_branch(br, tmp_path / "b")
+        with open(tmp_path / "b" / "point_0002.json") as fh:
+            point = json.load(fh)
+        for payload in (report, point):
+            continuation.write_json(tmp_path / "one.json", payload)
+            with open(tmp_path / "tokens.json", "w") as fh:
+                json.dump(payload, fh, sort_keys=True, indent=1)
+                fh.write("\n")
+            assert (tmp_path / "one.json").read_bytes() == \
+                (tmp_path / "tokens.json").read_bytes()
+
+    def test_a_grid_given_by_its_nodes_is_refused_before_writing(
+            self, setup_irrotational, tmp_path):
+        # a point file rebuilds the parametric grid from its sizes and beta,
+        # so a branch on given nodes would be stored unreadable
+        grid, vf, lam_star = setup_irrotational
+        nodes = StripGrid.from_nodes(grid.q, grid.p)
+        br = continue_branch(nodes, vf, G, 1, lam_star=lam_star)
+        with pytest.raises(InputError, match="nodes"):
+            save_branch(br, tmp_path / "b")
+        assert not (tmp_path / "b").exists()
+
     def test_index_records_the_solve_counters(self, branch_irrotational,
                                               tmp_path):
-        import json
         save_branch(branch_irrotational, tmp_path / "c")
         with open(tmp_path / "c" / "branch.json") as fh:
             rows = json.load(fh)["points"]
@@ -301,7 +400,10 @@ class TestSerialization:
         trivial, *solved = branch_irrotational.points
         assert (trivial.factorizations, trivial.linear_iterations) == (0, 0)
         for pt in solved:
-            assert 1 <= pt.factorizations <= pt.newton_iterations
-        # the kept LU saves at least half of the factorizations
+            assert 0 <= pt.factorizations <= pt.newton_iterations
+        # each accepted step hands its LU to the next, so the branch
+        # factors fewer times than it has points
+        assert sum(pt.factorizations for pt in solved) < \
+            len(branch_irrotational.points)
         assert 2 * sum(pt.factorizations for pt in solved) <= \
             sum(pt.newton_iterations for pt in solved)

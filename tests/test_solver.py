@@ -320,12 +320,15 @@ class TestNewtonMatrixPattern:
             assert (a.ds, a.newton_iterations) == (b.ds, b.newton_iterations)
             assert np.max(np.abs(a.h - b.h)) <= 1e-9
             assert abs(a.Q - b.Q) <= 1e-9
-        # each solve factors at least once, and the branch, failed attempts
-        # included, factors fewer times than it takes Newton iterations;
+        # the trivial point is not solved, and the accepted steps hand their
+        # LU on, so the branch factors fewer times than it has points; with
+        # the failed attempts it factors fewer times than the fresh branch;
         # SuperLU never computes an ordering of its own
-        assert all(pt.factorizations >= 1 for pt in kept.points[1:])
+        assert kept.points[0].factorizations == 0
+        assert all(pt.factorizations <= pt.newton_iterations
+                   for pt in kept.points)
         assert sum(pt.factorizations for pt in kept.points) < \
-            sum(pt.newton_iterations for pt in kept.points)
+            len(kept.points)
         assert 0 < len(calls) < len(iterations)
         assert all(c[0] == "NATURAL" for c in calls)
 
@@ -520,8 +523,8 @@ class TestKeptFactorization:
         vf, seeds = problem
         grid = StripGrid(L, M, 24, 20, beta=0.5)
         calls = recording_splu(monkeypatch)
-        monkeypatch.setattr(solver, "gmres",
-                            lambda A, b, **kwargs: (np.ones_like(b), 0))
+        monkeypatch.setattr(solver, "_right_gmres",
+                            lambda A, b, *args: (np.ones_like(b), 0))
         res = self.solve(vf, seeds, 0.1, grid)
         assert res.factorizations == res.iterations == len(calls)
         assert all(c[0] == "NATURAL" for c in calls)
@@ -536,10 +539,10 @@ class TestKeptFactorization:
         vf, seeds = problem
         kept = self.solve(vf, seeds, 0.1)
 
-        def failing_gmres(A, b, **kwargs):
-            return np.full_like(b, np.nan), solver.GMRES_CYCLES
+        def failing_gmres(A, b, *args):
+            return np.full_like(b, np.nan), 0
 
-        monkeypatch.setattr(solver, "gmres", failing_gmres)
+        monkeypatch.setattr(solver, "_right_gmres", failing_gmres)
         res = self.solve(vf, seeds, 0.1)
         assert res.factorizations == res.iterations == kept.iterations
         assert res.linear_iterations == 0
@@ -556,6 +559,71 @@ class TestKeptFactorization:
         assert res.iterations == kept.iterations
         assert res.factorizations == (res.iterations + 1) // 2
         assert np.max(np.abs(res.h - kept.h)) <= 1e-9
+
+    def test_right_gmres_minimizes_the_residual_on_its_krylov_space(self):
+        rng = np.random.default_rng(0)
+        n = 60
+        A = 4.0 * np.eye(n) + 0.3 * rng.standard_normal((n, n))
+        b = rng.standard_normal(n)
+        # capped at 3 iterations: the least-squares answer on
+        # span(b, A b, A^2 b)
+        x, k = solver._right_gmres(A, b, lambda v: v, 1e-14, 3)
+        K = np.column_stack([b, A @ b, A @ A @ b])
+        y = np.linalg.lstsq(A @ K, b, rcond=None)[0]
+        assert k == 3
+        assert np.max(np.abs(x - K @ y)) <= 1e-12
+        # right preconditioning by an inverse of a nearby matrix converges
+        # in a few iterations, and the stopping estimate is the true
+        # residual
+        P = np.linalg.inv(A + 0.01 * rng.standard_normal((n, n)))
+        x, k = solver._right_gmres(A, b, lambda v: P @ v, 1e-10, 20)
+        assert k < 10
+        assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
+        x, k = solver._right_gmres(A, np.zeros(n), lambda v: v, 1e-6, 5)
+        assert k == 0 and not np.any(x)
+
+    def test_a_handed_solver_serves_the_next_call(self, problem):
+        # a result's solver carries its LU into the next call, and each
+        # result counts its own call's work
+        vf, seeds = problem
+        grid = StripGrid(L, M, 24, 20, beta=0.5)
+        first = self.solve(vf, seeds, 0.05, grid)
+        second = newton_solve(grid, vf, G, *seeds[0.1], mode="fixed_amplitude",
+                              amplitude_target=0.1,
+                              linear_solver=first.solver)
+        fresh = self.solve(vf, seeds, 0.1)
+        assert first.factorizations >= 1 and second.factorizations == 0
+        assert second.solver is first.solver
+        assert second.linear_iterations == first.solver.linear_iterations
+        assert second.iterations == fresh.iterations
+        assert np.max(np.abs(second.h - fresh.h)) <= 1e-9
+        assert abs(second.Q - fresh.Q) <= 1e-9
+
+    def test_splu_never_runs_beside_a_held_lu(self, problem, monkeypatch):
+        # with every GMRES answer wrong, each system after the first is
+        # factored while the solver holds the last LU; the solver drops it
+        # first, so at most one LU per solver is alive
+        vf, seeds = problem
+        grid = StripGrid(L, M, 24, 20, beta=0.5)
+        made = []
+        real_solver = solver._NewtonMatrix.solver
+        real_splu = solver.splu
+
+        def recording_solver(matrix):
+            made.append(real_solver(matrix))
+            return made[-1]
+
+        def checking_splu(*args, **kwargs):
+            assert made[-1].lu is None
+            return real_splu(*args, **kwargs)
+
+        monkeypatch.setattr(solver._NewtonMatrix, "solver", recording_solver)
+        monkeypatch.setattr(solver, "splu", checking_splu)
+        monkeypatch.setattr(solver, "_right_gmres",
+                            lambda A, b, *args: (np.ones_like(b), 0))
+        res = self.solve(vf, seeds, 0.1, grid)
+        assert made == [res.solver]
+        assert res.factorizations == res.iterations >= 2
 
     def test_a_used_grid_solves_as_a_fresh_one(self, problem):
         # nothing of a factorization outlives its solve: after solves in
