@@ -97,11 +97,12 @@ def continue_branch(grid, vf, g, steps, *, lam_star=None, ds0=0.005,
     contracts the residual by less than NEWTON_MAX_CONTRACTION, so a stalled
     attempt costs a few linear solves instead of dozens. After an attempt
     that converges in at most 4 iterations the step grows by 1.3, up to
-    ds_max. An accepted arclength step hands its linear solver, with its
-    last LU, to the next step (newton_solve's `linear_solver`); a failed
-    attempt's is dropped, so its retry starts with no LU, and an accepted
-    point never depends on how long a failed attempt ran. The departure
-    starts with no LU and hands on none. `lam_star` defaults to
+    ds_max. Every solve on the grid fills one Newton matrix structure, so
+    each accepted step, the departure included, hands its linear solver,
+    with its last LU, to the next step (newton_solve's `linear_solver`); a
+    failed attempt's is dropped, so its retry starts with no LU, and an
+    accepted point never depends on how long a failed attempt ran.
+    `lam_star` defaults to
     find_bifurcation on a vertical grid with the stretching of `grid`,
     which StripGrid.from_nodes grids lack.
 
@@ -193,7 +194,7 @@ def continue_branch(grid, vf, g, steps, *, lam_star=None, ds0=0.005,
         if res.iterations <= 4:
             ds = min(ds * 1.3, ds_max)
         # only `handed` may keep the LU alive, so one LU lives at a time
-        handed = res.solver if mode["mode"] == "arclength" else None
+        handed = res.solver
         res = None
 
     branch.stop_reason = "max-steps"

@@ -42,9 +42,9 @@ class StripGrid:
     converged surface residual and the reconstructed surface pressure are
     the same number.
 
-    newton_patterns holds, per solve mode, the structure of the Newton
-    matrix, in nested-dissection order, that the solver builds on its first
-    solve on this grid and reuses, unchanged, for every later one.
+    newton_matrix holds the structure of the Newton matrix, in
+    nested-dissection order, that the solver builds on its first solve on
+    this grid and reuses, unchanged, for every later one, in every mode.
     """
 
     def __init__(self, L, m, nq, npts, beta=0.5):
@@ -85,7 +85,7 @@ class StripGrid:
         self.column_ops = ColumnOps(p)
         self.ws = self.column_ops.w[-1]
         self.wb = self.column_ops.w[0]
-        self.newton_patterns = {}
+        self.newton_matrix = None
 
     @property
     def delta(self):

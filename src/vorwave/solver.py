@@ -161,9 +161,12 @@ def jacobian_blocks(grid, vf, g, h, Q):
 
     Row/column order matches pack_residual: n(i,j) = i*(npts-1) + (j-1).
     """
-    J_hh = _newton_matrix(grid, "fixed_q", None).matrix(
-        _jacobian_values(grid, vf, g, _derivatives(grid, h)))
-    dF_dQ = np.zeros(J_hh.shape[0])
+    rows, cols = _jacobian_positions(grid)
+    n = grid.nq * (grid.npts - 1)
+    J_hh = sparse.coo_matrix(
+        (_jacobian_values(grid, vf, g, _derivatives(grid, h)), (rows, cols)),
+        shape=(n, n)).tocsc()
+    dF_dQ = np.zeros(n)
     dF_dQ[_surface_rows(grid)] = -1.0
     return J_hh, dF_dQ
 
@@ -187,63 +190,53 @@ def _dissection_order(idx):
 
 
 class _NewtonMatrix:
-    """Structure of the Newton matrix of one grid in one solve mode.
+    """Structure of the Newton matrix of one grid, shared by every solve
+    mode.
 
-    The matrix is J_hh, bordered, when the mode appends an equation, by the
-    dF/dQ column (-1 on the surface rows) and the mode's row, whose entries
-    sit at `border_cols` (column n is the corner). Its entries always come
-    in the one order of their positions; entries at one position add up,
-    and explicit zeros stay. The compressed-column structure is built once,
-    with rows and columns in one fixed order: the grid unknowns by nested
-    dissection, then the border. Each Newton system only fills in values;
-    nothing changes the structure after it is built, so solves on one grid
-    share it. No factorization lives here: each solver from `solver()`
-    holds its own.
+    The matrix is J_hh bordered by the dF/dQ column (-1 on the surface
+    rows) and one dense row: the derivative of the equation the solve mode
+    appends, over the n grid unknowns and, in the corner, over Q. Its
+    entries always come in the one order of their positions; entries at one
+    position add up, and explicit zeros stay. The compressed-column
+    structure is built once, with rows and columns in one fixed order: the
+    grid unknowns by nested dissection, then the border. Each Newton system
+    only fills in values; nothing changes the structure after it is built,
+    so solves on one grid share it. No factorization lives here: each
+    solver from `solver()` holds its own.
     """
 
-    def __init__(self, grid, border_cols):
+    def __init__(self, grid):
         rows, cols = _jacobian_positions(grid)
         n = grid.nq * (grid.npts - 1)
-        self.order = _dissection_order(
-            np.arange(n).reshape(grid.nq, grid.npts - 1))
-        self.dF_dQ = None
-        if border_cols is not None:
-            surface = _surface_rows(grid)
-            self.dF_dQ = np.full(surface.size, -1.0)
-            rows = np.concatenate([rows, surface,
-                                   np.full(border_cols.size, n)])
-            cols = np.concatenate([cols, np.full(surface.size, n),
-                                   border_cols])
-            self.order = np.append(self.order, n)
-            n += 1
-        self.position = np.argsort(self.order)
-        rows, cols = self.position[rows], self.position[cols]
+        surface = _surface_rows(grid)
+        self.dF_dQ = np.full(surface.size, -1.0)
+        rows = np.concatenate([rows, surface, np.full(n + 1, n)])
+        cols = np.concatenate([cols, np.full(surface.size, n),
+                               np.arange(n + 1)])
+        self.order = np.append(_dissection_order(
+            np.arange(n).reshape(grid.nq, grid.npts - 1)), n)
+        position = np.argsort(self.order)
+        rows, cols = position[rows], position[cols]
         entries = np.lexsort((rows, cols))  # stable: repeats keep their order
         r, c = rows[entries], cols[entries]
         first = np.ones(entries.size, dtype=bool)
         first[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
         self.indices = r[first].astype(np.intc)
+        # no column is empty, so the counts cover all n + 1 columns
         self.indptr = np.concatenate(
-            [[0], np.cumsum(np.bincount(c[first], minlength=n))]).astype(np.intc)
+            [[0], np.cumsum(np.bincount(c[first]))]).astype(np.intc)
         self.slot = np.empty(entries.size, dtype=np.intp)
         self.slot[entries] = np.cumsum(first) - 1  # each entry's stored value
 
-    def stored(self, jac_values, border_values=None):
+    def stored(self, jac_values, border_values):
         """The matrix with these values of J_hh's entries and of the border
-        row (None without a border), in the stored order, as CSC."""
-        values = jac_values
-        if border_values is not None:
-            values = np.concatenate([jac_values, self.dF_dQ, border_values])
+        row, in the stored order, as CSC."""
+        values = np.concatenate([jac_values, self.dF_dQ, border_values])
         data = np.bincount(self.slot, weights=values,
                            minlength=self.indices.size)
         n = self.indptr.size - 1
         return sparse.csc_matrix((data, self.indices, self.indptr),
                                  shape=(n, n))
-
-    def matrix(self, jac_values):
-        """The unbordered matrix J_hh with these entry values, in the order
-        of pack_residual."""
-        return self.stored(jac_values)[self.position][:, self.position]
 
     def solver(self):
         """A linear solver for this structure's systems, with no
@@ -330,7 +323,7 @@ class _KeptLU:
 
     def __call__(self, jac_values, border_values, rhs):
         """Solution of the system whose matrix has the values of J_hh's
-        entries and of the border row (None without a border)."""
+        entries and of the border row."""
         A = self.matrix.stored(jac_values, border_values)
         order = self.matrix.order
         b = rhs[order]
@@ -356,14 +349,12 @@ class _KeptLU:
         return None
 
 
-def _newton_matrix(grid, mode, border):
-    """The grid's Newton matrix structure for a solve mode, built on first
-    use and kept on the grid."""
-    matrix = grid.newton_patterns.get(mode)
-    if matrix is None:
-        matrix = _NewtonMatrix(grid, None if border is None else border[0])
-        grid.newton_patterns[mode] = matrix
-    return matrix
+def _newton_matrix(grid):
+    """The grid's Newton matrix structure, built on first use and kept on
+    the grid."""
+    if grid.newton_matrix is None:
+        grid.newton_matrix = _NewtonMatrix(grid)
+    return grid.newton_matrix
 
 
 @dataclass
@@ -371,8 +362,8 @@ class SolverResult:
     """A converged solve; `factorizations` counts its splu calls, 0 when
     every system went to GMRES on an LU handed to it, and
     `linear_iterations` its GMRES iterations. `solver` is its linear
-    solver, holding its last LU, for a later solve in the same mode on the
-    same grid (newton_solve's `linear_solver`)."""
+    solver, holding its last LU, for a later solve on the same grid, in any
+    mode (newton_solve's `linear_solver`)."""
     h: np.ndarray
     Q: float
     iterations: int
@@ -394,27 +385,27 @@ def scaled_dot(ah, aQ, bh, bQ):
             + aQ * bQ)
 
 
-def _solve_mode(grid, mode, amplitude_target, base, tangent, ds):
-    """(extra, border) of a solve mode: extra(h, Q) is the equation appended
-    to the residual, border the (columns, values) of its row in the Newton
-    matrix, where column n is the corner beside dF/dQ. Both are None for
-    "fixed_q", which holds Q."""
+def _solve_mode(grid, mode, Q0, amplitude_target, base, tangent, ds):
+    """(extra, row) of a solve mode: extra(h, Q) is the equation appended
+    to the residual, row its derivative over the grid unknowns and, last,
+    over Q: the border row of the Newton matrix."""
     n = grid.nq * (grid.npts - 1)
+    row = np.zeros(n + 1)
     if mode == "fixed_q":
-        return None, None
+        row[n] = 1.0
+        return (lambda h, Q: Q - Q0), row
     if mode == "fixed_amplitude":
         if amplitude_target is None:
             raise InputError("fixed_amplitude mode needs amplitude_target")
-        # the crest and trough surface nodes; the corner stays empty
-        return ((lambda h, Q: amplitude(h) - amplitude_target),
-                (np.array([grid.npts - 2, n - 1]), np.array([1.0, -1.0])))
+        # the crest and trough surface nodes
+        row[grid.npts - 2], row[n - 1] = 1.0, -1.0
+        return (lambda h, Q: amplitude(h) - amplitude_target), row
     if mode == "arclength":
         if base is None or tangent is None or ds is None:
             raise InputError("arclength mode needs base, tangent, and ds")
         return ((lambda h, Q: scaled_dot(h - base[0], Q - base[1], *tangent)
                  - ds),
-                (np.arange(n + 1),
-                 np.append(tangent[0][:, 1:].ravel() / n, tangent[1])))
+                np.append(tangent[0][:, 1:].ravel() / n, tangent[1]))
     raise InputError("unknown solve mode %r" % mode)
 
 
@@ -423,29 +414,30 @@ def newton_solve(grid, vf, g, h0, Q0, mode="fixed_q", *, amplitude_target=None,
                  max_contraction=None, linear_solver=None):
     """Damped Newton iteration on the discrete height system.
 
-    mode "fixed_q" holds Q; "fixed_amplitude" appends the closure
-    a(h) = amplitude_target; "arclength" appends the pseudo-arclength
-    condition built from `base` (h, Q) and `tangent` (t_h, t_Q) with step ds.
-    An appended equation borders J_hh with its row and the dF/dQ column.
-    The derivatives of each accepted iterate feed its residual and then its
-    Jacobian. Steps are halved whenever the candidate would push min h_p
-    below the positivity floor or fails to reduce the residual norm.
+    Every mode appends one equation in (h, Q): "fixed_q" the closure
+    Q = Q0, which holds Q at Q0 to the bit; "fixed_amplitude" the closure
+    a(h) = amplitude_target; "arclength" the pseudo-arclength condition
+    built from `base` (h, Q) and `tangent` (t_h, t_Q) with step ds. Its
+    row borders J_hh, together with the dF/dQ column. The derivatives of
+    each accepted iterate feed its residual and then its Jacobian. Steps
+    are halved whenever the candidate would push min h_p below the
+    positivity floor or fails to reduce the residual norm.
 
-    The Newton matrix's sparsity pattern is built once per grid and solve
-    mode and kept on the grid, with rows and columns in a fixed
-    fill-reducing order: the grid unknowns by nested dissection, the
-    appended equation last. Every iteration fills the values into that
-    pattern. A system is factored by `splu` with SuperLU's natural
-    ordering, so SuperLU never computes an ordering of its own, when the
-    call's linear solver holds no LU; otherwise it is solved by GMRES
-    right-preconditioned with the last LU, and factored only when GMRES
-    misses a true relative residual of LINEAR_RTOL (see _KeptLU). By
-    default the call gets a fresh solver, so its first system is factored
-    and its result does not depend on other solves on the grid. A caller
-    may pass `linear_solver`, an earlier result's `solver` in the same mode
-    on the same grid, to start from the LU that solve left; the caller
-    then owns that dependence. The result counts this call's
-    factorizations, which may then be 0, and GMRES iterations.
+    The Newton matrix's sparsity pattern is built once per grid and kept on
+    the grid, with rows and columns in a fixed fill-reducing order: the
+    grid unknowns by nested dissection, the appended equation last. Every
+    iteration, in every mode, fills its values into that pattern. A system
+    is factored by `splu` with SuperLU's natural ordering, so SuperLU never
+    computes an ordering of its own, when the call's linear solver holds no
+    LU; otherwise it is solved by GMRES right-preconditioned with the last
+    LU, and factored only when GMRES misses a true relative residual of
+    LINEAR_RTOL (see _KeptLU). By default the call gets a fresh solver, so
+    its first system is factored and its result does not depend on other
+    solves on the grid. A caller may pass `linear_solver`, an earlier
+    result's `solver` on the same grid, in any mode, to start from the LU
+    that solve left; the caller then owns that dependence. The result
+    counts this call's factorizations, which may then be 0, and GMRES
+    iterations.
 
     With `max_contraction` set to theta < 1, the iteration gives up with
     NoConvergenceError as soon as an iteration that has not converged cuts
@@ -454,18 +446,18 @@ def newton_solve(grid, vf, g, h0, Q0, mode="fixed_q", *, amplitude_target=None,
     fast convergence, and a caller that can shorten its step does better to
     retry at once (Deuflhard's monotonicity test). None never gives up early.
     """
-    extra, border = _solve_mode(grid, mode, amplitude_target, base, tangent,
-                                ds)
-    solve = (_newton_matrix(grid, mode, border).solver()
-             if linear_solver is None else linear_solver)
+    Q = float(Q0)
+    extra, row = _solve_mode(grid, mode, Q, amplitude_target, base, tangent,
+                             ds)
+    solve = (_newton_matrix(grid).solver() if linear_solver is None
+             else linear_solver)
     solve.factorizations = solve.linear_iterations = 0
     h = np.array(h0, dtype=float)
     h[:, 0] = 0.0
-    Q = float(Q0)
 
     def full_residual(hc, Qc, derivs):
-        F = pack_residual(*_residual(grid, vf, g, hc, Qc, derivs))
-        return F if extra is None else np.append(F, extra(hc, Qc))
+        R, S = _residual(grid, vf, g, hc, Qc, derivs)
+        return np.append(pack_residual(R, S), extra(hc, Qc))
 
     derivs = _derivatives(grid, h)
     F = full_residual(h, Q, derivs)
@@ -486,11 +478,10 @@ def newton_solve(grid, vf, g, h0, Q0, mode="fixed_q", *, amplitude_target=None,
                 % (it, prev_nrm, nrm, nrm / prev_nrm, max_contraction))
         prev_nrm = nrm
 
-        delta = solve(_jacobian_values(grid, vf, g, derivs),
-                      None if border is None else border[1], -F)
+        delta = solve(_jacobian_values(grid, vf, g, derivs), row, -F)
         dh = np.zeros_like(h)
-        dh[:, 1:] = delta[:h[:, 1:].size].reshape(grid.nq, grid.npts - 1)
-        dQ = 0.0 if border is None else float(delta[-1])
+        dh[:, 1:] = delta[:-1].reshape(grid.nq, grid.npts - 1)
+        dQ = float(delta[-1])
 
         step = 1.0
         for _ in range(MAX_HALVINGS + 1):

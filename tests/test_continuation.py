@@ -138,25 +138,34 @@ class TestEarlyNewtonFailure:
     def test_branch_through_the_q_maximum_is_unchanged(self, monkeypatch):
         # Abandoning stalled Newton attempts early must leave every accepted
         # point as the patient solver (50 iterations, no contraction test)
-        # finds it, while factoring fewer matrices.
+        # finds it, while solving fewer linear systems with an LU. A stalled
+        # attempt's extra iterations go mostly to GMRES on an LU it holds,
+        # so they cost LU solves (one per direct solve and one per GMRES
+        # iteration) rather than factorizations: counted so, the early exit
+        # saves about 45% on this branch, and the test asks for a quarter.
         vf = VorticityFunction.constant(-0.3, m=M)
         grid = StripGrid(L, M, 24, 20, beta=0.5)
         lam_star = find_bifurcation(vf, G, L, M)
-        factorizations = []
+        lu_solves = []
         real_splu = solver.splu
 
-        def counting_splu(*args, **kwargs):
-            factorizations.append(1)
-            return real_splu(*args, **kwargs)
+        class CountingLU:
+            def __init__(self, lu):
+                self.lu = lu
 
-        monkeypatch.setattr(solver, "splu", counting_splu)
+            def solve(self, b):
+                lu_solves.append(1)
+                return self.lu.solve(b)
+
+        monkeypatch.setattr(solver, "splu", lambda *args, **kwargs:
+                            CountingLU(real_splu(*args, **kwargs)))
 
         def run():
-            start = len(factorizations)
+            start = len(lu_solves)
             br = continue_branch(grid, vf, G, 20, lam_star=lam_star)
-            return br, len(factorizations) - start
+            return br, len(lu_solves) - start
 
-        fast, fast_lu = run()
+        fast, fast_solves = run()
         real_newton = continuation.newton_solve
 
         def patient_newton(*args, **kwargs):
@@ -164,7 +173,7 @@ class TestEarlyNewtonFailure:
             return real_newton(*args, **kwargs)
 
         monkeypatch.setattr(continuation, "newton_solve", patient_newton)
-        slow, slow_lu = run()
+        slow, slow_solves = run()
 
         Qs = [pt.Q for pt in fast.points]
         assert 0 < int(np.argmax(Qs)) < len(Qs) - 1
@@ -174,7 +183,7 @@ class TestEarlyNewtonFailure:
             assert np.array_equal(a.h, b.h)
             assert (a.Q, a.ds, a.newton_iterations) == \
                 (b.Q, b.ds, b.newton_iterations)
-        assert fast_lu < slow_lu
+        assert 0 < fast_solves <= 0.75 * slow_solves
 
 
 class TestHandedLU:
@@ -217,15 +226,15 @@ class TestHandedLU:
         attempts = self.record(monkeypatch)
         br = continue_branch(grid, vf, G, 8, lam_star=lam_star)
         assert len(attempts) == len(br.points) - 1  # no attempt failed
-        departure, first, *later = attempts
-        # the departure and the first step start with no LU; each later
-        # step gets the solver, and the LU, of the step before it
+        departure, *steps = attempts
+        # the departure starts with no LU; each arclength step, the first
+        # one included, gets the solver, and the LU, of the step before it
         assert departure[:3] == ["fixed_amplitude", None, False]
-        assert first[:3] == ["arclength", None, False] and first[3] >= 1
-        for before, step in zip([first] + later, later):
+        assert departure[3] >= 1
+        for before, step in zip(attempts, steps):
             assert step[0] == "arclength" and step[1] is before[4]
-            assert step[2] and step[4] is first[4]
-        assert sum(row[3] for row in [first] + later) < len(later) + 1
+            assert step[2] and step[4] is departure[4]
+        assert sum(row[3] for row in attempts) < len(attempts)
         assert [row[3] for row in attempts] == \
             [pt.factorizations for pt in br.points[1:]]
 

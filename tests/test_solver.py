@@ -36,7 +36,7 @@ from vorwave.laminar import critical_lambda, laminar_flow
 from vorwave.solver import (amplitude, bifurcation_mode, discrete_laminar,
                             find_bifurcation, jacobian_blocks, newton_solve,
                             newton_tolerance, pack_residual, residual_parts,
-                            seed_wave)
+                            scaled_dot, seed_wave)
 from vorwave.vorticity import VorticityFunction
 
 G = 9.81
@@ -143,7 +143,9 @@ class TestNewton:
         grid = StripGrid(L, M, 10, 24, beta=0.5)
         h0 = np.tile(flow.height(grid.p), (grid.nq, 1))
         res = newton_solve(grid, vf, G, h0, flow.Q, mode="fixed_q")
-        assert res.iterations <= 5
+        assert 1 <= res.iterations <= 5
+        # the closure Q = Q0 gives every Newton step dQ = 0 exactly
+        assert res.Q == flow.Q
         # the solution is a column profile: no q-dependence appears
         assert np.max(np.std(res.h, axis=0)) < 1e-12
         hcol, _, _ = discrete_laminar(grid, vf, G, 1.0)
@@ -251,9 +253,9 @@ def bmat_solver(grid, factored):
     """Stand-in for _NewtonMatrix.solver whose solver assembles every matrix
     afresh and factors each, as each Newton iteration did before the pattern
     and the factorization were kept: J_hh from COO triplets, the border
-    added by sparse.bmat from dense blocks (which drops their zeros), then
-    splu with its default COLAMD ordering. Appends 1 to `factored` per
-    factorization."""
+    column and row added by sparse.bmat from dense blocks (which drops their
+    zeros), then splu with its default COLAMD ordering. Appends 1 to
+    `factored` per factorization."""
     rows, cols = solver._jacobian_positions(grid)
     n = grid.nq * (grid.npts - 1)
     dF_dQ = np.zeros(n)
@@ -266,14 +268,9 @@ def bmat_solver(grid, factored):
         def __call__(self, jac_values, border_values, rhs):
             J = sparse.coo_matrix((jac_values, (rows, cols)),
                                   shape=(n, n)).tocsc()
-            if border_values is not None:
-                if border_values.size == n + 1:  # arclength: tangent, corner
-                    row = border_values
-                else:  # fixed amplitude: crest minus trough, no corner
-                    row = np.zeros(n + 1)
-                    row[grid.npts - 2], row[n - 1] = border_values
-                J = sparse.bmat([[J, dF_dQ[:, None]],
-                                 [row[None, :n], row[None, n:]]], format="csc")
+            row = border_values[None, :]
+            J = sparse.bmat([[J, dF_dQ[:, None]], [row[:, :n], row[:, n:]]],
+                            format="csc")
             self.factorizations += 1
             factored.append(1)
             return splu(J).solve(rhs)
@@ -380,6 +377,8 @@ class TestNewtonMatrixPattern:
             assert abs(res.Q - reference.Q) < 1e-9
 
     def test_each_grid_gets_its_own_pattern(self, monkeypatch):
+        # each grid builds one structure, which its solves in every mode
+        # fill: here a fixed_amplitude and an arclength solve
         vf = VorticityFunction.constant(0.0, m=M)
         lam_star = find_bifurcation(vf, G, L, M)
         shapes = [(12, 14, 0.5), (16, 12, 0.5), (12, 14, 0.3)]
@@ -400,14 +399,28 @@ class TestNewtonMatrixPattern:
             assert np.array_equal(res.h, ref.h) and res.Q == ref.Q
             assert 1 <= res.factorizations == len(calls) - start
             assert res.factorizations <= res.iterations
+            assert res.solver.matrix is grid.newton_matrix
         assert all(c[0] == "NATURAL" for c in calls)
-        patterns = [grid.newton_patterns["fixed_amplitude"] for grid in grids]
-        assert len({id(p) for p in patterns}) == len(grids)
+        assert len({id(grid.newton_matrix) for grid in grids}) == len(grids)
+        # an arclength step on the first grid fills the same structure
+        grid, first = grids[0], alone[0]
+        hcol, Qt, _ = discrete_laminar(grid, vf, G, lam_star)
+        t_h = first.h - np.tile(hcol, (grid.nq, 1))
+        t_Q = first.Q - Qt
+        nrm = np.sqrt(scaled_dot(t_h, t_Q, t_h, t_Q))
+        t_h, t_Q = t_h / nrm, t_Q / nrm
+        matrix, ds = grid.newton_matrix, 1e-3
+        step = newton_solve(grid, vf, G, first.h + ds * t_h,
+                            first.Q + ds * t_Q, mode="arclength",
+                            base=(first.h, first.Q), tangent=(t_h, t_Q),
+                            ds=ds)
+        assert step.iterations >= 1
+        assert step.solver.matrix is matrix is grid.newton_matrix
 
     def test_jacobian_blocks_after_a_solve_on_the_grid(self):
-        # the fixed_q pattern is stored in dissection order; jacobian_blocks
-        # returns J_hh in the order of pack_residual, before a solve on the
-        # grid as after it
+        # the Newton matrix is stored in dissection order, with a border;
+        # jacobian_blocks returns J_hh in the order of pack_residual, the
+        # same before a solve on the grid as after it
         vf = VorticityFunction.constant(-1.0, m=M)
         grid = StripGrid(L, M, 10, 24, beta=0.5)
         h0 = np.tile(laminar_flow(vf, 1.0, G).height(grid.p), (grid.nq, 1))
