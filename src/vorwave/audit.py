@@ -120,15 +120,14 @@ class AuditReport:
 class SurfaceCurve:
     """The free surface traced as a flow line over one full period.
 
-    The parameter s satisfies (X'(s), Y'(s)) = (u, v) at the surface, so
-    with u < 0 the curve runs from the trough leftward through the crest.
-    theta is the unwrapped tangent angle, dPdn the outward normal
-    pressure derivative and (u, v) the velocity at each sample.
+    X holds the samples' abscissae, increasing over [0, 2L), crest at 0
+    and trough at L; (u, v) is the velocity at each sample. With u < 0 the
+    flow line runs against X, from the trough leftward through the crest.
+    theta is the unwrapped angle of (u, v), the flow line's tangent, and
+    dPdn the outward normal pressure derivative.
     """
 
-    s: np.ndarray
     X: np.ndarray
-    Y: np.ndarray
     theta: np.ndarray
     dPdn: np.ndarray
     u: np.ndarray
@@ -198,15 +197,9 @@ def surface_curve(wf):
     x = np.concatenate([wf.q, 2.0 * wf.L - wf.q[mirror]])
     u_full = np.concatenate([us, us[mirror]])
     v_full = np.concatenate([vs, -vs[mirror]])
-    y_full = np.concatenate([wf.eta, wf.eta[mirror]])
     dpdn = np.concatenate([dpdn_half, dpdn_half[mirror]])
     theta = np.unwrap(np.arctan2(v_full, u_full))
-    # ds = dx / u: cumulative trapezoid, s(0) = 0.
-    inv_u = 1.0 / u_full
-    ds = 0.5 * np.diff(x) * (inv_u[1:] + inv_u[:-1])
-    s = np.concatenate([[0.0], np.cumsum(ds)])
-    return SurfaceCurve(s=s, X=x, Y=y_full, theta=theta, dPdn=dpdn,
-                        u=u_full, v=v_full)
+    return SurfaceCurve(X=x, theta=theta, dPdn=dpdn, u=u_full, v=v_full)
 
 
 def _extremum(wf, arr, pick, offset=(0, 0)):

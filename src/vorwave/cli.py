@@ -125,8 +125,11 @@ def _run_dispersion(cfg, outdir):
 
 
 def _lambda_star(cfg, vf, lam_c=None):
-    return float(find_bifurcation(vf, cfg.g, cfg.L, cfg.m,
-                                  beta=cfg.grid.stretching, lam_c=lam_c))
+    try:
+        return float(find_bifurcation(vf, cfg.g, cfg.L, cfg.m,
+                                      beta=cfg.grid.stretching, lam_c=lam_c))
+    except InputError as exc:  # the column StripGrid rejects the stretching
+        raise ConfigError("config.grid: %s" % exc)
 
 
 def _run_bifurcate(cfg, outdir):
@@ -205,6 +208,10 @@ def _audit_points(points, tol, lam_c, outdir):
 def _run_audit(cfg, outdir, field_csv, point, manifest):
     tol = cfg.build_tolerances()
     if field_csv is not None:
+        if point is not None:
+            raise ConfigError("--point %d selects a branch point, but the "
+                              "field CSV %s is no branch; give one or the "
+                              "other" % (point, field_csv))
         if not Path(field_csv).is_file():
             raise ConfigError("field CSV %s does not exist" % field_csv)
         manifest.add_input(field_csv)

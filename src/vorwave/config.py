@@ -123,8 +123,10 @@ class RunConfig:
         grid = GridConfig(
             Nq=_integer(grid_raw, "Nq", "config.grid", GridConfig.Nq),
             Np=_integer(grid_raw, "Np", "config.grid", GridConfig.Np),
+            # 0 is a uniform p-grid; StripGrid checks the upper bound
             stretching=_number(grid_raw, "stretching", "config.grid",
-                               GridConfig.stretching))
+                               GridConfig.stretching, positive=False,
+                               nonnegative=True))
 
         cont_raw = data.get("continuation", {})
         _check_keys(cont_raw, _CONT_KEYS, "config.continuation")

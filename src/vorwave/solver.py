@@ -24,8 +24,8 @@ from scipy.sparse.linalg import splu
 
 from .errors import (BifurcationNotFoundError, InputError, NoConvergenceError,
                      NumericsError, StagnationApproachError, StagnationError)
-from .fd import dp, dq, three_point_weights
-from .grid import stretched_nodes
+from .fd import dp, dq
+from .grid import StripGrid
 from .laminar import critical_lambda, laminar_head
 
 HP_FLOOR = 1e-8
@@ -513,8 +513,8 @@ def discrete_laminar(grid, vf, g, lam):
     The q-independent reduction of the height system is a small Newton
     problem; solving it directly avoids the full-strip Jacobian, which is
     nearly singular when lam sits at a bifurcation point. Newton starts from
-    the trapezoid sweep of H' = (lam + 2 Gamma)^(-1/2); the interior rows of
-    its Jacobian are _mode_operator's at k = 0.
+    the trapezoid sweep of H' = (lam + 2 Gamma)^(-1/2); its Jacobian is
+    _mode_operator's at k = 0 about the iterate's solver_hp^2.
     """
     Q = laminar_head(vf, lam, g)
     hcol = cumulative_trapezoid((lam + 2.0 * vf.Gamma(grid.p)) ** -0.5,
@@ -528,89 +528,82 @@ def discrete_laminar(grid, vf, g, lam):
                       1.0 / (2.0 * hp[-1] ** 2) + g * hcol[-1] - Q)
         if np.max(np.abs(F)) < newton_tolerance(Q):
             return hcol, Q, it
-        sub, diag, sup = _mode_operator(hp[1:-1] ** 2, gam, grid.w1,
-                                        grid.w2, 0.0)
-        # the surface row: the Bernoulli residual's derivative over ws
-        J = (np.diag(np.append(diag, g)) + np.diag(np.append(sub, 0.0), -1)
+        sub, diag, sup, row = _mode_operator(grid, g, hp ** 2, gam, 0.0)
+        J = (np.diag(np.append(diag, 0.0)) + np.diag(np.append(sub, 0.0), -1)
              + np.diag(sup, 1))
-        J[-1, -grid.ws.size:] -= grid.ws / hp[-1] ** 3
+        J[-1, -row.size:] = row
         hcol[1:] += np.linalg.solve(J, -F)
     raise NoConvergenceError("laminar column Newton did not converge")
 
 
 # -- bifurcation from the trivial branch ------------------------------------
 
-def _mode_operator(Hp2, gam, w1, w2, k):
-    """Tridiagonal (sub, diag, sup) of w'' + 3 gamma H'^2 w' - k^2 H'^2 w,
-    the linearization of H'' + gamma H'^3 = 0 about a column with
-    H'^2 = Hp2, in the rows of the interior nodes p[1:-1], where all four
-    arguments are given. The pinned bed value is left out; sup's last entry
-    reaches the surface node, whose row the caller appends.
+def _mode_operator(grid, g, Hp2, gam, k):
+    """(sub, diag, sup, row): the linearization of the height system for a
+    cos(k q) mode about a column with H'^2 = Hp2 on grid.p, over the nodes
+    above the bed, whose value is pinned. The interior rows p[1:-1] are the
+    tridiagonal (sub, diag, sup) of w'' + 3 gamma H'^2 w' - k^2 H'^2 w, gam
+    being gamma(-p) there; sup's last entry reaches the surface node. row
+    is the surface row over the last ws.size nodes, the derivative of the
+    Bernoulli residual 1/(2 h_p^2) + g h - Q: -ws / H'(0)^3 from h_p, plus
+    g at the surface node.
     """
-    adv = 3.0 * gam * Hp2
-    sub = w2[1:, 0] + adv[1:] * w1[1:, 0]
-    diag = (w2[:, 1] + adv * w1[:, 1]) - k ** 2 * Hp2
-    sup = w2[:, 2] + adv * w1[:, 2]
-    return sub, diag, sup
+    inner = Hp2[1:-1]
+    adv = 3.0 * gam * inner
+    sub = grid.w2[1:, 0] + adv[1:] * grid.w1[1:, 0]
+    diag = (grid.w2[:, 1] + adv * grid.w1[:, 1]) - k ** 2 * inner
+    sup = grid.w2[:, 2] + adv * grid.w1[:, 2]
+    row = -grid.ws / Hp2[-1] ** 1.5
+    row[-1] += g
+    return sub, diag, sup, row
 
 
-def _transverse_operator(vf, g, k, p, w1, w2):
-    """lam -> tridiagonal (sub, diag, sup) on the nodes p[1:] of the
-    cos(k q) mode about the laminar flow at lam: _mode_operator's rows at
-    H'^2 = 1/(lam + 2 Gamma), w1 and w2 being the interior 3-point weights,
-    and a surface row whose mirrored ghost node carries the Robin condition
-    phi'(0) = g H'(0)^3 phi(0). Only the surface row can make it singular:
-    its interior rows are strictly diagonally dominant (row sum -k^2 H'^2).
+def _transverse_operator(vf, g, grid):
+    """lam -> _mode_operator of the cos(pi q / L) mode about the laminar
+    flow at lam, H'^2 = 1/(lam + 2 Gamma), on the nodes and weights of
+    grid: the Newton system's own interior and surface rows. Only the
+    surface row can make it singular: the interior rows are strictly
+    diagonally dominant (row sum -k^2 H'^2).
     """
-    Gamma, gam = vf.Gamma(p), vf.gamma(-p)
-    dlast = p[-1] - p[-2]
-
-    def operator(lam):
-        Hp2 = 1.0 / (lam + 2.0 * Gamma)
-        sub, diag, sup = _mode_operator(Hp2[1:-1], gam[1:-1], w1, w2, k)
-        R = g * Hp2[-1] ** 1.5
-        return (np.append(sub, 2.0 / dlast ** 2),
-                np.append(diag, 2.0 * R / dlast - 2.0 / dlast ** 2
-                          + 3.0 * gam[-1] * Hp2[-1] * R - k ** 2 * Hp2[-1]),
-                sup)
-
-    return operator
+    Gamma, gam = vf.Gamma(grid.p), vf.gamma(-grid.p)[1:-1]
+    k = np.pi / grid.L
+    return lambda lam: _mode_operator(grid, g, 1.0 / (lam + 2.0 * Gamma),
+                                      gam, k)
 
 
-def _surface_mode(sub, diag, sup):
-    """(phi, r): phi solves all rows of the tridiagonal A = (sub, diag, sup)
-    but the last with phi[-1] = 1, by one banded solve, and r is the last
-    row's residual: A phi = r e_last, r = det(A) / det(A[:-1, :-1]).
-    Solving A x = e_last instead would meet a last pivot of exactly zero
-    where A is singular."""
-    ab = np.array([np.append(0.0, sup[:-1]), diag[:-1],
-                   np.append(sub[:-1], 0.0)])
+def _surface_mode(sub, diag, sup, row):
+    """(phi, r): phi, on the nodes above the bed, solves the interior rows
+    (sub, diag, sup) with phi[-1] = 1, by one banded solve, and
+    r = row . phi[-row.size:] is the surface row's residual. With A the
+    interior rows over the surface row, A phi = r e_last and
+    r = det(A) / det(A[:-1, :-1]); solving A x = e_last instead would meet
+    a last pivot of exactly zero where A is singular."""
+    ab = np.array([np.append(0.0, sup[:-1]), diag, np.append(sub, 0.0)])
     try:
         phi = solve_banded((1, 1), ab,
-                           np.append(np.zeros(diag.size - 2), -sup[-1]))
+                           np.append(np.zeros(diag.size - 1), -sup[-1]))
     except LinAlgError as exc:
         raise NumericsError("mode operator singular: %s" % exc) from exc
-    return np.append(phi, 1.0), float(sub[-1] * phi[-1] + diag[-1])
+    phi = np.append(phi, 1.0)
+    return phi, float(row @ phi[-row.size:])
 
 
 def find_bifurcation(vf, g, L, m, *, beta=0.5, lam_c=None):
     """Squared surface speed lam* where a cos(pi q / L) mode branches off.
 
     Root of the transverse mode operator's surface residual (_surface_mode)
-    on a dedicated vertical grid of BIFURCATION_NODES nodes, searched
-    between -2 min Gamma and lambda_c; always strictly below lambda_c. The
-    residual is smooth in lam and zero exactly where the operator is
-    singular, so brentq resolves lam* to rounding. `lam_c` is
+    on a column StripGrid of BIFURCATION_NODES nodes with stretching beta,
+    searched between -2 min Gamma and lambda_c; always strictly below
+    lambda_c. The residual is smooth in lam and zero exactly where the
+    operator is singular, so brentq resolves lam* to rounding. `lam_c` is
     critical_lambda(vf, g), computed here unless the caller has it.
     """
     if lam_c is None:
         lam_c = critical_lambda(vf, g)
     floor = -2.0 * vf.Gamma_min()
     lo, hi = floor + 1e-4 * (lam_c - floor), lam_c
-    p = stretched_nodes(m, BIFURCATION_NODES, beta)
-    spacing = np.diff(p)
     operator = _transverse_operator(
-        vf, g, np.pi / L, p, *three_point_weights(spacing[:-1], spacing[1:]))
+        vf, g, StripGrid(L, m, 4, BIFURCATION_NODES, beta))
 
     def r(lam):
         return _surface_mode(*operator(lam))[1]
@@ -629,12 +622,12 @@ def find_bifurcation(vf, g, L, m, *, beta=0.5, lam_c=None):
 
 def bifurcation_mode(grid, vf, g, lam_star):
     """Vertical mode shape phi on grid.p, normalized to phi(0) = 1/2: the
-    solver-grid mode operator at lam_star solved in all rows but the
-    surface one (_surface_mode). Used only to seed Newton, so the
-    fine-grid / solver-grid discretization mismatch is harmless."""
-    v, _ = _surface_mode(*_transverse_operator(
-        vf, g, np.pi / grid.L, grid.p, grid.w1, grid.w2)(lam_star))
-    return 0.5 * np.append(0.0, v)
+    interior rows of grid's mode operator at lam_star solved with the
+    surface value fixed (_surface_mode). It is find_bifurcation's operator
+    on grid's nodes instead of BIFURCATION_NODES, so its surface residual
+    at lam_star is small but not zero; only the seed of Newton uses it."""
+    phi, _ = _surface_mode(*_transverse_operator(vf, g, grid)(lam_star))
+    return 0.5 * np.append(0.0, phi)
 
 
 def mode_seed(grid, hcol, phi, a0):

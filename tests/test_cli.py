@@ -104,6 +104,7 @@ class TestConfigErrors:
         {"grid": {"Nq": True}},
         {"continuation": {"steps": 2.5}},
         {"vorticity": {"kind": "constant"}},
+        {"grid": {"stretching": -0.1}},
     ])
     def test_rejected_configs(self, tmp_path, overrides):
         cfg = write_config(tmp_path / "cfg.json", **overrides)
@@ -377,6 +378,26 @@ def test_bifurcate_integrates_the_depth_once(tmp_path, monkeypatch):
     assert calls.count("depth") == 1
 
 
+def test_uniform_p_grid_bifurcates(tmp_path):
+    # stretching 0 places uniform p nodes, which StripGrid accepts
+    cfg = write_config(tmp_path / "cfg.json",
+                       grid={"Nq": 24, "Np": 20, "stretching": 0})
+    assert main(["bifurcate", "--config", str(cfg), "--out",
+                 str(tmp_path / "b")]) == 0
+    bif = json.loads((tmp_path / "b" / "bifurcation.json").read_text())
+    assert 0.0 < bif["lambda_star"] < bif["lambda_c"]
+
+
+def test_overstretched_p_grid_is_a_config_error(tmp_path, capsys):
+    # bifurcate's column grid takes the stretching that continue's grid
+    # would reject, and rejects it the same way
+    cfg = write_config(tmp_path / "cfg.json", grid={"stretching": 0.95})
+    assert main(["bifurcate", "--config", str(cfg), "--out",
+                 str(tmp_path / "b")]) == 2
+    assert capsys.readouterr().err.startswith(
+        "vorwave: config error: config.grid: ")
+
+
 class TestAudit:
     def test_branch_audit_flow(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json",
@@ -408,6 +429,18 @@ class TestAudit:
         assert report["summary"]["fail"] == 0
         man = json.loads((out / "manifest.json").read_text())
         assert str(field) in man["inputs"]
+
+    def test_csv_input_with_point_is_a_config_error(self, pipeline_run,
+                                                    tmp_path, capsys):
+        root, cfg, _ = pipeline_run
+        field = root / "out" / "fields" / "point_0005.csv"
+        out = tmp_path / "csvpoint"
+        assert main(["audit", str(field), "--config", str(cfg),
+                     "--out", str(out), "--point", "99"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("vorwave: config error: ")
+        assert "--point 99" in err and str(field) in err
+        assert not (out / "report.json").exists()
 
     def test_unattainable_tolerance_fails_run(self, pipeline_run, tmp_path):
         root, _, _ = pipeline_run

@@ -25,6 +25,7 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 from scipy.sparse.linalg import splu
 
+from vorwave import grid as grid_module
 from vorwave import laminar, solver
 from vorwave.continuation import continue_branch
 from vorwave.errors import (BifurcationNotFoundError, InputError,
@@ -36,7 +37,7 @@ from vorwave.laminar import critical_lambda, laminar_flow
 from vorwave.solver import (amplitude, bifurcation_mode, discrete_laminar,
                             find_bifurcation, jacobian_blocks, newton_solve,
                             newton_tolerance, pack_residual, residual_parts,
-                            scaled_dot, seed_wave)
+                            scaled_dot, seed_wave, solver_hp)
 from vorwave.vorticity import VorticityFunction
 
 G = 9.81
@@ -747,11 +748,16 @@ class TestBifurcation:
             find_bifurcation(vf, G, L, M, lam_c=4.3)
 
     def test_surface_mode_against_dense_algebra(self):
-        sub = np.array([1.0, 0.5, 2.0, 0.7])
-        diag = np.array([-3.0, -2.5, -4.0, -3.5, 1.5])
+        sub = np.array([0.5, 2.0, 0.7])
+        diag = np.array([-3.0, -2.5, -4.0, -3.5])
         sup = np.array([2.0, 1.0, 1.5, 1.0])
-        dense = np.diag(diag) + np.diag(sub, -1) + np.diag(sup, 1)
-        phi, r = solver._surface_mode(sub, diag, sup)
+        row = np.array([0.4, -1.2, 1.5])
+        # the interior rows over the surface row, as discrete_laminar
+        # assembles its Jacobian
+        dense = (np.diag(np.append(diag, 0.0))
+                 + np.diag(np.append(sub, 0.0), -1) + np.diag(sup, 1))
+        dense[-1, -row.size:] = row
+        phi, r = solver._surface_mode(sub, diag, sup, row)
         assert phi[-1] == 1.0
         np.testing.assert_allclose(dense @ phi, np.append(np.zeros(4), r),
                                    rtol=0, atol=1e-14)
@@ -759,24 +765,61 @@ class TestBifurcation:
                                   / np.linalg.det(dense[:-1, :-1]), rel=1e-12)
 
     def test_singular_rows_above_the_surface_are_a_numerics_error(self):
-        ones = np.ones(2)
         with pytest.raises(NumericsError, match="singular"):
-            solver._surface_mode(ones, np.array([1.0, 1.0, 0.0]), ones)
+            solver._surface_mode(np.ones(1), np.ones(2), np.ones(2),
+                                 np.ones(3))
 
     @pytest.mark.parametrize("gamma", [0.0, -0.3, -0.7])
     def test_lambda_star_is_stable_to_one_ulp_in_the_weights(
             self, gamma, monkeypatch):
+        # find_bifurcation's column is a StripGrid, which takes its interior
+        # weights from three_point_weights
         vf = VorticityFunction.constant(gamma, m=M)
         lam_star = find_bifurcation(vf, G, L, M)
-        real = solver.three_point_weights
+        real = grid_module.three_point_weights
 
         def nudged(hm, hp):
             w1, w2 = real(hm, hp)
             return w1, w2 * (1.0 + 2.0 ** -52)
 
-        monkeypatch.setattr(solver, "three_point_weights", nudged)
+        monkeypatch.setattr(grid_module, "three_point_weights", nudged)
         assert find_bifurcation(vf, G, L, M) == pytest.approx(lam_star,
                                                               rel=1e-10)
+
+    @pytest.mark.parametrize("gamma", [0.0, -0.3, -0.7])
+    def test_lambda_star_is_stable_to_one_ulp_in_the_surface_row(
+            self, gamma, monkeypatch):
+        # the surface row's h_p weights ws are the last row of the grid's
+        # ColumnOps
+        vf = VorticityFunction.constant(gamma, m=M)
+        lam_star = find_bifurcation(vf, G, L, M)
+
+        class Nudged(grid_module.ColumnOps):
+            def __init__(self, p):
+                super().__init__(p)
+                self.w[-1] *= 1.0 + 2.0 ** -52
+
+        monkeypatch.setattr(grid_module, "ColumnOps", Nudged)
+        assert find_bifurcation(vf, G, L, M) == pytest.approx(lam_star,
+                                                              rel=1e-10)
+
+    def test_newton_surface_row_is_the_mode_operators(self):
+        # on a laminar column the Newton Jacobian's surface rows are the
+        # column linearization's: -ws / h_p^3 over the last ws.size nodes
+        # of the column, plus g at its surface node, and nothing else
+        vf = VorticityFunction.constant(-0.3, m=M)
+        grid = StripGrid(L, M, 8, 24, beta=0.5)
+        hcol, Q, _ = discrete_laminar(grid, vf, G, 4.0)
+        J, _ = jacobian_blocks(grid, vf, G, np.tile(hcol, (grid.nq, 1)), Q)
+        *_, row = solver._mode_operator(grid, G, solver_hp(grid, hcol) ** 2,
+                                        vf.gamma(-grid.p)[1:-1], np.pi / L)
+        J = J.toarray()
+        for i in range(grid.nq):
+            surface = (i + 1) * (grid.npts - 1) - 1
+            expected = np.zeros(J.shape[1])
+            expected[surface + 1 - row.size:surface + 1] = row
+            np.testing.assert_allclose(J[surface], expected, rtol=1e-14,
+                                       atol=0)
 
     def test_mode_shape_matches_closed_form(self):
         vf = VorticityFunction.constant(0.0, m=M)
