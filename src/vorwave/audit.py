@@ -537,6 +537,8 @@ class _Auditor:
         hyp_min = float(np.min(self.gam))
         if hyp_min < 0.0:
             return _not_applicable(hyp_min)
+        if self.trivial:
+            return _not_applicable(self.trivial_margin)
         outside = self.spd.copy()
         outside[-2:, -2:] = -np.inf
         margin = float(self.spd[-1, -1] - np.max(outside))
@@ -548,6 +550,8 @@ class _Auditor:
         hyp_max = float(np.max(self.gam))
         if hyp_max > 0.0:
             return _not_applicable(-hyp_max)
+        if self.trivial:
+            return _not_applicable(self.trivial_margin)
         outside = self.spd.copy()
         outside[:2, -2:] = np.inf
         margin = float(np.min(outside) - self.spd[0, -1])

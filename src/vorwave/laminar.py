@@ -16,16 +16,25 @@ criteria below are pure arithmetic on these quantities.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad, simpson
-from scipy.optimize import brentq
+from numpy.polynomial.legendre import leggauss
 
 from .errors import InputError, NumericsError
 from .fd import fd_weights
 
-_QUAD_OPTS = dict(epsabs=1e-12, epsrel=1e-12, limit=500)
+# Each quadrature panel is integrated by an n-point and a 2n-point
+# Gauss-Legendre rule, their nodes side by side in _PANEL_NODES.
+_PANEL_RULE = 16
+_COARSE_NODES, _COARSE_WEIGHTS = leggauss(_PANEL_RULE)
+_FINE_NODES, _FINE_WEIGHTS = leggauss(2 * _PANEL_RULE)
+_PANEL_NODES = np.concatenate([_COARSE_NODES, _FINE_NODES])
+_QUAD_EPS = 1e-12        # absolute and relative tolerance
+_QUAD_MAX_PANELS = 500
+_ROOT_RTOL = 4.0 * sys.float_info.epsilon
+_ROOT_MAX_ITER = 100
 
 
 def _admissible_floor(vf):
@@ -41,11 +50,104 @@ def _require_admissible(vf, lam):
 
 
 def _quad_checked(fn, a, b, what):
-    val, err = quad(fn, a, b, **_QUAD_OPTS)
+    """int_a^b fn by adaptive Gauss-Legendre quadrature, as a Python float.
+
+    Each round integrates every open panel by the n- and 2n-point rules,
+    evaluating fn once on all their nodes (fn takes arrays). A panel whose
+    two values differ by at most its share by width of
+    _QUAD_EPS max(1, |value|) is closed with the 2n-point value; the others
+    are bisected while the panels number at most _QUAD_MAX_PANELS. The sum
+    of the closed panels' differences bounds the error; NumericsError
+    names `what` when it exceeds 1e-9 max(1, |value|).
+    """
+    if a == b:
+        return 0.0
+    n = _PANEL_RULE
+    mid, half = np.array([0.5 * (a + b)]), np.array([0.5 * (b - a)])
+    half_width = abs(half[0])
+    val = err = 0.0
+    panels = 1
+    while True:
+        f = fn(mid[:, None] + half[:, None] * _PANEL_NODES)
+        coarse = half * (f[:, :n] @ _COARSE_WEIGHTS)
+        fine = half * (f[:, n:] @ _FINE_WEIGHTS)
+        diff = np.abs(fine - coarse)
+        tol = _QUAD_EPS * max(1.0, abs(val + fine.sum()))
+        open_ = diff > tol * np.abs(half) / half_width
+        more = int(np.count_nonzero(open_))
+        if panels + more > _QUAD_MAX_PANELS:
+            open_[:] = False  # out of panels: the error check judges
+        val += fine[~open_].sum()
+        err += diff[~open_].sum()
+        if not open_.any():
+            break
+        panels += more
+        mid, half = mid[open_], 0.5 * half[open_]
+        mid, half = np.concatenate([mid - half, mid + half]), np.tile(half, 2)
     if err > 1e-9 * max(1.0, abs(val)):
         raise NumericsError("quadrature for %s did not converge "
                             "(estimate %g, error %g)" % (what, val, err))
-    return val
+    return float(val)
+
+
+def brent_root(f, a, b, xtol):
+    """A root of f between a and b, where f changes sign, by Brent's method
+    (Brent 1973, ch. 4): the secant or inverse quadratic interpolation step
+    where it falls well inside the bracket, bisection otherwise. Stops once
+    the bracket is within xtol + _ROOT_RTOL |x| of the current iterate x,
+    the test of scipy's brentq, whose step rules it follows.
+    """
+    def value(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise NumericsError("root finder: f(%r) is nan" % x)
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise NumericsError("root finder: no sign change on [%r, %r] "
+                            "(f = %g, %g)" % (xpre, xcur, fpre, fcur))
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_ROOT_MAX_ITER):
+        # xblk is the far end of the bracket, xcur the best iterate
+        if (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = 0.5 * (xtol + _ROOT_RTOL * abs(xcur))
+        sbis = 0.5 * (xblk - xcur)
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        interpolate = abs(spre) > delta and abs(fcur) < abs(fpre)
+        if interpolate:
+            if xpre == xblk:
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            interpolate = (2.0 * abs(stry)
+                           < min(abs(spre), 3.0 * abs(sbis) - delta))
+        if interpolate:
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0.0 else -delta
+        fcur = value(xcur)
+    raise NumericsError("root finder: no convergence in %d iterations"
+                        % _ROOT_MAX_ITER)
 
 
 def laminar_depth(vf, lam):
@@ -79,7 +181,7 @@ def critical_lambda(vf, g):
     The slope is increasing (the head is strictly convex), tends to -inf at
     the singular edge of the admissible range and to 1/2 at large lambda, so
     a sign-change bracket always exists; it is found by stepping off the edge
-    and doubling, then resolved by Brent's method.
+    and doubling, then resolved by brent_root.
     """
     floor = _admissible_floor(vf)
     scale = max((g * vf.m) ** (2.0 / 3.0), abs(floor), 1e-9)
@@ -107,8 +209,8 @@ def critical_lambda(vf, g):
     if right is None:
         raise NumericsError(
             "failed to bracket the head minimum within 60 doublings")
-    return brentq(lambda lam: head_slope(vf, lam, g), left, right,
-                  xtol=1e-15 * scale, rtol=4.0 * np.finfo(float).eps)
+    return brent_root(lambda lam: head_slope(vf, lam, g), left, right,
+                      xtol=1e-15 * scale)
 
 
 @dataclass(frozen=True)
@@ -129,8 +231,9 @@ class LaminarFlow:
         """Height above the bed as a function of p in [-m, 0].
 
         h(p) = int_{-m}^p ds/sqrt(lambda + 2 Gamma(s)); h(0) = d. Computed by
-        per-interval quadrature on the requested nodes, one `quad` call per
-        node: a reference to check discrete columns against.
+        per-interval quadrature on the requested nodes, one _quad_checked
+        call per node (a zero-width interval gives 0): a reference to check
+        discrete columns against.
         """
         p = np.atleast_1d(np.asarray(p, dtype=float))
         order = np.argsort(p)
@@ -248,6 +351,7 @@ class FroudeInputs:
             raise InputError("y must be increasing")
         if np.any(u >= 0):
             raise InputError("upstream profile must be negative")
+        from scipy.integrate import simpson  # here: no pipeline run needs it
         norm = self.g * simpson(1.0 / u ** 2, x=y)
         if abs(norm - 1.0) > 1e-6:
             raise InputError(

@@ -17,16 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.integrate import cumulative_trapezoid
 from scipy.linalg import LinAlgError, solve_banded, solve_triangular
-from scipy.optimize import brentq
 from scipy.sparse.linalg import splu
 
 from .errors import (BifurcationNotFoundError, InputError, NoConvergenceError,
                      NumericsError, StagnationApproachError, StagnationError)
 from .fd import dp, dq
 from .grid import StripGrid
-from .laminar import critical_lambda, laminar_head
+from .laminar import brent_root, critical_lambda, laminar_head
 
 HP_FLOOR = 1e-8
 MAX_HALVINGS = 30
@@ -513,12 +511,14 @@ def discrete_laminar(grid, vf, g, lam):
     The q-independent reduction of the height system is a small Newton
     problem; solving it directly avoids the full-strip Jacobian, which is
     nearly singular when lam sits at a bifurcation point. Newton starts from
-    the trapezoid sweep of H' = (lam + 2 Gamma)^(-1/2); its Jacobian is
-    _mode_operator's at k = 0 about the iterate's solver_hp^2.
+    the cumulative sum of the trapezoids of H' = (lam + 2 Gamma)^(-1/2) over
+    grid.p; its Jacobian is _mode_operator's at k = 0 about the iterate's
+    solver_hp^2.
     """
     Q = laminar_head(vf, lam, g)
-    hcol = cumulative_trapezoid((lam + 2.0 * vf.Gamma(grid.p)) ** -0.5,
-                                grid.p, initial=0.0)
+    slope = (lam + 2.0 * vf.Gamma(grid.p)) ** -0.5
+    hcol = np.append(0.0, np.cumsum(
+        np.diff(grid.p) * (slope[1:] + slope[:-1]) / 2.0))
     gam = vf.gamma(-grid.p)[1:-1]
     for it in range(LAMINAR_MAX_ITER):
         hp = solver_hp(grid, hcol)
@@ -595,8 +595,9 @@ def find_bifurcation(vf, g, L, m, *, beta=0.5, lam_c=None):
     on a column StripGrid of BIFURCATION_NODES nodes with stretching beta,
     searched between -2 min Gamma and lambda_c; always strictly below
     lambda_c. The residual is smooth in lam and zero exactly where the
-    operator is singular, so brentq resolves lam* to rounding. `lam_c` is
-    critical_lambda(vf, g), computed here unless the caller has it.
+    operator is singular, so laminar.brent_root resolves lam* to rounding.
+    `lam_c` is critical_lambda(vf, g), computed here unless the caller has
+    it.
     """
     if lam_c is None:
         lam_c = critical_lambda(vf, g)
@@ -613,11 +614,10 @@ def find_bifurcation(vf, g, L, m, *, beta=0.5, lam_c=None):
         raise BifurcationNotFoundError(
             "mode operator's surface residual does not change sign on "
             "[%g, %g] (r(lo)=%.3g, r(hi)=%.3g)" % (lo, hi, r_lo, r_hi))
-    lam_star = brentq(r, lo, hi, xtol=1e-15 * max(1.0, hi),
-                      rtol=4.0 * np.finfo(float).eps)
+    lam_star = brent_root(r, lo, hi, xtol=1e-15 * max(1.0, hi))
     if not lam_star < lam_c:
         raise BifurcationNotFoundError("detected lam* is not below lambda_c")
-    return float(lam_star)
+    return lam_star
 
 
 def bifurcation_mode(grid, vf, g, lam_star):

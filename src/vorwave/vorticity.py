@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import Polynomial
-from scipy.interpolate import CubicSpline
 
 from .errors import InputError
 from .fd import ColumnOps
@@ -99,6 +98,7 @@ class VorticityFunction:
             m = psi_samples[-1]
         elif abs(psi_samples[-1] - m) > _DOMAIN_SLACK * max(1.0, m):
             raise InputError("psi samples must end at m")
+        from scipy.interpolate import CubicSpline  # here: this kind only
         spline = CubicSpline(psi_samples, gamma_samples)
         anti = spline.antiderivative()
 

@@ -136,11 +136,25 @@ class TestTrivialWave:
         assert g_diag.status == "not-applicable"
         assert g_diag.value["hypothesis"] < 0.0
         assert g_diag.value["conclusion"] is None
-        # gamma <= 0 holds, so the crest-minimum claim is evaluated; the
-        # laminar speed field is constant along rows, margin exactly zero.
+        # gamma <= 0 holds, but the crest-minimum claim is about a wave;
+        # on the laminar flow it is not applicable either
         h_diag = rep.by_id("D-press-h")
-        assert h_diag.status == "pass"
-        assert h_diag.margin == 0.0
+        assert h_diag.status == "not-applicable"
+        assert h_diag.value["hypothesis"] <= 0.0
+        assert h_diag.value["conclusion"] is None
+
+    def test_speed_extremes_not_applicable_without_shear(self):
+        # gamma = 0 satisfies both speed hypotheses, yet on a laminar flow
+        # every column is the same and both margins are zero up to
+        # rounding, whose sign would decide the status
+        rep = audit_wave(trivial_field(gamma=0.0, lam=4.0))
+        margin = rep.by_id("D-press-b").margin
+        assert margin <= 0.0
+        for diag_id in ("D-press-g", "D-press-h"):
+            diag = rep.by_id(diag_id)
+            assert diag.status == "not-applicable", diag_id
+            assert diag.value == {"hypothesis": margin, "conclusion": None}
+            assert diag.margin == margin
 
     def test_trough_value_carries_strain(self, trivial_report):
         _, rep = trivial_report

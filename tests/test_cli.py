@@ -7,9 +7,11 @@ the packaging entry point resolves.
 
 import base64
 import json
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -682,6 +684,25 @@ class TestEntryPoint:
              "--config", str(cfg), "--out", str(tmp_path / "d")],
             capture_output=True, text=True)
         assert proc.returncode == 0
+
+    def test_import_leaves_out_unused_scipy_packages(self):
+        # a run takes from scipy only its sparse and dense linear algebra;
+        # these four packages would add about 0.3 s to every fresh import
+        unused = ("scipy.optimize", "scipy.integrate", "scipy.interpolate",
+                  "scipy.special")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src,
+                                             os.environ.get("PYTHONPATH")]))
+        code = ("import sys, vorwave.cli, vorwave; "
+                "print(vorwave.cli.__file__); "
+                "print(*sorted(set(sys.modules) & set(%r)))" % (unused,))
+        proc = subprocess.run([sys.executable, "-c", code],
+                              env=dict(os.environ, PYTHONPATH=path),
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        where, loaded = proc.stdout.split("\n")[:2]
+        assert Path(where).resolve().parent == Path(src) / "vorwave"
+        assert loaded == ""
 
     def test_help_exits_clean(self, capsys):
         assert main(["--help"]) == 0

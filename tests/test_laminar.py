@@ -14,17 +14,31 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from vorwave import (FroudeInputs, InputError, VorticityFunction,
-                     critical_lambda, froude_criteria, gamma_small_criterion,
+from vorwave import (FroudeInputs, InputError, NumericsError, StripGrid,
+                     VorticityFunction, critical_lambda, find_bifurcation,
+                     froude_criteria, gamma_small_criterion,
                      gamma_smallest_criterion, laminar_depth, laminar_flow,
-                     laminar_head)
-from vorwave.laminar import gamma_tilde
+                     laminar_head, solver)
+from vorwave.laminar import (_admissible_floor, _quad_checked, brent_root,
+                             gamma_tilde, head_slope)
 
 G = 9.81
 STILL = VorticityFunction.constant(0.0)
 FAVORABLE = VorticityFunction.constant(-1.0)
+EPS = np.finfo(float).eps
+
+_PSI = np.linspace(0.0, 1.0, 11)
+ORACLE_VORTICITY = {
+    "gamma=0": VorticityFunction.constant(0.0),
+    "gamma=-0.3": VorticityFunction.constant(-0.3),
+    "gamma=-0.7": VorticityFunction.constant(-0.7),
+    "gamma=+2": VorticityFunction.constant(2.0),
+    "poly": VorticityFunction.polynomial([-0.3, -0.2]),
+    "tabulated": VorticityFunction.tabulated(_PSI, -0.3 - 0.05 * _PSI),
+}
 
 
 class TestHeadAndDepth:
@@ -91,6 +105,89 @@ class TestCriticalLambda:
         h_avg = 0.5 * (laminar_head(FAVORABLE, a, G)
                        + laminar_head(FAVORABLE, b, G))
         assert h_mid < h_avg
+
+
+def _scale(vf):
+    # critical_lambda's scale for how far lambda sits above the floor
+    return max((G * vf.m) ** (2.0 / 3.0), abs(_admissible_floor(vf)))
+
+
+@pytest.mark.parametrize("name", ORACLE_VORTICITY)
+class TestAgainstScipy:
+    """The quadrature and root finder against scipy's quad and brentq."""
+
+    def test_quadrature_matches_quad(self, name):
+        # at lambda_c and on the way down to critical_lambda's first probe,
+        # where the integrands peak sharply at the floor's end; the largest
+        # relative difference measured is 3.6e-14 (gamma = +2)
+        vf = ORACLE_VORTICITY[name]
+        floor, scale = _admissible_floor(vf), _scale(vf)
+        for lam in (critical_lambda(vf, G), floor + 1e-2 * scale,
+                    floor + 1e-4 * scale):
+            for power in (-0.5, -1.5):
+                def f(s):
+                    return (lam + 2.0 * vf.Gamma(s)) ** power
+                ours = _quad_checked(f, -vf.m, 0.0, "oracle")
+                ref, _ = quad(f, -vf.m, 0.0, epsabs=1e-12, epsrel=1e-12,
+                              limit=500)
+                assert type(ours) is float
+                assert ours == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+    def test_head_slope_root_matches_brentq(self, name):
+        # the step rules are brentq's, so the roots agree to the last bit
+        vf = ORACLE_VORTICITY[name]
+        floor, scale = _admissible_floor(vf), _scale(vf)
+        lam_c = critical_lambda(vf, G)
+        a, b = floor + 1e-4 * scale, lam_c + scale
+
+        def f(lam):
+            return head_slope(vf, lam, G)
+        ours = brent_root(f, a, b, xtol=1e-15 * scale)
+        assert type(ours) is float
+        assert ours == brentq(f, a, b, xtol=1e-15 * scale, rtol=4.0 * EPS)
+        assert ours == pytest.approx(lam_c, rel=1e-13)
+
+    def test_surface_residual_root_matches_brentq(self, name):
+        vf = ORACLE_VORTICITY[name]
+        lam_c = critical_lambda(vf, G)
+        floor = _admissible_floor(vf)
+        lo, hi = floor + 1e-4 * (lam_c - floor), lam_c
+        operator = solver._transverse_operator(vf, G, StripGrid(
+            math.pi, vf.m, 4, solver.BIFURCATION_NODES, 0.5))
+
+        def r(lam):
+            return solver._surface_mode(*operator(lam))[1]
+        ref = brentq(r, lo, hi, xtol=1e-15 * max(1.0, hi), rtol=4.0 * EPS)
+        lam_star = find_bifurcation(vf, G, math.pi, vf.m, lam_c=lam_c)
+        assert type(lam_star) is float
+        assert lam_star == ref
+
+
+class TestQuadratureAndRoots:
+    def test_zero_width_interval_gives_zero(self):
+        # no division of 0 by 0, which -W error would turn into a failure
+        assert _quad_checked(lambda s: (1.0 - 2.0 * s) ** -0.5,
+                             -0.5, -0.5, "height") == 0.0
+        flow = laminar_flow(FAVORABLE, 1.0, G)
+        assert flow.height(np.array([-1.0]))[0] == 0.0
+
+    def test_unresolved_integral_raises(self):
+        # |s|^-0.99 defeats every panel rule near s = 0: bisection runs
+        # into the panel limit and the error check refuses the value
+        with pytest.raises(NumericsError, match="did not converge"):
+            _quad_checked(lambda s: np.abs(s) ** -0.99, -1.0, 0.0, "probe")
+
+    def test_bracket_without_sign_change_raises(self):
+        with pytest.raises(NumericsError, match="no sign change"):
+            brent_root(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-12)
+
+    def test_root_at_a_bracket_end(self):
+        assert brent_root(lambda x: x - 2.0, 2.0, 3.0, xtol=1e-12) == 2.0
+        assert brent_root(lambda x: x - 2.0, 1.0, 2.0, xtol=1e-12) == 2.0
+
+    def test_root_within_tolerance(self):
+        root = brent_root(math.cos, 1.0, 2.0, xtol=1e-14)
+        assert abs(root - 0.5 * math.pi) <= 1e-14 + 4.0 * EPS * root
 
 
 class TestLaminarFlow:
