@@ -73,10 +73,10 @@ def three_point_weights(hm, hp):
     at nodes whose left and right spacings are hm and hp, each (n,).
 
     The centre weight is the closed form; -(w0 + w2) differs from it by
-    rounding. Only the Jacobians and the mode operator read it (dq and dp
-    never do), and swapping in the summed form moves find_bifurcation's
-    root by at most 3.3e-11 relative (gamma 0, -0.3, -0.7), as much as one
-    ulp in any weight does.
+    rounding. Only solver._mode_operator reads it: dq and dp, and with them
+    the Newton Jacobian, take the difference form. Swapping in the summed
+    form moves find_bifurcation's root by at most 3.3e-11 relative (gamma
+    0, -0.3, -0.7), as much as one ulp in any weight does.
     """
     w1 = np.stack([-hp / (hm * (hm + hp)),
                    (hp - hm) / (hm * hp),

@@ -9,6 +9,7 @@ interior equation is
 with the Bernoulli condition (1 + h_q^2)/(2 h_p^2) + g h - Q = 0 on p = 0,
 h = 0 on p = -m, and even symmetry in q enforced by reflection stencils.
 The sign convention is pinned by the laminar identity H'' + gamma H'^3 = 0.
+The Newton Jacobian is the chain rule over the residual's own stencils.
 """
 
 from __future__ import annotations
@@ -86,72 +87,52 @@ def pack_residual(R, S):
     return np.concatenate([R, S[:, None]], axis=1).ravel()
 
 
-def _reflect(idx, n):
-    idx = np.abs(idx)
-    return np.where(idx > n - 1, 2 * (n - 1) - idx, idx)
-
-
 def _surface_rows(grid):
     """Rows (and columns) of the surface unknowns h(q_i, 0)."""
     return np.arange(grid.nq) * (grid.npts - 1) + (grid.npts - 2)
 
 
-def _jacobian_positions(grid):
-    """(rows, cols) of the entries of J_hh, in the order _jacobian_values
-    gives their values; entries at one position add up."""
-    nq, npts = grid.nq, grid.npts
-    I, J = np.meshgrid(np.arange(nq), np.arange(1, npts - 1), indexing="ij")
-    row_int = I * (npts - 1) + (J - 1)
-    blocks = []
-    for di in (-1, 0, 1):
-        col_i = _reflect(I + di, nq) * (npts - 1)
-        for dj in (-1, 0, 1):
-            keep = J + dj >= 1
-            blocks.append((row_int[keep], (col_i + (J - 1 + dj))[keep]))
-    i = np.arange(nq)
-    row_s = _surface_rows(grid)
-    wd = grid.ws.size
-    for k in range(wd):
-        blocks.append((row_s, i * (npts - 1) + (npts - 1 - wd + k)))
-    for di in (-1, 0, 1):
-        blocks.append((row_s, _reflect(i + di, nq) * (npts - 1) + (npts - 2)))
-    blocks.append((row_s, row_s))
-    rows, cols = (np.concatenate(parts) for parts in zip(*blocks))
-    return rows, cols
+def _chain_rule_maps(grid):
+    """Yields (rows, cols, values) of each of the chain rule's eight linear
+    maps over the unknowns j >= 1, in pack_residual order: the interior
+    rows' h_pp, h_q, h_p, h_qq and h_pq, then the surface rows' h_p, h_q
+    and h. Each is the Kronecker product of the q and p stencils that the
+    residual's own functions give on identity matrices (bed column
+    dropped); J_hh sums them weighted by _chain_rule_coefficients."""
+    eye_q, eye_p = np.eye(grid.nq), np.eye(grid.npts)
+    d_q, d_qq = dq(eye_q, grid.wq1, "even"), dq(eye_q, grid.wq2, "even")
+    d_p = solver_hp(grid, eye_p).T[1:, 1:]
+    d_pp = np.pad(dp(eye_p, grid.w2).T[:, 1:], ((0, 1), (0, 0)))
+    eye_p = eye_p[1:, 1:]
+    inner, top = 1.0 - eye_p[:, -1:], eye_p[:, -1:]  # rows p[1:-1], p = 0
+    for q, p in ((eye_q, d_pp), (d_q, inner * eye_p), (eye_q, inner * d_p),
+                 (d_qq, inner * eye_p), (d_q, inner * d_p), (eye_q, top * d_p),
+                 (d_q, top * eye_p), (eye_q, top * eye_p)):
+        (qi, qj), (pi, pj) = np.nonzero(q), np.nonzero(p)
+        yield (np.add.outer(qi * p.shape[0], pi).ravel(),
+               np.add.outer(qj * p.shape[0], pj).ravel(),
+               np.outer(q[qi, qj], p[pi, pj]).ravel())
 
 
-def _jacobian_values(grid, vf, g, derivs):
-    """Values of the entries of J_hh at the positions of
-    _jacobian_positions."""
+def _chain_rule_coefficients(grid, vf, g, derivs):
+    """(8, n): the weight of each of _chain_rule_maps on each row, in
+    pack_residual order: the derivatives of R by h_pp, h_q, h_p, h_qq and
+    h_pq, then of S by h_p, h_q and h; each is zero on the other rows."""
     hp, hq, hpq, hqq, hpp = derivs
     gam = vf.gamma(-grid.p)[1:-1]
     hqc, hpc, hpqc, hqqc = hq[:, 1:-1], hp[:, 1:-1], hpq[:, 1:-1], hqq[:, 1:-1]
-    A1 = 1.0 + hqc ** 2
-    A2 = 2.0 * hqc * hpp - 2.0 * hpc * hpqc
-    A3 = -2.0 * hqc * hpqc + 2.0 * hpc * hqqc + 3.0 * gam * hpc ** 2
-    A4 = hpc ** 2
-    A5 = -2.0 * hqc * hpc
-    wq1, wq2 = grid.wq1[:, :, None], grid.wq2[:, :, None]
-
-    values = []
-    for di in (-1, 0, 1):
-        for dj in (-1, 0, 1):
-            c = A5 * wq1[:, 1 + di] * grid.w1[:, 1 + dj]
-            if di == 0:
-                c = c + A1 * grid.w2[:, 1 + dj] + A3 * grid.w1[:, 1 + dj]
-            if dj == 0:
-                c = c + A4 * wq2[:, 1 + di] + A2 * wq1[:, 1 + di]
-            # the j = 1 row has no j - 1 unknown: the bed is pinned
-            values.append((c[:, 1:] if dj == -1 else c).ravel())
-
+    c = np.zeros((8, grid.nq, grid.npts - 1))
+    c[0, :, :-1] = 1.0 + hqc ** 2
+    c[1, :, :-1] = 2.0 * hqc * hpp - 2.0 * hpc * hpqc
+    c[2, :, :-1] = -2.0 * hqc * hpqc + 2.0 * hpc * hqqc + 3.0 * gam * hpc ** 2
+    c[3, :, :-1] = hpc ** 2
+    c[4, :, :-1] = -2.0 * hqc * hpc
     # surface rows: S = (1+hq^2)/(2 hp^2) + g h - Q at p = 0
     hq_s, hp_s = hq[:, -1], hp[:, -1]
-    dS_dhp = -(1.0 + hq_s ** 2) / hp_s ** 3
-    values += [dS_dhp * w for w in grid.ws]
-    dS_dhq = hq_s / hp_s ** 2
-    values += [dS_dhq * grid.wq1[:, 1 + di] for di in (-1, 0, 1)]
-    values.append(np.full(grid.nq, g))
-    return np.concatenate(values)
+    c[5, :, -1] = -(1.0 + hq_s ** 2) / hp_s ** 3
+    c[6, :, -1] = hq_s / hp_s ** 2
+    c[7, :, -1] = g
+    return c.reshape(8, -1)
 
 
 def jacobian_blocks(grid, vf, g, h, Q):
@@ -159,14 +140,13 @@ def jacobian_blocks(grid, vf, g, h, Q):
 
     Row/column order matches pack_residual: n(i,j) = i*(npts-1) + (j-1).
     """
-    rows, cols = _jacobian_positions(grid)
-    n = grid.nq * (grid.npts - 1)
-    J_hh = sparse.coo_matrix(
-        (_jacobian_values(grid, vf, g, _derivatives(grid, h)), (rows, cols)),
-        shape=(n, n)).tocsc()
+    c = _chain_rule_coefficients(grid, vf, g, _derivatives(grid, h))
+    n = c.shape[1]
+    J_hh = sum(sparse.csr_matrix((ck[r] * v, (r, col)), shape=(n, n))
+               for ck, (r, col, v) in zip(c, _chain_rule_maps(grid)))
     dF_dQ = np.zeros(n)
     dF_dQ[_surface_rows(grid)] = -1.0
-    return J_hh, dF_dQ
+    return J_hh.tocsc(), dF_dQ
 
 
 # blocks of at most this many grid nodes are not dissected further
@@ -180,11 +160,14 @@ def _dissection_order(idx):
     of at most DISSECTION_LEAF nodes come row by row."""
     if idx.size <= DISSECTION_LEAF:
         return idx.ravel()
-    axis = int(idx.shape[1] > idx.shape[0])
-    k = idx.shape[axis] // 2
-    first, line, second = np.split(idx, [k, k + 1], axis=axis)
+    if idx.shape[1] > idx.shape[0]:
+        k = idx.shape[1] // 2
+        first, line, second = idx[:, :k], idx[:, k], idx[:, k + 1:]
+    else:
+        k = idx.shape[0] // 2
+        first, line, second = idx[:k], idx[k], idx[k + 1:]
     return np.concatenate([_dissection_order(first),
-                           _dissection_order(second), line.ravel()])
+                           _dissection_order(second), line])
 
 
 class _NewtonMatrix:
@@ -193,45 +176,60 @@ class _NewtonMatrix:
 
     The matrix is J_hh bordered by the dF/dQ column (-1 on the surface
     rows) and one dense row: the derivative of the equation the solve mode
-    appends, over the n grid unknowns and, in the corner, over Q. Its
-    entries always come in the one order of their positions; entries at one
-    position add up, and explicit zeros stay. The compressed-column
-    structure is built once, with rows and columns in one fixed order: the
-    grid unknowns by nested dissection, then the border. Each Newton system
-    only fills in values; nothing changes the structure after it is built,
-    so solves on one grid share it. No factorization lives here: each
-    solver from `solver()` holds its own.
+    appends, over the n grid unknowns and, in the corner, over Q. J_hh
+    stores the entries of _chain_rule_maps, the border row all its entries,
+    zeros too. The compressed-column structure, rows and columns in one
+    fixed order (the grid unknowns by nested dissection, then the border),
+    and `values`, the sparse map from the parameters to the stored values,
+    are built once: one product assembles each system, and solves on one
+    grid share them. No factorization lives here: each solver from
+    `solver()` holds its own.
     """
 
     def __init__(self, grid):
-        rows, cols = _jacobian_positions(grid)
         n = grid.nq * (grid.npts - 1)
-        surface = _surface_rows(grid)
-        self.dF_dQ = np.full(surface.size, -1.0)
-        rows = np.concatenate([rows, surface, np.full(n + 1, n)])
-        cols = np.concatenate([cols, np.full(surface.size, n),
-                               np.arange(n + 1)])
         self.order = np.append(_dissection_order(
             np.arange(n).reshape(grid.nq, grid.npts - 1)), n)
         position = np.argsort(self.order)
-        rows, cols = position[rows], position[cols]
-        entries = np.lexsort((rows, cols))  # stable: repeats keep their order
-        r, c = rows[entries], cols[entries]
-        first = np.ones(entries.size, dtype=bool)
-        first[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
-        self.indices = r[first].astype(np.intc)
-        # no column is empty, so the counts cover all n + 1 columns
-        self.indptr = np.concatenate(
-            [[0], np.cumsum(np.bincount(c[first]))]).astype(np.intc)
-        self.slot = np.empty(entries.size, dtype=np.intp)
-        self.slot[entries] = np.cumsum(first) - 1  # each entry's stored value
+        # A stored value sums the terms at its place (column-major, stored
+        # order), each a weight times a parameter: the coefficients (map k
+        # at row r reads coefficient k at r), the border row, a 1 for dF/dQ.
+        places, params, weights = [], [], []
+        for k, (rows, cols, values) in enumerate(_chain_rule_maps(grid)):
+            places.append(position[cols] * (n + 1) + position[rows])
+            params.append(k * n + rows)
+            weights.append(values)
+        places += [position * (n + 1) + n,
+                   n * (n + 1) + position[_surface_rows(grid)]]
+        params += [np.arange(8 * n, 9 * n + 1), np.full(grid.nq, 9 * n + 1)]
+        weights += [np.ones(n + 1), np.full(grid.nq, -1.0)]
+        key, params, weights = (np.concatenate(parts) for parts in
+                                (places, params, weights))
+        del places
+        # sorted by place, each term's index in the low bits of its key
+        bits = key.size.bit_length()
+        if (n + 1) ** 2 << bits >= 1 << 63:
+            raise InputError("grid of %d unknowns too large" % n)
+        key <<= bits
+        key |= np.arange(key.size)
+        key.sort()
+        place = key >> bits
+        key &= (1 << bits) - 1
+        new = np.append(True, place[1:] != place[:-1])
+        slot = np.empty(key.size, dtype=np.intc)
+        slot[key] = np.cumsum(new, dtype=np.intc) - 1
+        place = place[new]
+        self.indices = (place % (n + 1)).astype(np.intc)
+        self.indptr = np.searchsorted(place, np.arange(n + 2) * (n + 1)
+                                      ).astype(np.intc)
+        # a COO product adds each slot's terms in their order above
+        self.values = sparse.coo_matrix((weights, (slot, params)),
+                                        shape=(place.size, 9 * n + 2))
 
-    def stored(self, jac_values, border_values):
-        """The matrix with these values of J_hh's entries and of the border
-        row, in the stored order, as CSC."""
-        values = np.concatenate([jac_values, self.dF_dQ, border_values])
-        data = np.bincount(self.slot, weights=values,
-                           minlength=self.indices.size)
+    def assemble(self, coefficients, row):
+        """The matrix in the stored order, as CSC, whose J_hh has these
+        _chain_rule_coefficients and whose last row is `row`."""
+        data = self.values @ np.concatenate([coefficients.ravel(), row, [1.0]])
         n = self.indptr.size - 1
         return sparse.csc_matrix((data, self.indices, self.indptr),
                                  shape=(n, n))
@@ -305,13 +303,13 @@ def _right_gmres(A, b, precondition, rtol, maxiter):
 
 
 class _KeptLU:
-    """Solves Newton systems of one structure, factoring as few as the
-    policy above allows, and counts the factorizations and GMRES iterations
-    of the newton_solve call it serves. Each call gets a fresh one unless
-    its caller hands it the solver of an earlier call's result; no
-    factorization lives on the grid, so threads solving on one grid never
-    share one. At most one LU is alive per solver: the old one is dropped
-    before splu makes the new one."""
+    """Solves Newton systems of one structure, each given by its chain-rule
+    coefficients and border row, factoring as few as the policy above
+    allows, and counts the factorizations and GMRES iterations of the
+    newton_solve call it serves. Each call gets a fresh one unless its
+    caller hands it an earlier result's solver; no factorization lives on
+    the grid, so threads solving on one grid never share one. At most one
+    LU is alive per solver: the old one is dropped before splu makes one."""
 
     def __init__(self, matrix):
         self.matrix = matrix
@@ -319,10 +317,10 @@ class _KeptLU:
         self.factorizations = 0
         self.linear_iterations = 0
 
-    def __call__(self, jac_values, border_values, rhs):
-        """Solution of the system whose matrix has the values of J_hh's
-        entries and of the border row."""
-        A = self.matrix.stored(jac_values, border_values)
+    def __call__(self, coefficients, row, rhs):
+        """Solution of the system whose matrix has these
+        _chain_rule_coefficients and border row."""
+        A = self.matrix.assemble(coefficients, row)
         order = self.matrix.order
         b = rhs[order]
         y = None if self.lu is None else self._gmres(A, b)
@@ -424,7 +422,8 @@ def newton_solve(grid, vf, g, h0, Q0, mode="fixed_q", *, amplitude_target=None,
     The Newton matrix's sparsity pattern is built once per grid and kept on
     the grid, with rows and columns in a fixed fill-reducing order: the
     grid unknowns by nested dissection, the appended equation last. Every
-    iteration, in every mode, fills its values into that pattern. A system
+    iteration, in every mode, assembles its matrix from the chain-rule
+    coefficients and the border row by one sparse product. A system
     is factored by `splu` with SuperLU's natural ordering, so SuperLU never
     computes an ordering of its own, when the call's linear solver holds no
     LU; otherwise it is solved by GMRES right-preconditioned with the last
@@ -476,7 +475,7 @@ def newton_solve(grid, vf, g, h0, Q0, mode="fixed_q", *, amplitude_target=None,
                 % (it, prev_nrm, nrm, nrm / prev_nrm, max_contraction))
         prev_nrm = nrm
 
-        delta = solve(_jacobian_values(grid, vf, g, derivs), row, -F)
+        delta = solve(_chain_rule_coefficients(grid, vf, g, derivs), row, -F)
         dh = np.zeros_like(h)
         dh[:, 1:] = delta[:-1].reshape(grid.nq, grid.npts - 1)
         dQ = float(delta[-1])

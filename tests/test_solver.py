@@ -107,6 +107,16 @@ class TestJacobian:
         for grid in (uniform, stretched):
             self._check_directional_derivatives(grid, vf)
 
+    def test_follows_the_residuals_own_q_stencil(self, monkeypatch):
+        # the Jacobian reads its stencils off the residual's functions, so
+        # with dq replaced by another linear stencil it still
+        # differentiates the residual
+        monkeypatch.setattr(solver, "dq",
+                            lambda F, w, parity: dq(F, 2.0 * w, parity))
+        vf = VorticityFunction.constant(-0.8, m=M)
+        self._check_directional_derivatives(StripGrid(L, M, 10, 14, beta=0.5),
+                                            vf)
+
     @staticmethod
     def _check_directional_derivatives(grid, vf):
         lam = 2.5
@@ -253,11 +263,13 @@ class TestNewton:
 def bmat_solver(grid, factored):
     """Stand-in for _NewtonMatrix.solver whose solver assembles every matrix
     afresh and factors each, as each Newton iteration did before the pattern
-    and the factorization were kept: J_hh from COO triplets, the border
-    column and row added by sparse.bmat from dense blocks (which drops their
-    zeros), then splu with its default COLAMD ordering. Appends 1 to
-    `factored` per factorization."""
-    rows, cols = solver._jacobian_positions(grid)
+    and the factorization were kept: J_hh from the COO triplets of the
+    chain-rule maps weighted by their coefficients, the border column and
+    row added by sparse.bmat from dense blocks (which drops their zeros),
+    then splu with its default COLAMD ordering. Appends 1 to `factored` per
+    factorization."""
+    maps = list(solver._chain_rule_maps(grid))
+    rows, cols, values = (np.concatenate(parts) for parts in zip(*maps))
     n = grid.nq * (grid.npts - 1)
     dF_dQ = np.zeros(n)
     dF_dQ[solver._surface_rows(grid)] = -1.0
@@ -266,8 +278,10 @@ def bmat_solver(grid, factored):
         factorizations = 0
         linear_iterations = 0
 
-        def __call__(self, jac_values, border_values, rhs):
-            J = sparse.coo_matrix((jac_values, (rows, cols)),
+        def __call__(self, coefficients, border_values, rhs):
+            weights = np.concatenate([c[r] for c, (r, _, _) in
+                                      zip(coefficients, maps)])
+            J = sparse.coo_matrix((weights * values, (rows, cols)),
                                   shape=(n, n)).tocsc()
             row = border_values[None, :]
             J = sparse.bmat([[J, dF_dQ[:, None]], [row[:, :n], row[:, n:]]],
@@ -417,6 +431,38 @@ class TestNewtonMatrixPattern:
                             ds=ds)
         assert step.iterations >= 1
         assert step.solver.matrix is matrix is grid.newton_matrix
+
+    def test_stored_matrix_is_jacobian_blocks_bordered(self, monkeypatch):
+        # the matrix of a solve's first system, its stored order undone, is
+        # jacobian_blocks' J_hh entry for entry, bordered by dF/dQ and the
+        # solve mode's row, which keeps its zeros as stored entries
+        vf = VorticityFunction.constant(-0.3, m=M)
+        lam_star = find_bifurcation(vf, G, L, M)
+        grid = StripGrid(L, M, 16, 12, beta=0.5)
+        h0, Q0 = seed_wave(grid, vf, G, lam_star, 0.02)
+        factored = []
+        real_splu = solver.splu
+
+        def recording_splu(A, **kwargs):
+            factored.append(A)
+            return real_splu(A, **kwargs)
+
+        monkeypatch.setattr(solver, "splu", recording_splu)
+        newton_solve(grid, vf, G, h0, Q0, mode="fixed_amplitude",
+                     amplitude_target=0.02)
+        order = grid.newton_matrix.order
+        A = np.empty(factored[0].shape)
+        A[np.ix_(order, order)] = factored[0].toarray()
+        J, dF_dQ = jacobian_blocks(grid, vf, G, h0, Q0)
+        n = J.shape[0]
+        assert np.array_equal(A[:n, :n], J.toarray())
+        assert np.array_equal(A[:n, n], dF_dQ)
+        assert np.array_equal(np.flatnonzero(dF_dQ), solver._surface_rows(grid))
+        assert np.all(dF_dQ[solver._surface_rows(grid)] == -1.0)
+        row = np.zeros(n + 1)
+        row[grid.npts - 2], row[n - 1] = 1.0, -1.0  # crest minus trough
+        assert np.array_equal(A[n], row)
+        assert np.diff(factored[0].tocsr().indptr)[-1] == n + 1
 
     def test_jacobian_blocks_after_a_solve_on_the_grid(self):
         # the Newton matrix is stored in dissection order, with a border;
