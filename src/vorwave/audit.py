@@ -14,10 +14,13 @@ diagnostic is one row and one check method. `audit_wave` runs the table
 and returns an `AuditReport` whose JSON form is the `vorwave audit` output.
 
 Conventions: checks are evaluated on the computational half period
-(crest column first, trough column last); atmospheric pressure is read
-off the surface row so that shifting P by a constant changes nothing;
-vorticity and its derivatives come from the exact VorticityFunction
-samples, never from finite differences of the velocity field.
+(crest column first, trough column last), the surface curve's geometry
+too, and every location a check reports is one of its nodes; the surface
+curve's winding over a full period is read from its half-period turn,
+which the symmetry doubles; atmospheric pressure is read off the surface
+row so that shifting P by a constant changes nothing; vorticity and its
+derivatives come from the exact VorticityFunction samples, never from
+finite differences of the velocity field.
 """
 
 import math
@@ -27,7 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InputError, StagnationError
-from .fd import dq, three_point_weights
+from .fd import dq
 from .laminar import critical_lambda
 
 PASS = "pass"
@@ -118,25 +121,23 @@ class AuditReport:
 
 @dataclass
 class SurfaceCurve:
-    """The free surface traced as a flow line over one full period.
+    """The free surface traced as a flow line over the half period, on the
+    surface row's nodes (crest first, trough last).
 
-    X holds the samples' abscissae, increasing over [0, 2L), crest at 0
-    and trough at L; (u, v) is the velocity at each sample. With u < 0 the
-    flow line runs against X, from the trough leftward through the crest.
-    theta is the unwrapped angle of (u, v), the flow line's tangent, and
-    dPdn the outward normal pressure derivative.
+    theta is the unwrapped angle of (-u, -v), the surface tangent pointing
+    from the crest toward the trough: the profile's inclination angle, zero
+    at both ends, where v vanishes, and odd about each. dPdn is the
+    outward normal pressure derivative.
     """
 
-    X: np.ndarray
     theta: np.ndarray
     dPdn: np.ndarray
-    u: np.ndarray
-    v: np.ndarray
 
     @property
     def winding(self):
-        turn = self.theta[-1] - self.theta[0]
-        return int(round(turn / (2.0 * np.pi)))
+        """Turns over a full period: the curve is symmetric, so the turn
+        over the full period is twice the half-period turn."""
+        return int(round((self.theta[-1] - self.theta[0]) / np.pi))
 
 
 def _jsonable(value):
@@ -188,18 +189,9 @@ def pressure_normal_derivative(wf):
 
 
 def surface_curve(wf):
-    """Build the full-period SurfaceCurve by reflecting the half period."""
-    us, vs = wf.u[:, -1], wf.v[:, -1]
-    dpdn_half = pressure_normal_derivative(wf)
-    # Even quantities mirror, v flips sign; drop the duplicated trough
-    # column so the samples cover [0, 2L) once.
-    mirror = slice(-2, 0, -1)
-    x = np.concatenate([wf.q, 2.0 * wf.L - wf.q[mirror]])
-    u_full = np.concatenate([us, us[mirror]])
-    v_full = np.concatenate([vs, -vs[mirror]])
-    dpdn = np.concatenate([dpdn_half, dpdn_half[mirror]])
-    theta = np.unwrap(np.arctan2(v_full, u_full))
-    return SurfaceCurve(X=x, theta=theta, dPdn=dpdn, u=u_full, v=v_full)
+    """The SurfaceCurve of the field's surface row."""
+    theta = np.unwrap(np.arctan2(-wf.v[:, -1], -wf.u[:, -1]))
+    return SurfaceCurve(theta=theta, dPdn=pressure_normal_derivative(wf))
 
 
 def _extremum(wf, arr, pick, offset=(0, 0)):
@@ -230,6 +222,7 @@ class _Auditor:
         g = wf.g
         self.g = g
         self.u, self.v = wf.u, wf.v
+        self.us, self.vs = wf.u[:, -1], wf.v[:, -1]  # the surface row
         self.spd2 = wf.speed_squared()
         self.spd = np.sqrt(self.spd2)
         psi_col = -wf.p
@@ -397,14 +390,14 @@ class _Auditor:
         return self.identity([lap_x, lap_y, t1, t2])
 
     def surface_first(self):
-        us, vs = self.u[:, -1], self.v[:, -1]
+        us, vs = self.us, self.vs
         uxs, uys = self.wf.ux[:, -1], self.wf.uy[:, -1]
         return self.identity([(vs ** 2 - us ** 2) * uxs, -2.0 * us * vs * uys,
                               -self.g * vs, -self.gamma0 * us * vs])
 
     def surface_second(self):
         wf = self.wf
-        us, vs = self.u[:, -1], self.v[:, -1]
+        us, vs = self.us, self.vs
         uxs, uys = wf.ux[:, -1], wf.uy[:, -1]
         uxxs, uxys = wf.uxx[:, -1], wf.uxy[:, -1]
         g, gam0, gam0p = self.g, self.gamma0, self.gamma0_p
@@ -423,7 +416,7 @@ class _Auditor:
 
     def abc_coefficients(self):
         wf = self.wf
-        us, vs = self.u[:, -1], self.v[:, -1]
+        us, vs = self.us, self.vs
         floor = self.tol.v_floor_rel * float(np.max(np.abs(us)))
         admitted = vs > floor
         if self.gamma0 > 0.0 or self.gamma0_p > 0.0:
@@ -511,7 +504,7 @@ class _Auditor:
         if self.force_min < 0.0:
             return _not_applicable(self.force_min, self.force_loc)
         mn_int, loc_int = _extremum(wf, wf.P[:, :-1] - self.patm, np.argmin)
-        mx_dpdn, loc_dpdn = _extremum(wf, self.curve.dPdn[:wf.nq], np.argmax)
+        mx_dpdn, loc_dpdn = _extremum(wf, self.curve.dPdn, np.argmax)
         surf_eq = float(np.max(np.abs(wf.P[:, -1] - self.patm)))
         margin = min(mn_int, -mx_dpdn)
         status = _strict(margin, self.band_for(self.g * wf.d))
@@ -570,8 +563,7 @@ class _Auditor:
 
     def head_reduction(self):
         wf = self.wf
-        us = self.u[:, -1]
-        uc2, ut2 = float(us[0] ** 2), float(us[-1] ** 2)
+        uc2, ut2 = float(self.us[0] ** 2), float(self.us[-1] ** 2)
         ident_gap = abs(ut2 - uc2
                         - 2.0 * self.g * float(wf.eta[0] - wf.eta[-1]))
         lam_c = self.lam_c
@@ -588,31 +580,26 @@ class _Auditor:
         wf = self.wf
         if self.trivial:
             return _not_applicable(self.trivial_margin)
-        Wx = dq(self.u[:, -1] ** 2, wf.grid.wq1, "even")
+        Wx = dq(self.us ** 2, wf.grid.wq1, "even")
         mn, loc = _extremum(wf, Wx[1:-1], np.argmin, (1, 0))
         return _strict(mn, self.band_for(np.max(np.abs(Wx)))), mn, loc, mn
 
     def turning_angle(self):
         wf = self.wf
-        curve = self.curve
-        # Periodic tangent-angle derivative in x, then chain rule to s.
-        theta = curve.theta
-        spacing = np.diff(curve.X, append=2.0 * wf.L)
-        w1, _ = three_point_weights(np.roll(spacing, 1), spacing)
-        theta_x = (w1[:, 0] * (np.roll(theta, 1) - theta)
-                   + w1[:, 2] * (np.roll(theta, -1) - theta))
-        spd = np.hypot(curve.u, curve.v)
-        theta_s = curve.u * theta_x
-        rhs = self.g * np.cos(theta) / spd
-        applies = curve.dPdn <= 0.0
+        theta, dpdn = self.curve.theta, self.curve.dPdn
+        # The tangent angle's derivative in x, then the chain rule to s;
+        # the flow direction (u, v) has the angle theta + pi.
+        theta_s = self.us * dq(theta, wf.grid.wq1, "odd")
+        rhs = -self.g * np.cos(theta) / np.hypot(self.us, self.vs)
+        applies = dpdn <= 0.0
         if np.any(applies):
             margins = theta_s[applies] - rhs[applies]
             mn = float(np.min(margins))
             where = np.nonzero(applies)[0][int(np.argmin(margins))]
-            loc = (float(curve.X[where]), 0.0)
+            loc = (float(wf.q[where]), 0.0)
         else:
             mn, loc = np.inf, None
-        winding = curve.winding
+        winding = self.curve.winding
         status = _nonstrict(mn, self.band_for(self.g))
         if winding != 0:
             status = FAIL
@@ -620,11 +607,11 @@ class _Auditor:
 
     def overturn(self):
         wf = self.wf
-        mx_u, loc = _extremum(wf, self.u[:, -1], np.argmax)
+        mx_u, loc = _extremum(wf, self.us, np.argmax)
         if mx_u < 0.0:
             return (PASS, {"overturning": False, "max_surface_u": mx_u},
                     loc, -mx_u)
-        sink, loc = _extremum(wf, self.curve.dPdn[:wf.nq], np.argmax)
+        sink, loc = _extremum(wf, self.curve.dPdn, np.argmax)
         return (_strict(sink, self.band_for(self.g)),
                 {"overturning": True, "max_dPdn": sink}, loc, sink)
 

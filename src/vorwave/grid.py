@@ -38,13 +38,16 @@ class StripGrid:
     derivative operator of the field reconstruction; ws and wb are its
     surface and bed rows, the one-sided weights for h_p at p = 0 and at
     the bed over the last and first ColumnOps.WIDTH nodes. The solver's
-    surface row uses the same window as the reconstruction, so the
-    converged surface residual and the reconstructed surface pressure are
-    the same number.
+    surface row and the reconstruction share the ws weights but apply
+    them in two forms, solver_hp anchored at the surface node and
+    ColumnOps in difference form, so their surface h_p, and with it the
+    converged surface residual and the reconstructed surface pressure,
+    agree to rounding, not to the bit.
 
     newton_matrix holds the structure of the Newton matrix, in
     nested-dissection order, that the solver builds on its first solve on
-    this grid and reuses, unchanged, for every later one, in every mode.
+    this grid, or its first jacobian_blocks call, and reuses, unchanged,
+    for every later one, in every mode.
     """
 
     def __init__(self, L, m, nq, npts, beta=0.5):

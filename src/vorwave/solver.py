@@ -139,14 +139,18 @@ def jacobian_blocks(grid, vf, g, h, Q):
     """Sparse d(residual)/dh over the j >= 1 unknowns, plus d(residual)/dQ.
 
     Row/column order matches pack_residual: n(i,j) = i*(npts-1) + (j-1).
+    Both are read off the grid's Newton matrix, assembled with a zero
+    border row: its rows and columns at the grid unknowns' stored places,
+    and its border column there.
     """
     c = _chain_rule_coefficients(grid, vf, g, _derivatives(grid, h))
     n = c.shape[1]
-    J_hh = sum(sparse.csr_matrix((ck[r] * v, (r, col)), shape=(n, n))
-               for ck, (r, col, v) in zip(c, _chain_rule_maps(grid)))
-    dF_dQ = np.zeros(n)
-    dF_dQ[_surface_rows(grid)] = -1.0
-    return J_hh.tocsc(), dF_dQ
+    matrix = _newton_matrix(grid)
+    places = np.argsort(matrix.order)[:n]
+    A = matrix.assemble(c, np.zeros(n + 1))
+    J_hh = A[places][:, places]
+    J_hh.sort_indices()
+    return J_hh, A[:, n].toarray().ravel()[places]
 
 
 # blocks of at most this many grid nodes are not dissected further

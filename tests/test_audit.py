@@ -233,11 +233,12 @@ class TestSmallWave:
     def test_surface_curve_geometry(self, small_wave):
         curve = surface_curve(small_wave)
         assert curve.winding == 0
-        assert curve.X[0] == 0.0
-        assert curve.X[-1] < 2.0 * L
-        assert curve.X.size == 2 * (small_wave.nq - 1)
-        # Relative flow runs leftward: the tangent angle stays near pi.
-        assert np.all(np.cos(curve.theta) < 0.0)
+        assert curve.theta.size == curve.dPdn.size == small_wave.nq
+        # v vanishes at the crest and the trough, so the angle of (-u, -v)
+        # is exactly zero there; relative flow runs leftward, so it stays
+        # within a quarter turn in between.
+        assert curve.theta[0] == 0.0 and curve.theta[-1] == 0.0
+        assert np.all(np.abs(curve.theta) < 0.5 * np.pi)
 
 
 class TestModerateWave:
@@ -264,6 +265,27 @@ class TestModerateWave:
 
     def test_winding_zero(self, moderate_report):
         assert moderate_report.by_id("D-angle").value["winding"] == 0
+
+    def test_winding_surface_fails(self, moderate_wave):
+        # a surface whose flow direction turns once per period: the
+        # half-period turn of pi counts as one full winding
+        wf = copy.copy(moderate_wave)
+        wf.u, wf.v = wf.u.copy(), wf.v.copy()
+        wf.u[:, -1] = 2.0 * np.cos(np.pi * wf.q / wf.L)
+        wf.v[:, -1] = 2.0 * np.sin(np.pi * wf.q / wf.L)
+        diag = audit_wave(wf).by_id("D-angle")
+        assert diag.value["winding"] == 1
+        assert diag.status == "fail"
+
+
+@pytest.mark.parametrize("wave", ["moderate", "sheared"])
+def test_locations_are_grid_nodes(wave, request):
+    # every diagnostic reports a node of the half period, or no location
+    wf = request.getfixturevalue(wave + "_wave")
+    for diag in request.getfixturevalue(wave + "_report").diagnostics:
+        if diag.location is not None:
+            q, p = diag.location
+            assert q in wf.q and p in wf.p, (diag.id, diag.location)
 
 
 class TestShearedWave:

@@ -260,6 +260,22 @@ class TestNewton:
         assert 0.9 * old < new < old
 
 
+def chain_rule_sum(grid):
+    """coefficients -> J_hh as a COO matrix: the triplets of the chain-rule
+    maps, each weighted by its coefficients on its rows."""
+    maps = list(solver._chain_rule_maps(grid))
+    rows, cols, values = (np.concatenate(parts) for parts in zip(*maps))
+    n = grid.nq * (grid.npts - 1)
+
+    def coo_jacobian(coefficients):
+        weights = np.concatenate([c[r] for c, (r, _, _) in
+                                  zip(coefficients, maps)])
+        return sparse.coo_matrix((weights * values, (rows, cols)),
+                                 shape=(n, n))
+
+    return coo_jacobian
+
+
 def bmat_solver(grid, factored):
     """Stand-in for _NewtonMatrix.solver whose solver assembles every matrix
     afresh and factors each, as each Newton iteration did before the pattern
@@ -268,8 +284,7 @@ def bmat_solver(grid, factored):
     row added by sparse.bmat from dense blocks (which drops their zeros),
     then splu with its default COLAMD ordering. Appends 1 to `factored` per
     factorization."""
-    maps = list(solver._chain_rule_maps(grid))
-    rows, cols, values = (np.concatenate(parts) for parts in zip(*maps))
+    coo_jacobian = chain_rule_sum(grid)
     n = grid.nq * (grid.npts - 1)
     dF_dQ = np.zeros(n)
     dF_dQ[solver._surface_rows(grid)] = -1.0
@@ -279,10 +294,7 @@ def bmat_solver(grid, factored):
         linear_iterations = 0
 
         def __call__(self, coefficients, border_values, rhs):
-            weights = np.concatenate([c[r] for c, (r, _, _) in
-                                      zip(coefficients, maps)])
-            J = sparse.coo_matrix((weights * values, (rows, cols)),
-                                  shape=(n, n)).tocsc()
+            J = coo_jacobian(coefficients).tocsc()
             row = border_values[None, :]
             J = sparse.bmat([[J, dF_dQ[:, None]], [row[:, :n], row[:, n:]]],
                             format="csc")
@@ -434,8 +446,9 @@ class TestNewtonMatrixPattern:
 
     def test_stored_matrix_is_jacobian_blocks_bordered(self, monkeypatch):
         # the matrix of a solve's first system, its stored order undone, is
-        # jacobian_blocks' J_hh entry for entry, bordered by dF/dQ and the
-        # solve mode's row, which keeps its zeros as stored entries
+        # the sum of the weighted chain-rule maps, built apart from the
+        # stored structure, and jacobian_blocks' J_hh, bordered by dF/dQ
+        # and the solve mode's row, which keeps its zeros as stored entries
         vf = VorticityFunction.constant(-0.3, m=M)
         lam_star = find_bifurcation(vf, G, L, M)
         grid = StripGrid(L, M, 16, 12, beta=0.5)
@@ -455,6 +468,10 @@ class TestNewtonMatrixPattern:
         A[np.ix_(order, order)] = factored[0].toarray()
         J, dF_dQ = jacobian_blocks(grid, vf, G, h0, Q0)
         n = J.shape[0]
+        coefficients = solver._chain_rule_coefficients(
+            grid, vf, G, solver._derivatives(grid, h0))
+        summed = chain_rule_sum(grid)(coefficients).toarray()
+        assert np.array_equal(A[:n, :n], summed)
         assert np.array_equal(A[:n, :n], J.toarray())
         assert np.array_equal(A[:n, n], dF_dQ)
         assert np.array_equal(np.flatnonzero(dF_dQ), solver._surface_rows(grid))
