@@ -1,24 +1,26 @@
 """Finite-difference machinery shared by the solver, field reconstruction,
-and profile checks: every derivative weight comes from here.
+and profile checks: every derivative weight comes from here, and every
+applier takes its weights in difference form, so a constant gives exactly
+zero.
 
-The solver's 3-point weights, along q and p alike, come from the node
-spacings; `dq` and `dp` apply them in difference form, so a constant gives
-exactly zero on both axes. Horizontal derivatives act on the half period
+The 3-point weights, along q and p alike, come from the node spacings;
+`dq` and `dp` apply them. Horizontal derivatives act on the half period
 [0, L] where every physical field has a definite parity (even or odd about
-both q = 0 and q = L), so the boundary stencils use mirror ghosts and are exact
-for the symmetry. Vertical derivatives of the reconstructed fields use
-Fornberg's weights in `ColumnOps`, applied to consecutive differences, so a
-constant gives exactly zero there too. Every node uses a 6-point sliding
-window (local order 5): applying a first-derivative operator twice
-differentiates the truncation error of the first pass, which costs one
-order wherever the error coefficient jumps, and the coefficient does jump
-at the clipped end windows.
-Starting from order 5 leaves the composed derivative at worst O(dp^4) there,
-which is what lets the reconstructed vorticity of a smooth laminar flow
-track gamma to 1e-8 on a few hundred nodes. Narrower windows were tried
-first: with 4 points the composed edge error is O(dp^2) with a coefficient
-near ten, far too big. The shear-profile check takes the same sliding
-windows 5 points wide, for its first to third derivatives.
+both q = 0 and q = L), so the boundary stencils use mirror ghosts and are
+exact for the symmetry. Vertical derivatives of the reconstructed fields
+use Fornberg's weights in `ColumnOps` on consecutive differences; one
+routine, `ColumnOps.ends`, applies its one-sided windows at the first and
+last node, and gives the solver's bed and surface rows their h_p too.
+Every node uses a 6-point sliding window (local order 5): applying a
+first-derivative operator twice differentiates the truncation error of the
+first pass, which costs one order wherever the error coefficient jumps,
+and the coefficient does jump at the clipped end windows. Starting from
+order 5 leaves the composed derivative at worst O(dp^4) there, which is
+what lets the reconstructed vorticity of a smooth laminar flow track gamma
+to 1e-8 on a few hundred nodes; with 4 points the composed edge error is
+O(dp^2) with a coefficient near ten, far too big. The shear-profile check
+takes the same sliding windows 5 points wide, for its first to third
+derivatives.
 """
 
 from __future__ import annotations
@@ -70,21 +72,15 @@ def fd_weights(nodes, x0, order):
 
 def three_point_weights(hm, hp):
     """(w1, w2): 3-point first and second derivative weights, shape (n, 3),
-    at nodes whose left and right spacings are hm and hp, each (n,).
-
-    The centre weight is the closed form; -(w0 + w2) differs from it by
-    rounding. Only solver._mode_operator reads it: dq and dp, and with them
-    the Newton Jacobian, take the difference form. Swapping in the summed
-    form moves find_bifurcation's root by at most 3.3e-11 relative (gamma
-    0, -0.3, -0.7), as much as one ulp in any weight does.
+    at nodes whose left and right spacings are hm and hp, each (n,). The
+    centre weight is -(w0 + w2), the one dq's and dp's difference form
+    gives the centre node, so every reader sees the Newton rows' weights.
     """
-    w1 = np.stack([-hp / (hm * (hm + hp)),
-                   (hp - hm) / (hm * hp),
-                   hm / (hp * (hm + hp))], axis=-1)
-    w2 = np.stack([2.0 / (hm * (hm + hp)),
-                   -2.0 / (hm * hp),
-                   2.0 / (hp * (hm + hp))], axis=-1)
-    return w1, w2
+    def stencil(left, right):
+        return np.stack([left, -(left + right), right], axis=-1)
+
+    return (stencil(-hp / (hm * (hm + hp)), hm / (hp * (hm + hp))),
+            stencil(2.0 / (hm * (hm + hp)), 2.0 / (hp * (hm + hp))))
 
 
 def mirror_weights(q):
@@ -132,7 +128,8 @@ class ColumnOps:
     that only changes character at the four outermost rows (see the module
     docstring). Row j of `w` holds node j's weights on the nodes `idx[j]`;
     `apply` takes them in the equivalent difference form (`diff_w` on the
-    differences `diff_idx`), exact zero on a constant.
+    differences `diff_idx`), exact zero on a constant, and takes its first
+    and last rows from `ends`.
     """
 
     WIDTH = 6
@@ -149,15 +146,28 @@ class ColumnOps:
         self.p = p
         starts = np.clip(np.arange(n) - 2, 0, n - width)
         self.idx = starts[:, None] + np.arange(width)[None, :]
-        # contiguous rows: StripGrid.ws and wb are rows of w, and a 1-D dot
-        # product's last bit depends on the stride of its operands
+        # contiguous rows: a 1-D dot product's last bit depends on strides
         self.w = np.ascontiguousarray(fd_weights(p[self.idx], p, order))
         # The weights of a derivative sum to zero, so sum_k w_k F_k equals
         # sum_l W_l (F_{l+1} - F_l) with W_l = sum_{k>l} w_k: the window's
         # consecutive differences, which vanish exactly on a constant.
-        self.diff_idx = self.idx[:, :-1]
+        self.diff_idx = self.idx[1:-1, :-1]  # the rows between the ends
         self.diff_w = np.cumsum(self.w[:, ::-1], axis=1)[:, -2::-1]
 
     def apply(self, F):
-        D = np.diff(np.asarray(F, dtype=float), axis=-1)
-        return np.einsum("...jk,jk->...j", D[..., self.diff_idx], self.diff_w)
+        out = np.empty(np.shape(F))
+        D = np.diff(F)[..., self.diff_idx]
+        out[..., 1:-1] = np.einsum("...jk,jk->...j", D, self.diff_w[1:-1])
+        out[..., [0, -1]] = self.ends(F)
+        return out
+
+    def ends(self, F):
+        """(..., 2): apply(F) at the first and last node, the bed and the
+        surface of a column, summed term by term in window order, so a
+        column gives the same bits alone as inside any larger array."""
+        W = self.diff_w[[0, -1]]
+        D = np.diff(np.asarray(F, dtype=float)[..., self.idx[[0, -1]]])
+        out = D[..., 0] * W[:, 0]
+        for k in range(1, W.shape[1]):
+            out += D[..., k] * W[:, k]
+        return out

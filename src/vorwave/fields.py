@@ -8,10 +8,9 @@ the strip,
     F_x = F_q - (h_q / h_p) F_p,      F_y = F_p / h_p,
 
 where F_q respects the even/odd symmetry of F across q = 0 and q = L. Every
-weight is the field's StripGrid's; the surface h_p uses the same six-point
-window (column_ops) as the solver's Bernoulli row, which makes the
-reconstructed surface pressure agree with the converged residual to Newton
-tolerance rather than to truncation order.
+weight is the field's StripGrid's. The bed and surface h_p are the
+solver's to the bit (column_ops.ends), so the surface pressure agrees with
+the converged Bernoulli residual to Newton tolerance, not truncation order.
 """
 
 from __future__ import annotations

@@ -35,14 +35,8 @@ class StripGrid:
     p[1:-1], as `fd.dp` takes them. wq1/wq2 (nq, 3) hold the 3-point
     first/second q-derivative weights of every column, the end columns
     with mirror ghosts, as `fd.dq` takes them. column_ops is the vertical
-    derivative operator of the field reconstruction; ws and wb are its
-    surface and bed rows, the one-sided weights for h_p at p = 0 and at
-    the bed over the last and first ColumnOps.WIDTH nodes. The solver's
-    surface row and the reconstruction share the ws weights but apply
-    them in two forms, solver_hp anchored at the surface node and
-    ColumnOps in difference form, so their surface h_p, and with it the
-    converged surface residual and the reconstructed surface pressure,
-    agree to rounding, not to the bit.
+    derivative operator of the field reconstruction; its `ends` gives the
+    solver's bed and surface h_p too, so both read the same h_p there.
 
     newton_matrix holds the structure of the Newton matrix, in
     nested-dissection order, that the solver builds on its first solve on
@@ -86,8 +80,6 @@ class StripGrid:
         dp = np.diff(p)
         self.w1, self.w2 = three_point_weights(dp[:-1], dp[1:])
         self.column_ops = ColumnOps(p)
-        self.ws = self.column_ops.w[-1]
-        self.wb = self.column_ops.w[0]
         self.newton_matrix = None
 
     @property

@@ -36,14 +36,12 @@ LAMINAR_MAX_ITER = 25
 
 
 def solver_hp(grid, h):
-    """h_p along the last axis of h (any leading shape) with the solver's
-    stencils, centered inside and one-sided at the bed and surface rows, all
-    in difference form: a column constant in p gives exactly zero."""
+    """h_p along the last axis of h (any leading shape), all in difference
+    form, so a column constant in p gives exactly zero: dp inside, and the
+    reconstruction's own grid.column_ops.ends at the bed and surface."""
     hp = np.empty_like(h)
     hp[..., 1:-1] = dp(h, grid.w1)
-    wd = grid.ws.size
-    hp[..., 0] = (h[..., 1:wd] - h[..., :1]) @ grid.wb[1:]
-    hp[..., -1] = (h[..., -wd:-1] - h[..., -1:]) @ grid.ws[:-1]
+    hp[..., [0, -1]] = grid.column_ops.ends(h)
     return hp
 
 
@@ -219,16 +217,17 @@ class _NewtonMatrix:
         key.sort()
         place = key >> bits
         key &= (1 << bits) - 1
-        new = np.append(True, place[1:] != place[:-1])
-        slot = np.empty(key.size, dtype=np.intc)
-        slot[key] = np.cumsum(new, dtype=np.intc) - 1
-        place = place[new]
+        params, weights = params[key], weights[key]
+        first = np.flatnonzero(np.append(True, place[1:] != place[:-1]))
+        # one CSR row per stored value, holding its terms in their order
+        # above, which the product adds in turn
+        self.values = sparse.csr_matrix(
+            (weights, params, np.append(first, place.size)),
+            shape=(first.size, 9 * n + 2))
+        place = place[first]
         self.indices = (place % (n + 1)).astype(np.intc)
         self.indptr = np.searchsorted(place, np.arange(n + 2) * (n + 1)
                                       ).astype(np.intc)
-        # a COO product adds each slot's terms in their order above
-        self.values = sparse.coo_matrix((weights, (slot, params)),
-                                        shape=(place.size, 9 * n + 2))
 
     def assemble(self, coefficients, row):
         """The matrix in the stored order, as CSC, whose J_hh has these
@@ -531,10 +530,10 @@ def discrete_laminar(grid, vf, g, lam):
                       1.0 / (2.0 * hp[-1] ** 2) + g * hcol[-1] - Q)
         if np.max(np.abs(F)) < newton_tolerance(Q):
             return hcol, Q, it
-        sub, diag, sup, row = _mode_operator(grid, g, hp ** 2, gam, 0.0)
+        sub, diag, sup, surface = _mode_operator(grid, g, hp ** 2, gam, 0.0)
         J = (np.diag(np.append(diag, 0.0)) + np.diag(np.append(sub, 0.0), -1)
              + np.diag(sup, 1))
-        J[-1, -row.size:] = row
+        J[-1] = surface(np.eye(grid.npts))[1:]
         hcol[1:] += np.linalg.solve(J, -F)
     raise NoConvergenceError("laminar column Newton did not converge")
 
@@ -542,23 +541,22 @@ def discrete_laminar(grid, vf, g, lam):
 # -- bifurcation from the trivial branch ------------------------------------
 
 def _mode_operator(grid, g, Hp2, gam, k):
-    """(sub, diag, sup, row): the linearization of the height system for a
-    cos(k q) mode about a column with H'^2 = Hp2 on grid.p, over the nodes
-    above the bed, whose value is pinned. The interior rows p[1:-1] are the
-    tridiagonal (sub, diag, sup) of w'' + 3 gamma H'^2 w' - k^2 H'^2 w, gam
-    being gamma(-p) there; sup's last entry reaches the surface node. row
-    is the surface row over the last ws.size nodes, the derivative of the
-    Bernoulli residual 1/(2 h_p^2) + g h - Q: -ws / H'(0)^3 from h_p, plus
-    g at the surface node.
+    """(sub, diag, sup, surface): the linearization of the height system
+    for a cos(k q) mode about a column with H'^2 = Hp2 on grid.p, bed value
+    pinned. The interior rows p[1:-1] are the tridiagonal (sub, diag, sup)
+    of w'' + 3 gamma H'^2 w' - k^2 H'^2 w, gam being gamma(-p) there; sup's
+    last entry reaches the surface node. surface(w), on columns w over
+    grid.p, is the derivative of the Bernoulli residual 1/(2 h_p^2) + g h -
+    Q: g w(0) - w_p(0) / H'(0)^3, w_p(0) by solver_hp's surface window.
     """
     inner = Hp2[1:-1]
     adv = 3.0 * gam * inner
     sub = grid.w2[1:, 0] + adv[1:] * grid.w1[1:, 0]
     diag = (grid.w2[:, 1] + adv * grid.w1[:, 1]) - k ** 2 * inner
     sup = grid.w2[:, 2] + adv * grid.w1[:, 2]
-    row = -grid.ws / Hp2[-1] ** 1.5
-    row[-1] += g
-    return sub, diag, sup, row
+    Hp3 = Hp2[-1] ** 1.5
+    return sub, diag, sup, (
+        lambda w: g * w[..., -1] - grid.column_ops.ends(w)[..., 1] / Hp3)
 
 
 def _transverse_operator(vf, g, grid):
@@ -574,21 +572,21 @@ def _transverse_operator(vf, g, grid):
                                       gam, k)
 
 
-def _surface_mode(sub, diag, sup, row):
-    """(phi, r): phi, on the nodes above the bed, solves the interior rows
+def _surface_mode(sub, diag, sup, surface):
+    """(phi, r): phi, with phi[0] = 0 at the bed, solves the interior rows
     (sub, diag, sup) with phi[-1] = 1, by one banded solve, and
-    r = row . phi[-row.size:] is the surface row's residual. With A the
-    interior rows over the surface row, A phi = r e_last and
-    r = det(A) / det(A[:-1, :-1]); solving A x = e_last instead would meet
-    a last pivot of exactly zero where A is singular."""
+    r = surface(phi) is the surface row's residual. With A the interior
+    rows over the surface row, A phi[1:] = r e_last and r = det(A) /
+    det(A[:-1, :-1]); solving A x = e_last instead would meet a last pivot
+    of exactly zero where A is singular."""
     ab = np.array([np.append(0.0, sup[:-1]), diag, np.append(sub, 0.0)])
     try:
         phi = solve_banded((1, 1), ab,
                            np.append(np.zeros(diag.size - 1), -sup[-1]))
     except LinAlgError as exc:
         raise NumericsError("mode operator singular: %s" % exc) from exc
-    phi = np.append(phi, 1.0)
-    return phi, float(row @ phi[-row.size:])
+    phi = np.concatenate([[0.0], phi, [1.0]])
+    return phi, float(surface(phi))
 
 
 def find_bifurcation(vf, g, L, m, *, beta=0.5, lam_c=None):
@@ -630,7 +628,7 @@ def bifurcation_mode(grid, vf, g, lam_star):
     on grid's nodes instead of BIFURCATION_NODES, so its surface residual
     at lam_star is small but not zero; only the seed of Newton uses it."""
     phi, _ = _surface_mode(*_transverse_operator(vf, g, grid)(lam_star))
-    return 0.5 * np.append(0.0, phi)
+    return 0.5 * phi
 
 
 def mode_seed(grid, hcol, phi, a0):

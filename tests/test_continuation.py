@@ -36,6 +36,12 @@ def branch_irrotational(setup_irrotational):
     return continue_branch(grid, vf, G, 8, lam_star=lam_star)
 
 
+@pytest.fixture(scope="module")
+def branch_sheared():
+    vf = VorticityFunction.constant(-0.3, m=M)
+    return continue_branch(StripGrid(L, M, 24, 20, beta=0.5), vf, G, 4)
+
+
 class TestStopRules:
     def test_zero_steps_keeps_only_the_trivial_wave(self, setup_irrotational):
         grid, vf, lam_star = setup_irrotational
@@ -125,13 +131,20 @@ class TestBranchShape:
         Qs = np.array([pt.Q for pt in branch_irrotational.points])
         assert np.all(np.diff(Qs) > 0.0)
 
-    def test_trough_value_positive_on_weak_vorticity_branch(self):
-        vf = VorticityFunction.constant(-0.3, m=M)
-        grid = StripGrid(L, M, 24, 20, beta=0.5)
-        br = continue_branch(grid, vf, G, 4)
+    def test_trough_value_positive_on_weak_vorticity_branch(
+            self, branch_sheared):
+        br = branch_sheared
         assert br.stop_reason == "max-steps"
         for pt in br.points:
-            assert trough_criterion_value(grid, vf, G, pt.h) > 0.0
+            assert trough_criterion_value(br.grid, br.vf, G, pt.h) > 0.0
+
+    def test_trough_value_is_the_audits_to_the_bit(self, branch_sheared):
+        # the continuation's stop rule and D-trough read one surface h_p
+        br = branch_sheared
+        for pt in br.points:
+            report = audit_wave(reconstruct(br.grid, br.vf, G, pt.h, pt.Q))
+            assert (trough_criterion_value(br.grid, br.vf, G, pt.h)
+                    == report.by_id("D-trough").value["vortex_force"])
 
 
 class TestEarlyNewtonFailure:

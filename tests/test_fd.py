@@ -178,6 +178,28 @@ def test_p_stencils_vanish_exactly_on_a_p_constant():
             assert np.all(solver_hp(grid, field) == 0.0)
 
 
+@pytest.mark.parametrize("given_nodes", [False, True])
+def test_solver_and_reconstruction_share_the_end_rows_to_the_bit(
+        given_nodes):
+    # solver_hp's bed and surface rows and ColumnOps.apply's are one
+    # routine's, so the Newton residual, the stop rules and the audit read
+    # the same surface speed
+    grid = StripGrid(np.pi, 1.0, 16, 24, beta=0.5)
+    if given_nodes:
+        rng = np.random.default_rng(3)
+        grid = StripGrid.from_nodes(
+            np.append(0.0, np.cumsum(rng.uniform(0.1, 0.3, 15))),
+            np.append(-np.cumsum(rng.uniform(0.02, 0.1, 23))[::-1], 0.0))
+    wave = 1.0 + 0.1 * np.cos(np.pi * grid.q / grid.L)
+    h = (np.sinh(grid.p + grid.m)[None, :] * wave[:, None]
+         + 0.3 * (grid.p + grid.m))
+    for field in (h, h[5]):
+        assert np.array_equal(solver_hp(grid, field)[..., [0, -1]],
+                              grid.column_ops.apply(field)[..., [0, -1]])
+        assert np.array_equal(grid.column_ops.ends(field),
+                              solver_hp(grid, field)[..., [0, -1]])
+
+
 def test_odd_endpoint_uses_reflection():
     # For an odd function F with F[0] = 0, the reflected centered stencil at
     # the end reduces to (F[1] - (-F[1])) / (2 dq) = F[1]/dq.

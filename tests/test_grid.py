@@ -15,9 +15,12 @@ M = 1.0
 def test_from_nodes_rebuilds_the_parametric_weights_bit_for_bit(beta):
     grid = StripGrid(L, M, 12, 17, beta=beta)
     again = StripGrid.from_nodes(grid.q, grid.p)
-    for name in ("q", "p", "wq1", "wq2", "w1", "w2", "ws", "wb"):
+    for name in ("q", "p", "wq1", "wq2", "w1", "w2"):
         assert np.array_equal(getattr(again, name), getattr(grid, name)), \
             name
+    for name in ("w", "diff_w"):  # the bed and surface windows among them
+        assert np.array_equal(getattr(again.column_ops, name),
+                              getattr(grid.column_ops, name)), name
     assert (again.L, again.m, again.nq, again.npts) == \
         (grid.L, grid.m, grid.nq, grid.npts)
     assert again.delta == grid.delta

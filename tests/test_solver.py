@@ -25,13 +25,14 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 from scipy.sparse.linalg import splu
 
+from vorwave import fd as fd_module
 from vorwave import grid as grid_module
 from vorwave import laminar, solver
 from vorwave.continuation import continue_branch
 from vorwave.errors import (BifurcationNotFoundError, InputError,
                             NoConvergenceError, NumericsError,
                             StagnationError)
-from vorwave.fd import dq
+from vorwave.fd import ColumnOps, dq
 from vorwave.grid import StripGrid, stretched_nodes
 from vorwave.laminar import critical_lambda, laminar_flow
 from vorwave.solver import (amplitude, bifurcation_mode, discrete_laminar,
@@ -820,17 +821,34 @@ class TestBifurcation:
         dense = (np.diag(np.append(diag, 0.0))
                  + np.diag(np.append(sub, 0.0), -1) + np.diag(sup, 1))
         dense[-1, -row.size:] = row
-        phi, r = solver._surface_mode(sub, diag, sup, row)
-        assert phi[-1] == 1.0
-        np.testing.assert_allclose(dense @ phi, np.append(np.zeros(4), r),
-                                   rtol=0, atol=1e-14)
+        phi, r = solver._surface_mode(sub, diag, sup,
+                                      lambda w: w[-row.size:] @ row)
+        assert phi[0] == 0.0 and phi[-1] == 1.0
+        np.testing.assert_allclose(dense @ phi[1:],
+                                   np.append(np.zeros(4), r), rtol=0,
+                                   atol=1e-14)
         assert r == pytest.approx(np.linalg.det(dense)
                                   / np.linalg.det(dense[:-1, :-1]), rel=1e-12)
+
+    def test_surface_residual_is_smooth_at_lambda_star(self):
+        # at gamma 0 the interior solve's near-surface differences are
+        # smooth to rounding, and the surface window, applied to them in
+        # difference form, keeps r(lam) linear to rounding within 2e-11
+        # of lam*: no cancellation between the window's large weights
+        vf = VorticityFunction.constant(0.0, m=M)
+        lam_star = find_bifurcation(vf, G, L, M)
+        operator = solver._transverse_operator(vf, G, StripGrid(
+            L, M, 4, solver.BIFURCATION_NODES, 0.5))
+        dlam = lam_star * np.linspace(-2e-11, 2e-11, 101)
+        r = np.array([solver._surface_mode(*operator(lam_star + d))[1]
+                      for d in dlam])
+        line = np.polyval(np.polyfit(dlam, r, 1), dlam)
+        assert np.max(np.abs(r - line)) < 1e-12
 
     def test_singular_rows_above_the_surface_are_a_numerics_error(self):
         with pytest.raises(NumericsError, match="singular"):
             solver._surface_mode(np.ones(1), np.ones(2), np.ones(2),
-                                 np.ones(3))
+                                 lambda w: w[-1])
 
     @pytest.mark.parametrize("gamma", [0.0, -0.3, -0.7])
     def test_lambda_star_is_stable_to_one_ulp_in_the_weights(
@@ -852,36 +870,49 @@ class TestBifurcation:
     @pytest.mark.parametrize("gamma", [0.0, -0.3, -0.7])
     def test_lambda_star_is_stable_to_one_ulp_in_the_surface_row(
             self, gamma, monkeypatch):
-        # the surface row's h_p weights ws are the last row of the grid's
-        # ColumnOps
+        # the surface row's h_p weights are the last row of the grid's
+        # ColumnOps, which derives its difference-form weights from them as
+        # it is built; so the ulp goes into the weights fd_weights returns,
+        # and must first be seen to move the surface h_p of a fixed column
         vf = VorticityFunction.constant(gamma, m=M)
         lam_star = find_bifurcation(vf, G, L, M)
+        real = fd_module.fd_weights
 
-        class Nudged(grid_module.ColumnOps):
-            def __init__(self, p):
-                super().__init__(p)
-                self.w[-1] *= 1.0 + 2.0 ** -52
+        def nudged(nodes, x0, order):
+            w = real(nodes, x0, order)
+            w[-1] *= 1.0 + 2.0 ** -52
+            return w
 
-        monkeypatch.setattr(grid_module, "ColumnOps", Nudged)
+        def surface_hp():
+            grid = StripGrid(L, M, 4, solver.BIFURCATION_NODES, 0.5)
+            return solver_hp(grid, np.sinh(np.pi / L * (grid.p + M)))[-1]
+
+        unchanged = surface_hp()
+        monkeypatch.setattr(fd_module, "fd_weights", nudged)
+        assert surface_hp() != unchanged
         assert find_bifurcation(vf, G, L, M) == pytest.approx(lam_star,
                                                               rel=1e-10)
 
     def test_newton_surface_row_is_the_mode_operators(self):
         # on a laminar column the Newton Jacobian's surface rows are the
-        # column linearization's: -ws / h_p^3 over the last ws.size nodes
+        # column linearization's: -w_p(0) / h_p^3 over the surface window
         # of the column, plus g at its surface node, and nothing else
         vf = VorticityFunction.constant(-0.3, m=M)
         grid = StripGrid(L, M, 8, 24, beta=0.5)
         hcol, Q, _ = discrete_laminar(grid, vf, G, 4.0)
         J, _ = jacobian_blocks(grid, vf, G, np.tile(hcol, (grid.nq, 1)), Q)
-        *_, row = solver._mode_operator(grid, G, solver_hp(grid, hcol) ** 2,
-                                        vf.gamma(-grid.p)[1:-1], np.pi / L)
+        *_, surface = solver._mode_operator(
+            grid, G, solver_hp(grid, hcol) ** 2, vf.gamma(-grid.p)[1:-1],
+            np.pi / L)
+        row = surface(np.eye(grid.npts))[1:]  # over the nodes above the bed
+        assert np.count_nonzero(row) == ColumnOps.WIDTH
         J = J.toarray()
+        n = grid.npts - 1
         for i in range(grid.nq):
-            surface = (i + 1) * (grid.npts - 1) - 1
             expected = np.zeros(J.shape[1])
-            expected[surface + 1 - row.size:surface + 1] = row
-            np.testing.assert_allclose(J[surface], expected, rtol=1e-14,
+            expected[i * n:(i + 1) * n] = row
+            surface_row = (i + 1) * n - 1
+            np.testing.assert_allclose(J[surface_row], expected, rtol=1e-14,
                                        atol=0)
 
     def test_mode_shape_matches_closed_form(self):
