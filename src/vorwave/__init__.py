@@ -5,11 +5,10 @@ __version__ = "0.1.0"
 from .errors import (BifurcationNotFoundError, ConfigError, InputError,
                      NoConvergenceError, NumericsError, SolverError,
                      StagnationApproachError, StagnationError, VorwaveError)
-from .vorticity import (VorticityFunction, check_gamma_signs,
-                        check_shear_profile, vorticity_from_config)
-from .laminar import (critical_lambda, froude_criteria, FroudeInputs,
-                      gamma_small_criterion, gamma_smallest_criterion,
-                      laminar_depth, laminar_flow, laminar_head)
+from .vorticity import VorticityFunction, vorticity_from_config
+from .laminar import (critical_lambda, gamma_small_criterion,
+                      gamma_smallest_criterion, laminar_depth, laminar_flow,
+                      laminar_head)
 from .grid import StripGrid
 from .solver import (bifurcation_mode, discrete_laminar, find_bifurcation,
                      newton_solve, seed_wave)
@@ -25,11 +24,9 @@ __all__ = [
     "VorwaveError", "ConfigError", "InputError", "SolverError",
     "StagnationError", "StagnationApproachError", "NoConvergenceError",
     "BifurcationNotFoundError", "NumericsError",
-    "VorticityFunction", "check_gamma_signs", "check_shear_profile",
-    "vorticity_from_config",
+    "VorticityFunction", "vorticity_from_config",
     "critical_lambda", "laminar_depth", "laminar_head", "laminar_flow",
     "gamma_small_criterion", "gamma_smallest_criterion",
-    "FroudeInputs", "froude_criteria",
     "StripGrid", "newton_solve", "discrete_laminar", "find_bifurcation",
     "bifurcation_mode", "seed_wave",
     "Branch", "BranchPoint", "continue_branch", "save_branch", "load_point",

@@ -5,13 +5,16 @@ diagnostic: sign conditions (streamline slope below one, u_x < 0, v > 0,
 the vortex-force quantity at the trough), pointwise identities that must
 hold up to discretization error (tangential surface relations, the
 elliptic equations for u_x/u and v/u, Bernoulli constancy), and the
-pressure inequalities with their hypotheses. Each diagnostic reports a
-status, the extremal value, where it occurred, and the margin to the
-constraint. `DIAGNOSTICS` lists them, one row each in report order: the
-id, paper reference and description, and the check that computes the
-verdict from the quantities `_Auditor` shares among the checks. A new
-diagnostic is one row and one check method. `audit_wave` runs the table
-and returns an `AuditReport` whose JSON form is the `vorwave audit` output.
+pressure inequalities. Each diagnostic reports a status, the extremal
+value, where it occurred, and the margin to the constraint. `DIAGNOSTICS`
+lists them, one row each in report order: the id, paper reference and
+description, the hypotheses the theorem needs, and the check that computes
+the verdict from the quantities `_Auditor` shares among the checks.
+`HYPOTHESES` is the one table of those hypotheses, each evaluated once per
+wave; a row whose hypothesis fails is reported not-applicable, naming the
+first one that fails, and its check is not run. A new diagnostic is one
+row and one check method. `audit_wave` runs the table and returns an
+`AuditReport` whose JSON form is the `vorwave audit` output.
 
 Conventions: checks are evaluated on the computational half period
 (crest column first, trough column last), the surface curve's geometry
@@ -149,8 +152,8 @@ def _jsonable(value):
         return bool(value)
     if isinstance(value, (int, np.integer)):
         return int(value)
-    if value is None:
-        return None
+    if value is None or isinstance(value, str):
+        return value
     out = float(value)
     # Strict JSON has no Infinity/NaN token; a vacuous extremum serializes
     # as null.
@@ -203,16 +206,18 @@ def _extremum(wf, arr, pick, offset=(0, 0)):
     return float(arr[k]), (float(wf.q[k[0] + offset[0]]), float(wf.p[j]))
 
 
-def _not_applicable(hyp_margin, loc=None):
-    """The verdict of a check whose hypothesis fails by hyp_margin < 0."""
+def _not_applicable(name, hyp_margin, loc):
+    """The verdict of a row whose hypothesis `name` fails by hyp_margin."""
     return (NOT_APPLICABLE, {"hypothesis": float(hyp_margin),
-                             "conclusion": None}, loc, float(hyp_margin))
+                             "conclusion": None, "failed": name},
+            loc, float(hyp_margin))
 
 
 class _Auditor:
     """One wave's shared arrays, tolerances and derived quantities, computed
     once; each check method returns its verdict, (status, value, location,
-    margin[, tolerance]), and reads no attribute another check sets."""
+    margin[, tolerance]), and reads no attribute another check sets. The
+    hypotheses of HYPOTHESES are evaluated on first use, all at once."""
 
     def __init__(self, wf, vf, tol, lam_c):
         self.wf = wf
@@ -225,9 +230,9 @@ class _Auditor:
         self.us, self.vs = wf.u[:, -1], wf.v[:, -1]  # the surface row
         self.spd2 = wf.speed_squared()
         self.spd = np.sqrt(self.spd2)
-        psi_col = -wf.p
-        self.gam = vf.gamma(psi_col)[None, :]
-        self.gam_pp = vf.gamma(psi_col, 2)[None, :]
+        self.psi = -wf.p  # the wave's own psi nodes, bed to surface
+        self.gam = vf.gamma(self.psi)[None, :]
+        self.gam_pp = vf.gamma(self.psi, 2)[None, :]
         self.gamma0 = vf.gamma(0.0)
         self.gamma0_p = vf.gamma(0.0, 1)
         self.patm = float(np.mean(wf.P[:, -1]))
@@ -241,6 +246,7 @@ class _Auditor:
         self.eq_tol = tol.eq if tol.eq is not None else 1e-6 * g * wf.d
         self.res_tol = tol.residual_scale * wf.grid.delta ** 2
         self.band = tol.boundary_band
+        self.v_floor = tol.v_floor_rel * float(np.max(np.abs(self.us)))
         # streamline slope |v/u| and its maximum
         self.ratio = np.abs(self.v / self.u)
         self.slope_max, self.slope_loc = _extremum(wf, self.ratio, np.argmax)
@@ -256,6 +262,39 @@ class _Auditor:
     def curve(self):
         """The surface curve, built once and shared by the diagnostics."""
         return surface_curve(self.wf)
+
+    @cached_property
+    def hypotheses(self):
+        """name -> (margin, location, holds) for every HYPOTHESES entry."""
+        return {name: entry(self) for name, entry in HYPOTHESES.items()}
+
+    # -- hypotheses: each returns (margin, location, holds) -----------------
+
+    def gamma_sign(self, order, sign):
+        """sign * gamma^(order) >= 0 on the wave's psi nodes."""
+        margin = float(np.min(sign * self.vf.gamma(self.psi, order)))
+        return margin, None, margin >= 0.0
+
+    def surface_favorable(self):
+        """gamma(0) <= 0 and gamma'(0) <= 0."""
+        margin = -max(self.gamma0, self.gamma0_p)
+        return margin, None, margin >= 0.0
+
+    def shifted_force(self):
+        """max(gamma) |u|^2 - 4 g u >= 0 everywhere."""
+        mn, loc = _extremum(self.wf, float(np.max(self.gam)) * self.spd2
+                            - 4.0 * self.g * self.u, np.argmin)
+        return mn, loc, mn >= 0.0
+
+    def below_troughs(self):
+        """Some node lies below the troughs: how far the lowest one does."""
+        margin = float(np.min(self.wf.eta) - np.min(self.wf.y))
+        return margin, None, margin > 0.0
+
+    def v_above_floor(self):
+        """Some surface node's v clears the floor D-ABC divides by."""
+        margin = float(np.max(self.vs) - self.v_floor)
+        return margin, None, margin > 0.0
 
     # -- helpers -----------------------------------------------------------
 
@@ -301,8 +340,6 @@ class _Auditor:
                 self.slope_loc, margin)
 
     def sigma(self):
-        if self.force_min <= 0.0:
-            return _not_applicable(self.force_min, self.force_loc)
         sigma = float(np.sqrt(self.sigma2))
         margin = sigma - self.slope_max
         return (_strict(margin, self.band),
@@ -417,12 +454,7 @@ class _Auditor:
     def abc_coefficients(self):
         wf = self.wf
         us, vs = self.us, self.vs
-        floor = self.tol.v_floor_rel * float(np.max(np.abs(us)))
-        admitted = vs > floor
-        if self.gamma0 > 0.0 or self.gamma0_p > 0.0:
-            return _not_applicable(-max(self.gamma0, self.gamma0_p))
-        if not np.any(admitted):
-            return _not_applicable(float(np.max(vs) - floor))
+        admitted = vs > self.v_floor
         ua, va = us[admitted], vs[admitted]
         spd2 = ua ** 2 + va ** 2
         g, gam0, gam0p = self.g, self.gamma0, self.gamma0_p
@@ -470,8 +502,6 @@ class _Auditor:
 
     def pressure_curvature(self):
         wf = self.wf
-        if self.trivial:
-            return _not_applicable(self.trivial_margin)
         crest, trough = float(wf.eta_xx[0]), float(wf.eta_xx[-1])
         margin = min(-crest, trough)
         loc = (0.0, 0.0) if -crest <= trough else (wf.L, 0.0)
@@ -481,8 +511,6 @@ class _Auditor:
 
     def pressure_bed_range(self):
         wf = self.wf
-        if self.trivial:
-            return _not_applicable(self.trivial_margin)
         bed = wf.P[:, :1]  # the bed row as an (nq, 1) block at p[0]
         spread = float(np.max(bed) - np.min(bed)) / self.g
         margin = self.eta_span - spread
@@ -493,16 +521,12 @@ class _Auditor:
     def pressure_below_troughs(self):
         wf = self.wf
         mask = wf.y < float(np.min(wf.eta))
-        if not np.any(mask):
-            return _not_applicable(-1.0)
         excess = np.where(mask, wf.P - self.patm, np.inf)
         mn, loc = _extremum(wf, excess, np.argmin)
         return _strict(mn, self.band_for(self.g * wf.d)), mn, loc, mn
 
     def pressure_top(self):
         wf = self.wf
-        if self.force_min < 0.0:
-            return _not_applicable(self.force_min, self.force_loc)
         mn_int, loc_int = _extremum(wf, wf.P[:, :-1] - self.patm, np.argmin)
         mx_dpdn, loc_dpdn = _extremum(wf, self.curve.dPdn, np.argmax)
         surf_eq = float(np.max(np.abs(wf.P[:, -1] - self.patm)))
@@ -516,41 +540,29 @@ class _Auditor:
 
     def pressure_shifted(self):
         wf = self.wf
-        mx_om = float(np.max(self.gam))
-        hyp_min, hyp_loc = _extremum(
-            wf, mx_om * self.spd2 - 4.0 * self.g * self.u, np.argmin)
-        if hyp_min < 0.0:
-            return _not_applicable(hyp_min, hyp_loc)
-        shifted = wf.P - self.patm + 0.5 * mx_om * wf.psi
+        shifted = wf.P - self.patm + 0.5 * float(np.max(self.gam)) * wf.psi
         mn_int, loc = _extremum(wf, shifted[:, :-1], np.argmin)
         return (_strict(mn_int, self.band_for(self.g * wf.d)),
-                {"hypothesis": hyp_min, "conclusion": mn_int}, loc, mn_int)
+                {"hypothesis": self.hypotheses["shifted-force>=0"][0],
+                 "conclusion": mn_int}, loc, mn_int)
 
     def speed_max_at_trough(self):
-        hyp_min = float(np.min(self.gam))
-        if hyp_min < 0.0:
-            return _not_applicable(hyp_min)
-        if self.trivial:
-            return _not_applicable(self.trivial_margin)
         outside = self.spd.copy()
         outside[-2:, -2:] = -np.inf
         margin = float(self.spd[-1, -1] - np.max(outside))
         top, loc = _extremum(self.wf, self.spd, np.argmax)
         return (_nonstrict(margin, self.band_for(top)),
-                {"hypothesis": hyp_min, "conclusion": margin}, loc, margin)
+                {"hypothesis": self.hypotheses["gamma>=0"][0],
+                 "conclusion": margin}, loc, margin)
 
     def speed_min_at_crest(self):
-        hyp_max = float(np.max(self.gam))
-        if hyp_max > 0.0:
-            return _not_applicable(-hyp_max)
-        if self.trivial:
-            return _not_applicable(self.trivial_margin)
         outside = self.spd.copy()
         outside[:2, -2:] = np.inf
         margin = float(np.min(outside) - self.spd[0, -1])
         _, loc = _extremum(self.wf, self.spd, np.argmin)
         return (_nonstrict(margin, self.band_for(np.max(self.spd))),
-                {"hypothesis": -hyp_max, "conclusion": margin}, loc, margin)
+                {"hypothesis": self.hypotheses["gamma<=0"][0],
+                 "conclusion": margin}, loc, margin)
 
     def bernoulli(self):
         wf = self.wf
@@ -578,8 +590,6 @@ class _Auditor:
 
     def speed_monotone(self):
         wf = self.wf
-        if self.trivial:
-            return _not_applicable(self.trivial_margin)
         Wx = dq(self.us ** 2, wf.grid.wq1, "even")
         mn, loc = _extremum(wf, Wx[1:-1], np.argmin, (1, 0))
         return _strict(mn, self.band_for(np.max(np.abs(Wx)))), mn, loc, mn
@@ -628,77 +638,112 @@ class _Auditor:
                 loc, mn)
 
 
+# The theorems' hypotheses: name -> function of the wave's _Auditor giving
+# (margin, location, holds). FAVORABLE is the paper's favorable vorticity,
+# gamma, gamma', gamma'' <= 0 on the wave's own psi nodes; "force" is the
+# vortex force g + gamma u, "shifted-force" max(gamma) |u|^2 - 4 g u;
+# "not-flat" asks for a genuine wave, and the last two for something to
+# check at all.
+HYPOTHESES = {
+    "gamma<=0": lambda a: a.gamma_sign(0, -1.0),
+    "gamma'<=0": lambda a: a.gamma_sign(1, -1.0),
+    "gamma''<=0": lambda a: a.gamma_sign(2, -1.0),
+    "gamma>=0": lambda a: a.gamma_sign(0, 1.0),
+    "surface-gamma,gamma'<=0": _Auditor.surface_favorable,
+    "force>0": lambda a: (a.force_min, a.force_loc, a.force_min > 0.0),
+    "force>=0": lambda a: (a.force_min, a.force_loc, a.force_min >= 0.0),
+    "shifted-force>=0": _Auditor.shifted_force,
+    "not-flat": lambda a: (a.trivial_margin, None, not a.trivial),
+    "node-below-troughs": _Auditor.below_troughs,
+    "v-above-floor": _Auditor.v_above_floor,
+}
+FAVORABLE = ("gamma<=0", "gamma'<=0", "gamma''<=0")
+
 # One row per diagnostic, in report order: (id, paper_ref, description,
-# check). A check takes the wave's _Auditor and returns (status, value,
-# location, margin[, tolerance]).
+# hypotheses, check). The hypotheses are HYPOTHESES names, tested in order;
+# the check takes the wave's _Auditor and returns (status, value, location,
+# margin[, tolerance]).
 DIAGNOSTICS = (
     ("D-slope", "bound:streamline-slope",
-     "streamline slope stays below one", _Auditor.slope),
+     "streamline slope stays below one", FAVORABLE, _Auditor.slope),
     ("D-sigma", "bound:slope-refined",
-     "refined slope bound via the vortex-force ratio", _Auditor.sigma),
+     "refined slope bound via the vortex-force ratio", ("force>0",),
+     _Auditor.sigma),
     ("D-ux", "sign:ux",
-     "horizontal velocity strictly decreasing in x", _Auditor.ux_sign),
+     "horizontal velocity strictly decreasing in x", (), _Auditor.ux_sign),
     ("D-mono", "sign:v",
-     "vertical velocity positive on the half period", _Auditor.v_sign),
+     "vertical velocity positive on the half period", (), _Auditor.v_sign),
     ("D-trough", "criterion:vortex-force-trough",
-     "vortex-force criterion at the trough", _Auditor.trough),
+     "vortex-force criterion at the trough", (), _Auditor.trough),
     ("D-f", "identity:speed-gap",
-     "u^2 exceeds v^2 and the gap obeys its flow identity",
+     "u^2 exceeds v^2 and the gap obeys its flow identity", (),
      _Auditor.speed_gap),
     ("D-alpha", "identity:weighted-speed-gap",
-     "weighted speed gap decreases along the flow", _Auditor.alpha_identity),
+     "weighted speed gap decreases along the flow", (),
+     _Auditor.alpha_identity),
     ("D-w-pde", "pde:relative-strain",
-     "elliptic equation for the relative strain u_x/u", _Auditor.w_pde),
+     "elliptic equation for the relative strain u_x/u", (), _Auditor.w_pde),
     ("D-s-pde", "pde:streamline-slope",
-     "elliptic equation for the streamline slope v/u", _Auditor.s_pde),
+     "elliptic equation for the streamline slope v/u", (), _Auditor.s_pde),
     ("D-p1", "surface:first-tangential",
-     "first tangential derivative of surface Bernoulli",
+     "first tangential derivative of surface Bernoulli", (),
      _Auditor.surface_first),
     ("D-p2", "surface:second-tangential",
-     "second tangential derivative of surface Bernoulli",
+     "second tangential derivative of surface Bernoulli", (),
      _Auditor.surface_second),
     ("D-ABC", "surface:curvature-coefficients",
      "curvature coefficients of the surface strain equation",
-     _Auditor.abc_coefficients),
+     ("surface-gamma,gamma'<=0", "v-above-floor"), _Auditor.abc_coefficients),
     ("D-press-a", "pressure:(a)",
-     "modified pressure bounded by surface extremes",
+     "modified pressure bounded by surface extremes", (),
      _Auditor.pressure_basic),
     ("D-press-b", "pressure:(b)",
-     "surface concave at the crest, convex at the trough",
+     "surface concave at the crest, convex at the trough", ("not-flat",),
      _Auditor.pressure_curvature),
     ("D-press-c", "pressure:(c)",
-     "wave height exceeds the bed pressure range over g",
+     "wave height exceeds the bed pressure range over g", ("not-flat",),
      _Auditor.pressure_bed_range),
     ("D-press-d", "pressure:(d)",
-     "pressure above atmospheric below the troughs",
+     "pressure above atmospheric below the troughs", ("node-below-troughs",),
      _Auditor.pressure_below_troughs),
     ("D-press-e", "pressure:(e)",
      "nonnegative vortex force keeps pressure above atmospheric",
-     _Auditor.pressure_top),
+     ("force>=0",), _Auditor.pressure_top),
     ("D-press-f", "pressure:(f)",
-     "vorticity-shifted pressure above atmospheric",
+     "vorticity-shifted pressure above atmospheric", ("shifted-force>=0",),
      _Auditor.pressure_shifted),
     ("D-press-g", "pressure:(g)",
      "nonnegative vorticity puts the speed maximum at the trough",
-     _Auditor.speed_max_at_trough),
+     ("gamma>=0", "not-flat"), _Auditor.speed_max_at_trough),
     ("D-press-h", "pressure:(h)",
      "nonpositive vorticity puts the speed minimum at the crest",
-     _Auditor.speed_min_at_crest),
+     ("gamma<=0", "not-flat"), _Auditor.speed_min_at_crest),
     ("D-bern", "identity:total-head",
-     "total head constant across the strip", _Auditor.bernoulli),
+     "total head constant across the strip", (), _Auditor.bernoulli),
     ("D-reduce", "surface:head-reduction",
-     "trough speed bounded through the crest speed",
+     "trough speed bounded through the crest speed", (),
      _Auditor.head_reduction),
     ("D-monotone-u2", "surface:speed-monotone",
-     "surface speed squared increases from crest to trough",
+     "surface speed squared increases from crest to trough", ("not-flat",),
      _Auditor.speed_monotone),
     ("D-angle", "surface:turning-angle",
-     "surface tangent angle turns without winding", _Auditor.turning_angle),
+     "surface tangent angle turns without winding", (),
+     _Auditor.turning_angle),
     ("D-overturn", "surface:pressure-sink",
-     "overturning waves need a pressure sink", _Auditor.overturn),
+     "overturning waves need a pressure sink", (), _Auditor.overturn),
     ("D-w-bed", "sign:bed-strain",
-     "relative strain positive on the open bed row", _Auditor.bed_strain),
+     "relative strain positive on the open bed row", (), _Auditor.bed_strain),
 )
+
+
+def _verdict(a, hypotheses, check):
+    """The check's verdict, or not-applicable for the first of the row's
+    hypotheses that fails."""
+    for name in hypotheses:
+        margin, loc, holds = a.hypotheses[name]
+        if not holds:
+            return _not_applicable(name, margin, loc)
+    return check(a)
 
 
 def audit_wave(wf, vf=None, tol=None, lam_c=None):
@@ -718,5 +763,6 @@ def audit_wave(wf, vf=None, tol=None, lam_c=None):
     if lam_c is None:
         lam_c = critical_lambda(vf, wf.g)
     a = _Auditor(wf, vf, tol, lam_c)
-    return AuditReport([Diagnostic(diag_id, description, ref, *check(a))
-                        for diag_id, ref, description, check in DIAGNOSTICS])
+    return AuditReport([
+        Diagnostic(diag_id, description, ref, *_verdict(a, hyps, check))
+        for diag_id, ref, description, hyps, check in DIAGNOSTICS])

@@ -68,10 +68,6 @@ class Branch:
     points: list[BranchPoint] = field(default_factory=list)
     stop_reason: str = ""
 
-    @property
-    def amplitudes(self):
-        return np.array([pt.amplitude for pt in self.points])
-
 
 def trough_criterion_value(grid, vf, g, h):
     """g - gamma(0) * u evaluated at the trough (q = L, p = 0)."""

@@ -1,7 +1,7 @@
-"""Finite-difference machinery shared by the solver, field reconstruction,
-and profile checks: every derivative weight comes from here, and every
-applier takes its weights in difference form, so a constant gives exactly
-zero.
+"""Finite-difference machinery shared by the solver, the field
+reconstruction and the audit: every derivative weight comes from here, and
+every applier takes its weights in difference form, so a constant gives
+exactly zero.
 
 The 3-point weights, along q and p alike, come from the node spacings;
 `dq` and `dp` apply them. Horizontal derivatives act on the half period
@@ -18,9 +18,7 @@ and the coefficient does jump at the clipped end windows. Starting from
 order 5 leaves the composed derivative at worst O(dp^4) there, which is
 what lets the reconstructed vorticity of a smooth laminar flow track gamma
 to 1e-8 on a few hundred nodes; with 4 points the composed edge error is
-O(dp^2) with a coefficient near ten, far too big. The shear-profile check
-takes the same sliding windows 5 points wide, for its first to third
-derivatives.
+O(dp^2) with a coefficient near ten, far too big.
 """
 
 from __future__ import annotations
@@ -120,39 +118,40 @@ def dp(F, w):
 
 
 class ColumnOps:
-    """Derivative operator of one order along a nonuniform vertical node set.
+    """First-derivative operator along a nonuniform vertical node set.
 
-    Acts on the last axis. Every node uses a window of `width` nodes
-    starting two nodes to its left, clipped at the ends. At the default
-    first order and width 6 the local error is O(dp^5) with a coefficient
-    that only changes character at the four outermost rows (see the module
-    docstring). Row j of `w` holds node j's weights on the nodes `idx[j]`;
-    `apply` takes them in the equivalent difference form (`diff_w` on the
-    differences `diff_idx`), exact zero on a constant, and takes its first
-    and last rows from `ends`.
+    Acts on the last axis. Every node uses a window of WIDTH nodes starting
+    two nodes to its left, clipped at the ends: the local error is O(dp^5)
+    with a coefficient that only changes character at the four outermost
+    rows (see the module docstring). Row j of `w` holds node j's weights on
+    the nodes `idx[j]`; `apply` takes them in the equivalent difference form
+    (`diff_w` on the differences `diff_idx`), exact zero on a constant, and
+    takes its first and last rows from `ends`.
     """
 
     WIDTH = 6
 
-    def __init__(self, p, order=1, width=WIDTH):
+    def __init__(self, p):
         p = np.asarray(p, dtype=float)
         n = p.size
-        if order < 1:
-            raise ValueError("derivative order must be at least 1")
-        if n < width:
-            raise ValueError("need at least %d vertical nodes" % width)
+        if n < self.WIDTH:
+            raise ValueError("need at least %d vertical nodes" % self.WIDTH)
         if np.any(np.diff(p) <= 0):
             raise ValueError("vertical nodes must be strictly increasing")
         self.p = p
-        starts = np.clip(np.arange(n) - 2, 0, n - width)
-        self.idx = starts[:, None] + np.arange(width)[None, :]
+        starts = np.clip(np.arange(n) - 2, 0, n - self.WIDTH)
+        self.idx = starts[:, None] + np.arange(self.WIDTH)[None, :]
         # contiguous rows: a 1-D dot product's last bit depends on strides
-        self.w = np.ascontiguousarray(fd_weights(p[self.idx], p, order))
+        self.w = np.ascontiguousarray(fd_weights(p[self.idx], p, 1))
         # The weights of a derivative sum to zero, so sum_k w_k F_k equals
         # sum_l W_l (F_{l+1} - F_l) with W_l = sum_{k>l} w_k: the window's
         # consecutive differences, which vanish exactly on a constant.
         self.diff_idx = self.idx[1:-1, :-1]  # the rows between the ends
         self.diff_w = np.cumsum(self.w[:, ::-1], axis=1)[:, -2::-1]
+        # the bed's and the surface's window, which `ends` reads on every
+        # call
+        self.end_idx = self.idx[[0, -1]]
+        self.end_w = self.diff_w[[0, -1]]
 
     def apply(self, F):
         out = np.empty(np.shape(F))
@@ -165,9 +164,9 @@ class ColumnOps:
         """(..., 2): apply(F) at the first and last node, the bed and the
         surface of a column, summed term by term in window order, so a
         column gives the same bits alone as inside any larger array."""
-        W = self.diff_w[[0, -1]]
-        D = np.diff(np.asarray(F, dtype=float)[..., self.idx[[0, -1]]])
-        out = D[..., 0] * W[:, 0]
-        for k in range(1, W.shape[1]):
-            out += D[..., k] * W[:, k]
+        terms = np.diff(np.asarray(F, dtype=float)[..., self.end_idx]) \
+            * self.end_w
+        out = terms[..., 0]
+        for k in range(1, self.WIDTH - 1):
+            out = out + terms[..., k]
         return out

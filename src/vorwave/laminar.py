@@ -9,8 +9,8 @@ total head are
     head(lambda) = lambda/2 + g * d(lambda),
 
 the head being strictly convex on lambda > -2 min Gamma with a unique
-minimizer lambda_c. The surface-vorticity smallness criteria and the Froude
-criteria below are pure arithmetic on these quantities.
+minimizer lambda_c. The surface-vorticity smallness criteria below are
+pure arithmetic on these quantities.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import InputError, NumericsError
-from .fd import fd_weights
 
 # Each quadrature panel is integrated by an n-point and a 2n-point
 # Gauss-Legendre rule, their nodes side by side in _PANEL_NODES.
@@ -321,73 +320,3 @@ def gamma_smallest_criterion(vf, g, L, lam_c=None):
         result = CriterionResult(result.name, result.lhs, result.rhs,
                                  result.status, result.margin, note)
     return result
-
-
-# -- Froude criteria for solitary upstream profiles ------------------------
-
-@dataclass(frozen=True)
-class FroudeInputs:
-    """A normalized upstream shear profile and a Froude number.
-
-    y runs over [-d, 0], u holds samples of the profile (negative), and the
-    normalization g * int dy/u^2 = 1 must hold within 1e-6.
-    """
-
-    y: np.ndarray
-    u: np.ndarray
-    F: float
-    g: float
-
-    def __post_init__(self):
-        y = np.asarray(self.y, dtype=float)
-        u = np.asarray(self.u, dtype=float)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "u", u)
-        if y.ndim != 1 or y.size < 5 or y.shape != u.shape:
-            raise InputError("profile needs >= 5 matching samples")
-        if abs(y[-1]) > 1e-12 or y[0] >= 0:
-            raise InputError("y must run over [-d, 0] ending at 0")
-        if np.any(np.diff(y) <= 0):
-            raise InputError("y must be increasing")
-        if np.any(u >= 0):
-            raise InputError("upstream profile must be negative")
-        from scipy.integrate import simpson  # here: no pipeline run needs it
-        norm = self.g * simpson(1.0 / u ** 2, x=y)
-        if abs(norm - 1.0) > 1e-6:
-            raise InputError(
-                "profile not normalized: g*int dy/u^2 = %.8f" % norm)
-
-    @property
-    def d(self):
-        return -float(self.y[0])
-
-
-@dataclass(frozen=True)
-class FroudeReport:
-    shear_product: float    # |u_y * u| at the surface
-    F_bound: float          # F must stay below this for the slope criterion
-    small: CriterionResult       # F^2 < g / shear_product
-    all_amplitude: CriterionResult   # shear_product < g/4
-
-
-def froude_criteria(inputs):
-    """Evaluate both solitary-wave Froude criteria for a given profile.
-
-    The surface derivative uses a one-sided 3-point difference (second
-    order). When the all-amplitude bound holds, any Froude number below 2
-    passes, which covers the whole solitary branch.
-    """
-    y, u, F, g = inputs.y, inputs.u, inputs.F, inputs.g
-    w = fd_weights(y[-3:], y[-1], 1)
-    uy0 = float(u[-3:] @ w)
-    S = abs(uy0 * u[-1])
-    F_bound = math.inf if S == 0.0 else math.sqrt(g / S)
-    small = _strict_less("froude-small", F ** 2,
-                         math.inf if S == 0.0 else g / S)
-    all_amp = _strict_less("froude-all-amplitude", S, 0.25 * g)
-    return FroudeReport(S, F_bound, small, all_amp)
-
-
-def gamma_tilde(gamma, d, u_surface):
-    """Dimensionless constant-vorticity parameter gamma*d/|u(0)|."""
-    return gamma * d / abs(u_surface)

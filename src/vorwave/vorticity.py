@@ -1,4 +1,4 @@
-"""The vorticity function gamma(psi), its antiderivative, and sign checks.
+"""The vorticity function gamma(psi) and its antiderivative.
 
 gamma is the function with omega = -Delta(psi) = gamma(psi), well defined in
 the absence of stagnation. psi runs from 0 at the free surface to m > 0 at
@@ -7,20 +7,17 @@ the bed, so gamma lives on [0, m]. The antiderivative
     Gamma(s) = integral_0^s gamma(-p) dp,   s in [-m, 0],
 
 enters Bernoulli's law through Gamma(-psi). Favorable vorticity means
-gamma <= 0, gamma' <= 0, gamma'' <= 0 on [0, m]; the laminar counterpart of
-those conditions constrains a shear profile u0(y) < 0 through u0y >= 0,
-u0yy <= 0, and u0*u0yyy - u0y*u0yy <= 0.
+gamma <= 0, gamma' <= 0, gamma'' <= 0 on [0, m]; the audit tests those
+conditions, among the other hypotheses of the theorems, on each wave's own
+psi nodes (`audit.HYPOTHESES`).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import Polynomial
 
 from .errors import InputError
-from .fd import ColumnOps
 
 _DOMAIN_SLACK = 1e-12
 
@@ -30,8 +27,8 @@ class VorticityFunction:
 
     Three kinds are supported: constant, polynomial in psi (closed forms for
     everything), and tabulated samples smoothed by a cubic spline (C2, which
-    is the minimum regularity the second-derivative sign check needs; the
-    sign report records the interpolation order).
+    is the minimum regularity the second-derivative sign condition needs;
+    its params record the interpolation order).
     """
 
     def __init__(self, kind, m, gamma_fn, Gamma_fn, gamma_surface, params):
@@ -178,84 +175,6 @@ class VorticityFunction:
                  len(v) > 8 else v for k, v in self.params.items()}
         return "VorticityFunction(%s, m=%g, %r)" % (
             self.kind, self.m, shown)
-
-
-@dataclass(frozen=True)
-class SignCondition:
-    name: str
-    worst: float
-    at: float
-    ok: bool
-
-
-@dataclass(frozen=True)
-class SignReport:
-    conditions: tuple
-    n_samples: int
-    tolerance: float
-    note: str = ""
-
-    @property
-    def ok(self):
-        return all(c.ok for c in self.conditions)
-
-
-def check_gamma_signs(vf, n_samples=201):
-    """Sample gamma, gamma', gamma'' on [0, m] and test the sign conditions.
-
-    The test is an exact sign test on the sample grid (tolerance 0); the
-    report records the grid resolution so a reader can judge its strength.
-    """
-    if n_samples < 2:
-        raise InputError("need at least 2 samples")
-    psi = np.linspace(0.0, vf.m, n_samples)
-    conds = []
-    for order, name in ((0, "gamma<=0"), (1, "gamma'<=0"), (2, "gamma''<=0")):
-        vals = np.asarray(vf.gamma(psi, order))
-        i = int(np.argmax(vals))
-        worst = float(vals[i])
-        conds.append(SignCondition(name, worst, float(psi[i]), worst <= 0.0))
-    note = ""
-    if vf.kind == "tabulated":
-        note = "cubic spline interpolation (order 3) of %d samples" % (
-            vf.params["n_samples"],)
-    return SignReport(tuple(conds), n_samples, 0.0, note)
-
-
-def check_shear_profile(y, u0):
-    """Sign conditions on a laminar shear profile u0(y) < 0 on [-d, 0].
-
-    Checks u0y >= 0, u0yy <= 0, and u0*u0yyy - u0y*u0yy <= 0 from
-    5-point finite-difference windows on the samples, with tolerance 10*h^2.
-    """
-    y = np.asarray(y, dtype=float)
-    u0 = np.asarray(u0, dtype=float)
-    if y.ndim != 1 or y.size < 5 or y.shape != u0.shape:
-        raise InputError("need matching 1-d arrays with at least 5 samples")
-    h = np.diff(y)
-    if np.any(h <= 0) or not np.allclose(h, h[0], rtol=1e-8):
-        raise InputError("profile samples must be uniform and increasing")
-    if np.any(u0 >= 0.0):
-        raise InputError("stagnation in profile: u0 >= 0 at some sample")
-    tol = 10.0 * h[0] ** 2
-    uy, uyy, uyyy = (ColumnOps(y, order, 5).apply(u0) for order in (1, 2, 3))
-    third = u0 * uyyy - uy * uyy
-    conds = []
-    for vals, name, sign in ((uy, "u0y>=0", -1.0),
-                             (uyy, "u0yy<=0", +1.0),
-                             (third, "u0*u0yyy-u0y*u0yy<=0", +1.0)):
-        # sign=+1 means the condition is vals <= 0, so the worst value is the
-        # max; sign=-1 means vals >= 0, worst is the min.
-        if sign > 0:
-            i = int(np.argmax(vals))
-            worst = float(vals[i])
-            ok = worst <= tol
-        else:
-            i = int(np.argmin(vals))
-            worst = float(vals[i])
-            ok = worst >= -tol
-        conds.append(SignCondition(name, worst, float(y[i]), ok))
-    return SignReport(tuple(conds), y.size, tol)
 
 
 def vorticity_from_config(spec, m):

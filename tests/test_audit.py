@@ -52,7 +52,10 @@ BRANCH_IDS = [
 
 
 def trivial_field(gamma=-1.0, lam=1.0, nq=16, npts=41):
-    vf = VorticityFunction.constant(gamma, m=M)
+    """The discrete laminar flow of vorticity gamma, a constant or a
+    VorticityFunction, at squared surface speed lam."""
+    vf = (gamma if isinstance(gamma, VorticityFunction)
+          else VorticityFunction.constant(gamma, m=M))
     grid = StripGrid(L, M, nq, npts, beta=0.5)
     hcol, Q, _ = discrete_laminar(grid, vf, G, lam)
     return reconstruct(grid, vf, G, np.tile(hcol, (grid.nq, 1)), Q)
@@ -153,7 +156,8 @@ class TestTrivialWave:
         for diag_id in ("D-press-g", "D-press-h"):
             diag = rep.by_id(diag_id)
             assert diag.status == "not-applicable", diag_id
-            assert diag.value == {"hypothesis": margin, "conclusion": None}
+            assert diag.value == {"hypothesis": margin, "conclusion": None,
+                                  "failed": "not-flat"}
             assert diag.margin == margin
 
     def test_trough_value_carries_strain(self, trivial_report):
@@ -317,7 +321,8 @@ class TestPositiveVorticityBranch:
     def test_gated_checks_not_applicable_and_nothing_fails(self):
         # gamma = +0.5 everywhere: gamma(0) > 0 removes the hypothesis of
         # the curvature coefficients, gamma > 0 that of the crest speed
-        # minimum, at every point of the branch
+        # minimum and the favorable vorticity of the 45 degree bound, at
+        # every point of the branch
         vf = VorticityFunction.constant(0.5, m=M)
         grid = StripGrid(L, M, 32, 24, beta=0.5)
         branch = continue_branch(grid, vf, G, 12,
@@ -328,10 +333,13 @@ class TestPositiveVorticityBranch:
             rep = audit_wave(reconstruct(grid, vf, G, pt.h, pt.Q),
                              lam_c=lam_c)
             assert rep.summary["fail"] == 0, pt.index
-            for diag_id in ("D-ABC", "D-press-h"):
+            for diag_id, failed in (("D-slope", "gamma<=0"),
+                                    ("D-ABC", "surface-gamma,gamma'<=0"),
+                                    ("D-press-h", "gamma<=0")):
                 diag = rep.by_id(diag_id)
                 assert diag.status == "not-applicable", (pt.index, diag_id)
-                assert diag.value["hypothesis"] == -0.5
+                assert diag.value["hypothesis"] == diag.margin == -0.5
+                assert diag.value["failed"] == failed
 
 
 class TestDiagnosticTable:
@@ -339,6 +347,24 @@ class TestDiagnosticTable:
         ids = [row[0] for row in audit_module.DIAGNOSTICS]
         assert len(set(ids)) == len(ids)
         assert [d.id for d in sheared_report.diagnostics] == ids == ALL_IDS
+
+    def test_every_listed_hypothesis_is_in_the_table(self):
+        listed = {name for row in audit_module.DIAGNOSTICS for name in row[3]}
+        assert listed <= set(audit_module.HYPOTHESES)
+
+    def test_each_hypothesis_runs_once_per_wave(self, sheared_wave,
+                                                sheared_report, monkeypatch):
+        calls = []
+
+        def counted(name, entry):
+            return lambda a: calls.append(name) or entry(a)
+
+        monkeypatch.setattr(audit_module, "HYPOTHESES", {
+            name: counted(name, entry)
+            for name, entry in audit_module.HYPOTHESES.items()})
+        rep = audit_wave(sheared_wave)
+        assert sorted(calls) == sorted(audit_module.HYPOTHESES)
+        assert rep.as_json() == sheared_report.as_json()
 
     def test_checks_do_not_depend_on_their_order(
             self, sheared_wave, sheared_report, monkeypatch):

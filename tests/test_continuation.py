@@ -86,7 +86,7 @@ class TestStopRules:
         br = continue_branch(grid, vf, G, 60)
         assert br.stop_reason == "amplitude-reversal"
         assert 2 < len(br.points) < 61
-        assert np.all(np.diff(br.amplitudes) > 0.0)
+        assert np.all(np.diff([pt.amplitude for pt in br.points]) > 0.0)
 
     def test_negative_steps_rejected(self, setup_irrotational):
         grid, vf, lam_star = setup_irrotational
@@ -104,7 +104,7 @@ class TestStopRules:
 
 class TestBranchShape:
     def test_amplitudes_strictly_increase(self, branch_irrotational):
-        amps = branch_irrotational.amplitudes
+        amps = [pt.amplitude for pt in branch_irrotational.points]
         assert np.all(np.diff(amps) > 0.0)
         assert amps[0] == 0.0
 

@@ -17,13 +17,12 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from vorwave import (FroudeInputs, InputError, NumericsError, StripGrid,
+from vorwave import (InputError, NumericsError, StripGrid,
                      VorticityFunction, critical_lambda, find_bifurcation,
-                     froude_criteria, gamma_small_criterion,
-                     gamma_smallest_criterion, laminar_depth, laminar_flow,
-                     laminar_head, solver)
+                     gamma_small_criterion, gamma_smallest_criterion,
+                     laminar_depth, laminar_flow, laminar_head, solver)
 from vorwave.laminar import (_admissible_floor, _quad_checked, brent_root,
-                             gamma_tilde, head_slope)
+                             head_slope)
 
 G = 9.81
 STILL = VorticityFunction.constant(0.0)
@@ -244,59 +243,3 @@ class TestGammaCriteria:
         # The coarse criterion must fail too; they stay in agreement.
         assert not gamma_small_criterion(strong, G, math.pi).passed
         assert "agrees" in smallest.note
-
-
-def _linear_profile(x, n=801):
-    """Constant-shear profile with |gamma~| = x, normalized to unit head."""
-    s = math.sqrt(G / (1.0 + x))
-    b = x * s
-    y = np.linspace(-1.0, 0.0, n)
-    return FroudeInputs(y=y, u=-s + b * y, F=2.0, g=G)
-
-
-class TestFroude:
-    def test_shear_product_closed_form(self):
-        # For u0 = -s + b*y the surface product is b*s = x*g/(1+x).
-        rep = froude_criteria(_linear_profile(0.32))
-        assert rep.shear_product == pytest.approx(0.32 * G / 1.32, rel=1e-10)
-
-    def test_all_amplitude_threshold(self):
-        assert froude_criteria(_linear_profile(0.32)).all_amplitude.passed
-        assert not froude_criteria(_linear_profile(0.34)).all_amplitude.passed
-
-    def test_small_criterion_bound(self):
-        rep = froude_criteria(_linear_profile(0.32))
-        # F = 2, bound sqrt(g/S) = sqrt(9.81/2.37818...) ~ 2.031
-        assert rep.F_bound == pytest.approx(
-            math.sqrt(G / (0.32 * G / 1.32)), rel=1e-10)
-        assert rep.small.passed
-        assert not froude_criteria(_linear_profile(0.34)).small.passed
-
-    def test_matches_gamma_tilde_third(self):
-        # The all-amplitude bound for constant shear is exactly
-        # |gamma~| < 1/3.
-        for x in (0.1, 0.3, 0.333, 0.334, 0.4):
-            prof = _linear_profile(x)
-            gt = gamma_tilde(-x * math.sqrt(G / (1 + x)), 1.0,
-                             math.sqrt(G / (1 + x)))
-            rep = froude_criteria(prof)
-            assert rep.all_amplitude.passed == (abs(gt) < 1.0 / 3.0)
-
-    def test_shear_free_profile_passes_the_small_criterion(self):
-        # S = 0 puts the bound at infinity, which sets no boundary band
-        y = np.linspace(-2.0, 0.0, 5)
-        rep = froude_criteria(FroudeInputs(
-            y=y, u=np.full_like(y, -math.sqrt(2.0 * G)), F=1.2, g=G))
-        assert rep.shear_product == 0.0
-        assert rep.F_bound == math.inf
-        assert rep.small.status == "pass"
-
-    def test_normalization_enforced(self):
-        y = np.linspace(-1.0, 0.0, 401)
-        with pytest.raises(InputError):
-            FroudeInputs(y=y, u=np.full_like(y, -2.0), F=1.0, g=G)
-
-    def test_positive_samples_rejected(self):
-        y = np.linspace(-1.0, 0.0, 401)
-        with pytest.raises(InputError):
-            FroudeInputs(y=y, u=np.abs(y) + 0.1, F=1.0, g=G)

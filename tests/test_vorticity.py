@@ -1,12 +1,14 @@
-"""Vorticity functions: evaluation, antiderivative, sign and profile checks."""
+"""Vorticity functions: evaluation, antiderivative, and the favorable
+sign conditions as the audit tests them."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vorwave import InputError, VorticityFunction, check_gamma_signs, \
-    check_shear_profile, vorticity_from_config
+from test_audit import trivial_field
+from vorwave import InputError, VorticityFunction, vorticity_from_config
+from vorwave.audit import FAVORABLE, audit_wave
 
 
 class TestConstant:
@@ -100,54 +102,32 @@ class TestTabulated:
 
 
 class TestSignChecks:
+    """Favorable vorticity, gamma, gamma', gamma'' <= 0, as the audit's
+    hypothesis table tests it on a wave's psi nodes: D-slope is judged
+    only under it."""
+
     def test_favorable_constant(self):
-        report = check_gamma_signs(VorticityFunction.constant(-1.0))
-        assert report.ok
-        assert {c.name for c in report.conditions} == \
-            {"gamma<=0", "gamma'<=0", "gamma''<=0"}
+        assert FAVORABLE == ("gamma<=0", "gamma'<=0", "gamma''<=0")
+        rep = audit_wave(trivial_field(gamma=-1.0))
+        assert rep.by_id("D-slope").status == "pass"
 
     def test_increasing_gamma_flagged(self):
-        # gamma = psi^2 - 2 is negative but increasing on psi > 0.
-        report = check_gamma_signs(VorticityFunction.polynomial([-2.0, 0.0, 1.0]))
-        assert not report.ok
-        by_name = {c.name: c for c in report.conditions}
-        assert by_name["gamma<=0"].ok
-        assert not by_name["gamma'<=0"].ok
+        # gamma = psi^2 - 2 is negative but increasing on psi > 0; gamma' =
+        # 2 psi peaks at the bed node, psi = m = 1
+        vf = VorticityFunction.polynomial([-2.0, 0.0, 1.0])
+        diag = audit_wave(trivial_field(gamma=vf)).by_id("D-slope")
+        assert diag.status == "not-applicable"
+        assert diag.value["failed"] == "gamma'<=0"
+        assert diag.margin == -2.0
 
     @given(st.floats(min_value=-5.0, max_value=5.0,
                      allow_nan=False, allow_infinity=False))
     @settings(max_examples=40, deadline=None)
     def test_constant_ok_iff_nonpositive(self, c):
-        report = check_gamma_signs(VorticityFunction.constant(c))
-        assert report.ok == (c <= 0.0)
-
-
-class TestShearProfile:
-    def test_linear_favorable_profile_passes(self):
-        y = np.linspace(-1.0, 0.0, 101)
-        report = check_shear_profile(y, -2.0 + y)
-        assert report.ok
-
-    def test_third_condition_catches_parabola(self):
-        # u0 = -2 - y^2 has u0_y >= 0 and u0_yy <= 0 on [-1, 0] but
-        # u0*u0_yyy - u0_y*u0_yy = -4y > 0, so the combined condition fails.
-        y = np.linspace(-1.0, 0.0, 201)
-        report = check_shear_profile(y, -2.0 - y ** 2)
-        by_name = {c.name: c for c in report.conditions}
-        assert by_name["u0y>=0"].ok
-        assert by_name["u0yy<=0"].ok
-        assert not by_name["u0*u0yyy-u0y*u0yy<=0"].ok
-        assert not report.ok
-
-    def test_stagnating_profile_rejected(self):
-        y = np.linspace(-1.0, 0.0, 11)
-        with pytest.raises(InputError):
-            check_shear_profile(y, y * 1.0)  # hits zero at the surface
-
-    def test_needs_uniform_grid(self):
-        y = np.array([-1.0, -0.5, -0.2, -0.1, 0.0])
-        with pytest.raises(InputError):
-            check_shear_profile(y, -1.0 - y)
+        # the laminar flow needs lambda > -2 min Gamma = 2 max(c, 0)
+        wf = trivial_field(gamma=c, lam=1.0 + 2.0 * max(c, 0.0))
+        status = audit_wave(wf).by_id("D-slope").status
+        assert (status != "not-applicable") == (c <= 0.0)
 
 
 class TestConfigRoundTrip:
