@@ -15,8 +15,8 @@ from .solver import (bifurcation_mode, discrete_laminar, find_bifurcation,
 from .continuation import Branch, BranchPoint, continue_branch, load_point, \
     save_branch
 from .fields import WaveField, reconstruct
-from .audit import (AuditReport, Tolerances, audit_wave,
-                    pressure_normal_derivative, surface_curve)
+from .audit import AuditReport, audit_wave, pressure_normal_derivative, \
+    surface_curve
 from .gerstner import TrochoidalWave
 
 __all__ = [
@@ -31,7 +31,6 @@ __all__ = [
     "bifurcation_mode", "seed_wave",
     "Branch", "BranchPoint", "continue_branch", "save_branch", "load_point",
     "WaveField", "reconstruct",
-    "AuditReport", "Tolerances", "audit_wave", "pressure_normal_derivative",
-    "surface_curve",
+    "AuditReport", "audit_wave", "pressure_normal_derivative", "surface_curve",
     "TrochoidalWave",
 ]

@@ -46,24 +46,16 @@ NOT_APPLICABLE = "not-applicable"
 # wave are then reported as not-applicable.
 _TRIVIAL_HEIGHT = 1e-10
 
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Tolerance set for an audit run.
-
-    bern and eq default to wave-dependent values (1e-6 * max(1, |Q|) and
-    1e-6 * g * d) when left as None. Residual identities are compared
-    against residual_scale * delta**2 after normalizing by the largest
-    term magnitude, delta being the coarsest grid spacing. boundary_band
-    is the relative half-width inside which a sign check reports
-    "boundary" instead of pass or fail.
-    """
-
-    bern: float | None = None
-    eq: float | None = None
-    residual_scale: float = 10.0
-    boundary_band: float = 1e-12
-    v_floor_rel: float = 1e-6
+# The tolerances every audit judges by. An identity residual, normalized
+# by its largest term magnitude, is compared against _RESIDUAL_SCALE *
+# delta**2, delta being the coarsest grid spacing. A sign check within
+# _BOUNDARY_BAND * max(1, |scale|) of its bound reports "boundary" instead
+# of pass or fail. D-ABC divides by the surface v where it exceeds
+# _V_FLOOR_REL * max |u| at the surface. D-bern allows a head spread of
+# 1e-6 * max(1, |Q|), the surface equalities a gap of 1e-6 * g * d.
+_RESIDUAL_SCALE = 10.0
+_BOUNDARY_BAND = 1e-12
+_V_FLOOR_REL = 1e-6
 
 
 @dataclass
@@ -219,10 +211,9 @@ class _Auditor:
     margin[, tolerance]), and reads no attribute another check sets. The
     hypotheses of HYPOTHESES are evaluated on first use, all at once."""
 
-    def __init__(self, wf, vf, tol, lam_c):
+    def __init__(self, wf, vf, lam_c):
         self.wf = wf
         self.vf = vf
-        self.tol = tol
         self.lam_c = lam_c
         g = wf.g
         self.g = g
@@ -241,12 +232,10 @@ class _Auditor:
         # treated as laminar
         self.trivial_margin = self.eta_span - _TRIVIAL_HEIGHT * max(1.0, wf.d)
         self.trivial = self.trivial_margin <= 0.0
-        self.bern_tol = (tol.bern if tol.bern is not None
-                         else 1e-6 * max(1.0, abs(wf.Q)))
-        self.eq_tol = tol.eq if tol.eq is not None else 1e-6 * g * wf.d
-        self.res_tol = tol.residual_scale * wf.grid.delta ** 2
-        self.band = tol.boundary_band
-        self.v_floor = tol.v_floor_rel * float(np.max(np.abs(self.us)))
+        self.bern_tol = 1e-6 * max(1.0, abs(wf.Q))
+        self.eq_tol = 1e-6 * g * wf.d
+        self.res_tol = _RESIDUAL_SCALE * wf.grid.delta ** 2
+        self.v_floor = _V_FLOOR_REL * float(np.max(np.abs(self.us)))
         # streamline slope |v/u| and its maximum
         self.ratio = np.abs(self.v / self.u)
         self.slope_max, self.slope_loc = _extremum(wf, self.ratio, np.argmax)
@@ -299,7 +288,7 @@ class _Auditor:
     # -- helpers -----------------------------------------------------------
 
     def band_for(self, scale):
-        return self.band * max(1.0, abs(scale))
+        return _BOUNDARY_BAND * max(1.0, abs(scale))
 
     def rel_residual(self, residual, *terms):
         """max |residual| over the largest summed term magnitude, and the
@@ -333,7 +322,7 @@ class _Auditor:
         rmax = self.slope_max
         surf = float(np.max(self.ratio[:, -1]))
         margin = 1.0 - rmax
-        return (_strict(margin, self.band),
+        return (_strict(margin, _BOUNDARY_BAND),
                 {"ratio": rmax,
                  "angle_deg": float(np.degrees(np.arctan(rmax))),
                  "surface_angle_deg": float(np.degrees(np.arctan(surf)))},
@@ -342,7 +331,7 @@ class _Auditor:
     def sigma(self):
         sigma = float(np.sqrt(self.sigma2))
         margin = sigma - self.slope_max
-        return (_strict(margin, self.band),
+        return (_strict(margin, _BOUNDARY_BAND),
                 {"sigma": sigma, "ratio": self.slope_max},
                 self.slope_loc, margin)
 
@@ -409,7 +398,7 @@ class _Auditor:
         # near-harmonic), so the residual is scaled against them separately.
         rel, loc = self.rel_residual(resid, lap_x, lap_y, drift, source)
         mx_src = float(np.max(source))
-        status = self.degrade(_nonstrict(-mx_src, self.band), rel)
+        status = self.degrade(_nonstrict(-mx_src, _BOUNDARY_BAND), rel)
         return (status, {"residual": rel, "max_source": mx_src}, loc,
                 -mx_src, self.res_tol)
 
@@ -746,7 +735,7 @@ def _verdict(a, hypotheses, check):
     return check(a)
 
 
-def audit_wave(wf, vf=None, tol=None, lam_c=None):
+def audit_wave(wf, vf=None, lam_c=None):
     """Run every diagnostic of DIAGNOSTICS on a reconstructed wave field.
 
     vf defaults to the field's own VorticityFunction; fields loaded from
@@ -759,10 +748,9 @@ def audit_wave(wf, vf=None, tol=None, lam_c=None):
     if vf is None:
         raise InputError("audit needs a VorticityFunction; the field "
                          "carries none")
-    tol = tol if tol is not None else Tolerances()
     if lam_c is None:
         lam_c = critical_lambda(vf, wf.g)
-    a = _Auditor(wf, vf, tol, lam_c)
+    a = _Auditor(wf, vf, lam_c)
     return AuditReport([
         Diagnostic(diag_id, description, ref, *_verdict(a, hyps, check))
         for diag_id, ref, description, hyps, check in DIAGNOSTICS])

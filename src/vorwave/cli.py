@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .audit import Tolerances, audit_wave
+from .audit import audit_wave
 from .config import RunConfig
 from .continuation import _point_files, continue_branch, load_point, \
     point_filename, save_branch, write_json
@@ -149,11 +149,8 @@ def _run_bifurcate(cfg, outdir):
 
 
 def _make_branch(cfg, grid, vf, lam_star):
-    cont = cfg.continuation
-    return continue_branch(grid, vf, cfg.g, cont.steps, lam_star=lam_star,
-                           ds0=cont.ds0, ds_max=cont.ds_max,
-                           eps_stag=cont.eps_stag,
-                           trough_margin=cont.trough_margin)
+    return continue_branch(grid, vf, cfg.g, cfg.continuation.steps,
+                           lam_star=lam_star)
 
 
 def _run_continue(cfg, outdir):
@@ -187,7 +184,7 @@ def _run_reconstruct(cfg, outdir, point):
     return 0
 
 
-def _audit_points(points, tol, lam_c, outdir):
+def _audit_points(points, lam_c, outdir):
     """Reconstruct and audit each (index, grid, vf, g, h, Q), writing its
     reports/report_NNNN.json; return whether each passed and the last
     (index, field). lam_c None means the first point's; all share vf, g."""
@@ -198,7 +195,7 @@ def _audit_points(points, tol, lam_c, outdir):
         if lam_c is None:
             lam_c = critical_lambda(vf, g)
         wf = reconstruct(grid, vf, g, h, Q)
-        report = audit_wave(wf, tol=tol, lam_c=lam_c)
+        report = audit_wave(wf, lam_c=lam_c)
         write_json(reports_dir / ("report_%04d.json" % i), report.as_json())
         outcomes.append(report.passed())
         last = i, wf
@@ -206,7 +203,6 @@ def _audit_points(points, tol, lam_c, outdir):
 
 
 def _run_audit(cfg, outdir, field_csv, point, manifest):
-    tol = cfg.build_tolerances()
     if field_csv is not None:
         if point is not None:
             raise ConfigError("--point %d selects a branch point, but the "
@@ -216,12 +212,12 @@ def _run_audit(cfg, outdir, field_csv, point, manifest):
             raise ConfigError("field CSV %s does not exist" % field_csv)
         manifest.add_input(field_csv)
         wf = WaveField.from_csv(field_csv, vf=cfg.build_vorticity())
-        report = audit_wave(wf, tol=tol)
+        report = audit_wave(wf)
         write_json(outdir / "report.json", report.as_json())
         return 0 if report.passed() else 1
     files = _branch_point_files(outdir, point)
     outcomes, _ = _audit_points(((idx, *load_point(path))
-                                 for idx, path in files), tol, None, outdir)
+                                 for idx, path in files), None, outdir)
     return 0 if all(outcomes) else 1
 
 
@@ -248,8 +244,7 @@ def _run_pipeline(cfg, outdir, manifest):
     with manifest.stage("audit"):
         outcomes, (index, wf) = _audit_points(
             ((pt.index, grid, vf, cfg.g, pt.h, pt.Q)
-             for pt in branch.points),
-            cfg.build_tolerances(), bif["lambda_c"], outdir)
+             for pt in branch.points), bif["lambda_c"], outdir)
     with manifest.stage("last_csv"):
         (outdir / "fields").mkdir(exist_ok=True)
         wf.to_csv(outdir / "fields" / _field_filename(index))

@@ -1,9 +1,11 @@
 """Run configuration: one strict JSON document drives every subcommand.
 
-Unknown keys are rejected at every nesting level on purpose. A tolerated
-typo in a tolerance override would silently audit against defaults, and
-that class of bug is invisible in the output, so the parser refuses
-anything it does not recognize.
+It describes the wave problem only: g, L, m, the vorticity, the grid, the
+number of continuation steps and the output directory. The audit's
+tolerances and the continuation's step controls are library constants,
+so no config can move a verdict. Unknown keys are rejected at every
+nesting level on purpose: a tolerated typo, `Steps` for `steps` say,
+would silently run with a default, invisible in the output.
 """
 
 from __future__ import annotations
@@ -11,16 +13,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .audit import Tolerances
 from .errors import ConfigError, InputError
 from .grid import StripGrid
 from .vorticity import vorticity_from_config
 
-_TOP_KEYS = {"g", "L", "m", "vorticity", "grid", "continuation",
-             "tolerances", "outdir"}
+_TOP_KEYS = {"g", "L", "m", "vorticity", "grid", "continuation", "outdir"}
 _GRID_KEYS = {"Nq", "Np", "stretching"}
-_CONT_KEYS = {"steps", "ds0", "ds_max", "eps_stag", "trough_margin"}
-_TOL_KEYS = {"bern", "eq", "residual_scale", "boundary_band", "v_floor_rel"}
+_CONT_KEYS = {"steps"}
 
 
 def _check_keys(data, allowed, where):
@@ -34,12 +33,10 @@ def _check_keys(data, allowed, where):
 
 
 def _number(data, key, where, default=None, *, positive=True,
-            nonnegative=False, allow_none=False):
+            nonnegative=False):
     if key not in data:
         return default
     val = data[key]
-    if val is None and allow_none:
-        return None
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ConfigError("%s.%s must be a number, got %r"
                           % (where, key, val))
@@ -78,10 +75,6 @@ class GridConfig:
 @dataclass(frozen=True)
 class ContinuationConfig:
     steps: int = 25
-    ds0: float = 0.005
-    ds_max: float = 0.04
-    eps_stag: float | None = None
-    trough_margin: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -93,7 +86,6 @@ class RunConfig:
     grid: GridConfig = field(default_factory=GridConfig)
     continuation: ContinuationConfig = field(
         default_factory=ContinuationConfig)
-    tolerances: dict = field(default_factory=dict)
     outdir: str | None = None
     raw: dict = field(default_factory=dict, repr=False)
 
@@ -132,27 +124,7 @@ class RunConfig:
         _check_keys(cont_raw, _CONT_KEYS, "config.continuation")
         cont = ContinuationConfig(
             steps=_integer(cont_raw, "steps", "config.continuation",
-                           ContinuationConfig.steps),
-            ds0=_number(cont_raw, "ds0", "config.continuation",
-                        ContinuationConfig.ds0),
-            ds_max=_number(cont_raw, "ds_max", "config.continuation",
-                           ContinuationConfig.ds_max),
-            eps_stag=_number(cont_raw, "eps_stag", "config.continuation",
-                             None, allow_none=True),
-            trough_margin=_number(cont_raw, "trough_margin",
-                                  "config.continuation", 0.0,
-                                  positive=False, nonnegative=True))
-
-        tol_raw = data.get("tolerances", {})
-        _check_keys(tol_raw, _TOL_KEYS, "config.tolerances")
-        tolerances = {
-            # null is meaningful only where it selects the scale-aware
-            # default; elsewhere a number is the only honest value.
-            key: _number(tol_raw, key, "config.tolerances", None,
-                         positive=key in ("bern", "eq", "residual_scale"),
-                         nonnegative=True, allow_none=key in ("bern", "eq"))
-            for key in tol_raw
-        }
+                           ContinuationConfig.steps))
 
         outdir = data.get("outdir")
         if outdir is not None and not isinstance(outdir, str):
@@ -163,7 +135,7 @@ class RunConfig:
             m=_number(data, "m", "config"),
             vorticity=data["vorticity"],
             g=_number(data, "g", "config", 9.81),
-            grid=grid, continuation=cont, tolerances=tolerances,
+            grid=grid, continuation=cont,
             outdir=outdir, raw=data)
         cfg.build_vorticity()  # fail fast on a bad vorticity fragment
         return cfg
@@ -180,6 +152,3 @@ class RunConfig:
                              self.grid.stretching)
         except InputError as exc:
             raise ConfigError("config.grid: %s" % exc)
-
-    def build_tolerances(self):
-        return Tolerances(**self.tolerances)

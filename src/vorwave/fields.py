@@ -125,13 +125,19 @@ class WaveField:
             raise InputError("wrong column count in %s" % path)
         if not np.all(np.isfinite(np.append(data, [g, Q_meta]))):
             raise InputError("non-finite number in %s" % path)
-        q_col, p_col = data[:, 0], data[:, 1]
+        q_col = data[:, 0]
         block = np.nonzero(q_col != q_col[0])[0]
         npts = int(block[0]) if block.size else data.shape[0]
         if data.shape[0] % npts != 0:
             raise InputError("row count is not a whole number of columns")
+        q, p = q_col.reshape(-1, npts), data[:, 1].reshape(-1, npts)
+        if np.any(q != q[:, :1]) or np.any(p != p[:1]):
+            raise InputError(
+                "rows of %s do not form a grid: each block of %d rows must "
+                "hold one q and repeat the first block's p nodes"
+                % (path, npts))
         try:
-            grid = StripGrid.from_nodes(q_col[::npts], p_col[:npts])
+            grid = StripGrid.from_nodes(q[:, 0], p[0])
         except InputError as exc:
             raise InputError("%s: %s" % (path, exc)) from exc
         grids = {name: data[:, idx].reshape(grid.nq, npts)

@@ -209,7 +209,7 @@ def critical_lambda(vf, g):
         raise NumericsError(
             "failed to bracket the head minimum within 60 doublings")
     return brent_root(lambda lam: head_slope(vf, lam, g), left, right,
-                      xtol=1e-15 * scale)
+                      1e-15 * scale)
 
 
 @dataclass(frozen=True)

@@ -615,7 +615,7 @@ def find_bifurcation(vf, g, L, m, *, beta=0.5, lam_c=None):
         raise BifurcationNotFoundError(
             "mode operator's surface residual does not change sign on "
             "[%g, %g] (r(lo)=%.3g, r(hi)=%.3g)" % (lo, hi, r_lo, r_hi))
-    lam_star = brent_root(r, lo, hi, xtol=1e-15 * max(1.0, hi))
+    lam_star = brent_root(r, lo, hi, 1e-15 * max(1.0, hi))
     if not lam_star < lam_c:
         raise BifurcationNotFoundError("detected lam* is not below lambda_c")
     return lam_star

@@ -16,8 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vorwave.audit as audit_module
-from vorwave.audit import (AuditReport, Tolerances, audit_wave,
-                           pressure_normal_derivative, surface_curve)
+from vorwave.audit import audit_wave, pressure_normal_derivative, surface_curve
 from vorwave.continuation import continue_branch
 from vorwave.errors import InputError, StagnationError
 from vorwave.fields import reconstruct
@@ -439,13 +438,14 @@ class TestReportPlumbing:
         rep = audit_wave(back, vf=VorticityFunction.constant(0.0, m=M))
         assert rep.passed()
 
-    def test_tolerance_overrides_respected(self, moderate_wave):
-        loose = audit_wave(moderate_wave,
-                           tol=Tolerances(residual_scale=1e6))
+    def test_tolerance_overrides_respected(self, moderate_wave,
+                                           monkeypatch):
+        monkeypatch.setattr(audit_module, "_RESIDUAL_SCALE", 1e6)
+        loose = audit_wave(moderate_wave)
         for diag_id in ("D-w-pde", "D-s-pde", "D-p1", "D-p2"):
             assert loose.by_id(diag_id).status == "pass"
-        tight = audit_wave(moderate_wave,
-                           tol=Tolerances(residual_scale=1e-9))
+        monkeypatch.setattr(audit_module, "_RESIDUAL_SCALE", 1e-9)
+        tight = audit_wave(moderate_wave)
         # Residual yardstick shrinks below truncation: inconclusive, but
         # never a failure.
         assert tight.by_id("D-p1").status == "boundary"

@@ -6,6 +6,7 @@ the packaging entry point resolves.
 """
 
 import base64
+import inspect
 import json
 import os
 import shutil
@@ -20,7 +21,7 @@ from vorwave import cli, continuation, laminar, solver
 from vorwave.cli import main
 from vorwave.errors import (InputError, NoConvergenceError, NumericsError,
                             SolverError)
-from vorwave.fields import WaveField
+from vorwave.fields import CSV_COLUMNS, WaveField
 
 GMEAN = 9.81 ** (2.0 / 3.0)  # critical lambda for irrotational unit flux
 
@@ -107,11 +108,30 @@ class TestConfigErrors:
         {"continuation": {"steps": 2.5}},
         {"vorticity": {"kind": "constant"}},
         {"grid": {"stretching": -0.1}},
+        {"tolerances": {"bern": 1e-6}},
+        {"continuation": {"steps": 3, "ds_max": 0.02}},
     ])
     def test_rejected_configs(self, tmp_path, overrides):
         cfg = write_config(tmp_path / "cfg.json", **overrides)
         assert main(["dispersion", "--config", str(cfg), "--out",
                      str(tmp_path / "d")]) == 2
+
+    @pytest.mark.parametrize("key, overrides", [
+        ("tolerances", {"tolerances": {}}),
+        ("ds0", {"continuation": {"steps": 3, "ds0": 0.01}}),
+        ("ds_max", {"continuation": {"steps": 3, "ds_max": 0.02}}),
+        ("eps_stag", {"continuation": {"steps": 3, "eps_stag": None}}),
+        ("trough_margin", {"continuation": {"steps": 3,
+                                            "trough_margin": 0.0}}),
+    ])
+    def test_tuning_keys_are_not_config(self, tmp_path, capsys, key,
+                                        overrides):
+        # the audit's tolerances and the continuation's step controls are
+        # library constants; a config naming one is refused by name
+        cfg = write_config(tmp_path / "cfg.json", **overrides)
+        assert main(["dispersion", "--config", str(cfg), "--out",
+                     str(tmp_path / "d")]) == 2
+        assert "unknown key(s) %s" % key in capsys.readouterr().err
 
     def test_no_output_directory_anywhere(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json")
@@ -251,11 +271,14 @@ class TestPipeline:
 
         monkeypatch.setattr(continuation, "newton_solve", newton_solve)
         cfg = write_config(tmp_path / "cfg.json", grid={"Nq": 24, "Np": 20},
-                           continuation={"steps": 3, "ds0": 0.01})
+                           continuation={"steps": 3})
         out = tmp_path / "out"
         assert main(["pipeline", "--config", str(cfg), "--out",
                      str(out)]) == 0
-        assert tried == [0.01 * 0.5 ** k
+        # the first amplitude is continue_branch's default ds0
+        ds0 = inspect.signature(
+            continuation.continue_branch).parameters["ds0"].default
+        assert tried == [ds0 * 0.5 ** k
                          for k in range(continuation.MAX_RETRIES)]
         branch = json.loads((out / "branch" / "branch.json").read_text())
         assert branch["stop_reason"] == "newton-failure"
@@ -445,10 +468,19 @@ class TestAudit:
         assert not (out / "report.json").exists()
 
     def test_unattainable_tolerance_fails_run(self, pipeline_run, tmp_path):
-        root, _, _ = pipeline_run
-        field = root / "rebuilt" / "fields" / "point_0002.csv"
-        cfg = write_config(tmp_path / "strict.json",
-                           tolerances={"bern": 1e-30})
+        # One interior pressure cell nudged by 1e-3 moves the total head
+        # there far past D-bern's tolerance; nothing else notices, and
+        # the failed audit exits 1.
+        root, cfg, _ = pipeline_run
+        source = root / "rebuilt" / "fields" / "point_0002.csv"
+        lines = source.read_text().splitlines()
+        row = 2 + 24 * 36 + 18  # column 24 of 48, node 18 of 36
+        cells = lines[row].split(",")
+        col = CSV_COLUMNS.index("P")
+        cells[col] = repr(float(cells[col]) + 1e-3)
+        lines[row] = ",".join(cells)
+        field = tmp_path / "nudged.csv"
+        field.write_text("\n".join(lines) + "\n")
         code = main(["audit", str(field), "--config", str(cfg),
                      "--out", str(tmp_path / "strict")])
         assert code == 1

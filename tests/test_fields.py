@@ -224,6 +224,23 @@ class TestCsv:
         with pytest.raises(InputError):
             WaveField.from_csv(path)
 
+    @pytest.mark.parametrize("name, shift", [("q", 0.05), ("p", 0.01)])
+    def test_rows_off_the_grid_rejected(self, wave, tmp_path, name, shift):
+        # one row inside column 6 moved off its node: the loader must not
+        # read the grid from the first block's p and each block's first q
+        _, wf = wave
+        path = tmp_path / "field.csv"
+        wf.to_csv(path)
+        lines = path.read_text().splitlines()
+        row = 2 + 6 * wf.npts + wf.npts // 2
+        cells = lines[row].split(",")
+        col = CSV_COLUMNS.index(name)
+        cells[col] = repr(float(cells[col]) + shift)
+        lines[row] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InputError, match="do not form a grid"):
+            WaveField.from_csv(path)
+
 
 def test_reconstruct_keeps_one_column_operator_per_grid(wave):
     # the field differentiates with its grid's weights, built once
