@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 from .errors import (BifurcationNotFoundError, ConfigError, InputError,
                      NoConvergenceError, NumericsError, SolverError,
                      StagnationApproachError, StagnationError, VorwaveError)
-from .vorticity import VorticityFunction, vorticity_from_config
+from .vorticity import VorticityFunction
 from .laminar import (critical_lambda, gamma_small_criterion,
                       gamma_smallest_criterion, laminar_depth, laminar_flow,
                       laminar_head)
@@ -24,7 +24,7 @@ __all__ = [
     "VorwaveError", "ConfigError", "InputError", "SolverError",
     "StagnationError", "StagnationApproachError", "NoConvergenceError",
     "BifurcationNotFoundError", "NumericsError",
-    "VorticityFunction", "vorticity_from_config",
+    "VorticityFunction",
     "critical_lambda", "laminar_depth", "laminar_head", "laminar_flow",
     "gamma_small_criterion", "gamma_smallest_criterion",
     "StripGrid", "newton_solve", "discrete_laminar", "find_bifurcation",

@@ -226,7 +226,8 @@ class _Auditor:
         self.gam_pp = vf.gamma(self.psi, 2)[None, :]
         self.gamma0 = vf.gamma(0.0)
         self.gamma0_p = vf.gamma(0.0, 1)
-        self.patm = float(np.mean(wf.P[:, -1]))
+        # pressure above atmospheric, the surface row's mean
+        self.excess = wf.P - float(np.mean(wf.P[:, -1]))
         self.eta_span = float(np.max(wf.eta) - np.min(wf.eta))
         # how far the surface is from flat; at or below zero the wave is
         # treated as laminar
@@ -463,7 +464,7 @@ class _Auditor:
 
     def pressure_basic(self):
         wf = self.wf
-        fp = wf.P - self.patm + self.g * wf.y
+        fp = self.excess + self.g * wf.y
         lo = self.g * float(np.min(wf.eta))
         hi = self.g * float(np.max(wf.eta))
         viol, loc = _extremum(wf, np.maximum(lo - fp, fp - hi), np.argmax)
@@ -510,15 +511,15 @@ class _Auditor:
     def pressure_below_troughs(self):
         wf = self.wf
         mask = wf.y < float(np.min(wf.eta))
-        excess = np.where(mask, wf.P - self.patm, np.inf)
-        mn, loc = _extremum(wf, excess, np.argmin)
+        below = np.where(mask, self.excess, np.inf)
+        mn, loc = _extremum(wf, below, np.argmin)
         return _strict(mn, self.band_for(self.g * wf.d)), mn, loc, mn
 
     def pressure_top(self):
         wf = self.wf
-        mn_int, loc_int = _extremum(wf, wf.P[:, :-1] - self.patm, np.argmin)
+        mn_int, loc_int = _extremum(wf, self.excess[:, :-1], np.argmin)
         mx_dpdn, loc_dpdn = _extremum(wf, self.curve.dPdn, np.argmax)
-        surf_eq = float(np.max(np.abs(wf.P[:, -1] - self.patm)))
+        surf_eq = float(np.max(np.abs(self.excess[:, -1])))
         margin = min(mn_int, -mx_dpdn)
         status = _strict(margin, self.band_for(self.g * wf.d))
         if surf_eq > self.eq_tol:
@@ -529,7 +530,7 @@ class _Auditor:
 
     def pressure_shifted(self):
         wf = self.wf
-        shifted = wf.P - self.patm + 0.5 * float(np.max(self.gam)) * wf.psi
+        shifted = self.excess + 0.5 * float(np.max(self.gam)) * wf.psi
         mn_int, loc = _extremum(wf, shifted[:, :-1], np.argmin)
         return (_strict(mn_int, self.band_for(self.g * wf.d)),
                 {"hypothesis": self.hypotheses["shifted-force>=0"][0],
@@ -555,7 +556,7 @@ class _Auditor:
 
     def bernoulli(self):
         wf = self.wf
-        head = (wf.P - self.patm + 0.5 * self.spd2
+        head = (self.excess + 0.5 * self.spd2
                 + self.g * (wf.y + wf.d) - self.vf.Gamma(wf.p)[None, :])
         spread = float(np.max(head) - np.min(head))
         _, loc = _extremum(wf, np.abs(head - np.median(head)), np.argmax)

@@ -32,8 +32,9 @@ from .continuation import _point_files, continue_branch, load_point, \
 from .errors import ConfigError, InputError, SolverError
 from .fields import WaveField, reconstruct
 from .gerstner import TrochoidalWave
-from .laminar import critical_lambda, gamma_small_criterion, \
-    gamma_smallest_criterion, head_from_depth, laminar_depth, laminar_head
+from .laminar import _admissible_floor, critical_lambda, \
+    gamma_small_criterion, gamma_smallest_criterion, head_from_depth, \
+    laminar_depth, laminar_head
 from .solver import find_bifurcation
 
 
@@ -106,7 +107,10 @@ def _field_filename(index):
 def _run_dispersion(cfg, outdir):
     vf = cfg.build_vorticity()
     lam_c = critical_lambda(vf, cfg.g)
-    lams = np.linspace(lam_c / 20.0, lam_c, 21)
+    # from a twentieth of the way above the admissible floor, -2 min Gamma
+    # (0 for favorable vorticity), up to lambda_c
+    floor = _admissible_floor(vf)
+    lams = np.linspace(floor + (lam_c - floor) / 20.0, lam_c, 21)
     table = [{"lambda": float(lam),
               "Q": float(laminar_head(vf, float(lam), cfg.g))}
              for lam in lams]

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .errors import ConfigError, InputError
 from .grid import StripGrid
-from .vorticity import vorticity_from_config
+from .vorticity import VorticityFunction
 
 _TOP_KEYS = {"g", "L", "m", "vorticity", "grid", "continuation", "outdir"}
 _GRID_KEYS = {"Nq", "Np", "stretching"}
@@ -142,7 +142,7 @@ class RunConfig:
 
     def build_vorticity(self):
         try:
-            return vorticity_from_config(self.vorticity, self.m)
+            return VorticityFunction(self.vorticity, self.m)
         except InputError as exc:
             raise ConfigError("config.vorticity: %s" % exc)
 

@@ -24,7 +24,7 @@ from .solver import (amplitude, bifurcation_mode, discrete_laminar,
                      find_bifurcation, mode_seed, newton_solve,
                      newton_tolerance, pack_residual, residual_parts,
                      scaled_dot, solver_hp)
-from .vorticity import VorticityFunction, vorticity_from_config
+from .vorticity import VorticityFunction
 
 TROUGH_BAND = 1e-8
 # Newton attempts inside continuation give up early, and the step is halved:
@@ -36,6 +36,9 @@ TROUGH_BAND = 1e-8
 # for up to 50 iterations before failing all the same.
 NEWTON_MAX_ITER = 10
 NEWTON_MAX_CONTRACTION = 0.9
+# the departure's amplitude, and the cap on the arclength step as it grows
+DS0 = 0.005
+DS_MAX = 0.04
 # step halvings, each after a failed Newton attempt, before "newton-failure"
 MAX_RETRIES = 8
 # byte layout of a stored point's heights: raw little-endian float64
@@ -72,7 +75,7 @@ class Branch:
 def trough_criterion_value(grid, vf, g, h):
     """g - gamma(0) * u evaluated at the trough (q = L, p = 0)."""
     u_trough = -1.0 / float(solver_hp(grid, h[-1])[-1])
-    return g - vf.gamma_surface * u_trough
+    return g - vf.gamma(0.0) * u_trough
 
 
 def near_stagnation(grid, h, eps_stag):
@@ -80,12 +83,12 @@ def near_stagnation(grid, h, eps_stag):
     return float(np.max(solver_hp(grid, h))) >= 1.0 / eps_stag
 
 
-def continue_branch(grid, vf, g, steps, *, lam_star=None, ds0=0.005,
-                    ds_max=0.04, eps_stag=None, trough_margin=0.0):
+def continue_branch(grid, vf, g, steps, *, lam_star=None, eps_stag=None,
+                    trough_margin=0.0):
     """Continue the branch for up to `steps` nontrivial points.
 
     Returns a Branch whose first point is always the trivial wave. The
-    first nontrivial point solves for amplitude ds0; later points come from
+    first nontrivial point solves for amplitude DS0; later points come from
     pseudo-arclength steps along the secant tangent. Every point, the first
     one included, goes through the same step loop: a Newton attempt that
     fails halves the step and retries; attempts are capped at
@@ -93,7 +96,7 @@ def continue_branch(grid, vf, g, steps, *, lam_star=None, ds0=0.005,
     contracts the residual by less than NEWTON_MAX_CONTRACTION, so a stalled
     attempt costs a few linear solves instead of dozens. After an attempt
     that converges in at most 4 iterations the step grows by 1.3, up to
-    ds_max. Every solve on the grid fills one Newton matrix structure, so
+    DS_MAX. Every solve on the grid fills one Newton matrix structure, so
     each accepted step, the departure included, hands its linear solver,
     with its last LU, to the next step (newton_solve's `linear_solver`); a
     failed attempt's is dropped, so its retry starts with no LU, and an
@@ -147,7 +150,7 @@ def continue_branch(grid, vf, g, steps, *, lam_star=None, ds0=0.005,
             return False
         return True
 
-    ds = ds0
+    ds = DS0
     tangent = None
     handed = None  # the last accepted arclength step's linear solver
     while len(branch.points) - 1 < steps:
@@ -188,7 +191,7 @@ def continue_branch(grid, vf, g, steps, *, lam_star=None, ds0=0.005,
         if not accept(res, ds):
             return branch
         if res.iterations <= 4:
-            ds = min(ds * 1.3, ds_max)
+            ds = min(ds * 1.3, DS_MAX)
         # only `handed` may keep the LU alive, so one LU lives at a time
         handed = res.solver
         res = None
@@ -300,7 +303,7 @@ def load_point(path):
             data = json.load(fh)
         grid = StripGrid(data["L"], data["m"], data["nq"], data["npts"],
                          data["beta"])
-        vf = vorticity_from_config(data["vorticity"], data["m"])
+        vf = VorticityFunction(data["vorticity"], data["m"])
         raw = base64.b64decode(data["h"], validate=True)
         h = np.frombuffer(raw, dtype=H_DTYPE).astype(float).reshape(
             grid.nq, grid.npts)

@@ -288,7 +288,7 @@ def gamma_small_criterion(vf, g, L, lam_c=None):
     """Surface-vorticity smallness: gamma(0)^2 < g^2/(2gL + lambda_c)."""
     if lam_c is None:
         lam_c = critical_lambda(vf, g)
-    lhs = vf.gamma_surface ** 2
+    lhs = vf.gamma(0.0) ** 2
     rhs = g * g / (2.0 * g * L + lam_c)
     return _strict_less("gammasmall", lhs, rhs)
 
@@ -301,7 +301,7 @@ def gamma_smallest_criterion(vf, g, L, lam_c=None):
     nonpositive. For constant vorticity this is equivalent to the
     gamma_small criterion; the cross-check is reported in the note.
     """
-    gamma0 = vf.gamma_surface
+    gamma0 = vf.gamma(0.0)
     r1 = 1.0 - 2.0 * L * gamma0 ** 2 / g
     r2 = r1 - 2.0 * gamma0 ** 3 * vf.m / g ** 2
     if r1 <= 0.0 or r2 <= 0.0:

@@ -6,7 +6,6 @@ the packaging entry point resolves.
 """
 
 import base64
-import inspect
 import json
 import os
 import shutil
@@ -71,6 +70,20 @@ class TestDispersion:
             assert crit["status"] == "pass"
             assert crit["margin"] > 0.0
 
+    def test_adverse_vorticity(self, tmp_path):
+        # at gamma = +0.5 lambda must exceed -2 min Gamma = 1, above
+        # lambda_c / 20, so the table starts a twentieth of the way from
+        # that floor to lambda_c
+        cfg = write_config(tmp_path / "cfg.json",
+                           vorticity={"kind": "constant", "gamma": 0.5})
+        assert main(["dispersion", "--config", str(cfg), "--out",
+                     str(tmp_path / "d")]) == 0
+        data = json.loads((tmp_path / "d" / "dispersion.json").read_text())
+        lams = [row["lambda"] for row in data["Qtilde_table"]]
+        assert lams[0] == pytest.approx(1.0 + (data["lambda_c"] - 1.0) / 20)
+        assert lams[-1] == data["lambda_c"]
+        assert all(row["Q"] > 0.0 for row in data["Qtilde_table"])
+
     def test_manifest_written(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json")
         main(["dispersion", "--config", str(cfg), "--out",
@@ -115,6 +128,27 @@ class TestConfigErrors:
         cfg = write_config(tmp_path / "cfg.json", **overrides)
         assert main(["dispersion", "--config", str(cfg), "--out",
                      str(tmp_path / "d")]) == 2
+
+    @pytest.mark.parametrize("key, vorticity", [
+        ("gamma", {"kind": "constant", "gamma": "x"}),
+        ("gamma", {"kind": "constant", "gamma": None}),
+        ("gamma", {"kind": "constant", "gamma": True}),
+        ("gamma", {"kind": "constant", "gamma": float("nan")}),
+        ("gamma", {"kind": "constant", "gamma": float("inf")}),
+        ("coeffs", {"kind": "poly", "coeffs": []}),
+        ("coeffs", {"kind": "poly", "coeffs": "ab"}),
+        ("gamma[2]", {"kind": "tabulated", "psi": [0.0, 0.3, 0.6, 1.0],
+                      "gamma": [-0.3, -0.3, "x", -0.3]}),
+    ])
+    def test_malformed_vorticity_values(self, tmp_path, capsys, key,
+                                        vorticity):
+        # a value that is no finite number, or an empty array, is a config
+        # error (exit 2) that names its key, not a traceback or a NaN
+        # further on
+        cfg = write_config(tmp_path / "cfg.json", vorticity=vorticity)
+        assert main(["dispersion", "--config", str(cfg), "--out",
+                     str(tmp_path / "d")]) == 2
+        assert "config.vorticity: %s must be" % key in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, overrides", [
         ("tolerances", {"tolerances": {}}),
@@ -236,7 +270,7 @@ class TestPipeline:
             assert json.loads((tmp_path / path).read_text())[
                 "lambda_star"] == lam
 
-    def test_poly_vorticity_from_config(self, tmp_path):
+    def test_poly_vorticity_end_to_end(self, tmp_path):
         # the config's poly kind end to end; `audit` re-audits the stored
         # points to the same bytes
         cfg = write_config(tmp_path / "cfg.json",
@@ -275,10 +309,8 @@ class TestPipeline:
         out = tmp_path / "out"
         assert main(["pipeline", "--config", str(cfg), "--out",
                      str(out)]) == 0
-        # the first amplitude is continue_branch's default ds0
-        ds0 = inspect.signature(
-            continuation.continue_branch).parameters["ds0"].default
-        assert tried == [ds0 * 0.5 ** k
+        # the first amplitude is the departure's, DS0
+        assert tried == [continuation.DS0 * 0.5 ** k
                          for k in range(continuation.MAX_RETRIES)]
         branch = json.loads((out / "branch" / "branch.json").read_text())
         assert branch["stop_reason"] == "newton-failure"
