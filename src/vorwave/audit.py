@@ -530,7 +530,7 @@ class _Auditor:
 
     def pressure_shifted(self):
         wf = self.wf
-        shifted = self.excess + 0.5 * float(np.max(self.gam)) * wf.psi
+        shifted = self.excess + 0.5 * float(np.max(self.gam)) * self.psi
         mn_int, loc = _extremum(wf, shifted[:, :-1], np.argmin)
         return (_strict(mn_int, self.band_for(self.g * wf.d)),
                 {"hypothesis": self.hypotheses["shifted-force>=0"][0],

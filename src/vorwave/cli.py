@@ -2,9 +2,10 @@
 
 Every subcommand writes its artifacts under one output directory and
 finishes by dropping a ``manifest.json`` recording the configuration,
-tool version, timestamps, and input hashes. Timestamps live only in the
-manifest: the numeric artifacts (reports, tables, branch files, CSVs)
-are byte-identical across reruns with the same inputs.
+the subcommand's own arguments, tool version, timestamps, and input
+hashes. Timestamps live only in the manifest: the numeric artifacts
+(reports, tables, branch files, CSVs) are byte-identical across reruns
+with the same inputs.
 
 Exit codes: 0 all good (and every requested audit passed), 1 an audit
 reported a failed diagnostic, 2 configuration or input trouble, or an
@@ -59,14 +60,16 @@ def _thread_count():
 class Manifest:
     """Provenance sidecar for one run; the only file carrying wall time:
     its timestamps and, for `pipeline`, "stage_seconds", the wall time of
-    each stage, a stage that raised included."""
+    each stage, a stage that raised included. "config" holds the config
+    (null without one) and "arguments" the subcommand's own arguments."""
 
-    def __init__(self, command, config_payload):
+    def __init__(self, command, config, arguments):
         self.payload = {
             "command": command,
             "version": __version__,
             "started": _utcnow(),
-            "config": config_payload,
+            "config": config,
+            "arguments": arguments,
             "inputs": {},
         }
 
@@ -97,14 +100,10 @@ def _resolve_outdir(cfg, out_flag):
     return path
 
 
-def _field_filename(index):
-    return point_filename(index).replace(".json", ".csv")
+# -- subcommand handlers -----------------------------------------------------
 
 
-# -- subcommand bodies -------------------------------------------------------
-
-
-def _run_dispersion(cfg, outdir):
+def _run_dispersion(cfg, args, outdir, manifest):
     vf = cfg.build_vorticity()
     lam_c = critical_lambda(vf, cfg.g)
     # from a twentieth of the way above the admissible floor, -2 min Gamma
@@ -129,14 +128,11 @@ def _run_dispersion(cfg, outdir):
 
 
 def _lambda_star(cfg, vf, lam_c=None):
-    try:
-        return float(find_bifurcation(vf, cfg.g, cfg.L, cfg.m,
-                                      beta=cfg.grid.stretching, lam_c=lam_c))
-    except InputError as exc:  # the column StripGrid rejects the stretching
-        raise ConfigError("config.grid: %s" % exc)
+    return float(find_bifurcation(vf, cfg.g, cfg.L, cfg.m,
+                                  beta=cfg.grid.stretching, lam_c=lam_c))
 
 
-def _run_bifurcate(cfg, outdir):
+def _write_bifurcation(cfg, outdir):
     """Write bifurcation.json and return its payload."""
     vf = cfg.build_vorticity()
     lam_c = critical_lambda(vf, cfg.g)
@@ -152,39 +148,27 @@ def _run_bifurcate(cfg, outdir):
     return payload
 
 
-def _make_branch(cfg, grid, vf, lam_star):
-    return continue_branch(grid, vf, cfg.g, cfg.continuation.steps,
-                           lam_star=lam_star)
+def _run_bifurcate(cfg, args, outdir, manifest):
+    _write_bifurcation(cfg, outdir)
+    return 0
 
 
-def _run_continue(cfg, outdir):
+def _run_continue(cfg, args, outdir, manifest):
     vf = cfg.build_vorticity()
-    branch = _make_branch(cfg, cfg.build_grid(), vf, _lambda_star(cfg, vf))
+    branch = continue_branch(cfg.build_grid(), vf, cfg.g,
+                             cfg.continuation.steps,
+                             lam_star=_lambda_star(cfg, vf))
     save_branch(branch, outdir / "branch")
     return 0
 
 
-def _branch_point_files(outdir, point):
-    """(index, path) pairs for stored branch points, oldest first."""
-    if not (outdir / "branch" / "branch.json").exists():
-        raise ConfigError("no branch under %s; run `continue` (or "
-                          "`pipeline`) first" % outdir)
-    files = _point_files(outdir / "branch")
-    if point is not None:
-        matches = [pair for pair in files if pair[0] == point]
-        if not matches:
-            raise ConfigError("branch has no point %d (it holds %d points)"
-                              % (point, len(files)))
-        files = matches
-    return files
-
-
-def _run_reconstruct(cfg, outdir, point):
-    files = _branch_point_files(outdir, point)
+def _run_reconstruct(cfg, args, outdir, manifest):
+    files = _point_files(outdir / "branch", args.point)
     fields_dir = outdir / "fields"
     fields_dir.mkdir(exist_ok=True)
     for i, path in files:
-        reconstruct(*load_point(path)).to_csv(fields_dir / _field_filename(i))
+        reconstruct(*load_point(path)).to_csv(
+            fields_dir / point_filename(i, ".csv"))
     return 0
 
 
@@ -206,7 +190,8 @@ def _audit_points(points, lam_c, outdir):
     return outcomes, last
 
 
-def _run_audit(cfg, outdir, field_csv, point, manifest):
+def _run_audit(cfg, args, outdir, manifest):
+    field_csv, point = args.field, args.point
     if field_csv is not None:
         if point is not None:
             raise ConfigError("--point %d selects a branch point, but the "
@@ -219,30 +204,31 @@ def _run_audit(cfg, outdir, field_csv, point, manifest):
         report = audit_wave(wf)
         write_json(outdir / "report.json", report.as_json())
         return 0 if report.passed() else 1
-    files = _branch_point_files(outdir, point)
+    files = _point_files(outdir / "branch", point)
     outcomes, _ = _audit_points(((idx, *load_point(path))
                                  for idx, path in files), None, outdir)
     return 0 if all(outcomes) else 1
 
 
-def _run_gerstner(args, outdir):
-    g = args.cfg.g if args.cfg is not None else 9.81
-    wave = TrochoidalWave(args.k, args.eps, g=g)
+def _run_gerstner(cfg, args, outdir, manifest):
+    wave = TrochoidalWave(args.k, args.eps,
+                          g=cfg.g if cfg is not None else 9.81)
     wave.to_csv(outdir / "gerstner.csv")
     write_json(outdir / "gerstner_report.json", wave.mini_report())
     return 0
 
 
-def _run_pipeline(cfg, outdir, manifest):
+def _run_pipeline(cfg, args, outdir, manifest):
     """Bifurcate, continue and store the branch, then audit every point.
     Only the last point, the steepest wave, gets its field CSV;
     `reconstruct` writes the others on demand. The manifest records each
     stage's wall time."""
     with manifest.stage("bifurcate"):
-        bif = _run_bifurcate(cfg, outdir)
+        bif = _write_bifurcation(cfg, outdir)
     grid, vf = cfg.build_grid(), cfg.build_vorticity()
     with manifest.stage("continue"):
-        branch = _make_branch(cfg, grid, vf, bif["lambda_star"])
+        branch = continue_branch(grid, vf, cfg.g, cfg.continuation.steps,
+                                 lam_star=bif["lambda_star"])
     with manifest.stage("save_branch"):
         save_branch(branch, outdir / "branch")
     with manifest.stage("audit"):
@@ -251,7 +237,7 @@ def _run_pipeline(cfg, outdir, manifest):
              for pt in branch.points), bif["lambda_c"], outdir)
     with manifest.stage("last_csv"):
         (outdir / "fields").mkdir(exist_ok=True)
-        wf.to_csv(outdir / "fields" / _field_filename(index))
+        wf.to_csv(outdir / "fields" / point_filename(index, ".csv"))
     summary = {
         "points": len(branch.points),
         "stop_reason": branch.stop_reason,
@@ -265,15 +251,22 @@ def _run_pipeline(cfg, outdir, manifest):
 
 # -- argument plumbing -------------------------------------------------------
 
+# the arguments every subcommand shares; the manifest records the others
+_COMMON_ARGUMENTS = ("command", "config", "out", "handler")
+
 
 def build_parser():
+    """The parser. Each subcommand's parser sets `handler`, the function
+    run() calls with (cfg, args, outdir, manifest) for its exit status."""
     parser = argparse.ArgumentParser(
         prog="vorwave",
         description="steady rotational water waves: solve, continue, audit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, *, config_required=True, with_point=False):
+    def add(name, handler, help_text, *, config_required=True,
+            with_point=False):
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler)
         p.add_argument("--config", required=config_required,
                        help="path to the run configuration JSON")
         p.add_argument("--out", help="output directory (overrides "
@@ -283,23 +276,27 @@ def build_parser():
                            help="restrict to one branch point index")
         return p
 
-    add("dispersion", "laminar dispersion table and shear criteria")
-    add("bifurcate", "locate the laminar bifurcation point")
-    add("continue", "trace a branch of nontrivial waves")
-    add("reconstruct", "rebuild field CSVs from stored branch points",
-        with_point=True)
-    audit_p = add("audit", "run every diagnostic on stored or given fields",
+    add("dispersion", _run_dispersion,
+        "laminar dispersion table and shear criteria")
+    add("bifurcate", _run_bifurcate, "locate the laminar bifurcation point")
+    add("continue", _run_continue, "trace a branch of nontrivial waves")
+    add("reconstruct", _run_reconstruct,
+        "rebuild field CSVs from stored branch points", with_point=True)
+    audit_p = add("audit", _run_audit,
+                  "run every diagnostic on stored or given fields",
                   with_point=True)
     audit_p.add_argument("field", nargs="?", default=None,
                          help="audit this field CSV instead of the branch")
-    gerstner_p = add("gerstner", "sample the closed-form trochoidal wave",
+    gerstner_p = add("gerstner", _run_gerstner,
+                     "sample the closed-form trochoidal wave",
                      config_required=False)
     gerstner_p.add_argument("--k", type=float, default=1.0,
                             help="wavenumber (default 1.0)")
     gerstner_p.add_argument("--eps", type=float, default=0.5,
                             help="steepness in (0,1) (default 0.5)")
-    add("pipeline", "bifurcate, continue, audit every point, and write "
-                    "the last point's field CSV")
+    add("pipeline", _run_pipeline,
+        "bifurcate, continue, audit every point, and write the last "
+        "point's field CSV")
     return parser
 
 
@@ -307,37 +304,19 @@ def run(args):
     cfg = None
     if args.config is not None:
         cfg = RunConfig.from_file(args.config)
-    args.cfg = cfg
     outdir = _resolve_outdir(cfg, args.out)
-
-    config_payload = cfg.raw if cfg is not None else {
-        "k": args.k, "eps": args.eps}
-    manifest = Manifest(args.command, config_payload)
+    manifest = Manifest(
+        args.command, cfg.raw if cfg is not None else None,
+        {name: value for name, value in vars(args).items()
+         if name not in _COMMON_ARGUMENTS})
     if args.config is not None:
         manifest.add_input(args.config)
-
     try:
-        if args.command == "dispersion":
-            status = _run_dispersion(cfg, outdir)
-        elif args.command == "bifurcate":
-            _run_bifurcate(cfg, outdir)
-            status = 0
-        elif args.command == "continue":
-            status = _run_continue(cfg, outdir)
-        elif args.command == "reconstruct":
-            status = _run_reconstruct(cfg, outdir, args.point)
-        elif args.command == "audit":
-            status = _run_audit(cfg, outdir, args.field, args.point,
-                                manifest)
-        elif args.command == "gerstner":
-            status = _run_gerstner(args, outdir)
-        else:
-            status = _run_pipeline(cfg, outdir, manifest)
+        return args.handler(cfg, args, outdir, manifest)
     finally:
         # A failed solve still leaves a provenance record next to
         # whatever artifacts were written before it died.
         manifest.write(outdir)
-    return status
 
 
 def main(argv=None):

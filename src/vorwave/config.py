@@ -5,7 +5,9 @@ number of continuation steps and the output directory. The audit's
 tolerances and the continuation's step controls are library constants,
 so no config can move a verdict. Unknown keys are rejected at every
 nesting level on purpose: a tolerated typo, `Steps` for `steps` say,
-would silently run with a default, invisible in the output.
+would silently run with a default, invisible in the output. The vorticity
+and the grid are built once on loading, so a config is valid or invalid
+whatever the subcommand.
 """
 
 from __future__ import annotations
@@ -137,7 +139,9 @@ class RunConfig:
             g=_number(data, "g", "config", 9.81),
             grid=grid, continuation=cont,
             outdir=outdir, raw=data)
-        cfg.build_vorticity()  # fail fast on a bad vorticity fragment
+        # fail fast on a bad vorticity fragment or grid
+        cfg.build_vorticity()
+        cfg.build_grid()
         return cfg
 
     def build_vorticity(self):

@@ -202,8 +202,8 @@ def continue_branch(grid, vf, g, steps, *, lam_star=None, eps_stag=None,
 
 # -- serialization -----------------------------------------------------------
 
-def point_filename(index):
-    return "point_%04d.json" % index
+def point_filename(index, suffix=".json"):
+    return "point_%04d%s" % (index, suffix)
 
 
 def write_json(path, payload):
@@ -269,10 +269,15 @@ def save_branch(branch, outdir):
     return outdir / "branch.json"
 
 
-def _point_files(branch_dir):
-    """(index, path) of each point branch_dir/branch.json lists. InputError
-    if it is unreadable or a row's file is not point_filename(index)."""
+def _point_files(branch_dir, point=None):
+    """(index, path) of each point branch_dir/branch.json lists, or of
+    point `point` alone. InputError, naming the index, if it is missing or
+    unreadable, a row's file is not point_filename(index), or it lists no
+    point `point`."""
     branch_json = Path(branch_dir) / "branch.json"
+    if not branch_json.is_file():
+        raise InputError("no branch index %s; run `continue` (or "
+                         "`pipeline`) first" % branch_json)
     try:
         with open(branch_json) as fh:
             rows = json.load(fh)["points"]
@@ -284,6 +289,12 @@ def _point_files(branch_dir):
         if name != point_filename(index):
             raise InputError("branch index %s names %r as point %d"
                              % (branch_json, name, index))
+    if point is not None:
+        held = len(files)
+        files = [(index, name) for index, name in files if index == point]
+        if not files:
+            raise InputError("branch index %s has no point %d (it holds %d "
+                             "points)" % (branch_json, point, held))
     return [(index, branch_json.parent / name) for index, name in files]
 
 
@@ -291,12 +302,13 @@ def load_point(path):
     """Rebuild (grid, vf, g, h, Q) from a point_NNNN.json file that
     save_branch wrote.
 
-    Raises InputError, naming the file, unless its "h" is valid base64 of
-    exactly nq x npts little-endian float64 values that, with its Q, solve
-    the discrete system: the residual max-norm must stay below 100 times
-    the Newton tolerance for Q (continuation stores points below 1 times
-    it), which a non-finite value anywhere never does. An h stored as a
-    list of numbers, as older runs wrote it, is rejected: rerun `continue`.
+    Raises InputError, naming the file, unless its grid and vorticity are
+    valid and its "h" is valid base64 of exactly nq x npts little-endian
+    float64 values that, with its Q, solve the discrete system: the
+    residual max-norm must stay below 100 times the Newton tolerance for Q
+    (continuation stores points below 1 times it), which a non-finite value
+    anywhere never does. An h stored as a list of numbers, as older runs
+    wrote it, is rejected: rerun `continue`.
     """
     try:
         with open(path) as fh:
@@ -309,7 +321,8 @@ def load_point(path):
             grid.nq, grid.npts)
         g, Q = float(data["g"]), float(data["Q"])
         R, S = residual_parts(grid, vf, g, h, Q)
-    except (OSError, KeyError, TypeError, ValueError, StagnationError) as exc:
+    except (OSError, KeyError, TypeError, ValueError, InputError,
+            StagnationError) as exc:
         raise InputError("unusable branch point %s: %s: %s"
                          % (path, type(exc).__name__, exc)) from exc
     residual = np.max(np.abs(pack_residual(R, S)))

@@ -25,7 +25,8 @@ from .errors import (BifurcationNotFoundError, InputError, NoConvergenceError,
                      NumericsError, StagnationApproachError, StagnationError)
 from .fd import dp, dq
 from .grid import StripGrid
-from .laminar import brent_root, critical_lambda, laminar_head
+from .laminar import _admissible_floor, brent_root, critical_lambda, \
+    laminar_head
 
 HP_FLOOR = 1e-8
 MAX_HALVINGS = 30
@@ -205,22 +206,15 @@ class _NewtonMatrix:
                    n * (n + 1) + position[_surface_rows(grid)]]
         params += [np.arange(8 * n, 9 * n + 1), np.full(grid.nq, 9 * n + 1)]
         weights += [np.ones(n + 1), np.full(grid.nq, -1.0)]
-        key, params, weights = (np.concatenate(parts) for parts in
-                                (places, params, weights))
+        place, params, weights = (np.concatenate(parts) for parts in
+                                  (places, params, weights))
         del places
-        # sorted by place, each term's index in the low bits of its key
-        bits = key.size.bit_length()
-        if (n + 1) ** 2 << bits >= 1 << 63:
-            raise InputError("grid of %d unknowns too large" % n)
-        key <<= bits
-        key |= np.arange(key.size)
-        key.sort()
-        place = key >> bits
-        key &= (1 << bits) - 1
-        params, weights = params[key], weights[key]
+        # a stable sort by place keeps each place's terms in their order above
+        order = np.argsort(place, kind="stable")
+        place, params, weights = place[order], params[order], weights[order]
         first = np.flatnonzero(np.append(True, place[1:] != place[:-1]))
-        # one CSR row per stored value, holding its terms in their order
-        # above, which the product adds in turn
+        # one CSR row per stored value, holding its terms in that order,
+        # which the product adds in turn
         self.values = sparse.csr_matrix(
             (weights, params, np.append(first, place.size)),
             shape=(first.size, 9 * n + 2))
@@ -602,7 +596,7 @@ def find_bifurcation(vf, g, L, m, *, beta=0.5, lam_c=None):
     """
     if lam_c is None:
         lam_c = critical_lambda(vf, g)
-    floor = -2.0 * vf.Gamma_min()
+    floor = _admissible_floor(vf)
     lo, hi = floor + 1e-4 * (lam_c - floor), lam_c
     operator = _transverse_operator(
         vf, g, StripGrid(L, m, 4, BIFURCATION_NODES, beta))

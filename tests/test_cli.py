@@ -5,6 +5,7 @@ real tracebacks; one test drives the installed console script to prove
 the packaging entry point resolves.
 """
 
+import argparse
 import base64
 import json
 import os
@@ -374,11 +375,11 @@ class TestPipelineStreaming:
         assert not (out / "reports").exists()
         assert not (out / "pipeline.json").exists()
 
-    def test_csv_write_error_exits_2(self, tmp_path, monkeypatch, capsys):
-        # the CSV path points into a directory that does not exist, so the
-        # write fails and reaches main as an OSError
-        monkeypatch.setattr(cli, "_field_filename",
-                            lambda index: "missing/point_%04d.csv" % index)
+    def test_csv_write_error_exits_2(self, tmp_path, capsys):
+        # a plain file named `fields` stands where the CSV's directory
+        # goes, so the last stage fails and reaches main as an OSError
+        (tmp_path / "out").mkdir()
+        (tmp_path / "out" / "fields").write_text("not a directory")
         code, out = self.run(tmp_path)
         assert code == 2
         assert capsys.readouterr().err.startswith("vorwave: output error: ")
@@ -445,14 +446,30 @@ def test_uniform_p_grid_bifurcates(tmp_path):
     assert 0.0 < bif["lambda_star"] < bif["lambda_c"]
 
 
-def test_overstretched_p_grid_is_a_config_error(tmp_path, capsys):
-    # bifurcate's column grid takes the stretching that continue's grid
-    # would reject, and rejects it the same way
-    cfg = write_config(tmp_path / "cfg.json", grid={"stretching": 0.95})
-    assert main(["bifurcate", "--config", str(cfg), "--out",
-                 str(tmp_path / "b")]) == 2
+@pytest.mark.parametrize("command", ["dispersion", "bifurcate", "continue",
+                                     "pipeline", "gerstner"])
+@pytest.mark.parametrize("grid", [{"Np": 5}, {"stretching": 0.95}],
+                         ids=["Np5", "stretching"])
+def test_invalid_grid_is_a_config_error(tmp_path, capsys, grid, command):
+    # the config's grid is checked when it loads, so a grid StripGrid
+    # rejects fails every subcommand the same way, before any artifact
+    cfg = write_config(tmp_path / "cfg.json", grid=grid)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith(
         "vorwave: config error: config.grid: ")
+    assert not out.exists()
+
+
+def test_every_subcommand_has_a_handler():
+    parser = cli.build_parser()
+    (sub,) = [action for action in parser._actions
+              if isinstance(action, argparse._SubParsersAction)]
+    assert set(sub.choices) == {"dispersion", "bifurcate", "continue",
+                                "reconstruct", "audit", "gerstner",
+                                "pipeline"}
+    for name, subparser in sub.choices.items():
+        assert callable(subparser.get_default("handler")), name
 
 
 class TestAudit:
@@ -466,7 +483,7 @@ class TestAudit:
         assert [p.name for p in reports] == [
             "report_0000.json", "report_0001.json", "report_0002.json"]
 
-    def test_single_point(self, pipeline_run, tmp_path):
+    def test_single_point(self, pipeline_run, tmp_path, capsys):
         root, cfg, _ = pipeline_run
         out = root / "out"
         code = main(["audit", "--config", str(cfg), "--out", str(out),
@@ -474,6 +491,9 @@ class TestAudit:
         assert code == 0
         assert main(["audit", "--config", str(cfg), "--out", str(out),
                      "--point", "99"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("vorwave: input error: branch index ")
+        assert "has no point 99 (it holds 6 points)" in err
 
     def test_csv_input(self, pipeline_run, tmp_path):
         root, cfg, _ = pipeline_run
@@ -540,12 +560,14 @@ class TestAudit:
     @pytest.mark.parametrize("damage", ["truncated h", "nudged node",
                                         "cut-off file", "missing key",
                                         "non-finite h", "invalid base64",
-                                        "list-format h"])
+                                        "list-format h", "non-numeric coeff",
+                                        "grid too small"])
     def test_damaged_point_is_an_input_error(self, pipeline_run, tmp_path,
                                              capsys, damage):
         # A stored point is checked before it is audited: a file that does
         # not hold a solution of the discrete system, in save_branch's
-        # encoding, exits 2 and names the file, not 1.
+        # encoding, on a valid grid and vorticity, is an InputError from
+        # load_point and exits 2, not 1; both name the file.
         root, cfg, _ = pipeline_run
         out = tmp_path / "run"
         shutil.copytree(root / "out" / "branch", out / "branch")
@@ -571,8 +593,14 @@ class TestAudit:
         elif damage == "list-format h":
             # how runs before the base64 encoding stored h
             data["h"] = h.tolist()
+        elif damage == "non-numeric coeff":
+            data["vorticity"] = {"kind": "poly", "coeffs": ["x"]}
+        elif damage == "grid too small":
+            data["nq"] = 2
         point.write_text(text[:len(text) // 2] if damage == "cut-off file"
                          else json.dumps(data))
+        with pytest.raises(InputError, match="point_0003.json"):
+            continuation.load_point(point)
         assert main(["audit", "--config", str(cfg), "--out", str(out),
                      "--point", "3"]) == 2
         assert "point_0003.json" in capsys.readouterr().err
@@ -695,11 +723,15 @@ class TestReconstruct:
                      "--point", "1"]) == 0
         fields = list((tmp_path / "run" / "fields").iterdir())
         assert [p.name for p in fields] == ["point_0001.csv"]
+        man = json.loads((tmp_path / "run" / "manifest.json").read_text())
+        assert man["arguments"] == {"point": 1}
 
-    def test_before_continue(self, tmp_path):
+    def test_before_continue(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json")
         assert main(["reconstruct", "--config", str(cfg), "--out",
                      str(tmp_path / "empty")]) == 2
+        assert capsys.readouterr().err.startswith(
+            "vorwave: input error: no branch index ")
 
     def test_before_continue_leaves_no_fields_directory(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json")
@@ -723,7 +755,17 @@ class TestGerstner:
         assert report["overturning"]["flag"] is False
         assert report["euler_residual_max"] < 1e-6
         man = json.loads((out / "manifest.json").read_text())
-        assert man["config"] == {"k": 1.0, "eps": 0.9}
+        assert man["config"] is None
+        assert man["arguments"] == {"k": 1.0, "eps": 0.9}
+
+    def test_manifest_records_config_and_arguments(self, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json", g=9.0)
+        out = tmp_path / "g"
+        assert main(["gerstner", "--config", str(cfg), "--k", "2",
+                     "--eps", "0.8", "--out", str(out)]) == 0
+        man = json.loads((out / "manifest.json").read_text())
+        assert man["config"] == json.loads(cfg.read_text())
+        assert man["arguments"] == {"k": 2.0, "eps": 0.8}
 
     @pytest.mark.parametrize("eps", ["1.0", "0.0", "1.5"])
     def test_bad_steepness(self, tmp_path, eps):
