@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .audit import audit_wave
-from .config import RunConfig
+from .config import DEFAULT_G, RunConfig
 from .continuation import _point_files, continue_branch, load_point, \
     point_filename, save_branch, write_json
 from .errors import ConfigError, InputError, SolverError
@@ -194,11 +194,11 @@ def _run_audit(cfg, args, outdir, manifest):
     field_csv, point = args.field, args.point
     if field_csv is not None:
         if point is not None:
-            raise ConfigError("--point %d selects a branch point, but the "
-                              "field CSV %s is no branch; give one or the "
-                              "other" % (point, field_csv))
+            raise InputError("--point %d selects a branch point, but the "
+                             "field CSV %s is no branch; give one or the "
+                             "other" % (point, field_csv))
         if not Path(field_csv).is_file():
-            raise ConfigError("field CSV %s does not exist" % field_csv)
+            raise InputError("field CSV %s does not exist" % field_csv)
         manifest.add_input(field_csv)
         wf = WaveField.from_csv(field_csv, vf=cfg.build_vorticity())
         report = audit_wave(wf)
@@ -212,7 +212,7 @@ def _run_audit(cfg, args, outdir, manifest):
 
 def _run_gerstner(cfg, args, outdir, manifest):
     wave = TrochoidalWave(args.k, args.eps,
-                          g=cfg.g if cfg is not None else 9.81)
+                          g=cfg.g if cfg is not None else DEFAULT_G)
     wave.to_csv(outdir / "gerstner.csv")
     write_json(outdir / "gerstner_report.json", wave.mini_report())
     return 0

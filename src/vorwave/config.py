@@ -22,6 +22,8 @@ from .vorticity import VorticityFunction
 _TOP_KEYS = {"g", "L", "m", "vorticity", "grid", "continuation", "outdir"}
 _GRID_KEYS = {"Nq", "Np", "stretching"}
 _CONT_KEYS = {"steps"}
+# gravity when a config gives no "g", and for `gerstner` run without one
+DEFAULT_G = 9.81
 
 
 def _check_keys(data, allowed, where):
@@ -84,7 +86,7 @@ class RunConfig:
     L: float
     m: float
     vorticity: dict
-    g: float = 9.81
+    g: float = DEFAULT_G
     grid: GridConfig = field(default_factory=GridConfig)
     continuation: ContinuationConfig = field(
         default_factory=ContinuationConfig)
@@ -136,7 +138,7 @@ class RunConfig:
             L=_number(data, "L", "config"),
             m=_number(data, "m", "config"),
             vorticity=data["vorticity"],
-            g=_number(data, "g", "config", 9.81),
+            g=_number(data, "g", "config", DEFAULT_G),
             grid=grid, continuation=cont,
             outdir=outdir, raw=data)
         # fail fast on a bad vorticity fragment or grid

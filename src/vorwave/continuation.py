@@ -20,10 +20,10 @@ import numpy as np
 from .errors import (InputError, NumericsError, SolverError,
                      StagnationError)
 from .grid import StripGrid
-from .solver import (amplitude, bifurcation_mode, discrete_laminar,
-                     find_bifurcation, mode_seed, newton_solve,
-                     newton_tolerance, pack_residual, residual_parts,
-                     scaled_dot, solver_hp)
+from .solver import (LinearSolver, amplitude, bifurcation_mode,
+                     discrete_laminar, find_bifurcation, mode_seed,
+                     newton_solve, newton_tolerance, pack_residual,
+                     residual_parts, scaled_dot, solver_hp)
 from .vorticity import VorticityFunction
 
 TROUGH_BAND = 1e-8
@@ -51,7 +51,7 @@ class BranchPoint:
     found it (zero for the trivial wave): its iterations, its LU
     factorizations and its GMRES iterations. An arclength point may record
     0 factorizations, when every system it solved went to GMRES on the LU
-    the point before it handed on."""
+    that the branch's linear solver kept from the point before it."""
     index: int
     h: np.ndarray
     Q: float
@@ -96,11 +96,11 @@ def continue_branch(grid, vf, g, steps, *, lam_star=None, eps_stag=None,
     contracts the residual by less than NEWTON_MAX_CONTRACTION, so a stalled
     attempt costs a few linear solves instead of dozens. After an attempt
     that converges in at most 4 iterations the step grows by 1.3, up to
-    DS_MAX. Every solve on the grid fills one Newton matrix structure, so
-    each accepted step, the departure included, hands its linear solver,
-    with its last LU, to the next step (newton_solve's `linear_solver`); a
-    failed attempt's is dropped, so its retry starts with no LU, and an
-    accepted point never depends on how long a failed attempt ran.
+    DS_MAX. The branch builds one LinearSolver, which serves every
+    attempt (newton_solve's `linear_solver`), so each step starts from the
+    last LU of the step accepted before it, the departure's included; a
+    failed attempt's LU is dropped, so its retry factors its first system,
+    and an accepted point never depends on how long a failed attempt ran.
     `lam_star` defaults to
     find_bifurcation on a vertical grid with the stretching of `grid`,
     which StripGrid.from_nodes grids lack.
@@ -152,7 +152,7 @@ def continue_branch(grid, vf, g, steps, *, lam_star=None, eps_stag=None,
 
     ds = DS0
     tangent = None
-    handed = None  # the last accepted arclength step's linear solver
+    linear = LinearSolver(grid)
     while len(branch.points) - 1 < steps:
         if len(branch.points) == 1:
             attempt = departure
@@ -180,10 +180,10 @@ def continue_branch(grid, vf, g, steps, *, lam_star=None, eps_stag=None,
                 res = newton_solve(grid, vf, g, h0, Q0, **mode,
                                    max_iter=NEWTON_MAX_ITER,
                                    max_contraction=NEWTON_MAX_CONTRACTION,
-                                   linear_solver=handed)
+                                   linear_solver=linear)
                 break
             except SolverError:
-                handed = None
+                linear.lu = None
                 ds *= 0.5
         else:
             branch.stop_reason = "newton-failure"
@@ -192,9 +192,6 @@ def continue_branch(grid, vf, g, steps, *, lam_star=None, eps_stag=None,
             return branch
         if res.iterations <= 4:
             ds = min(ds * 1.3, DS_MAX)
-        # only `handed` may keep the LU alive, so one LU lives at a time
-        handed = res.solver
-        res = None
 
     branch.stop_reason = "max-steps"
     return branch

@@ -37,11 +37,6 @@ class StripGrid:
     with mirror ghosts, as `fd.dq` takes them. column_ops is the vertical
     derivative operator of the field reconstruction; its `ends` gives the
     solver's bed and surface h_p too, so both read the same h_p there.
-
-    newton_matrix holds the structure of the Newton matrix, in
-    nested-dissection order, that the solver builds on its first solve on
-    this grid, or its first jacobian_blocks call, and reuses, unchanged,
-    for every later one, in every mode.
     """
 
     def __init__(self, L, m, nq, npts, beta=0.5):
@@ -80,7 +75,6 @@ class StripGrid:
         dp = np.diff(p)
         self.w1, self.w2 = three_point_weights(dp[:-1], dp[1:])
         self.column_ops = ColumnOps(p)
-        self.newton_matrix = None
 
     @property
     def delta(self):

@@ -59,13 +59,13 @@ def _derivatives(grid, h):
             dq(h, grid.wq2, "even"), dp(h, grid.w2))
 
 
-def _residual(grid, vf, g, h, Q, derivs):
+def _residual(gam, g, h, Q, derivs):
+    """(R, S) of residual_parts, gam being gamma(-p) on the interior rows."""
     hp, hq, hpq, hqq, hpp = derivs
     if np.min(hp) <= 0.0:
         raise StagnationError(
             "h_p <= 0 at %d nodes: relative flow reaches stagnation"
             % int(np.sum(hp <= 0.0)))
-    gam = vf.gamma(-grid.p)[1:-1]
     hqc, hpc, hpqc, hqqc = hq[:, 1:-1], hp[:, 1:-1], hpq[:, 1:-1], hqq[:, 1:-1]
     R = ((1.0 + hqc ** 2) * hpp - 2.0 * hqc * hpc * hpqc
          + hpc ** 2 * hqqc + gam * hpc ** 3)
@@ -79,7 +79,7 @@ def residual_parts(grid, vf, g, h, Q):
     Raises StagnationError if h_p <= 0 anywhere: the formulation is only
     meaningful while u = -1/h_p stays negative.
     """
-    return _residual(grid, vf, g, h, Q, _derivatives(grid, h))
+    return _residual(vf.gamma(-grid.p)[1:-1], g, h, Q, _derivatives(grid, h))
 
 
 def pack_residual(R, S):
@@ -113,12 +113,12 @@ def _chain_rule_maps(grid):
                np.outer(q[qi, qj], p[pi, pj]).ravel())
 
 
-def _chain_rule_coefficients(grid, vf, g, derivs):
+def _chain_rule_coefficients(grid, gam, g, derivs):
     """(8, n): the weight of each of _chain_rule_maps on each row, in
     pack_residual order: the derivatives of R by h_pp, h_q, h_p, h_qq and
-    h_pq, then of S by h_p, h_q and h; each is zero on the other rows."""
+    h_pq, then of S by h_p, h_q and h; each is zero on the other rows;
+    gam is gamma(-p) on the interior rows."""
     hp, hq, hpq, hqq, hpp = derivs
-    gam = vf.gamma(-grid.p)[1:-1]
     hqc, hpc, hpqc, hqqc = hq[:, 1:-1], hp[:, 1:-1], hpq[:, 1:-1], hqq[:, 1:-1]
     c = np.zeros((8, grid.nq, grid.npts - 1))
     c[0, :, :-1] = 1.0 + hqc ** 2
@@ -138,13 +138,14 @@ def jacobian_blocks(grid, vf, g, h, Q):
     """Sparse d(residual)/dh over the j >= 1 unknowns, plus d(residual)/dQ.
 
     Row/column order matches pack_residual: n(i,j) = i*(npts-1) + (j-1).
-    Both are read off the grid's Newton matrix, assembled with a zero
-    border row: its rows and columns at the grid unknowns' stored places,
-    and its border column there.
+    Both are read off the Newton matrix, assembled with a zero border row
+    into a structure built for this call: its rows and columns at the grid
+    unknowns' stored places, and its border column there.
     """
-    c = _chain_rule_coefficients(grid, vf, g, _derivatives(grid, h))
+    c = _chain_rule_coefficients(grid, vf.gamma(-grid.p)[1:-1], g,
+                                 _derivatives(grid, h))
     n = c.shape[1]
-    matrix = _newton_matrix(grid)
+    matrix = _NewtonMatrix(grid)
     places = np.argsort(matrix.order)[:n]
     A = matrix.assemble(c, np.zeros(n + 1))
     J_hh = A[places][:, places]
@@ -174,7 +175,7 @@ def _dissection_order(idx):
 
 
 class _NewtonMatrix:
-    """Structure of the Newton matrix of one grid, shared by every solve
+    """Structure of the Newton matrix of one grid, the same in every solve
     mode.
 
     The matrix is J_hh bordered by the dF/dQ column (-1 on the surface
@@ -184,9 +185,8 @@ class _NewtonMatrix:
     zeros too. The compressed-column structure, rows and columns in one
     fixed order (the grid unknowns by nested dissection, then the border),
     and `values`, the sparse map from the parameters to the stored values,
-    are built once: one product assembles each system, and solves on one
-    grid share them. No factorization lives here: each solver from
-    `solver()` holds its own.
+    are built once: one product assembles each system. A LinearSolver
+    holds one, with its factorization.
     """
 
     def __init__(self, grid):
@@ -230,11 +230,6 @@ class _NewtonMatrix:
         n = self.indptr.size - 1
         return sparse.csc_matrix((data, self.indices, self.indptr),
                                  shape=(n, n))
-
-    def solver(self):
-        """A linear solver for this structure's systems, with no
-        factorization yet."""
-        return _KeptLU(self)
 
 
 # A solver factors a Newton system by splu when it holds no LU; otherwise
@@ -299,17 +294,19 @@ def _right_gmres(A, b, precondition, rtol, maxiter):
     return y @ Z[:k], k
 
 
-class _KeptLU:
-    """Solves Newton systems of one structure, each given by its chain-rule
+class LinearSolver:
+    """Solves the Newton systems of one grid, each given by its chain-rule
     coefficients and border row, factoring as few as the policy above
-    allows, and counts the factorizations and GMRES iterations of the
-    newton_solve call it serves. Each call gets a fresh one unless its
-    caller hands it an earlier result's solver; no factorization lives on
-    the grid, so threads solving on one grid never share one. At most one
-    LU is alive per solver: the old one is dropped before splu makes one."""
+    allows. It builds the grid's Newton matrix structure once and keeps
+    `lu`, its last LU, None before the first factorization; a caller that
+    sets `lu` to None has the next system factored. `factorizations` and
+    `linear_iterations` total its splu calls and GMRES iterations over
+    every newton_solve call it serves. At most one LU is alive per solver:
+    the old one is dropped before splu makes one. Nothing of it lives on
+    the grid, so threads solving on one grid never share one."""
 
-    def __init__(self, matrix):
-        self.matrix = matrix
+    def __init__(self, grid):
+        self.matrix = _NewtonMatrix(grid)
         self.lu = None
         self.factorizations = 0
         self.linear_iterations = 0
@@ -342,28 +339,17 @@ class _KeptLU:
         return None
 
 
-def _newton_matrix(grid):
-    """The grid's Newton matrix structure, built on first use and kept on
-    the grid."""
-    if grid.newton_matrix is None:
-        grid.newton_matrix = _NewtonMatrix(grid)
-    return grid.newton_matrix
-
-
 @dataclass
 class SolverResult:
     """A converged solve; `factorizations` counts its splu calls, 0 when
-    every system went to GMRES on an LU handed to it, and
-    `linear_iterations` its GMRES iterations. `solver` is its linear
-    solver, holding its last LU, for a later solve on the same grid, in any
-    mode (newton_solve's `linear_solver`)."""
+    every system went to GMRES on the LU its linear solver held, and
+    `linear_iterations` its GMRES iterations."""
     h: np.ndarray
     Q: float
     iterations: int
     residual_norm: float
     factorizations: int
     linear_iterations: int
-    solver: _KeptLU
 
 
 def newton_tolerance(Q):
@@ -416,22 +402,22 @@ def newton_solve(grid, vf, g, h0, Q0, mode="fixed_q", *, amplitude_target=None,
     are halved whenever the candidate would push min h_p below the
     positivity floor or fails to reduce the residual norm.
 
-    The Newton matrix's sparsity pattern is built once per grid and kept on
-    the grid, with rows and columns in a fixed fill-reducing order: the
+    The systems go to a LinearSolver, which holds the Newton matrix's
+    sparsity pattern, rows and columns in a fixed fill-reducing order: the
     grid unknowns by nested dissection, the appended equation last. Every
     iteration, in every mode, assembles its matrix from the chain-rule
     coefficients and the border row by one sparse product. A system
     is factored by `splu` with SuperLU's natural ordering, so SuperLU never
-    computes an ordering of its own, when the call's linear solver holds no
-    LU; otherwise it is solved by GMRES right-preconditioned with the last
+    computes an ordering of its own, when the linear solver holds no LU;
+    otherwise it is solved by GMRES right-preconditioned with the last
     LU, and factored only when GMRES misses a true relative residual of
-    LINEAR_RTOL (see _KeptLU). By default the call gets a fresh solver, so
-    its first system is factored and its result does not depend on other
-    solves on the grid. A caller may pass `linear_solver`, an earlier
-    result's `solver` on the same grid, in any mode, to start from the LU
-    that solve left; the caller then owns that dependence. The result
-    counts this call's factorizations, which may then be 0, and GMRES
-    iterations.
+    LINEAR_RTOL. By default the call builds its own LinearSolver, so its
+    first system is factored and its result does not depend on other
+    solves. A caller may pass `linear_solver`, a LinearSolver(grid) it
+    owns, to serve several calls, in any mode: each starts from the LU the
+    last one left, and the caller owns that dependence. The result counts
+    this call's factorizations, which may then be 0, and GMRES iterations;
+    the solver's own totals keep counting.
 
     With `max_contraction` set to theta < 1, the iteration gives up with
     NoConvergenceError as soon as an iteration that has not converged cuts
@@ -443,14 +429,14 @@ def newton_solve(grid, vf, g, h0, Q0, mode="fixed_q", *, amplitude_target=None,
     Q = float(Q0)
     extra, row = _solve_mode(grid, mode, Q, amplitude_target, base, tangent,
                              ds)
-    solve = (_newton_matrix(grid).solver() if linear_solver is None
-             else linear_solver)
-    solve.factorizations = solve.linear_iterations = 0
+    solve = LinearSolver(grid) if linear_solver is None else linear_solver
+    done = solve.factorizations, solve.linear_iterations
+    gam = vf.gamma(-grid.p)[1:-1]
     h = np.array(h0, dtype=float)
     h[:, 0] = 0.0
 
     def full_residual(hc, Qc, derivs):
-        R, S = _residual(grid, vf, g, hc, Qc, derivs)
+        R, S = _residual(gam, g, hc, Qc, derivs)
         return np.append(pack_residual(R, S), extra(hc, Qc))
 
     derivs = _derivatives(grid, h)
@@ -459,8 +445,9 @@ def newton_solve(grid, vf, g, h0, Q0, mode="fixed_q", *, amplitude_target=None,
     for it in range(max_iter + 1):
         nrm = float(np.max(np.abs(F)))
         if nrm < newton_tolerance(Q):
-            return SolverResult(h, Q, it, nrm, solve.factorizations,
-                                solve.linear_iterations, solve)
+            return SolverResult(h, Q, it, nrm,
+                                solve.factorizations - done[0],
+                                solve.linear_iterations - done[1])
         if it == max_iter:
             raise NoConvergenceError(
                 "residual %.3g after %d Newton iterations" % (nrm, max_iter))
@@ -472,7 +459,7 @@ def newton_solve(grid, vf, g, h0, Q0, mode="fixed_q", *, amplitude_target=None,
                 % (it, prev_nrm, nrm, nrm / prev_nrm, max_contraction))
         prev_nrm = nrm
 
-        delta = solve(_chain_rule_coefficients(grid, vf, g, derivs), row, -F)
+        delta = solve(_chain_rule_coefficients(grid, gam, g, derivs), row, -F)
         dh = np.zeros_like(h)
         dh[:, 1:] = delta[:-1].reshape(grid.nq, grid.npts - 1)
         dQ = float(delta[-1])

@@ -19,6 +19,7 @@ import pytest
 
 from vorwave import cli, continuation, laminar, solver
 from vorwave.cli import main
+from vorwave.config import DEFAULT_G, RunConfig
 from vorwave.errors import (InputError, NoConvergenceError, NumericsError,
                             SolverError)
 from vorwave.fields import CSV_COLUMNS, WaveField
@@ -507,7 +508,7 @@ class TestAudit:
         man = json.loads((out / "manifest.json").read_text())
         assert str(field) in man["inputs"]
 
-    def test_csv_input_with_point_is_a_config_error(self, pipeline_run,
+    def test_csv_input_with_point_is_an_input_error(self, pipeline_run,
                                                     tmp_path, capsys):
         root, cfg, _ = pipeline_run
         field = root / "out" / "fields" / "point_0005.csv"
@@ -515,8 +516,21 @@ class TestAudit:
         assert main(["audit", str(field), "--config", str(cfg),
                      "--out", str(out), "--point", "99"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("vorwave: config error: ")
+        assert err.startswith("vorwave: input error: ")
         assert "--point 99" in err and str(field) in err
+        assert not (out / "report.json").exists()
+
+    def test_missing_csv_is_an_input_error(self, pipeline_run, tmp_path,
+                                           capsys):
+        # like a missing branch, a missing field CSV is bad input
+        _, cfg, _ = pipeline_run
+        field = tmp_path / "missing.csv"
+        out = tmp_path / "csvmissing"
+        assert main(["audit", str(field), "--config", str(cfg),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("vorwave: input error: field CSV ")
+        assert str(field) in err
         assert not (out / "report.json").exists()
 
     def test_unattainable_tolerance_fails_run(self, pipeline_run, tmp_path):
@@ -757,6 +771,17 @@ class TestGerstner:
         man = json.loads((out / "manifest.json").read_text())
         assert man["config"] is None
         assert man["arguments"] == {"k": 1.0, "eps": 0.9}
+
+    def test_default_g_is_the_configs(self, tmp_path):
+        # without --config, gerstner runs at the g of a config without "g"
+        out = tmp_path / "g"
+        assert main(["gerstner", "--out", str(out)]) == 0
+        report = json.loads((out / "gerstner_report.json").read_text())
+        cfg = RunConfig.from_dict({"L": 1.0, "m": 1.0, "vorticity": {
+            "kind": "constant", "gamma": 0.0}})
+        assert report["wave"]["g"] == cfg.g == DEFAULT_G
+        header = (out / "gerstner.csv").read_text().splitlines()[0]
+        assert header.endswith(" g=%.17g" % DEFAULT_G)
 
     def test_manifest_records_config_and_arguments(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", g=9.0)

@@ -10,7 +10,7 @@ from vorwave import continuation, solver
 from vorwave.audit import audit_wave
 from vorwave.continuation import (Branch, continue_branch, load_point,
                                   save_branch, trough_criterion_value)
-from vorwave.errors import InputError, NoConvergenceError
+from vorwave.errors import InputError, NoConvergenceError, SolverError
 from vorwave.fd import dq
 from vorwave.fields import reconstruct
 from vorwave.grid import StripGrid
@@ -200,14 +200,15 @@ class TestEarlyNewtonFailure:
 
 
 class TestHandedLU:
-    """The arclength steps share one linear solver while they succeed; a
-    failed attempt's solver, with its LU, is dropped."""
+    """A branch builds one linear solver, which serves every attempt: each
+    starts from the LU the last accepted step left, and a failed attempt's
+    LU is dropped."""
 
     @staticmethod
     def record(monkeypatch, fail=()):
         """Wrap splu and continuation's newton_solve: one row per attempt,
-        (mode, the linear solver handed to it, whether that held an LU,
-        splu calls during the attempt, the solver of its result). Attempts
+        (mode, its linear solver, whether that held an LU when the attempt
+        began, splu calls during the attempt, whether it failed). Attempts
         whose number is in `fail` run to the end and are then reported as
         failed."""
         factored, attempts = [], []
@@ -219,13 +220,17 @@ class TestHandedLU:
             return real_splu(*args, **kwargs)
 
         def recording_newton(*args, **kwargs):
-            lu = kwargs["linear_solver"]
+            linear = kwargs["linear_solver"]
             start = len(factored)
-            row = [kwargs["mode"], lu, lu is not None and lu.lu is not None]
+            row = [kwargs["mode"], linear, linear.lu is not None]
             attempts.append(row)
-            res = real_newton(*args, **kwargs)
-            row += [len(factored) - start, res.solver]
-            if len(attempts) - 1 in fail:
+            try:
+                res = real_newton(*args, **kwargs)
+            except SolverError:
+                row += [len(factored) - start, True]
+                raise
+            row += [len(factored) - start, len(attempts) - 1 in fail]
+            if row[-1]:
                 raise NoConvergenceError("attempt forced to fail")
             return res
 
@@ -241,30 +246,52 @@ class TestHandedLU:
         assert len(attempts) == len(br.points) - 1  # no attempt failed
         departure, *steps = attempts
         # the departure starts with no LU; each arclength step, the first
-        # one included, gets the solver, and the LU, of the step before it
-        assert departure[:3] == ["fixed_amplitude", None, False]
+        # one included, starts with the LU of the step before it, held by
+        # the branch's one linear solver
+        linear = departure[1]
+        assert isinstance(linear, solver.LinearSolver)
+        assert departure[0] == "fixed_amplitude" and not departure[2]
         assert departure[3] >= 1
-        for before, step in zip(attempts, steps):
-            assert step[0] == "arclength" and step[1] is before[4]
-            assert step[2] and step[4] is departure[4]
+        for step in steps:
+            assert step[0] == "arclength" and step[1] is linear and step[2]
         assert sum(row[3] for row in attempts) < len(attempts)
         assert [row[3] for row in attempts] == \
             [pt.factorizations for pt in br.points[1:]]
+        # the solver totals what its points report
+        assert linear.factorizations == sum(row[3] for row in attempts)
+        assert linear.linear_iterations == \
+            sum(pt.linear_iterations for pt in br.points)
 
     def test_a_failed_attempt_hands_on_no_lu(self, setup_irrotational,
                                              monkeypatch):
-        # the fourth attempt gets the LU the third one left, converges,
-        # and is reported as failed: its retry starts with no LU, factors,
-        # and hands its own solver on
+        # the fourth attempt starts with the LU the third one left,
+        # converges, and is reported as failed: its retry starts with no
+        # LU, factors, and its LU serves the next step
         grid, vf, lam_star = setup_irrotational
         attempts = self.record(monkeypatch, fail=(3,))
         br = continue_branch(grid, vf, G, 5, lam_star=lam_star)
         failed, retry, after = attempts[3:6]
-        assert failed[1] is attempts[2][4] and failed[2]
-        assert retry[1] is None and retry[3] >= 1
-        assert retry[4] is not failed[4]
+        assert failed[2] and failed[4]
+        assert not retry[2] and retry[3] >= 1
         assert br.points[4].factorizations == retry[3]
-        assert after[1] is retry[4]
+        assert after[2]
+        assert all(row[1] is attempts[0][1] for row in attempts)
+
+    def test_every_attempt_gets_the_branch_solver(self, monkeypatch):
+        # through the maximum of Q, where Newton attempts fail on their
+        # own: every attempt of the branch gets the one linear solver, and
+        # each retry after a failed attempt starts with no LU and so
+        # factors its first system
+        vf = VorticityFunction.constant(-0.3, m=M)
+        grid = StripGrid(L, M, 24, 20, beta=0.5)
+        lam_star = find_bifurcation(vf, G, L, M)
+        attempts = self.record(monkeypatch)
+        continue_branch(grid, vf, G, 20, lam_star=lam_star)
+        retries = [after for before, after in zip(attempts, attempts[1:])
+                   if before[4]]
+        assert retries
+        assert all(not row[2] and row[3] >= 1 for row in retries)
+        assert {id(row[1]) for row in attempts} == {id(attempts[0][1])}
 
 
 class TestDeparture:

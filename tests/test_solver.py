@@ -277,8 +277,8 @@ def chain_rule_sum(grid):
     return coo_jacobian
 
 
-def bmat_solver(grid, factored):
-    """Stand-in for _NewtonMatrix.solver whose solver assembles every matrix
+def bmat_solve(grid, factored):
+    """Stand-in for LinearSolver.__call__ that assembles every matrix
     afresh and factors each, as each Newton iteration did before the pattern
     and the factorization were kept: J_hh from the COO triplets of the
     chain-rule maps weighted by their coefficients, the border column and
@@ -290,20 +290,16 @@ def bmat_solver(grid, factored):
     dF_dQ = np.zeros(n)
     dF_dQ[solver._surface_rows(grid)] = -1.0
 
-    class Fresh:
-        factorizations = 0
-        linear_iterations = 0
+    def solve(self, coefficients, border_values, rhs):
+        J = coo_jacobian(coefficients).tocsc()
+        row = border_values[None, :]
+        J = sparse.bmat([[J, dF_dQ[:, None]], [row[:, :n], row[:, n:]]],
+                        format="csc")
+        self.factorizations += 1
+        factored.append(1)
+        return splu(J).solve(rhs)
 
-        def __call__(self, coefficients, border_values, rhs):
-            J = coo_jacobian(coefficients).tocsc()
-            row = border_values[None, :]
-            J = sparse.bmat([[J, dF_dQ[:, None]], [row[:, :n], row[:, n:]]],
-                            format="csc")
-            self.factorizations += 1
-            factored.append(1)
-            return splu(J).solve(rhs)
-
-    return lambda matrix: Fresh()
+    return solve
 
 
 def recording_splu(monkeypatch):
@@ -333,8 +329,8 @@ class TestNewtonMatrixPattern:
                                lam_star=lam_star)
         grid = StripGrid(L, M, 24, 20, beta=0.5)
         iterations = []  # one fresh factorization per Newton iteration
-        monkeypatch.setattr(solver._NewtonMatrix, "solver",
-                            bmat_solver(grid, iterations))
+        monkeypatch.setattr(solver.LinearSolver, "__call__",
+                            bmat_solve(grid, iterations))
         fresh = continue_branch(grid, vf, G, 20, lam_star=lam_star)
 
         Qs = [pt.Q for pt in kept.points]
@@ -360,8 +356,8 @@ class TestNewtonMatrixPattern:
     def test_tangent_with_an_exact_zero_entry(self, monkeypatch):
         # bmat drops the zero from the tangent row; the pattern keeps it as
         # an explicit zero, so the matrix keeps its structure and the solve
-        # converges to the same wave, on a fresh grid as on one that has
-        # solved with a tangent without zeros.
+        # converges to the same wave, with a fresh linear solver as with
+        # one that has solved with a tangent without zeros.
         vf = VorticityFunction.constant(-0.3, m=M)
         lam_star = find_bifurcation(vf, G, L, M)
         grid = StripGrid(L, M, 16, 16, beta=0.5)
@@ -378,25 +374,26 @@ class TestNewtonMatrixPattern:
         zeroed[3, 5] = 0.0
         ds = 0.03
 
-        def arclength(on_grid, tangent_h):
-            return newton_solve(on_grid, vf, G, first.h + ds * tangent_h,
+        def arclength(tangent_h, linear_solver=None):
+            return newton_solve(grid, vf, G, first.h + ds * tangent_h,
                                 first.Q + ds * t_Q, mode="arclength",
                                 base=(first.h, first.Q),
-                                tangent=(tangent_h, t_Q), ds=ds)
+                                tangent=(tangent_h, t_Q), ds=ds,
+                                linear_solver=linear_solver)
 
         calls = recording_splu(monkeypatch)
-        new_grid = StripGrid(L, M, 16, 16, beta=0.5)
-        on_new_grid = arclength(new_grid, zeroed)
-        arclength(grid, t_h)
-        solved_before = arclength(grid, zeroed)
+        fresh = arclength(zeroed)
+        used = solver.LinearSolver(grid)
+        arclength(t_h, used)
+        solved_before = arclength(zeroed, used)
         assert len({nnz for _, _, nnz in calls}) == 1
         assert all(c[0] == "NATURAL" for c in calls)
 
-        monkeypatch.setattr(solver._NewtonMatrix, "solver",
-                            bmat_solver(grid, []))
-        reference = arclength(grid, zeroed)
+        monkeypatch.setattr(solver.LinearSolver, "__call__",
+                            bmat_solve(grid, []))
+        reference = arclength(zeroed)
         n = t_h[:, 1:].size
-        for res in (on_new_grid, solved_before):
+        for res in (fresh, solved_before):
             closure = (float((res.h - first.h)[:, 1:].ravel()
                              @ zeroed[:, 1:].ravel()) / n
                        + (res.Q - first.Q) * t_Q)
@@ -405,17 +402,19 @@ class TestNewtonMatrixPattern:
             assert abs(res.Q - reference.Q) < 1e-9
 
     def test_each_grid_gets_its_own_pattern(self, monkeypatch):
-        # each grid builds one structure, which its solves in every mode
-        # fill: here a fixed_amplitude and an arclength solve
+        # a linear solver builds the structure of its grid, which its
+        # solves in every mode fill: here a fixed_amplitude and an
+        # arclength solve
         vf = VorticityFunction.constant(0.0, m=M)
         lam_star = find_bifurcation(vf, G, L, M)
         shapes = [(12, 14, 0.5), (16, 12, 0.5), (12, 14, 0.3)]
         grids = [StripGrid(L, M, nq, npts, beta=b) for nq, npts, b in shapes]
         seeds = [seed_wave(grid, vf, G, lam_star, 1e-3) for grid in grids]
 
-        def solve(grid, seed):
+        def solve(grid, seed, linear_solver=None):
             return newton_solve(grid, vf, G, *seed, mode="fixed_amplitude",
-                                amplitude_target=1e-3)
+                                amplitude_target=1e-3,
+                                linear_solver=linear_solver)
 
         alone = [solve(StripGrid(L, M, nq, npts, beta=b), seed)
                  for (nq, npts, b), seed in zip(shapes, seeds)]
@@ -427,23 +426,50 @@ class TestNewtonMatrixPattern:
             assert np.array_equal(res.h, ref.h) and res.Q == ref.Q
             assert 1 <= res.factorizations == len(calls) - start
             assert res.factorizations <= res.iterations
-            assert res.solver.matrix is grid.newton_matrix
         assert all(c[0] == "NATURAL" for c in calls)
-        assert len({id(grid.newton_matrix) for grid in grids}) == len(grids)
-        # an arclength step on the first grid fills the same structure
-        grid, first = grids[0], alone[0]
+        for grid in grids:
+            n = grid.nq * (grid.npts - 1)
+            matrix = solver.LinearSolver(grid).matrix
+            assert matrix.indptr.size == n + 2
+            assert np.array_equal(np.sort(matrix.order), np.arange(n + 1))
+        # an arclength step with the first grid's solver fills the
+        # structure of its fixed_amplitude solve
+        grid, seed = grids[0], seeds[0]
+        linear = solver.LinearSolver(grid)
+        matrix = linear.matrix
+        first = solve(grid, seed, linear)
         hcol, Qt, _ = discrete_laminar(grid, vf, G, lam_star)
         t_h = first.h - np.tile(hcol, (grid.nq, 1))
         t_Q = first.Q - Qt
         nrm = np.sqrt(scaled_dot(t_h, t_Q, t_h, t_Q))
         t_h, t_Q = t_h / nrm, t_Q / nrm
-        matrix, ds = grid.newton_matrix, 1e-3
+        ds = 1e-3
         step = newton_solve(grid, vf, G, first.h + ds * t_h,
                             first.Q + ds * t_Q, mode="arclength",
                             base=(first.h, first.Q), tangent=(t_h, t_Q),
-                            ds=ds)
+                            ds=ds, linear_solver=linear)
         assert step.iterations >= 1
-        assert step.solver.matrix is matrix is grid.newton_matrix
+        assert linear.matrix is matrix
+        assert linear.factorizations == \
+            first.factorizations + step.factorizations
+
+    def test_a_bare_solve_leaves_the_grid_alone(self):
+        # newton_solve without a linear solver, and jacobian_blocks, build
+        # the structure they use and keep nothing: the grid holds the same
+        # attributes, the same objects, as before, and the result holds no
+        # linear solver
+        vf = VorticityFunction.constant(-0.3, m=M)
+        lam_star = find_bifurcation(vf, G, L, M)
+        grid = StripGrid(L, M, 16, 12, beta=0.5)
+        h0, Q0 = seed_wave(grid, vf, G, lam_star, 0.02)
+        before = dict(vars(grid))
+        res = newton_solve(grid, vf, G, h0, Q0, mode="fixed_amplitude",
+                           amplitude_target=0.02)
+        jacobian_blocks(grid, vf, G, res.h, res.Q)
+        assert vars(grid).keys() == before.keys()
+        assert all(vars(grid)[key] is value for key, value in before.items())
+        assert set(vars(res)) == {"h", "Q", "iterations", "residual_norm",
+                                  "factorizations", "linear_iterations"}
 
     def test_stored_matrix_is_jacobian_blocks_bordered(self, monkeypatch):
         # the matrix of a solve's first system, its stored order undone, is
@@ -464,13 +490,13 @@ class TestNewtonMatrixPattern:
         monkeypatch.setattr(solver, "splu", recording_splu)
         newton_solve(grid, vf, G, h0, Q0, mode="fixed_amplitude",
                      amplitude_target=0.02)
-        order = grid.newton_matrix.order
+        order = solver._NewtonMatrix(grid).order
         A = np.empty(factored[0].shape)
         A[np.ix_(order, order)] = factored[0].toarray()
         J, dF_dQ = jacobian_blocks(grid, vf, G, h0, Q0)
         n = J.shape[0]
         coefficients = solver._chain_rule_coefficients(
-            grid, vf, G, solver._derivatives(grid, h0))
+            grid, vf.gamma(-grid.p)[1:-1], G, solver._derivatives(grid, h0))
         summed = chain_rule_sum(grid)(coefficients).toarray()
         assert np.array_equal(A[:n, :n], summed)
         assert np.array_equal(A[:n, :n], J.toarray())
@@ -583,11 +609,11 @@ class TestKeptFactorization:
         return vf, seeds
 
     @staticmethod
-    def solve(vf, seeds, a, grid=None):
+    def solve(vf, seeds, a, grid=None, linear_solver=None):
         if grid is None:
             grid = StripGrid(L, M, 24, 20, beta=0.5)
         return newton_solve(grid, vf, G, *seeds[a], mode="fixed_amplitude",
-                            amplitude_target=a)
+                            amplitude_target=a, linear_solver=linear_solver)
 
     def test_gmres_solves_the_later_systems(self, problem):
         vf, seeds = problem
@@ -606,8 +632,8 @@ class TestKeptFactorization:
         res = self.solve(vf, seeds, 0.1, grid)
         assert res.factorizations == res.iterations == len(calls)
         assert all(c[0] == "NATURAL" for c in calls)
-        monkeypatch.setattr(solver._NewtonMatrix, "solver",
-                            bmat_solver(grid, []))
+        monkeypatch.setattr(solver.LinearSolver, "__call__",
+                            bmat_solve(grid, []))
         fresh = self.solve(vf, seeds, 0.1, grid)
         assert res.iterations == fresh.iterations
         assert np.max(np.abs(res.h - fresh.h)) <= 1e-9
@@ -661,18 +687,19 @@ class TestKeptFactorization:
         assert k == 0 and not np.any(x)
 
     def test_a_handed_solver_serves_the_next_call(self, problem):
-        # a result's solver carries its LU into the next call, and each
-        # result counts its own call's work
+        # a linear solver carries its LU from one call into the next; each
+        # result counts its own call's work, the solver the total
         vf, seeds = problem
         grid = StripGrid(L, M, 24, 20, beta=0.5)
-        first = self.solve(vf, seeds, 0.05, grid)
-        second = newton_solve(grid, vf, G, *seeds[0.1], mode="fixed_amplitude",
-                              amplitude_target=0.1,
-                              linear_solver=first.solver)
+        linear = solver.LinearSolver(grid)
+        first = self.solve(vf, seeds, 0.05, grid, linear)
+        second = self.solve(vf, seeds, 0.1, grid, linear)
         fresh = self.solve(vf, seeds, 0.1)
         assert first.factorizations >= 1 and second.factorizations == 0
-        assert second.solver is first.solver
-        assert second.linear_iterations == first.solver.linear_iterations
+        assert second.linear_iterations > 0
+        assert (linear.factorizations, linear.linear_iterations) == (
+            first.factorizations,
+            first.linear_iterations + second.linear_iterations)
         assert second.iterations == fresh.iterations
         assert np.max(np.abs(second.h - fresh.h)) <= 1e-9
         assert abs(second.Q - fresh.Q) <= 1e-9
@@ -683,25 +710,19 @@ class TestKeptFactorization:
         # first, so at most one LU per solver is alive
         vf, seeds = problem
         grid = StripGrid(L, M, 24, 20, beta=0.5)
-        made = []
-        real_solver = solver._NewtonMatrix.solver
+        linear = solver.LinearSolver(grid)
         real_splu = solver.splu
 
-        def recording_solver(matrix):
-            made.append(real_solver(matrix))
-            return made[-1]
-
         def checking_splu(*args, **kwargs):
-            assert made[-1].lu is None
+            assert linear.lu is None
             return real_splu(*args, **kwargs)
 
-        monkeypatch.setattr(solver._NewtonMatrix, "solver", recording_solver)
         monkeypatch.setattr(solver, "splu", checking_splu)
         monkeypatch.setattr(solver, "_right_gmres",
                             lambda A, b, *args: (np.ones_like(b), 0))
-        res = self.solve(vf, seeds, 0.1, grid)
-        assert made == [res.solver]
+        res = self.solve(vf, seeds, 0.1, grid, linear)
         assert res.factorizations == res.iterations >= 2
+        assert linear.factorizations == res.factorizations
 
     def test_a_used_grid_solves_as_a_fresh_one(self, problem):
         # nothing of a factorization outlives its solve: after solves in
