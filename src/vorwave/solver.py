@@ -32,6 +32,10 @@ HP_FLOOR = 1e-8
 MAX_HALVINGS = 30
 # nodes of find_bifurcation's vertical grid
 BIFURCATION_NODES = 4001
+# find_bifurcation's Brent tolerance on lam*, times max(1, lambda_c): at
+# gamma != 0 the surface residual's rounding noise resolves lam* to about
+# 1e-12 relative, and a tighter one spends its evaluations on that noise
+BIFURCATION_XTOL = 1e-12
 # Newton iterations of discrete_laminar before it gives up
 LAMINAR_MAX_ITER = 25
 
@@ -577,7 +581,8 @@ def find_bifurcation(vf, g, L, m, *, beta=0.5, lam_c=None):
     on a column StripGrid of BIFURCATION_NODES nodes with stretching beta,
     searched between -2 min Gamma and lambda_c; always strictly below
     lambda_c. The residual is smooth in lam and zero exactly where the
-    operator is singular, so laminar.brent_root resolves lam* to rounding.
+    operator is singular; laminar.brent_root resolves lam* to
+    BIFURCATION_XTOL, where the residual's rounding noise sets in.
     `lam_c` is critical_lambda(vf, g), computed here unless the caller has
     it.
     """
@@ -596,7 +601,7 @@ def find_bifurcation(vf, g, L, m, *, beta=0.5, lam_c=None):
         raise BifurcationNotFoundError(
             "mode operator's surface residual does not change sign on "
             "[%g, %g] (r(lo)=%.3g, r(hi)=%.3g)" % (lo, hi, r_lo, r_hi))
-    lam_star = brent_root(r, lo, hi, 1e-15 * max(1.0, hi))
+    lam_star = brent_root(r, lo, hi, BIFURCATION_XTOL * max(1.0, hi))
     if not lam_star < lam_c:
         raise BifurcationNotFoundError("detected lam* is not below lambda_c")
     return lam_star

@@ -156,7 +156,8 @@ class TestAgainstScipy:
 
         def r(lam):
             return solver._surface_mode(*operator(lam))[1]
-        ref = brentq(r, lo, hi, xtol=1e-15 * max(1.0, hi), rtol=4.0 * EPS)
+        ref = brentq(r, lo, hi, xtol=solver.BIFURCATION_XTOL * max(1.0, hi),
+                     rtol=4.0 * EPS)
         lam_star = find_bifurcation(vf, G, math.pi, vf.m, lam_c=lam_c)
         assert type(lam_star) is float
         assert lam_star == ref
