@@ -561,8 +561,9 @@ class TestNewtonMatrixPattern:
         assert stored <= 0.8 * fill(real_splu(A))
 
     def test_threads_solving_on_one_grid(self):
-        # nothing changes the stored structure once it is built, so threads
-        # that solve on one fresh grid at once get the serial solution
+        # each solve builds its own structure and LU and stores nothing on
+        # the grid, so threads that solve on one grid at once get the
+        # serial solution
         vf = VorticityFunction.constant(-0.3, m=M)
         lam_star = find_bifurcation(vf, G, L, M)
         seed = seed_wave(StripGrid(L, M, 24, 20, beta=0.5), vf, G, lam_star,
