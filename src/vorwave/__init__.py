@@ -6,17 +6,16 @@ from .errors import (BifurcationNotFoundError, ConfigError, InputError,
                      NoConvergenceError, NumericsError, SolverError,
                      StagnationApproachError, StagnationError, VorwaveError)
 from .vorticity import VorticityFunction
-from .laminar import (critical_lambda, gamma_small_criterion,
-                      gamma_smallest_criterion, laminar_depth, laminar_flow,
-                      laminar_head)
+from .laminar import critical_lambda, laminar_depth, laminar_flow, \
+    laminar_head
 from .grid import StripGrid
 from .solver import (bifurcation_mode, discrete_laminar, find_bifurcation,
                      newton_solve, seed_wave)
 from .continuation import Branch, BranchPoint, continue_branch, load_point, \
     save_branch
 from .fields import WaveField, reconstruct
-from .audit import AuditReport, audit_wave, pressure_normal_derivative, \
-    surface_curve
+from .audit import AuditReport, audit_wave, gamma_small_criterion, \
+    gamma_smallest_criterion, pressure_normal_derivative, surface_curve
 from .gerstner import TrochoidalWave
 
 __all__ = [

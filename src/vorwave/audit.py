@@ -16,6 +16,13 @@ first one that fails, and its check is not run. A new diagnostic is one
 row and one check method. `audit_wave` runs the table and returns an
 `AuditReport` whose JSON form is the `vorwave audit` output.
 
+One verdict rule judges every inequality vorwave reports: `_strict` (or
+`_nonstrict`) of a margin against a band, `_band(scale)` of the size of
+the quantity bounded (the bare `_BOUNDARY_BAND` for unit-scale ones, zero
+for D-ABC). The criteria of `vorwave dispersion`, `gamma_small_criterion`
+and `gamma_smallest_criterion`, are judged by it too, with the scale
+max(|lhs|, |rhs|).
+
 Conventions: checks are evaluated on the computational half period
 (crest column first, trough column last), the surface curve's geometry
 too, and every location a check reports is one of its nodes; the surface
@@ -32,6 +39,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .continuation import _jsonable
 from .errors import InputError, StagnationError
 from .fd import dq
 from .laminar import critical_lambda
@@ -49,10 +57,11 @@ _TRIVIAL_HEIGHT = 1e-10
 # The tolerances every audit judges by. An identity residual, normalized
 # by its largest term magnitude, is compared against _RESIDUAL_SCALE *
 # delta**2, delta being the coarsest grid spacing. A sign check within
-# _BOUNDARY_BAND * max(1, |scale|) of its bound reports "boundary" instead
-# of pass or fail. D-ABC divides by the surface v where it exceeds
-# _V_FLOOR_REL * max |u| at the surface. D-bern allows a head spread of
-# 1e-6 * max(1, |Q|), the surface equalities a gap of 1e-6 * g * d.
+# _band(scale) = _BOUNDARY_BAND * max(1, |scale|) of its bound reports
+# "boundary" instead of pass or fail; D-ABC's band is zero. D-ABC divides
+# by the surface v where it exceeds _V_FLOOR_REL * max |u| at the
+# surface. D-bern allows a head spread of 1e-6 * max(1, |Q|), the surface
+# equalities a gap of 1e-6 * g * d.
 _RESIDUAL_SCALE = 10.0
 _BOUNDARY_BAND = 1e-12
 _V_FLOOR_REL = 1e-6
@@ -135,21 +144,9 @@ class SurfaceCurve:
         return int(round((self.theta[-1] - self.theta[0]) / np.pi))
 
 
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if value is None or isinstance(value, str):
-        return value
-    out = float(value)
-    # Strict JSON has no Infinity/NaN token; a vacuous extremum serializes
-    # as null.
-    return out if math.isfinite(out) else None
+def _band(scale):
+    """The boundary band of a verdict on a quantity of size scale."""
+    return _BOUNDARY_BAND * max(1.0, abs(scale))
 
 
 def _strict(margin, band):
@@ -222,8 +219,10 @@ class _Auditor:
         self.spd2 = wf.speed_squared()
         self.spd = np.sqrt(self.spd2)
         self.psi = -wf.p  # the wave's own psi nodes, bed to surface
-        self.gam = vf.gamma(self.psi)[None, :]
-        self.gam_pp = vf.gamma(self.psi, 2)[None, :]
+        # gamma, gamma' and gamma'' on those nodes, sampled once
+        self.gammas = [vf.gamma(self.psi, order) for order in range(3)]
+        self.gam = self.gammas[0][None, :]
+        self.gam_pp = self.gammas[2][None, :]
         self.gamma0 = vf.gamma(0.0)
         self.gamma0_p = vf.gamma(0.0, 1)
         # pressure above atmospheric, the surface row's mean
@@ -262,7 +261,7 @@ class _Auditor:
 
     def gamma_sign(self, order, sign):
         """sign * gamma^(order) >= 0 on the wave's psi nodes."""
-        margin = float(np.min(sign * self.vf.gamma(self.psi, order)))
+        margin = float(np.min(sign * self.gammas[order]))
         return margin, None, margin >= 0.0
 
     def surface_favorable(self):
@@ -287,9 +286,6 @@ class _Auditor:
         return margin, None, margin > 0.0
 
     # -- helpers -----------------------------------------------------------
-
-    def band_for(self, scale):
-        return _BOUNDARY_BAND * max(1.0, abs(scale))
 
     def rel_residual(self, residual, *terms):
         """max |residual| over the largest summed term magnitude, and the
@@ -338,18 +334,18 @@ class _Auditor:
 
     def ux_sign(self):
         mx, loc = _extremum(self.wf, self.wf.ux[1:-1, 1:], np.argmax, (1, 1))
-        return _strict(-mx, self.band_for(self.res_tol)), mx, loc, -mx
+        return _strict(-mx, _band(self.res_tol)), mx, loc, -mx
 
     def v_sign(self):
         mn, loc = _extremum(self.wf, self.v[1:-1, 1:], np.argmin, (1, 1))
-        return _strict(mn, self.band_for(self.res_tol)), mn, loc, mn
+        return _strict(mn, _band(self.res_tol)), mn, loc, mn
 
     def trough(self):
         val = self.g - self.gamma0 * self.u[-1, -1]
         # The horizontal strain at the trough is recorded alongside the
         # criterion because its sign there is an open question: it is
         # informational only and never judged.
-        return (_strict(val, self.band_for(self.g)),
+        return (_strict(val, _band(self.g)),
                 {"vortex_force": float(val),
                  "trough_uxx": float(self.wf.uxx[-1, -1])},
                 (self.wf.L, 0.0), float(val))
@@ -363,7 +359,7 @@ class _Auditor:
         rel, _ = self.rel_residual(lhs - rhs, self.u * fx, self.v * fy,
                                    self.spd2 * wf.ux, self.gam * self.u * self.v)
         fmin, loc = _extremum(wf, f, np.argmin)
-        status = self.degrade(_strict(fmin, self.band_for(self.spd2.max())), rel)
+        status = self.degrade(_strict(fmin, _band(self.spd2.max())), rel)
         return (status, {"min": fmin, "identity_residual": rel}, loc, fmin,
                 self.res_tol)
 
@@ -383,7 +379,7 @@ class _Auditor:
             (self.v * fay)[:, -1], rhs[:, -1])
         mx, loc = _extremum(wf, rhs[1:-1, :], np.argmax, (1, 0))
         status = self.degrade(
-            _nonstrict(-mx, self.band_for(self.g * self.spd2.max())), rel)
+            _nonstrict(-mx, _band(self.g * self.spd2.max())), rel)
         return (status, {"max": mx, "identity_residual": rel}, loc, -mx,
                 self.res_tol)
 
@@ -495,7 +491,7 @@ class _Auditor:
         crest, trough = float(wf.eta_xx[0]), float(wf.eta_xx[-1])
         margin = min(-crest, trough)
         loc = (0.0, 0.0) if -crest <= trough else (wf.L, 0.0)
-        return (_strict(margin, self.band_for(self.eta_span)),
+        return (_strict(margin, _band(self.eta_span)),
                 {"crest_curvature": crest, "trough_curvature": trough},
                 loc, margin)
 
@@ -504,7 +500,7 @@ class _Auditor:
         bed = wf.P[:, :1]  # the bed row as an (nq, 1) block at p[0]
         spread = float(np.max(bed) - np.min(bed)) / self.g
         margin = self.eta_span - spread
-        return (_strict(margin, self.band_for(self.eta_span)),
+        return (_strict(margin, _band(self.eta_span)),
                 {"height": self.eta_span, "bed_range_over_g": spread},
                 _extremum(wf, bed, np.argmax)[1], margin)
 
@@ -513,7 +509,7 @@ class _Auditor:
         mask = wf.y < float(np.min(wf.eta))
         below = np.where(mask, self.excess, np.inf)
         mn, loc = _extremum(wf, below, np.argmin)
-        return _strict(mn, self.band_for(self.g * wf.d)), mn, loc, mn
+        return _strict(mn, _band(self.g * wf.d)), mn, loc, mn
 
     def pressure_top(self):
         wf = self.wf
@@ -521,7 +517,7 @@ class _Auditor:
         mx_dpdn, loc_dpdn = _extremum(wf, self.curve.dPdn, np.argmax)
         surf_eq = float(np.max(np.abs(self.excess[:, -1])))
         margin = min(mn_int, -mx_dpdn)
-        status = _strict(margin, self.band_for(self.g * wf.d))
+        status = _strict(margin, _band(self.g * wf.d))
         if surf_eq > self.eq_tol:
             status = FAIL
         return (status, {"hypothesis": self.force_min, "conclusion": margin},
@@ -532,7 +528,7 @@ class _Auditor:
         wf = self.wf
         shifted = self.excess + 0.5 * float(np.max(self.gam)) * self.psi
         mn_int, loc = _extremum(wf, shifted[:, :-1], np.argmin)
-        return (_strict(mn_int, self.band_for(self.g * wf.d)),
+        return (_strict(mn_int, _band(self.g * wf.d)),
                 {"hypothesis": self.hypotheses["shifted-force>=0"][0],
                  "conclusion": mn_int}, loc, mn_int)
 
@@ -541,7 +537,7 @@ class _Auditor:
         outside[-2:, -2:] = -np.inf
         margin = float(self.spd[-1, -1] - np.max(outside))
         top, loc = _extremum(self.wf, self.spd, np.argmax)
-        return (_nonstrict(margin, self.band_for(top)),
+        return (_nonstrict(margin, _band(top)),
                 {"hypothesis": self.hypotheses["gamma>=0"][0],
                  "conclusion": margin}, loc, margin)
 
@@ -550,7 +546,7 @@ class _Auditor:
         outside[:2, -2:] = np.inf
         margin = float(np.min(outside) - self.spd[0, -1])
         _, loc = _extremum(self.wf, self.spd, np.argmin)
-        return (_nonstrict(margin, self.band_for(np.max(self.spd))),
+        return (_nonstrict(margin, _band(np.max(self.spd))),
                 {"hypothesis": self.hypotheses["gamma<=0"][0],
                  "conclusion": margin}, loc, margin)
 
@@ -570,7 +566,7 @@ class _Auditor:
                         - 2.0 * self.g * float(wf.eta[0] - wf.eta[-1]))
         lam_c = self.lam_c
         margin = min(uc2 + 2.0 * self.g * wf.L - ut2, lam_c - uc2)
-        status = _strict(margin, self.band_for(lam_c))
+        status = _strict(margin, _band(lam_c))
         if ident_gap > self.eq_tol:
             status = FAIL
         return (status,
@@ -582,7 +578,7 @@ class _Auditor:
         wf = self.wf
         Wx = dq(self.us ** 2, wf.grid.wq1, "even")
         mn, loc = _extremum(wf, Wx[1:-1], np.argmin, (1, 0))
-        return _strict(mn, self.band_for(np.max(np.abs(Wx)))), mn, loc, mn
+        return _strict(mn, _band(np.max(np.abs(Wx)))), mn, loc, mn
 
     def turning_angle(self):
         wf = self.wf
@@ -600,7 +596,7 @@ class _Auditor:
         else:
             mn, loc = np.inf, None
         winding = self.curve.winding
-        status = _nonstrict(mn, self.band_for(self.g))
+        status = _nonstrict(mn, _band(self.g))
         if winding != 0:
             status = FAIL
         return status, {"winding": winding, "min_margin": mn}, loc, mn
@@ -612,14 +608,14 @@ class _Auditor:
             return (PASS, {"overturning": False, "max_surface_u": mx_u},
                     loc, -mx_u)
         sink, loc = _extremum(wf, self.curve.dPdn, np.argmax)
-        return (_strict(sink, self.band_for(self.g)),
+        return (_strict(sink, _band(self.g)),
                 {"overturning": True, "max_dPdn": sink}, loc, sink)
 
     def bed_strain(self):
         wf = self.wf
         w_bed = wf.ux[:, :1] / self.u[:, :1]
         mn, loc = _extremum(wf, w_bed[1:-1], np.argmin, (1, 0))
-        status = _strict(mn, self.band_for(self.res_tol))
+        status = _strict(mn, _band(self.res_tol))
         if not (wf.ux[0, 0] == 0.0 and wf.ux[-1, 0] == 0.0):
             status = FAIL
         return (status,
@@ -755,3 +751,61 @@ def audit_wave(wf, vf=None, lam_c=None):
     return AuditReport([
         Diagnostic(diag_id, description, ref, *_verdict(a, hyps, check))
         for diag_id, ref, description, hyps, check in DIAGNOSTICS])
+
+
+# -- surface-vorticity smallness criteria ----------------------------------
+
+@dataclass(frozen=True)
+class CriterionResult:
+    name: str
+    lhs: float
+    rhs: float
+    status: str          # pass | fail | boundary
+    margin: float        # rhs - lhs (positive is passing)
+    note: str = ""
+
+    @property
+    def passed(self):
+        return self.status == PASS
+
+
+def _less(lhs, rhs):
+    """The verdict on lhs < rhs, in the band of the larger side."""
+    return _strict(rhs - lhs, _band(max(abs(lhs), abs(rhs))))
+
+
+def gamma_small_criterion(vf, g, L, lam_c=None):
+    """Surface-vorticity smallness: gamma(0)^2 < g^2/(2gL + lambda_c)."""
+    if lam_c is None:
+        lam_c = critical_lambda(vf, g)
+    lhs = vf.gamma(0.0) ** 2
+    rhs = g * g / (2.0 * g * L + lam_c)
+    return CriterionResult("gammasmall", lhs, rhs, _less(lhs, rhs), rhs - lhs)
+
+
+def gamma_smallest_criterion(vf, g, L, lam_c=None):
+    """Refined smallness test using only g, L, m, and gamma(0).
+
+    Evaluates 1/sqrt(1 - 2L*gamma0^2/g) - 1/sqrt(1 - 2L*gamma0^2/g
+    - 2*gamma0^3*m/g^2) < 1. Fails with a reason when a radicand is
+    nonpositive; lhs is then inf, written null. For constant vorticity this
+    is equivalent to the gamma_small criterion; the cross-check is reported
+    in the note.
+    """
+    gamma0 = vf.gamma(0.0)
+    r1 = 1.0 - 2.0 * L * gamma0 ** 2 / g
+    r2 = r1 - 2.0 * gamma0 ** 3 * vf.m / g ** 2
+    notes = []
+    if r1 <= 0.0 or r2 <= 0.0:
+        lhs, status = math.inf, FAIL
+        notes.append("radicand nonpositive")
+    else:
+        lhs = 1.0 / math.sqrt(r1) - 1.0 / math.sqrt(r2)
+        status = _less(lhs, 1.0)
+    if vf.kind == "constant":
+        small = gamma_small_criterion(vf, g, L, lam_c=lam_c).status
+        agree = small == status or BOUNDARY in (small, status)
+        notes.append("constant-vorticity cross-check with gammasmall: %s"
+                     % ("agrees" if agree else "DISAGREES"))
+    return CriterionResult("gammasmallest", lhs, 1.0, status, 1.0 - lhs,
+                           "; ".join(notes))

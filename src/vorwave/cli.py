@@ -26,15 +26,15 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .audit import audit_wave
+from .audit import audit_wave, gamma_small_criterion, \
+    gamma_smallest_criterion
 from .config import DEFAULT_G, RunConfig
 from .continuation import _point_files, continue_branch, load_point, \
     point_filename, save_branch, write_json
 from .errors import ConfigError, InputError, SolverError
 from .fields import WaveField, reconstruct
 from .gerstner import TrochoidalWave
-from .laminar import _admissible_floor, critical_lambda, \
-    gamma_small_criterion, gamma_smallest_criterion, head_from_depth, \
+from .laminar import _admissible_floor, critical_lambda, head_from_depth, \
     laminar_depth, laminar_head
 from .solver import find_bifurcation
 
@@ -127,16 +127,12 @@ def _run_dispersion(cfg, args, outdir, manifest):
     return 0
 
 
-def _lambda_star(cfg, vf, lam_c=None):
-    return float(find_bifurcation(vf, cfg.g, cfg.L, cfg.m,
-                                  beta=cfg.grid.stretching, lam_c=lam_c))
-
-
 def _write_bifurcation(cfg, outdir):
     """Write bifurcation.json and return its payload."""
     vf = cfg.build_vorticity()
     lam_c = critical_lambda(vf, cfg.g)
-    lam_star = _lambda_star(cfg, vf, lam_c)
+    lam_star = float(find_bifurcation(vf, cfg.g, cfg.L, cfg.m,
+                                      beta=cfg.grid.stretching, lam_c=lam_c))
     depth = laminar_depth(vf, lam_star)
     payload = {
         "lambda_star": lam_star,
@@ -154,10 +150,8 @@ def _run_bifurcate(cfg, args, outdir, manifest):
 
 
 def _run_continue(cfg, args, outdir, manifest):
-    vf = cfg.build_vorticity()
-    branch = continue_branch(cfg.build_grid(), vf, cfg.g,
-                             cfg.continuation.steps,
-                             lam_star=_lambda_star(cfg, vf))
+    branch = continue_branch(cfg.build_grid(), cfg.build_vorticity(), cfg.g,
+                             cfg.continuation.steps)
     save_branch(branch, outdir / "branch")
     return 0
 

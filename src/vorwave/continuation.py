@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import base64
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -203,11 +204,28 @@ def point_filename(index, suffix=".json"):
     return "point_%04d%s" % (index, suffix)
 
 
+def _jsonable(value):
+    """value with numpy scalars as Python ones, tuples as lists, and every
+    non-finite number as None: strict JSON has no Infinity or NaN token."""
+    if isinstance(value, dict):
+        return {k: _jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v) for v in value]
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    if value is None or isinstance(value, str):
+        return value
+    out = float(value)
+    return out if math.isfinite(out) else None
+
+
 def write_json(path, payload):
-    """Write payload as JSON with sorted keys, indent 1 and a final
-    newline: every JSON artifact, the point files included, goes through
-    here."""
-    text = json.dumps(payload, sort_keys=True, indent=1)
+    """Write _jsonable(payload) as JSON with sorted keys, indent 1 and a
+    final newline: every JSON artifact, the point files included, goes
+    through here, so none holds an Infinity or NaN token."""
+    text = json.dumps(_jsonable(payload), sort_keys=True, indent=1)
     with open(path, "w") as fh:
         fh.write(text + "\n")
 

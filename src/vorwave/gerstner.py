@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import DEFAULT_G
 from .errors import InputError
 
 # Velocity perturbations decay like e^{kb}, so four e-foldings below the
@@ -58,7 +59,7 @@ class LabelField:
 class TrochoidalWave:
     """Deep-water trochoidal wave of wavenumber k and steepness eps."""
 
-    def __init__(self, k, eps, g=9.81, patm=0.0):
+    def __init__(self, k, eps, g=DEFAULT_G, patm=0.0):
         if k <= 0.0:
             raise InputError("wavenumber k must be positive, got %r" % (k,))
         if g <= 0.0:

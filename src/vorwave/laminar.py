@@ -1,4 +1,4 @@
-"""Laminar (trivial) flows and the closed-form criteria built on them.
+"""Laminar (trivial) flows, their quadrature and their root finder.
 
 A laminar flow is x-independent with a flat surface. Bernoulli's law with
 v = 0 gives the profile u0(s) = -sqrt(lambda + 2*Gamma(s)) in terms of
@@ -9,8 +9,8 @@ total head are
     head(lambda) = lambda/2 + g * d(lambda),
 
 the head being strictly convex on lambda > -2 min Gamma with a unique
-minimizer lambda_c. The surface-vorticity smallness criteria below are
-pure arithmetic on these quantities.
+minimizer lambda_c. The surface-vorticity smallness criteria built on
+lambda_c live in audit.py, judged by the audit's one verdict rule.
 """
 
 from __future__ import annotations
@@ -251,72 +251,3 @@ def laminar_flow(vf, lam, g):
     d = laminar_depth(vf, lam)
     return LaminarFlow(vf, float(lam), float(g), d, head_from_depth(lam, g, d))
 
-
-# -- surface-vorticity smallness criteria ----------------------------------
-
-_BOUNDARY_BAND = 1e-12
-
-
-@dataclass(frozen=True)
-class CriterionResult:
-    name: str
-    lhs: float
-    rhs: float
-    status: str          # pass | fail | boundary
-    margin: float        # rhs - lhs (positive is passing)
-    note: str = ""
-
-    @property
-    def passed(self):
-        return self.status == "pass"
-
-
-def _strict_less(name, lhs, rhs, note=""):
-    margin = rhs - lhs
-    finite_sides = [abs(x) for x in (lhs, rhs) if math.isfinite(x)]
-    band = _BOUNDARY_BAND * max([1.0] + finite_sides)
-    if abs(margin) <= band:
-        status = "boundary"
-    elif margin > 0:
-        status = "pass"
-    else:
-        status = "fail"
-    return CriterionResult(name, lhs, rhs, status, margin, note)
-
-
-def gamma_small_criterion(vf, g, L, lam_c=None):
-    """Surface-vorticity smallness: gamma(0)^2 < g^2/(2gL + lambda_c)."""
-    if lam_c is None:
-        lam_c = critical_lambda(vf, g)
-    lhs = vf.gamma(0.0) ** 2
-    rhs = g * g / (2.0 * g * L + lam_c)
-    return _strict_less("gammasmall", lhs, rhs)
-
-
-def gamma_smallest_criterion(vf, g, L, lam_c=None):
-    """Refined smallness test using only g, L, m, and gamma(0).
-
-    Evaluates 1/sqrt(1 - 2L*gamma0^2/g) - 1/sqrt(1 - 2L*gamma0^2/g
-    - 2*gamma0^3*m/g^2) < 1. Fails with a reason when a radicand is
-    nonpositive. For constant vorticity this is equivalent to the
-    gamma_small criterion; the cross-check is reported in the note.
-    """
-    gamma0 = vf.gamma(0.0)
-    r1 = 1.0 - 2.0 * L * gamma0 ** 2 / g
-    r2 = r1 - 2.0 * gamma0 ** 3 * vf.m / g ** 2
-    if r1 <= 0.0 or r2 <= 0.0:
-        result = CriterionResult("gammasmallest", math.inf, 1.0, "fail",
-                                 -math.inf, "radicand nonpositive")
-    else:
-        lhs = 1.0 / math.sqrt(r1) - 1.0 / math.sqrt(r2)
-        result = _strict_less("gammasmallest", lhs, 1.0)
-    if vf.kind == "constant":
-        small = gamma_small_criterion(vf, g, L, lam_c=lam_c)
-        agree = (small.status == result.status
-                 or "boundary" in (small.status, result.status))
-        note = (result.note + "; " if result.note else "") + \
-            "constant-vorticity cross-check with gammasmall: %s" % (
-                "agrees" if agree else "DISAGREES")
-        result = CriterionResult(result.name, result.lhs, result.rhs,
-                                 result.status, result.margin, note)
-    return result

@@ -14,15 +14,14 @@ import pytest
 from scipy.optimize import brentq
 
 from test_gerstner import phys_grad
-from vorwave.audit import audit_wave
+from vorwave.audit import (audit_wave, gamma_small_criterion,
+                           gamma_smallest_criterion)
 from vorwave.cli import main
 from vorwave.continuation import continue_branch
 from vorwave.fields import reconstruct
 from vorwave.gerstner import TrochoidalWave
 from vorwave.grid import StripGrid
-from vorwave.laminar import (critical_lambda, gamma_small_criterion,
-                             gamma_smallest_criterion, laminar_flow,
-                             laminar_head)
+from vorwave.laminar import critical_lambda, laminar_flow, laminar_head
 from vorwave.solver import (discrete_laminar, find_bifurcation, newton_solve,
                             seed_wave)
 from vorwave.vorticity import VorticityFunction

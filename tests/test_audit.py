@@ -16,7 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vorwave.audit as audit_module
-from vorwave.audit import audit_wave, pressure_normal_derivative, surface_curve
+from vorwave.audit import (_band, _nonstrict, _strict, audit_wave,
+                           gamma_small_criterion, gamma_smallest_criterion,
+                           pressure_normal_derivative, surface_curve)
 from vorwave.continuation import continue_branch
 from vorwave.errors import InputError, StagnationError
 from vorwave.fields import reconstruct
@@ -365,6 +367,24 @@ class TestDiagnosticTable:
         assert sorted(calls) == sorted(audit_module.HYPOTHESES)
         assert rep.as_json() == sheared_report.as_json()
 
+    def test_gamma_is_sampled_once_per_wave(self, sheared_wave,
+                                            sheared_report, monkeypatch):
+        # gamma, gamma' and gamma'' on the psi nodes, gamma(0) and
+        # gamma'(0): the hypotheses read the node samples
+        vf = sheared_wave.vf
+        lam_c = critical_lambda(vf, G)
+        calls = []
+        real = type(vf).gamma
+
+        def counted(self, psi, order=0):
+            calls.append(order)
+            return real(self, psi, order)
+
+        monkeypatch.setattr(type(vf), "gamma", counted)
+        rep = audit_wave(sheared_wave, lam_c=lam_c)
+        assert sorted(calls) == [0, 0, 1, 1, 2]
+        assert rep.as_json() == sheared_report.as_json()
+
     def test_checks_do_not_depend_on_their_order(
             self, sheared_wave, sheared_report, monkeypatch):
         # no check reads what another one computed, so the reversed table
@@ -375,6 +395,30 @@ class TestDiagnosticTable:
         assert [json.dumps(d.json_entry()) for d in reverse.diagnostics] == \
             [json.dumps(d.json_entry())
              for d in sheared_report.diagnostics[::-1]]
+
+
+class TestVerdictRule:
+    @pytest.mark.parametrize("scale", [0.0, 0.5, -1.0, G, -40.0, 1e6])
+    def test_band_edges(self, scale):
+        band = _band(scale)
+        assert band == 1e-12 * max(1.0, abs(scale))
+        above, below = np.nextafter(band, np.inf), np.nextafter(-band, -np.inf)
+        assert _strict(band, band) == _strict(-band, band) == "boundary"
+        assert _strict(above, band) == "pass"
+        assert _strict(below, band) == "fail"
+        assert _nonstrict(0.0, band) == "pass"
+        assert _nonstrict(-band, band) == "boundary"
+        assert _nonstrict(below, band) == "fail"
+
+    def test_criteria_are_judged_by_the_rule(self):
+        # acceptance criterion 2's sweep, gamma = -0.05 ... -1.2
+        for n in range(1, 25):
+            vf = VorticityFunction.constant(-0.05 * n, m=M)
+            for crit in (gamma_small_criterion(vf, G, L),
+                         gamma_smallest_criterion(vf, G, L)):
+                assert crit.margin == crit.rhs - crit.lhs
+                assert crit.status == _strict(
+                    crit.margin, _band(max(abs(crit.lhs), abs(crit.rhs))))
 
 
 class TestResidualRefinement:

@@ -98,6 +98,38 @@ class TestDispersion:
         assert len(digest) == 64 and set(digest) <= set("0123456789abcdef")
 
 
+def strict_json(path):
+    """path's JSON, refusing the Infinity and NaN tokens strict JSON lacks."""
+    def refuse(token):
+        raise ValueError("%s holds %s" % (path, token))
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+def test_every_artifact_is_strict_json(pipeline_run, tmp_path):
+    # at gamma = -1.5 a radicand of gammasmallest is negative: its lhs and
+    # margin are infinite and written null
+    root, cfg, _ = pipeline_run
+    steep = write_config(tmp_path / "steep.json",
+                         vorticity={"kind": "constant", "gamma": -1.5})
+    for command, config in (("dispersion", cfg), ("bifurcate", cfg),
+                            ("dispersion", steep)):
+        out = tmp_path / ("%s-%s" % (command, config.stem))
+        assert main([command, "--config", str(config), "--out",
+                     str(out)]) == 0
+    assert main(["gerstner", "--out", str(tmp_path / "gerstner")]) == 0
+    written = sorted((root / "out").rglob("*.json"))
+    written += sorted(path for path in tmp_path.rglob("*.json")
+                      if path.parent != tmp_path)
+    assert len(written) > 10
+    for path in written:
+        strict_json(path)
+    crit = strict_json(tmp_path / "dispersion-steep" / "dispersion.json")[
+        "criteria"]["gammasmallest"]
+    assert crit["lhs"] is None and crit["margin"] is None
+    assert crit["status"] == "fail"
+    assert "radicand nonpositive" in crit["note"]
+
+
 class TestConfigErrors:
     def test_missing_config_file_leaves_nothing(self, tmp_path):
         out = tmp_path / "never"

@@ -427,6 +427,13 @@ class TestSerialization:
             assert (tmp_path / "one.json").read_bytes() == \
                 (tmp_path / "tokens.json").read_bytes()
 
+    def test_write_json_writes_non_finite_numbers_as_null(self, tmp_path):
+        continuation.write_json(tmp_path / "x.json", {
+            "inf": float("inf"), "nan": np.float64("nan"),
+            "row": (np.int64(2), -np.inf, np.float64(0.5), np.bool_(True))})
+        assert json.loads((tmp_path / "x.json").read_text()) == {
+            "inf": None, "nan": None, "row": [2, None, 0.5, True]}
+
     def test_a_grid_given_by_its_nodes_is_refused_before_writing(
             self, setup_irrotational, tmp_path):
         # a point file rebuilds the parametric grid from its sizes and beta,

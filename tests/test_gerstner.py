@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from vorwave.config import DEFAULT_G
 from vorwave.errors import InputError
 from vorwave.gerstner import TrochoidalWave
 
@@ -51,6 +52,9 @@ class TestConstruction:
     def test_gravity_positive(self):
         with pytest.raises(InputError):
             TrochoidalWave(1.0, 0.5, g=0.0)
+
+    def test_default_g_is_the_configs(self):
+        assert TrochoidalWave(1.0, 0.5).g == DEFAULT_G
 
     def test_deep_water_speed(self):
         wave = TrochoidalWave(1.0, 0.5)

@@ -19,8 +19,8 @@ from scipy.optimize import brentq
 
 from vorwave import (InputError, NumericsError, StripGrid,
                      VorticityFunction, critical_lambda, find_bifurcation,
-                     gamma_small_criterion, gamma_smallest_criterion,
                      laminar_depth, laminar_flow, laminar_head, solver)
+from vorwave.audit import gamma_small_criterion, gamma_smallest_criterion
 from vorwave.laminar import (_admissible_floor, _quad_checked, brent_root,
                              head_slope)
 
