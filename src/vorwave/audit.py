@@ -13,8 +13,9 @@ the verdict from the quantities `_Auditor` shares among the checks.
 `HYPOTHESES` is the one table of those hypotheses, each evaluated once per
 wave; a row whose hypothesis fails is reported not-applicable, naming the
 first one that fails, and its check is not run. A new diagnostic is one
-row and one check method. `audit_wave` runs the table and returns an
-`AuditReport` whose JSON form is the `vorwave audit` output.
+row and one check method. `audit_wave` runs the table on a field, under
+the field's own vorticity, and returns an `AuditReport`; each entry of its
+JSON form, the `vorwave audit` output, is one `Diagnostic`'s fields.
 
 One verdict rule judges every inequality vorwave reports: `_strict` (or
 `_nonstrict`) of a margin against a band, `_band(scale)` of the size of
@@ -34,13 +35,12 @@ finite differences of the velocity field.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .continuation import _jsonable
-from .errors import InputError, StagnationError
+from .errors import StagnationError
 from .fd import dq
 from .laminar import critical_lambda
 
@@ -78,21 +78,6 @@ class Diagnostic:
     margin: float
     tolerance: float | None = None
 
-    def json_entry(self):
-        loc = None
-        if self.location is not None:
-            loc = [float(self.location[0]), float(self.location[1])]
-        return {
-            "id": self.id,
-            "status": self.status,
-            "value": _jsonable(self.value),
-            "location": loc,
-            "margin": _jsonable(self.margin),
-            "paper_ref": self.paper_ref,
-            "description": self.description,
-            "tolerance": _jsonable(self.tolerance),
-        }
-
 
 @dataclass
 class AuditReport:
@@ -117,8 +102,10 @@ class AuditReport:
         return self.summary["fail"] == 0
 
     def as_json(self):
+        """The entries, each one Diagnostic's fields, and the summary, with
+        the numbers as computed; write_json makes them strict JSON."""
         return {
-            "diagnostics": [d.json_entry() for d in self.diagnostics],
+            "diagnostics": [asdict(d) for d in self.diagnostics],
             "summary": self.summary,
         }
 
@@ -208,10 +195,10 @@ class _Auditor:
     margin[, tolerance]), and reads no attribute another check sets. The
     hypotheses of HYPOTHESES are evaluated on first use, all at once."""
 
-    def __init__(self, wf, vf, lam_c):
+    def __init__(self, wf, lam_c):
         self.wf = wf
-        self.vf = vf
         self.lam_c = lam_c
+        vf = wf.vf
         g = wf.g
         self.g = g
         self.u, self.v = wf.u, wf.v
@@ -553,7 +540,7 @@ class _Auditor:
     def bernoulli(self):
         wf = self.wf
         head = (self.excess + 0.5 * self.spd2
-                + self.g * (wf.y + wf.d) - self.vf.Gamma(wf.p)[None, :])
+                + self.g * (wf.y + wf.d) - wf.vf.Gamma(wf.p)[None, :])
         spread = float(np.max(head) - np.min(head))
         _, loc = _extremum(wf, np.abs(head - np.median(head)), np.argmax)
         return (PASS if spread <= self.bern_tol else FAIL, spread, loc,
@@ -732,22 +719,18 @@ def _verdict(a, hypotheses, check):
     return check(a)
 
 
-def audit_wave(wf, vf=None, lam_c=None):
-    """Run every diagnostic of DIAGNOSTICS on a reconstructed wave field.
+def audit_wave(wf, lam_c=None):
+    """Run every diagnostic of DIAGNOSTICS on a wave field, under the
+    field's own VorticityFunction wf.vf.
 
-    vf defaults to the field's own VorticityFunction; fields loaded from
-    CSV must pass one explicitly. lam_c is critical_lambda(vf, wf.g),
-    computed here when None; callers auditing many waves of one branch pass
-    it in to skip the quadrature. Returns an AuditReport whose as_json()
-    matches the CLI report schema.
+    lam_c is critical_lambda(wf.vf, wf.g), computed here when None; callers
+    auditing many waves of one branch pass it in to skip the quadrature.
+    Returns an AuditReport; continuation.write_json of its as_json() is the
+    CLI report.
     """
-    vf = vf if vf is not None else wf.vf
-    if vf is None:
-        raise InputError("audit needs a VorticityFunction; the field "
-                         "carries none")
     if lam_c is None:
-        lam_c = critical_lambda(vf, wf.g)
-    a = _Auditor(wf, vf, lam_c)
+        lam_c = critical_lambda(wf.vf, wf.g)
+    a = _Auditor(wf, lam_c)
     return AuditReport([
         Diagnostic(diag_id, description, ref, *_verdict(a, hyps, check))
         for diag_id, ref, description, hyps, check in DIAGNOSTICS])

@@ -132,7 +132,8 @@ def _write_bifurcation(cfg, outdir):
     vf = cfg.build_vorticity()
     lam_c = critical_lambda(vf, cfg.g)
     lam_star = float(find_bifurcation(vf, cfg.g, cfg.L, cfg.m,
-                                      beta=cfg.grid.stretching, lam_c=lam_c))
+                                      beta=cfg.build_grid().beta,
+                                      lam_c=lam_c))
     depth = laminar_depth(vf, lam_star)
     payload = {
         "lambda_star": lam_star,
@@ -151,7 +152,7 @@ def _run_bifurcate(cfg, args, outdir, manifest):
 
 def _run_continue(cfg, args, outdir, manifest):
     branch = continue_branch(cfg.build_grid(), cfg.build_vorticity(), cfg.g,
-                             cfg.continuation.steps)
+                             cfg.steps)
     save_branch(branch, outdir / "branch")
     return 0
 
@@ -195,6 +196,15 @@ def _run_audit(cfg, args, outdir, manifest):
             raise InputError("field CSV %s does not exist" % field_csv)
         manifest.add_input(field_csv)
         wf = WaveField.from_csv(field_csv, vf=cfg.build_vorticity())
+        # the config's vorticity, and lambda_c with it, belong to the
+        # config's problem; a field of another one is not audited under it
+        for name in ("L", "m", "g"):
+            if getattr(wf, name) != getattr(cfg, name):
+                raise InputError(
+                    "field CSV %s has %s = %r but the config has %s = %r; "
+                    "audit a field under the config it was computed with"
+                    % (field_csv, name, getattr(wf, name), name,
+                       getattr(cfg, name)))
         report = audit_wave(wf)
         write_json(outdir / "report.json", report.as_json())
         return 0 if report.passed() else 1
@@ -221,7 +231,7 @@ def _run_pipeline(cfg, args, outdir, manifest):
         bif = _write_bifurcation(cfg, outdir)
     grid, vf = cfg.build_grid(), cfg.build_vorticity()
     with manifest.stage("continue"):
-        branch = continue_branch(grid, vf, cfg.g, cfg.continuation.steps,
+        branch = continue_branch(grid, vf, cfg.g, cfg.steps,
                                  lam_star=bif["lambda_star"])
     with manifest.stage("save_branch"):
         save_branch(branch, outdir / "branch")

@@ -5,9 +5,11 @@ number of continuation steps and the output directory. The audit's
 tolerances and the continuation's step controls are library constants,
 so no config can move a verdict. Unknown keys are rejected at every
 nesting level on purpose: a tolerated typo, `Steps` for `steps` say,
-would silently run with a default, invisible in the output. The vorticity
-and the grid are built once on loading, so a config is valid or invalid
-whatever the subcommand.
+would silently run with a default, invisible in the output. The
+VorticityFunction and the StripGrid are built once, on loading, to check
+them, and the config keeps them: `build_vorticity()` and `build_grid()`
+return those objects, so a config is valid or invalid whatever the
+subcommand, and every stage of a run shares one of each.
 """
 
 from __future__ import annotations
@@ -36,8 +38,7 @@ def _check_keys(data, allowed, where):
                              ", ".join(sorted(allowed))))
 
 
-def _number(data, key, where, default=None, *, positive=True,
-            nonnegative=False):
+def _number(data, key, where, default=None, *, positive=True):
     if key not in data:
         return default
     val = data[key]
@@ -49,9 +50,6 @@ def _number(data, key, where, default=None, *, positive=True,
         raise ConfigError("%s.%s must be finite" % (where, key))
     if positive and not val > 0.0:
         raise ConfigError("%s.%s must be positive, got %r"
-                          % (where, key, val))
-    if nonnegative and val < 0.0:
-        raise ConfigError("%s.%s must be nonnegative, got %r"
                           % (where, key, val))
     return val
 
@@ -70,28 +68,15 @@ def _integer(data, key, where, default):
 
 
 @dataclass(frozen=True)
-class GridConfig:
-    Nq: int = 64
-    Np: int = 48
-    stretching: float = 0.5
-
-
-@dataclass(frozen=True)
-class ContinuationConfig:
-    steps: int = 25
-
-
-@dataclass(frozen=True)
 class RunConfig:
     L: float
     m: float
-    vorticity: dict
-    g: float = DEFAULT_G
-    grid: GridConfig = field(default_factory=GridConfig)
-    continuation: ContinuationConfig = field(
-        default_factory=ContinuationConfig)
-    outdir: str | None = None
-    raw: dict = field(default_factory=dict, repr=False)
+    g: float
+    steps: int
+    outdir: str | None
+    raw: dict = field(repr=False)
+    _grid: StripGrid = field(repr=False)
+    _vf: VorticityFunction = field(repr=False)
 
     @classmethod
     def from_file(cls, path):
@@ -116,45 +101,38 @@ class RunConfig:
 
         grid_raw = data.get("grid", {})
         _check_keys(grid_raw, _GRID_KEYS, "config.grid")
-        grid = GridConfig(
-            Nq=_integer(grid_raw, "Nq", "config.grid", GridConfig.Nq),
-            Np=_integer(grid_raw, "Np", "config.grid", GridConfig.Np),
-            # 0 is a uniform p-grid; StripGrid checks the upper bound
-            stretching=_number(grid_raw, "stretching", "config.grid",
-                               GridConfig.stretching, positive=False,
-                               nonnegative=True))
+        nq = _integer(grid_raw, "Nq", "config.grid", 64)
+        npts = _integer(grid_raw, "Np", "config.grid", 48)
+        # 0 is a uniform p-grid; StripGrid checks the range [0, 0.9]
+        stretching = _number(grid_raw, "stretching", "config.grid", 0.5,
+                             positive=False)
 
         cont_raw = data.get("continuation", {})
         _check_keys(cont_raw, _CONT_KEYS, "config.continuation")
-        cont = ContinuationConfig(
-            steps=_integer(cont_raw, "steps", "config.continuation",
-                           ContinuationConfig.steps))
+        steps = _integer(cont_raw, "steps", "config.continuation", 25)
 
         outdir = data.get("outdir")
         if outdir is not None and not isinstance(outdir, str):
             raise ConfigError("config.outdir must be a string")
 
-        cfg = cls(
-            L=_number(data, "L", "config"),
-            m=_number(data, "m", "config"),
-            vorticity=data["vorticity"],
-            g=_number(data, "g", "config", DEFAULT_G),
-            grid=grid, continuation=cont,
-            outdir=outdir, raw=data)
-        # fail fast on a bad vorticity fragment or grid
-        cfg.build_vorticity()
-        cfg.build_grid()
-        return cfg
-
-    def build_vorticity(self):
+        L = _number(data, "L", "config")
+        m = _number(data, "m", "config")
+        g = _number(data, "g", "config", DEFAULT_G)
         try:
-            return VorticityFunction(self.vorticity, self.m)
+            vf = VorticityFunction(data["vorticity"], m)
         except InputError as exc:
             raise ConfigError("config.vorticity: %s" % exc)
-
-    def build_grid(self):
         try:
-            return StripGrid(self.L, self.m, self.grid.Nq, self.grid.Np,
-                             self.grid.stretching)
+            grid = StripGrid(L, m, nq, npts, stretching)
         except InputError as exc:
             raise ConfigError("config.grid: %s" % exc)
+        return cls(L=L, m=m, g=g, steps=steps, outdir=outdir, raw=data,
+                   _grid=grid, _vf=vf)
+
+    def build_vorticity(self):
+        """The VorticityFunction checked on loading."""
+        return self._vf
+
+    def build_grid(self):
+        """The StripGrid checked on loading."""
+        return self._grid

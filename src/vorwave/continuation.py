@@ -152,7 +152,6 @@ def continue_branch(grid, vf, g, steps, *, lam_star=None, eps_stag=None,
         return True
 
     ds = DS0
-    tangent = None
     linear = LinearSolver(grid)
     while len(branch.points) - 1 < steps:
         if len(branch.points) == 1:
@@ -164,16 +163,13 @@ def continue_branch(grid, vf, g, steps, *, lam_star=None, eps_stag=None,
             nrm = np.sqrt(scaled_dot(t_h, t_Q, t_h, t_Q))
             if nrm == 0.0:
                 raise NumericsError("degenerate secant tangent")
-            t_h = t_h / nrm
-            t_Q = t_Q / nrm
-            if tangent is not None and scaled_dot(t_h, t_Q, *tangent) < 0.0:
-                t_h, t_Q = -t_h, -t_Q
-            tangent = (t_h, t_Q)
+            # the secant points the way the branch travelled
+            t_h, t_Q = t_h / nrm, t_Q / nrm
 
             def attempt(ds):
                 return (cur.h + ds * t_h, cur.Q + ds * t_Q,
                         dict(mode="arclength", base=(cur.h, cur.Q),
-                             tangent=tangent, ds=ds))
+                             tangent=(t_h, t_Q), ds=ds))
 
         for _ in range(MAX_RETRIES):
             h0, Q0, mode = attempt(ds)

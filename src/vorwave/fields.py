@@ -36,10 +36,12 @@ class WaveField:
     `WaveField.from_csv` (on `StripGrid.from_nodes` of the file's nodes); the
     field differentiates with its `grid`'s weights. The stored arrays are
     authoritative; h_q and h_p are rebuilt from h so grad works on either.
+    `vf` is the VorticityFunction of the wave's problem, which the audit
+    reads; every field carries one.
     """
 
     def __init__(self, grid, g, Q, d, h, u, v, P, psi, omega,
-                 ux, uy, vx, vy, uxx, uxy, vf=None):
+                 ux, uy, vx, vy, uxx, uxy, vf):
         self.grid = grid
         self.q, self.p, self.L, self.m = grid.q, grid.p, grid.L, grid.m
         self.nq, self.npts = grid.nq, grid.npts
@@ -57,7 +59,6 @@ class WaveField:
         self.hq = dq(h, grid.wq1, "even")
         self.y = h - self.d
         self.eta = h[:, -1] - self.d
-        self.eta_x = dq(self.eta, grid.wq1, "even")
         self.eta_xx = dq(self.eta, grid.wq2, "even")
 
     def grad(self, F, parity):
@@ -106,8 +107,13 @@ class WaveField:
                 fh.write(block % tuple(rows.tolist()))
 
     @classmethod
-    def from_csv(cls, path, vf=None):
-        """Load a field written by to_csv; stored values stay authoritative."""
+    def from_csv(cls, path, vf):
+        """Load a field written by to_csv; stored values stay authoritative.
+
+        The file holds no vorticity: vf is the VorticityFunction of the
+        problem the field was computed under, and the loaded field carries
+        it. L = q[-1], m = -p[0] and g come from the file.
+        """
         with open(path) as fh:
             meta = _META_RE.match(fh.readline())
             if meta is None:

@@ -9,6 +9,7 @@ identity residuals against refinement order, and the report plumbing
 
 import copy
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -19,8 +20,8 @@ import vorwave.audit as audit_module
 from vorwave.audit import (_band, _nonstrict, _strict, audit_wave,
                            gamma_small_criterion, gamma_smallest_criterion,
                            pressure_normal_derivative, surface_curve)
-from vorwave.continuation import continue_branch
-from vorwave.errors import InputError, StagnationError
+from vorwave.continuation import continue_branch, write_json
+from vorwave.errors import StagnationError
 from vorwave.fields import reconstruct
 from vorwave.grid import StripGrid
 from vorwave.laminar import critical_lambda, laminar_flow
@@ -392,9 +393,8 @@ class TestDiagnosticTable:
         monkeypatch.setattr(audit_module, "DIAGNOSTICS",
                             audit_module.DIAGNOSTICS[::-1])
         reverse = audit_wave(sheared_wave)
-        assert [json.dumps(d.json_entry()) for d in reverse.diagnostics] == \
-            [json.dumps(d.json_entry())
-             for d in sheared_report.diagnostics[::-1]]
+        assert [asdict(d) for d in reverse.diagnostics] == \
+            [asdict(d) for d in sheared_report.diagnostics[::-1]]
 
 
 class TestVerdictRule:
@@ -449,38 +449,34 @@ class TestResidualRefinement:
 
 
 class TestReportPlumbing:
-    def test_json_schema(self, moderate_report):
-        doc = moderate_report.as_json()
+    def test_json_schema(self, moderate_report, tmp_path):
+        # the report as the CLI writes it: each entry is one Diagnostic's
+        # fields, in strict JSON (no Infinity/NaN tokens)
+        path = tmp_path / "report.json"
+        write_json(path, moderate_report.as_json())
+
+        def refuse(token):
+            raise ValueError(token)
+        doc = json.loads(path.read_text(), parse_constant=refuse)
         assert set(doc) == {"diagnostics", "summary"}
         assert set(doc["summary"]) == {"pass", "fail", "boundary", "na"}
         for entry in doc["diagnostics"]:
-            assert list(entry) == ["id", "status", "value", "location",
-                                   "margin", "paper_ref", "description",
-                                   "tolerance"]
+            assert set(entry) == {"id", "status", "value", "location",
+                                  "margin", "paper_ref", "description",
+                                  "tolerance"}
             assert isinstance(entry["description"], str)
             assert entry["description"]
             assert (entry["tolerance"] is None
                     or isinstance(entry["tolerance"], float))
+            assert (entry["location"] is None
+                    or [type(x) for x in entry["location"]] == [float] * 2)
         counts = doc["summary"]
         assert sum(counts.values()) == len(doc["diagnostics"])
-        # Strict JSON round trip (no Infinity/NaN tokens).
-        parsed = json.loads(json.dumps(doc, allow_nan=False))
-        assert parsed == doc
 
     def test_reports_deterministic(self, moderate_wave):
         a = json.dumps(audit_wave(moderate_wave).as_json(), sort_keys=True)
         b = json.dumps(audit_wave(moderate_wave).as_json(), sort_keys=True)
         assert a == b
-
-    def test_missing_vorticity_rejected(self, tmp_path, moderate_wave):
-        path = tmp_path / "wave.csv"
-        moderate_wave.to_csv(path)
-        from vorwave.fields import WaveField
-        back = WaveField.from_csv(path)
-        with pytest.raises(InputError):
-            audit_wave(back)
-        rep = audit_wave(back, vf=VorticityFunction.constant(0.0, m=M))
-        assert rep.passed()
 
     def test_tolerance_overrides_respected(self, moderate_wave,
                                            monkeypatch):

@@ -17,12 +17,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vorwave import cli, continuation, laminar, solver
+from vorwave import audit, cli, continuation, laminar, solver
 from vorwave.cli import main
 from vorwave.config import DEFAULT_G, RunConfig
 from vorwave.errors import (InputError, NoConvergenceError, NumericsError,
                             SolverError)
 from vorwave.fields import CSV_COLUMNS, WaveField
+from vorwave.grid import StripGrid
+from vorwave.vorticity import VorticityFunction
 
 GMEAN = 9.81 ** (2.0 / 3.0)  # critical lambda for irrotational unit flux
 
@@ -444,8 +446,9 @@ def test_bifurcate_computes_lambda_c_once(tmp_path, monkeypatch):
 
 def test_dispersion_computes_lambda_c_once(tmp_path, monkeypatch):
     # both shear criteria take dispersion's lambda_c; gammasmallest's
-    # constant-vorticity cross-check passes it on to gammasmall
-    calls = _count_critical_lambda(monkeypatch, (cli, laminar))
+    # constant-vorticity cross-check passes it on to gammasmall. The
+    # criteria live in audit, so a recomputation would go through it
+    calls = _count_critical_lambda(monkeypatch, (cli, audit))
     cfg = write_config(tmp_path / "cfg.json",
                        vorticity={"kind": "constant", "gamma": -0.3})
     assert main(["dispersion", "--config", str(cfg), "--out",
@@ -481,8 +484,9 @@ def test_uniform_p_grid_bifurcates(tmp_path):
 
 @pytest.mark.parametrize("command", ["dispersion", "bifurcate", "continue",
                                      "pipeline", "gerstner"])
-@pytest.mark.parametrize("grid", [{"Np": 5}, {"stretching": 0.95}],
-                         ids=["Np5", "stretching"])
+@pytest.mark.parametrize("grid", [{"Np": 5}, {"stretching": 0.95},
+                                  {"stretching": -0.1}],
+                         ids=["Np5", "stretching", "negative-stretching"])
 def test_invalid_grid_is_a_config_error(tmp_path, capsys, grid, command):
     # the config's grid is checked when it loads, so a grid StripGrid
     # rejects fails every subcommand the same way, before any artifact
@@ -492,6 +496,36 @@ def test_invalid_grid_is_a_config_error(tmp_path, capsys, grid, command):
     assert capsys.readouterr().err.startswith(
         "vorwave: config error: config.grid: ")
     assert not out.exists()
+
+
+def test_config_keeps_the_grid_and_vorticity_it_checked(tmp_path):
+    cfg = RunConfig.from_file(write_config(tmp_path / "cfg.json"))
+    assert cfg.build_grid() is cfg.build_grid()
+    assert cfg.build_vorticity() is cfg.build_vorticity()
+    assert (cfg.build_grid().nq, cfg.build_grid().npts) == (48, 36)
+    assert cfg.build_vorticity().m == cfg.m
+
+
+def test_pipeline_builds_its_grid_and_vorticity_once(tmp_path, monkeypatch):
+    # the config builds both while checking them, and every stage of the
+    # run reads the ones it kept; find_bifurcation's own 4-column grid is
+    # not the run's
+    built = []
+    for cls in (StripGrid, VorticityFunction):
+        real = cls.__init__
+
+        def counted(self, *args, _real=real, **kwargs):
+            _real(self, *args, **kwargs)
+            built.append(self)
+        monkeypatch.setattr(cls, "__init__", counted)
+    cfg = write_config(tmp_path / "cfg.json",
+                       vorticity={"kind": "constant", "gamma": -0.3},
+                       grid={"Nq": 24, "Np": 20}, continuation={"steps": 3})
+    assert main(["pipeline", "--config", str(cfg), "--out",
+                 str(tmp_path / "p")]) == 0
+    assert [type(obj).__name__ for obj in built
+            if not isinstance(obj, StripGrid) or obj.nq == 24] == [
+        "VorticityFunction", "StripGrid"]
 
 
 def test_every_subcommand_has_a_handler():
@@ -717,6 +751,38 @@ class TestAudit:
                      "--out", str(tmp_path / "column")]) == 2
         assert "column.csv" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, value", [("m", 2.0), ("L", 3.0),
+                                             ("g", 9.8)])
+    def test_csv_of_another_problem_exits_2(self, pipeline_run, tmp_path,
+                                            capsys, name, value):
+        # the field was computed at L = pi, m = 1, g = 9.81; a config that
+        # differs in one of them would judge it under another vorticity
+        # and another lambda_c, so audit refuses it
+        root, _, _ = pipeline_run
+        field = root / "out" / "fields" / "point_0005.csv"
+        cfg = write_config(tmp_path / "other.json", **{name: value})
+        out = tmp_path / "other"
+        assert main(["audit", str(field), "--config", str(cfg),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("vorwave: input error: field CSV %s" % field)
+        assert "%s = %r but the config has %s = %r" % (
+            name, {"m": 1.0, "L": float(np.pi), "g": DEFAULT_G}[name],
+            name, value) in err
+        assert not (out / "report.json").exists()
+
+    def test_csv_under_its_own_config_matches_the_branch_report(
+            self, pipeline_run, tmp_path):
+        # the CSV of point 5 audited under the config that made it gives
+        # the bytes of the pipeline's own report of point 5
+        root, cfg, _ = pipeline_run
+        field = root / "out" / "fields" / "point_0005.csv"
+        out = tmp_path / "own"
+        assert main(["audit", str(field), "--config", str(cfg),
+                     "--out", str(out)]) == 0
+        assert (out / "report.json").read_bytes() == \
+            (root / "out" / "reports" / "report_0005.json").read_bytes()
+
     @pytest.mark.parametrize("column, value", [(7, "nan"), (-1, "inf")])
     def test_non_finite_field_nodes_exit_2(self, pipeline_run, tmp_path,
                                            capsys, column, value):
@@ -733,7 +799,8 @@ class TestAudit:
         bad = tmp_path / "nonfinite.csv"
         bad.write_text("\n".join(lines) + "\n")
         with pytest.raises(InputError, match="nonfinite.csv"):
-            WaveField.from_csv(bad)
+            WaveField.from_csv(
+                bad, RunConfig.from_file(cfg).build_vorticity())
         assert main(["audit", str(bad), "--config", str(cfg),
                      "--out", str(tmp_path / "nonfinite")]) == 2
         assert "nonfinite.csv" in capsys.readouterr().err
@@ -753,7 +820,8 @@ class TestAudit:
         bad = tmp_path / "shifted.csv"
         bad.write_text("\n".join(lines) + "\n")
         with pytest.raises(InputError, match="shifted.csv: grid nodes must"):
-            WaveField.from_csv(bad)
+            WaveField.from_csv(
+                bad, RunConfig.from_file(cfg).build_vorticity())
         assert main(["audit", str(bad), "--config", str(cfg),
                      "--out", str(tmp_path / "shifted")]) == 2
         assert "shifted.csv" in capsys.readouterr().err

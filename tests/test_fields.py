@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from vorwave.errors import InputError, StagnationError
+from vorwave.fd import dq
 from vorwave.fields import CSV_COLUMNS, WaveField, reconstruct
 from vorwave.grid import StripGrid
 from vorwave.laminar import laminar_flow
@@ -88,8 +89,9 @@ class TestSolvedWave:
         assert np.max(np.abs(wf.P[:, -1])) <= 1e-9 * max(1.0, abs(wf.Q))
 
     def test_kinematic_condition_exact(self, wave):
-        _, wf = wave
-        assert np.max(np.abs(wf.v[:, -1] - wf.eta_x * wf.u[:, -1])) < 1e-14
+        grid, wf = wave
+        eta_x = dq(wf.eta, grid.wq1, "even")
+        assert np.max(np.abs(wf.v[:, -1] - eta_x * wf.u[:, -1])) < 1e-14
 
     def test_eta_has_zero_mean(self, wave):
         grid, wf = wave
@@ -166,7 +168,8 @@ class TestCsv:
         _, wf = wave
         path = tmp_path / "field.csv"
         wf.to_csv(path)
-        back = WaveField.from_csv(path)
+        back = WaveField.from_csv(path, wf.vf)
+        assert back.vf is wf.vf
         for name in ("u", "v", "P", "psi", "omega", "ux", "uy", "vx", "vy",
                      "uxx", "uxy"):
             assert np.array_equal(getattr(back, name), getattr(wf, name)), name
@@ -182,7 +185,7 @@ class TestCsv:
     def test_reload_writes_the_same_bytes(self, wave, tmp_path):
         _, wf = wave
         wf.to_csv(tmp_path / "field.csv")
-        WaveField.from_csv(tmp_path / "field.csv").to_csv(
+        WaveField.from_csv(tmp_path / "field.csv", wf.vf).to_csv(
             tmp_path / "again.csv")
         assert (tmp_path / "again.csv").read_bytes() == \
             (tmp_path / "field.csv").read_bytes()
@@ -200,7 +203,7 @@ class TestCsv:
         path = tmp_path / "bad.csv"
         path.write_text("q,p\n0,0\n")
         with pytest.raises(InputError):
-            WaveField.from_csv(path)
+            WaveField.from_csv(path, VorticityFunction.constant(0.0, m=M))
 
     def test_wrong_columns_rejected(self, wave, tmp_path):
         _, wf = wave
@@ -210,7 +213,7 @@ class TestCsv:
         lines[1] = lines[1].replace("omega", "vorticity")
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(InputError):
-            WaveField.from_csv(path)
+            WaveField.from_csv(path, wf.vf)
 
     def test_tampered_pressure_rejected(self, wave, tmp_path):
         # the loader cross-checks the surface Bernoulli head against the
@@ -219,10 +222,10 @@ class TestCsv:
         path = tmp_path / "field.csv"
         bad = WaveField(wf.grid, wf.g, wf.Q, wf.d, wf.h, wf.u, wf.v,
                         wf.P + 0.5, wf.psi, wf.omega, wf.ux, wf.uy, wf.vx,
-                        wf.vy, wf.uxx, wf.uxy)
+                        wf.vy, wf.uxx, wf.uxy, wf.vf)
         bad.to_csv(path)
         with pytest.raises(InputError):
-            WaveField.from_csv(path)
+            WaveField.from_csv(path, wf.vf)
 
     @pytest.mark.parametrize("name, shift", [("q", 0.05), ("p", 0.01)])
     def test_rows_off_the_grid_rejected(self, wave, tmp_path, name, shift):
@@ -239,7 +242,7 @@ class TestCsv:
         lines[row] = ",".join(cells)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(InputError, match="do not form a grid"):
-            WaveField.from_csv(path)
+            WaveField.from_csv(path, wf.vf)
 
 
 def test_reconstruct_keeps_one_column_operator_per_grid(wave):
