@@ -4,12 +4,15 @@ Every claim the analysis makes about a steady wave is turned into a
 diagnostic: sign conditions (streamline slope below one, u_x < 0, v > 0,
 the vortex-force quantity at the trough), pointwise identities that must
 hold up to discretization error (tangential surface relations, the
-elliptic equations for u_x/u and v/u, Bernoulli constancy), and the
-pressure inequalities. Each diagnostic reports a status, the extremal
-value, where it occurred, and the margin to the constraint. `DIAGNOSTICS`
-lists them, one row each in report order: the id, paper reference and
-description, the hypotheses the theorem needs, and the check that computes
-the verdict from the quantities `_Auditor` shares among the checks.
+elliptic equations for u_x/u and v/u, Bernoulli constancy), the
+pressure inequalities, and whether the grid resolves the crest (D-crest:
+`boundary` on a wave that solver.crest_kink finds kinked, the predicate
+that also ends a branch at "crest-unresolved"). Each diagnostic reports
+a status, the extremal value, where it occurred, and the margin to the
+constraint. `DIAGNOSTICS` lists them, one row each in report order: the
+id, paper reference and description, the hypotheses the theorem needs,
+and the check that computes the verdict from the quantities `_Auditor`
+shares among the checks.
 `HYPOTHESES` is the one table of those hypotheses, each evaluated once per
 wave; a row whose hypothesis fails is reported not-applicable, naming the
 first one that fails, and its check is not run. A new diagnostic is one
@@ -35,7 +38,7 @@ finite differences of the velocity field.
 """
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -43,6 +46,7 @@ import numpy as np
 from .errors import StagnationError
 from .fd import dq
 from .laminar import critical_lambda
+from .solver import crest_kink
 
 PASS = "pass"
 FAIL = "fail"
@@ -103,9 +107,11 @@ class AuditReport:
 
     def as_json(self):
         """The entries, each one Diagnostic's fields, and the summary, with
-        the numbers as computed; write_json makes them strict JSON."""
+        the numbers as computed; write_json makes them strict JSON. An
+        entry is a shallow copy: its value and location are the
+        Diagnostic's own."""
         return {
-            "diagnostics": [asdict(d) for d in self.diagnostics],
+            "diagnostics": [dict(vars(d)) for d in self.diagnostics],
             "summary": self.summary,
         }
 
@@ -598,6 +604,17 @@ class _Auditor:
         return (_strict(sink, _band(self.g)),
                 {"overturning": True, "max_dPdn": sink}, loc, sink)
 
+    def crest(self):
+        # the margin counts the nodes between the steepest surface slope and
+        # the first node off the crest: 0 on a kinked wave
+        kinked, node, slope = crest_kink(self.wf.grid, self.wf.h)
+        return (BOUNDARY if kinked else PASS,
+                {"steepest_node": node,
+                 "angle_deg": float(np.degrees(np.arctan(slope))),
+                 "reason": "crest unresolved on this grid" if kinked
+                 else None},
+                (float(self.wf.q[node]), 0.0), float(node - 1))
+
     def bed_strain(self):
         wf = self.wf
         w_bed = wf.ux[:, :1] / self.u[:, :1]
@@ -706,6 +723,9 @@ DIAGNOSTICS = (
      "overturning waves need a pressure sink", (), _Auditor.overturn),
     ("D-w-bed", "sign:bed-strain",
      "relative strain positive on the open bed row", (), _Auditor.bed_strain),
+    ("D-crest", "resolution:crest-kink",
+     "surface slope peaks past the first node off the crest", ("not-flat",),
+     _Auditor.crest),
 )
 
 

@@ -3,9 +3,11 @@
 The branch starts at the trivial (laminar) wave at the bifurcation value of
 the squared surface speed, takes one amplitude-controlled step onto the
 nontrivial branch, and then advances with secant tangents and an adaptive
-arclength step. It ends on one of five stop rules, which branch.json names
+arclength step. It ends on one of six stop rules, which branch.json names
 "max-steps", "near-stagnation", "amplitude-reversal", "trough-criterion"
-(g - gamma(0) * u > 0 at the trough turns non-positive) and "newton-failure".
+(g - gamma(0) * u > 0 at the trough turns non-positive), "crest-unresolved"
+(the surface slope peaks at the first node off the crest, solver.crest_kink,
+the predicate the audit's D-crest reports too) and "newton-failure".
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .errors import (InputError, NumericsError, SolverError,
                      StagnationError)
 from .grid import StripGrid
 from .solver import (LinearSolver, amplitude, bifurcation_mode,
-                     discrete_laminar, find_bifurcation, mode_seed,
+                     crest_kink, discrete_laminar, find_bifurcation, mode_seed,
                      newton_solve, newton_tolerance, pack_residual,
                      residual_parts, scaled_dot, solver_hp)
 from .vorticity import VorticityFunction
@@ -40,6 +42,18 @@ NEWTON_MAX_CONTRACTION = 0.9
 # the departure's amplitude, and the cap on the arclength step as it grows
 DS0 = 0.005
 DS_MAX = 0.04
+# After an attempt that converges in at most 4 iterations the step grows by
+# REGROWTH, or by COLLAPSE_REGROWTH while failed attempts have left it below
+# DS0. At the Q-fold of the 64x48 branches (gamma 0, -0.3, -0.7, 25 steps)
+# failed attempts halve the step to 2.8e-5-5.6e-5, and regrown by 1.3 it
+# stayed below 1e-3 for each branch's last 11-12 steps. Regrown by 2, the
+# three branches reach their first kinked point, where they stop, in 208
+# Newton iterations instead of 249 for 25 steps, at 35 failed attempts
+# against 33. A factor of 3 or 4 steps past the kink's onset, onto a wave
+# whose D-f reports boundary; 1.6 takes 234 iterations. A branch whose
+# attempts all converge never falls below DS0 and keeps its steps.
+REGROWTH = 1.3
+COLLAPSE_REGROWTH = 2.0
 # step halvings, each after a failed Newton attempt, before "newton-failure"
 MAX_RETRIES = 8
 # byte layout of a stored point's heights: raw little-endian float64
@@ -96,21 +110,24 @@ def continue_branch(grid, vf, g, steps, *, lam_star=None, eps_stag=None,
     NEWTON_MAX_ITER iterations and abandoned at the first iteration that
     contracts the residual by less than NEWTON_MAX_CONTRACTION, so a stalled
     attempt costs a few linear solves instead of dozens. After an attempt
-    that converges in at most 4 iterations the step grows by 1.3, up to
-    DS_MAX. The branch builds one LinearSolver, which serves every
-    attempt (newton_solve's `linear_solver`), so each step starts from the
-    last LU of the step accepted before it, the departure's included; a
-    failed attempt's LU is dropped, so its retry factors its first system,
-    and an accepted point never depends on how long a failed attempt ran.
-    `lam_star` defaults to
-    find_bifurcation on a vertical grid with the stretching of `grid`,
-    which StripGrid.from_nodes grids lack.
+    that converges in at most 4 iterations the step grows, up to DS_MAX:
+    by COLLAPSE_REGROWTH (2) while failed attempts have left it below DS0,
+    by REGROWTH (1.3) otherwise. The branch builds one LinearSolver, which
+    serves every attempt (newton_solve's `linear_solver`), so each step
+    starts from the last LU of the step accepted before it, the departure's
+    included; a failed attempt's LU is dropped, so its retry factors its
+    first system, and an accepted point never depends on how long a failed
+    attempt ran. `lam_star` defaults to find_bifurcation on a vertical grid
+    with the stretching of `grid`, which StripGrid.from_nodes grids lack.
 
     Stop reasons: "max-steps", "near-stagnation" (the offending point is not
     a valid wave and is discarded), "amplitude-reversal" (the new point's
     amplitude does not exceed the last stored one; it is discarded and the
     branch ends on the last good point), "trough-criterion" (the point is
-    kept), "newton-failure" (after MAX_RETRIES halvings of the step).
+    kept), "crest-unresolved" (solver.crest_kink finds the new point's
+    surface slope peaking at the first node off the crest, so the grid no
+    longer resolves its crest; the point is kept), "newton-failure" (after
+    MAX_RETRIES halvings of the step).
     """
     if steps < 0:
         raise NumericsError("steps must be nonnegative")
@@ -148,6 +165,9 @@ def continue_branch(grid, vf, g, steps, *, lam_star=None, eps_stag=None,
             res.iterations, res.factorizations, res.linear_iterations))
         if trough_criterion_value(grid, vf, g, res.h) <= trough_cut:
             branch.stop_reason = "trough-criterion"
+            return False
+        if crest_kink(grid, res.h)[0]:
+            branch.stop_reason = "crest-unresolved"
             return False
         return True
 
@@ -188,7 +208,8 @@ def continue_branch(grid, vf, g, steps, *, lam_star=None, eps_stag=None,
         if not accept(res, ds):
             return branch
         if res.iterations <= 4:
-            ds = min(ds * 1.3, DS_MAX)
+            ds = min(ds * (COLLAPSE_REGROWTH if ds < DS0 else REGROWTH),
+                     DS_MAX)
 
     branch.stop_reason = "max-steps"
     return branch

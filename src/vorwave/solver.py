@@ -55,6 +55,19 @@ def amplitude(h):
     return float(h[0, -1] - h[-1, -1])
 
 
+def crest_kink(grid, h):
+    """(kinked, node, slope) of the wave h: node is the q-node where the
+    surface slope |h_q(q, 0)| peaks, and slope its value there. The wave is
+    kinked, its crest unresolved on this grid, when that node is 1, the
+    first node off the crest. A flat surface, whose h_q is exactly zero,
+    is not kinked, and its node is None."""
+    slopes = np.abs(dq(h[:, -1], grid.wq1, "even"))
+    node = int(np.argmax(slopes))
+    if slopes[node] == 0.0:
+        return False, None, 0.0
+    return node == 1, node, float(slopes[node])
+
+
 def _derivatives(grid, h):
     """(h_p, h_q, h_pq, h_qq, h_pp): the one evaluation that the residual
     and the Jacobian share; h_pp covers the interior rows only."""

@@ -22,6 +22,7 @@ from vorwave.audit import (_band, _nonstrict, _strict, audit_wave,
                            pressure_normal_derivative, surface_curve)
 from vorwave.continuation import continue_branch, write_json
 from vorwave.errors import StagnationError
+from vorwave.fd import dq
 from vorwave.fields import reconstruct
 from vorwave.grid import StripGrid
 from vorwave.laminar import critical_lambda, laminar_flow
@@ -39,7 +40,7 @@ ALL_IDS = [
     "D-press-a", "D-press-b", "D-press-c", "D-press-d", "D-press-e",
     "D-press-f", "D-press-g", "D-press-h",
     "D-bern", "D-reduce", "D-monotone-u2", "D-angle", "D-overturn",
-    "D-w-bed",
+    "D-w-bed", "D-crest",
 ]
 
 # The sign and inequality diagnostics expected to hold on every accepted
@@ -397,6 +398,45 @@ class TestDiagnosticTable:
             [asdict(d) for d in sheared_report.diagnostics[::-1]]
 
 
+class TestCrestRow:
+    """D-crest reports a wave whose surface slope peaks at the first node
+    off the crest as boundary, any other wave as pass, and a flat one as
+    not-applicable."""
+
+    @pytest.fixture(scope="class")
+    def kinked_branch(self):
+        # a coarse irrotational branch, which ends at its first kinked wave
+        vf = VorticityFunction.constant(0.0, m=M)
+        grid = StripGrid(L, M, 24, 20, beta=0.5)
+        br = continue_branch(grid, vf, G, 60)
+        assert br.stop_reason == "crest-unresolved"
+        return [reconstruct(grid, vf, G, pt.h, pt.Q) for pt in br.points[-2:]]
+
+    def test_kinked_wave_is_boundary(self, kinked_branch):
+        wf = kinked_branch[-1]
+        diag = audit_wave(wf).by_id("D-crest")
+        assert diag.status == "boundary"
+        assert diag.value["reason"] == "crest unresolved on this grid"
+        assert diag.value["steepest_node"] == 1
+        assert diag.location == (float(wf.q[1]), 0.0)
+        assert diag.margin == 0.0
+        slope = np.max(np.abs(dq(wf.h[:, -1], wf.grid.wq1, "even")))
+        assert diag.value["angle_deg"] == np.degrees(np.arctan(slope))
+
+    def test_resolved_waves_pass(self, kinked_branch, moderate_report):
+        for diag in (audit_wave(kinked_branch[0]).by_id("D-crest"),
+                     moderate_report.by_id("D-crest")):
+            assert diag.status == "pass"
+            assert diag.value["reason"] is None
+            assert diag.value["steepest_node"] > 1
+            assert diag.margin == diag.value["steepest_node"] - 1
+
+    def test_flat_wave_is_not_applicable(self, trivial_report):
+        diag = trivial_report[1].by_id("D-crest")
+        assert diag.status == "not-applicable"
+        assert diag.value["failed"] == "not-flat"
+
+
 class TestVerdictRule:
     @pytest.mark.parametrize("scale", [0.0, 0.5, -1.0, G, -40.0, 1e6])
     def test_band_edges(self, scale):
@@ -472,6 +512,10 @@ class TestReportPlumbing:
                     or [type(x) for x in entry["location"]] == [float] * 2)
         counts = doc["summary"]
         assert sum(counts.values()) == len(doc["diagnostics"])
+
+    def test_entries_are_the_diagnostics_fields(self, moderate_report):
+        assert moderate_report.as_json()["diagnostics"] == \
+            [asdict(d) for d in moderate_report.diagnostics]
 
     def test_reports_deterministic(self, moderate_wave):
         a = json.dumps(audit_wave(moderate_wave).as_json(), sort_keys=True)

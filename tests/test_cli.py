@@ -783,6 +783,33 @@ class TestAudit:
         assert (out / "report.json").read_bytes() == \
             (root / "out" / "reports" / "report_0005.json").read_bytes()
 
+    def test_csv_of_another_vorticity_exits_2(self, tmp_path, capsys):
+        # a field computed at gamma = -0.3 under a config at gamma = -0.7
+        # with the same L, m and g: its reconstructed vorticity sits a
+        # median 0.4 from the config's, so audit refuses it; under its own
+        # config it gives the bytes of the pipeline's report
+        small = dict(grid={"Nq": 24, "Np": 20}, continuation={"steps": 3})
+        own = write_config(tmp_path / "own.json", vorticity={
+            "kind": "constant", "gamma": -0.3}, **small)
+        other = write_config(tmp_path / "other.json", vorticity={
+            "kind": "constant", "gamma": -0.7}, **small)
+        run = tmp_path / "run"
+        assert main(["pipeline", "--config", str(own), "--out",
+                     str(run)]) == 0
+        field = run / "fields" / "point_0003.csv"
+        out = tmp_path / "other"
+        assert main(["audit", str(field), "--config", str(other),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("vorwave: input error: field CSV %s" % field)
+        assert "a median 0.4 from the config's gamma(psi)" in err
+        assert not (out / "report.json").exists()
+        out = tmp_path / "own"
+        assert main(["audit", str(field), "--config", str(own),
+                     "--out", str(out)]) == 0
+        assert (out / "report.json").read_bytes() == \
+            (run / "reports" / "report_0003.json").read_bytes()
+
     @pytest.mark.parametrize("column, value", [(7, "nan"), (-1, "inf")])
     def test_non_finite_field_nodes_exit_2(self, pipeline_run, tmp_path,
                                            capsys, column, value):

@@ -14,7 +14,7 @@ from vorwave.errors import InputError, NoConvergenceError, SolverError
 from vorwave.fd import dq
 from vorwave.fields import reconstruct
 from vorwave.grid import StripGrid
-from vorwave.solver import find_bifurcation, solver_hp
+from vorwave.solver import crest_kink, find_bifurcation, solver_hp
 from vorwave.vorticity import VorticityFunction
 
 G = 9.81
@@ -40,6 +40,13 @@ def branch_irrotational(setup_irrotational):
 def branch_sheared():
     vf = VorticityFunction.constant(-0.3, m=M)
     return continue_branch(StripGrid(L, M, 24, 20, beta=0.5), vf, G, 4)
+
+
+def never_kinked(monkeypatch):
+    """Let no wave end a branch at its crest kink, so that a test of
+    another stop rule or step policy follows its branch past the kink."""
+    monkeypatch.setattr(continuation, "crest_kink",
+                        lambda grid, h: (False, None, 0.0))
 
 
 class TestStopRules:
@@ -78,15 +85,30 @@ class TestStopRules:
         for pt in br.points:
             assert np.max(solver_hp(grid, pt.h)) < 1.0 / eps
 
-    def test_amplitude_reversal_ends_on_the_last_good_point(self):
+    def test_amplitude_reversal_ends_on_the_last_good_point(
+            self, monkeypatch):
         # on this coarse grid the irrotational branch's amplitude turns back
-        # at min|u| near 0.49, long before any other stop rule fires
+        # at min|u| near 0.49, long before any other stop rule but the
+        # crest kink fires; with the kink never seen, it ends there
+        never_kinked(monkeypatch)
         vf = VorticityFunction.constant(0.0, m=M)
         grid = StripGrid(L, M, 24, 20, beta=0.5)
         br = continue_branch(grid, vf, G, 60)
         assert br.stop_reason == "amplitude-reversal"
         assert 2 < len(br.points) < 61
         assert np.all(np.diff([pt.amplitude for pt in br.points]) > 0.0)
+
+    def test_crest_unresolved_ends_on_the_first_kinked_point(self):
+        # the same branch ends at its first wave whose surface slope peaks
+        # at the first node off the crest; that wave is kept
+        vf = VorticityFunction.constant(0.0, m=M)
+        grid = StripGrid(L, M, 24, 20, beta=0.5)
+        br = continue_branch(grid, vf, G, 60)
+        assert br.stop_reason == "crest-unresolved"
+        assert len(br.points) == 17
+        assert np.all(np.diff([pt.amplitude for pt in br.points]) > 0.0)
+        kinks = [crest_kink(grid, pt.h)[0] for pt in br.points]
+        assert kinks[-1] and not any(kinks[:-1])
 
     def test_negative_steps_rejected(self, setup_irrotational):
         grid, vf, lam_star = setup_irrotational
@@ -156,6 +178,8 @@ class TestEarlyNewtonFailure:
         # so they cost LU solves (one per direct solve and one per GMRES
         # iteration) rather than factorizations: counted so, the early exit
         # saves about 45% on this branch, and the test asks for a quarter.
+        # The branch is followed past its crest kink, through Q_max.
+        never_kinked(monkeypatch)
         vf = VorticityFunction.constant(-0.3, m=M)
         grid = StripGrid(L, M, 24, 20, beta=0.5)
         lam_star = find_bifurcation(vf, G, L, M)
@@ -197,6 +221,60 @@ class TestEarlyNewtonFailure:
             assert (a.Q, a.ds, a.newton_iterations) == \
                 (b.Q, b.ds, b.newton_iterations)
         assert 0 < fast_solves <= 0.75 * slow_solves
+
+
+class TestStepControl:
+    """After an attempt that converges in at most 4 iterations the step
+    grows by COLLAPSE_REGROWTH while failed attempts have left it below
+    DS0, and by REGROWTH otherwise."""
+
+    @pytest.mark.parametrize("failures", [1, 3])
+    def test_a_collapsed_step_regrows_by_two_up_to_ds0(
+            self, setup_irrotational, monkeypatch, failures):
+        # the first arclength step fails `failures` times, so the step is
+        # halved that often, and then regrows
+        grid, vf, lam_star = setup_irrotational
+        attempts = []
+        real_newton = continuation.newton_solve
+
+        def failing(*args, **kwargs):
+            attempts.append(kwargs["mode"])
+            if 2 <= len(attempts) <= 1 + failures:
+                raise NoConvergenceError("attempt forced to fail")
+            return real_newton(*args, **kwargs)
+
+        monkeypatch.setattr(continuation, "newton_solve", failing)
+        br = continue_branch(grid, vf, G, 8, lam_star=lam_star)
+        assert br.stop_reason == "max-steps"
+        assert len(attempts) == 8 + failures
+        ds = [pt.ds for pt in br.points[1:]]
+        assert all(pt.newton_iterations <= 4 for pt in br.points[1:-1])
+        assert ds[0] == continuation.DS0
+        assert ds[1] == ds[0] * 1.3 / 2 ** failures
+        factors = [b / a for a, b in zip(ds[1:], ds[2:])]
+        below = [a < continuation.DS0 for a in ds[1:-1]]
+        assert below[:failures] == [True] * failures and not any(
+            below[failures:])
+        for factor, short in zip(factors, below):
+            assert factor == pytest.approx(2.0 if short else 1.3,
+                                           rel=1e-15)
+
+    def test_a_branch_without_failed_attempts_keeps_its_steps(
+            self, setup_irrotational, branch_irrotational, monkeypatch):
+        # with the collapsed step regrown by 1.3 like any other, as before
+        # the faster regrowth, a branch whose attempts all converge is the
+        # same to the bit: its steps never fall below DS0
+        grid, vf, lam_star = setup_irrotational
+        monkeypatch.setattr(continuation, "COLLAPSE_REGROWTH",
+                            continuation.REGROWTH)
+        before = continue_branch(grid, vf, G, 8, lam_star=lam_star)
+        assert before.stop_reason == branch_irrotational.stop_reason
+        assert len(before.points) == len(branch_irrotational.points)
+        for a, b in zip(before.points, branch_irrotational.points):
+            assert (a.ds, a.newton_iterations, a.Q) == \
+                (b.ds, b.newton_iterations, b.Q)
+            assert np.array_equal(a.h.view(np.uint64), b.h.view(np.uint64))
+        assert min(pt.ds for pt in before.points[1:]) == continuation.DS0
 
 
 class TestHandedLU:

@@ -27,7 +27,7 @@ from scipy.sparse.linalg import splu
 
 from vorwave import fd as fd_module
 from vorwave import grid as grid_module
-from vorwave import laminar, solver
+from vorwave import continuation, laminar, solver
 from vorwave.continuation import continue_branch
 from vorwave.errors import (BifurcationNotFoundError, InputError,
                             NoConvergenceError, NumericsError,
@@ -35,10 +35,11 @@ from vorwave.errors import (BifurcationNotFoundError, InputError,
 from vorwave.fd import ColumnOps, dq
 from vorwave.grid import StripGrid, stretched_nodes
 from vorwave.laminar import critical_lambda, laminar_flow
-from vorwave.solver import (amplitude, bifurcation_mode, discrete_laminar,
-                            find_bifurcation, jacobian_blocks, newton_solve,
-                            newton_tolerance, pack_residual, residual_parts,
-                            scaled_dot, seed_wave, solver_hp)
+from vorwave.solver import (amplitude, bifurcation_mode, crest_kink,
+                            discrete_laminar, find_bifurcation,
+                            jacobian_blocks, newton_solve, newton_tolerance,
+                            pack_residual, residual_parts, scaled_dot,
+                            seed_wave, solver_hp)
 from vorwave.vorticity import VorticityFunction
 
 G = 9.81
@@ -138,6 +139,37 @@ class TestJacobian:
             an = J @ dh[:, 1:].ravel() + dF_dQ * dQ
             scale = max(1.0, float(np.max(np.abs(an))))
             assert np.max(np.abs(fd - an)) / scale < 1e-6
+
+
+class TestCrestKink:
+    """crest_kink reads the surface row of h: a wave is kinked when its
+    surface slope peaks at q-node 1, the first node off the crest."""
+
+    @staticmethod
+    def wave(eta):
+        grid = StripGrid(L, M, 16, 8, beta=0.5)
+        h = np.tile(grid.p + M, (grid.nq, 1))
+        h[:, -1] += eta(grid.q)
+        return grid, h
+
+    def test_slope_peaking_at_the_first_node_off_the_crest(self):
+        # a crest narrower than the q spacing
+        grid, h = self.wave(lambda q: 0.3 * np.exp(-q / 0.1))
+        kinked, node, slope = crest_kink(grid, h)
+        assert (kinked, node) == (True, 1)
+        assert slope == np.max(np.abs(dq(h[:, -1], grid.wq1, "even")))
+
+    def test_slope_peaking_at_a_later_node(self):
+        # a cosine's slope peaks halfway between crest and trough
+        grid, h = self.wave(lambda q: 0.1 * np.cos(q))
+        kinked, node, slope = crest_kink(grid, h)
+        assert not kinked
+        assert node in (7, 8)
+        assert slope == pytest.approx(0.1, rel=0.02)
+
+    def test_flat_surface_is_not_kinked(self):
+        grid, h = self.wave(lambda q: 0.0 * q)
+        assert crest_kink(grid, h) == (False, None, 0.0)
 
 
 class TestNewton:
@@ -322,6 +354,9 @@ class TestNewtonMatrixPattern:
         # maximum of Q, where the attempts that fail are many, the branch
         # must follow the one of a fresh bmat assembly and COLAMD
         # factorization: the same steps, to rounding in the pivot order.
+        # The branch is followed past its crest kink, through Q_max.
+        monkeypatch.setattr(continuation, "crest_kink",
+                            lambda grid, h: (False, None, 0.0))
         vf = VorticityFunction.constant(-0.3, m=M)
         lam_star = find_bifurcation(vf, G, L, M)
         calls = recording_splu(monkeypatch)
