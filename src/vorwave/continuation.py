@@ -3,7 +3,11 @@
 The branch starts at the trivial (laminar) wave at the bifurcation value of
 the squared surface speed, takes one amplitude-controlled step onto the
 nontrivial branch, and then advances with secant tangents and an adaptive
-arclength step. It ends on one of six stop rules, which branch.json names
+arclength step. Its first failed arclength attempt, at the fold in the head
+Q where the arclength hyperplane misses the branch, hands it to crest-speed
+steps (newton_solve's "fixed_crest_speed" mode), each fixing the crest's
+h_p a factor (1 + ds) above the last point's. It ends on one of six stop
+rules, which branch.json names
 "max-steps", "near-stagnation", "amplitude-reversal", "trough-criterion"
 (g - gamma(0) * u > 0 at the trough turns non-positive), "crest-unresolved"
 (the surface slope peaks at the first node off the crest, solver.crest_kink,
@@ -23,14 +27,15 @@ import numpy as np
 from .errors import (InputError, NumericsError, SolverError,
                      StagnationError)
 from .grid import StripGrid
-from .solver import (LinearSolver, amplitude, bifurcation_mode,
+from .solver import (LinearSolver, amplitude, bifurcation_mode, crest_hp,
                      crest_kink, discrete_laminar, find_bifurcation, mode_seed,
                      newton_solve, newton_tolerance, pack_residual,
                      residual_parts, scaled_dot, solver_hp)
 from .vorticity import VorticityFunction
 
 TROUGH_BAND = 1e-8
-# Newton attempts inside continuation give up early, and the step is halved:
+# Newton attempts inside continuation give up early, and the step is halved
+# or, on the first failed arclength attempt, turned to crest speed (below):
 # after NEWTON_MAX_ITER iterations, or at the first iteration that cuts the
 # residual by less than NEWTON_MAX_CONTRACTION. On the 64x48 and 128x96
 # branches at gamma in {0, -0.3, -0.7}, every attempt that converges takes at
@@ -39,22 +44,25 @@ TROUGH_BAND = 1e-8
 # for up to 50 iterations before failing all the same.
 NEWTON_MAX_ITER = 10
 NEWTON_MAX_CONTRACTION = 0.9
-# the departure's amplitude, and the cap on the arclength step as it grows
+# the departure's amplitude, and the cap on the departure and arclength
+# steps as they grow
 DS0 = 0.005
 DS_MAX = 0.04
 # After an attempt that converges in at most 4 iterations the step grows by
-# REGROWTH, or by COLLAPSE_REGROWTH while failed attempts have left it below
-# DS0. At the Q-fold of the 64x48 branches (gamma 0, -0.3, -0.7, 25 steps)
-# failed attempts halve the step to 2.8e-5-5.6e-5, and regrown by 1.3 it
-# stayed below 1e-3 for each branch's last 11-12 steps. Regrown by 2, the
-# three branches reach their first kinked point, where they stop, in 208
-# Newton iterations instead of 249 for 25 steps, at 35 failed attempts
-# against 33. A factor of 3 or 4 steps past the kink's onset, onto a wave
-# whose D-f reports boundary; 1.6 takes 234 iterations. A branch whose
-# attempts all converge never falls below DS0 and keeps its steps.
+# REGROWTH.
 REGROWTH = 1.3
-COLLAPSE_REGROWTH = 2.0
-# step halvings, each after a failed Newton attempt, before "newton-failure"
+# Near Q_max the secant tangent is almost all Q, so the arclength
+# hyperplane is nearly Q = const and misses the branch past the Q-fold; on
+# the 64x48 branches (gamma 0, -0.3, -0.7, 25 steps) arclength steps
+# crawled through it at 2.5e-5-6.6e-5 after 10-13 failed attempts. The crest
+# speed falls monotonically along every branch measured, so the first
+# failed arclength attempt hands the branch to crest-speed steps, each
+# raising the crest h_p by the factor (1 + ds), ds starting at CREST_STEP0,
+# halved on a failure and grown by REGROWTH with no cap: those branches
+# reach their first kinked crest after one failed attempt, in 134 Newton
+# iterations instead of 208.
+CREST_STEP0 = 0.2
+# Newton attempts at one point before "newton-failure"
 MAX_RETRIES = 8
 # byte layout of a stored point's heights: raw little-endian float64
 H_DTYPE = "<f8"
@@ -66,7 +74,11 @@ class BranchPoint:
     found it (zero for the trivial wave): its iterations, its LU
     factorizations and its GMRES iterations. An arclength point may record
     0 factorizations, when every system it solved went to GMRES on the LU
-    that the branch's linear solver kept from the point before it."""
+    that the branch's linear solver kept from the point before it. `step`
+    is the kind of step that found it, which gives ds its unit:
+    "amplitude" (ds the amplitude), "arclength" (ds the arclength) or
+    "crest-speed" (the crest h_p grew by the factor 1 + ds); None for the
+    trivial wave."""
     index: int
     h: np.ndarray
     Q: float
@@ -75,6 +87,7 @@ class BranchPoint:
     newton_iterations: int
     factorizations: int
     linear_iterations: int
+    step: str | None
 
 
 @dataclass
@@ -104,15 +117,22 @@ def continue_branch(grid, vf, g, steps, *, lam_star=None, eps_stag=None,
 
     Returns a Branch whose first point is always the trivial wave. The
     first nontrivial point solves for amplitude DS0; later points come from
-    pseudo-arclength steps along the secant tangent. Every point, the first
-    one included, goes through the same step loop: a Newton attempt that
-    fails halves the step and retries; attempts are capped at
-    NEWTON_MAX_ITER iterations and abandoned at the first iteration that
-    contracts the residual by less than NEWTON_MAX_CONTRACTION, so a stalled
-    attempt costs a few linear solves instead of dozens. After an attempt
-    that converges in at most 4 iterations the step grows, up to DS_MAX:
-    by COLLAPSE_REGROWTH (2) while failed attempts have left it below DS0,
-    by REGROWTH (1.3) otherwise. The branch builds one LinearSolver, which
+    pseudo-arclength steps along the secant tangent, until the first
+    arclength attempt that fails. That attempt hands the branch to
+    crest-speed steps for the rest of its points, with ds reset to
+    CREST_STEP0 instead of halved: each solves for the crest h_p
+    (solver.crest_hp) of the last point times (1 + ds), from the secant
+    scaled so that its crest h_p meets that target. Each point records its
+    step kind: "amplitude", "arclength" or "crest-speed". A failed
+    departure or crest-speed attempt halves the step and retries; attempts
+    are capped at NEWTON_MAX_ITER iterations and abandoned at the first
+    iteration that contracts the residual by less than
+    NEWTON_MAX_CONTRACTION, so a stalled attempt costs a few linear solves
+    instead of dozens. After an attempt that converges in at most 4
+    iterations the step grows by REGROWTH (1.3), up to DS_MAX for the
+    departure and arclength steps and with no cap for crest-speed steps. A
+    branch whose arclength attempts all converge never switches. The branch
+    builds one LinearSolver, which
     serves every attempt (newton_solve's `linear_solver`), so each step
     starts from the last LU of the step accepted before it, the departure's
     included; a failed attempt's LU is dropped, so its retry factors its
@@ -127,7 +147,7 @@ def continue_branch(grid, vf, g, steps, *, lam_star=None, eps_stag=None,
     kept), "crest-unresolved" (solver.crest_kink finds the new point's
     surface slope peaking at the first node off the crest, so the grid no
     longer resolves its crest; the point is kept), "newton-failure" (after
-    MAX_RETRIES halvings of the step).
+    MAX_RETRIES attempts at one point).
     """
     if steps < 0:
         raise NumericsError("steps must be nonnegative")
@@ -143,16 +163,41 @@ def continue_branch(grid, vf, g, steps, *, lam_star=None, eps_stag=None,
     phi = bifurcation_mode(grid, vf, g, lam_star)
     branch = Branch(grid, vf, g, float(lam_star))
     branch.points.append(BranchPoint(0, h_triv, float(Q_triv), 0.0, 0.0,
-                                     0, 0, 0))
+                                     0, 0, 0, None))
     trough_cut = trough_margin + TROUGH_BAND * max(1.0, g)
 
-    def departure(ds):
-        # amplitude-controlled departure from the trivial wave: the seed of
-        # seed_wave, built on the laminar column and mode shape above
-        return (mode_seed(grid, hcol, phi, ds), Q_triv,
-                dict(mode="fixed_amplitude", amplitude_target=ds))
+    def predict(step, ds):
+        """(h0, Q0, solve mode) of an attempt of this kind at step ds."""
+        if step == "amplitude":
+            # amplitude-controlled departure from the trivial wave: the
+            # seed of seed_wave, built on the laminar column and mode shape
+            # above
+            return (mode_seed(grid, hcol, phi, ds), Q_triv,
+                    dict(mode="fixed_amplitude", amplitude_target=ds))
+        prev, cur = branch.points[-2:]
+        t_h = cur.h - prev.h
+        t_Q = cur.Q - prev.Q
+        if step == "crest-speed":
+            # the secant, scaled so that its crest h_p meets the target
+            hp = crest_hp(grid, cur.h)
+            rise = hp - crest_hp(grid, prev.h)
+            if not rise > 0.0:
+                raise NumericsError("crest h_p did not rise along the "
+                                    "secant")
+            scale = ds * hp / rise
+            return (cur.h + scale * t_h, cur.Q + scale * t_Q,
+                    dict(mode="fixed_crest_speed",
+                         crest_hp_target=hp * (1.0 + ds)))
+        nrm = np.sqrt(scaled_dot(t_h, t_Q, t_h, t_Q))
+        if nrm == 0.0:
+            raise NumericsError("degenerate secant tangent")
+        # the secant points the way the branch travelled
+        t_h, t_Q = t_h / nrm, t_Q / nrm
+        return (cur.h + ds * t_h, cur.Q + ds * t_Q,
+                dict(mode="arclength", base=(cur.h, cur.Q),
+                     tangent=(t_h, t_Q), ds=ds))
 
-    def accept(res, ds_used):
+    def accept(res, step, ds_used):
         if near_stagnation(grid, res.h, eps_stag):
             branch.stop_reason = "near-stagnation"
             return False
@@ -162,7 +207,7 @@ def continue_branch(grid, vf, g, steps, *, lam_star=None, eps_stag=None,
             return False
         branch.points.append(BranchPoint(
             len(branch.points), res.h, float(res.Q), a, ds_used,
-            res.iterations, res.factorizations, res.linear_iterations))
+            res.iterations, res.factorizations, res.linear_iterations, step))
         if trough_criterion_value(grid, vf, g, res.h) <= trough_cut:
             branch.stop_reason = "trough-criterion"
             return False
@@ -171,28 +216,11 @@ def continue_branch(grid, vf, g, steps, *, lam_star=None, eps_stag=None,
             return False
         return True
 
-    ds = DS0
+    ds, step = DS0, "amplitude"
     linear = LinearSolver(grid)
     while len(branch.points) - 1 < steps:
-        if len(branch.points) == 1:
-            attempt = departure
-        else:
-            prev, cur = branch.points[-2:]
-            t_h = cur.h - prev.h
-            t_Q = cur.Q - prev.Q
-            nrm = np.sqrt(scaled_dot(t_h, t_Q, t_h, t_Q))
-            if nrm == 0.0:
-                raise NumericsError("degenerate secant tangent")
-            # the secant points the way the branch travelled
-            t_h, t_Q = t_h / nrm, t_Q / nrm
-
-            def attempt(ds):
-                return (cur.h + ds * t_h, cur.Q + ds * t_Q,
-                        dict(mode="arclength", base=(cur.h, cur.Q),
-                             tangent=(t_h, t_Q), ds=ds))
-
         for _ in range(MAX_RETRIES):
-            h0, Q0, mode = attempt(ds)
+            h0, Q0, mode = predict(step, ds)
             try:
                 res = newton_solve(grid, vf, g, h0, Q0, **mode,
                                    max_iter=NEWTON_MAX_ITER,
@@ -201,15 +229,23 @@ def continue_branch(grid, vf, g, steps, *, lam_star=None, eps_stag=None,
                 break
             except SolverError:
                 linear.lu = None
-                ds *= 0.5
+                if step == "arclength":
+                    # the branch crawls through the Q-fold no more: this
+                    # step and every later one fixes the crest speed
+                    step, ds = "crest-speed", CREST_STEP0
+                else:
+                    ds *= 0.5
         else:
             branch.stop_reason = "newton-failure"
             return branch
-        if not accept(res, ds):
+        if not accept(res, step, ds):
             return branch
         if res.iterations <= 4:
-            ds = min(ds * (COLLAPSE_REGROWTH if ds < DS0 else REGROWTH),
-                     DS_MAX)
+            ds *= REGROWTH
+            if step != "crest-speed":
+                ds = min(ds, DS_MAX)
+        if step == "amplitude":
+            step = "arclength"
 
     branch.stop_reason = "max-steps"
     return branch
@@ -250,6 +286,12 @@ def write_json(path, payload):
 def save_branch(branch, outdir):
     """Write branch.json plus one point_NNNN.json per stored wave.
 
+    Each row of branch.json's "points" holds the point's index, file,
+    amplitude, Q, the step ds that found it and its "step" kind (null for
+    the trivial wave, then "amplitude", "arclength" or "crest-speed"; ds's
+    unit changes with it), and its Newton iterations, factorizations and
+    GMRES iterations.
+
     A point file holds the grid (L, m, nq, npts, beta), g, the vorticity
     config, the point's index, Q and amplitude, and "h": the base64 of
     h's raw little-endian float64 bytes ("<f8"), C order, nq x npts, so
@@ -289,7 +331,7 @@ def save_branch(branch, outdir):
             "index": pt.index, "file": name, "amplitude": pt.amplitude,
             "Q": pt.Q, "ds": pt.ds, "newton_iterations": pt.newton_iterations,
             "factorizations": pt.factorizations,
-            "linear_iterations": pt.linear_iterations,
+            "linear_iterations": pt.linear_iterations, "step": pt.step,
         })
     summary = dict(common)
     summary.update({

@@ -55,6 +55,13 @@ def amplitude(h):
     return float(h[0, -1] - h[-1, -1])
 
 
+def crest_hp(grid, h):
+    """h_p at the crest's surface node, q = 0 and p = 0, read through the
+    surface window of grid.column_ops.ends, as solver_hp reads it: the
+    crest speed is its reciprocal."""
+    return float(grid.column_ops.ends(h[0])[1])
+
+
 def crest_kink(grid, h):
     """(kinked, node, slope) of the wave h: node is the q-node where the
     surface slope |h_q(q, 0)| peaks, and slope its value there. The wave is
@@ -381,7 +388,8 @@ def scaled_dot(ah, aQ, bh, bQ):
             + aQ * bQ)
 
 
-def _solve_mode(grid, mode, Q0, amplitude_target, base, tangent, ds):
+def _solve_mode(grid, mode, Q0, amplitude_target, crest_hp_target, base,
+                tangent, ds):
     """(extra, row) of a solve mode: extra(h, Q) is the equation appended
     to the residual, row its derivative over the grid unknowns and, last,
     over Q: the border row of the Newton matrix."""
@@ -396,6 +404,13 @@ def _solve_mode(grid, mode, Q0, amplitude_target, base, tangent, ds):
         # the crest and trough surface nodes
         row[grid.npts - 2], row[n - 1] = 1.0, -1.0
         return (lambda h, Q: amplitude(h) - amplitude_target), row
+    if mode == "fixed_crest_speed":
+        if crest_hp_target is None:
+            raise InputError("fixed_crest_speed mode needs crest_hp_target")
+        # the surface window's weights on the crest column, bed dropped:
+        # the crest column's unknowns come first
+        row[:grid.npts - 1] = grid.column_ops.ends(np.eye(grid.npts))[1:, 1]
+        return (lambda h, Q: crest_hp(grid, h) - crest_hp_target), row
     if mode == "arclength":
         if base is None or tangent is None or ds is None:
             raise InputError("arclength mode needs base, tangent, and ds")
@@ -406,13 +421,15 @@ def _solve_mode(grid, mode, Q0, amplitude_target, base, tangent, ds):
 
 
 def newton_solve(grid, vf, g, h0, Q0, mode="fixed_q", *, amplitude_target=None,
-                 base=None, tangent=None, ds=None, max_iter=50,
-                 max_contraction=None, linear_solver=None):
+                 crest_hp_target=None, base=None, tangent=None, ds=None,
+                 max_iter=50, max_contraction=None, linear_solver=None):
     """Damped Newton iteration on the discrete height system.
 
     Every mode appends one equation in (h, Q): "fixed_q" the closure
     Q = Q0, which holds Q at Q0 to the bit; "fixed_amplitude" the closure
-    a(h) = amplitude_target; "arclength" the pseudo-arclength condition
+    a(h) = amplitude_target; "fixed_crest_speed" the closure
+    crest_hp(grid, h) = crest_hp_target, which fixes the crest speed
+    1/crest_hp; "arclength" the pseudo-arclength condition
     built from `base` (h, Q) and `tangent` (t_h, t_Q) with step ds. Its
     row borders J_hh, together with the dF/dQ column. The derivatives of
     each accepted iterate feed its residual and then its Jacobian. Steps
@@ -444,8 +461,8 @@ def newton_solve(grid, vf, g, h0, Q0, mode="fixed_q", *, amplitude_target=None,
     retry at once (Deuflhard's monotonicity test). None never gives up early.
     """
     Q = float(Q0)
-    extra, row = _solve_mode(grid, mode, Q, amplitude_target, base, tangent,
-                             ds)
+    extra, row = _solve_mode(grid, mode, Q, amplitude_target,
+                             crest_hp_target, base, tangent, ds)
     solve = LinearSolver(grid) if linear_solver is None else linear_solver
     done = solve.factorizations, solve.linear_iterations
     gam = vf.gamma(-grid.p)[1:-1]

@@ -35,8 +35,8 @@ from vorwave.errors import (BifurcationNotFoundError, InputError,
 from vorwave.fd import ColumnOps, dq
 from vorwave.grid import StripGrid, stretched_nodes
 from vorwave.laminar import critical_lambda, laminar_flow
-from vorwave.solver import (amplitude, bifurcation_mode, crest_kink,
-                            discrete_laminar, find_bifurcation,
+from vorwave.solver import (amplitude, bifurcation_mode, crest_hp,
+                            crest_kink, discrete_laminar, find_bifurcation,
                             jacobian_blocks, newton_solve, newton_tolerance,
                             pack_residual, residual_parts, scaled_dot,
                             seed_wave, solver_hp)
@@ -233,6 +233,8 @@ class TestNewton:
         with pytest.raises(InputError):
             newton_solve(grid, vf, G, h, 5.0, mode="arclength")
         with pytest.raises(InputError):
+            newton_solve(grid, vf, G, h, 5.0, mode="fixed_crest_speed")
+        with pytest.raises(InputError):
             newton_solve(grid, vf, G, h, 5.0, mode="downhill")
 
     def test_arclength_step_satisfies_closure(self):
@@ -258,6 +260,52 @@ class TestNewton:
                          @ t_h[:, 1:].ravel()) / n
                    + (res.Q - first.Q) * t_Q)
         assert abs(closure - ds) < 1e-9
+
+    @staticmethod
+    def _wave(gamma=-0.3, a=0.05):
+        """(grid, vf, solved wave) at amplitude a on a 24x20 grid."""
+        vf = VorticityFunction.constant(gamma, m=M)
+        grid = StripGrid(L, M, 24, 20, beta=0.5)
+        h0, Q0 = seed_wave(grid, vf, G, find_bifurcation(vf, G, L, M), a)
+        return grid, vf, newton_solve(grid, vf, G, h0, Q0,
+                                      mode="fixed_amplitude",
+                                      amplitude_target=a)
+
+    def test_fixed_crest_speed_holds_the_crest_h_p(self):
+        # from a wave, a slower crest: h_p at the crest's surface node
+        # raised by 5%, which steepens the wave
+        grid, vf, first = self._wave()
+        target = 1.05 * crest_hp(grid, first.h)
+        res = newton_solve(grid, vf, G, first.h, first.Q,
+                           mode="fixed_crest_speed", crest_hp_target=target)
+        assert res.iterations >= 1
+        assert abs(crest_hp(grid, res.h) - target) < newton_tolerance(res.Q)
+        # the surface h_p that the residual and the trough criterion read
+        assert crest_hp(grid, res.h) == solver_hp(grid, res.h)[0, -1]
+        assert amplitude(res.h) > amplitude(first.h)
+        assert residual_norm(grid, vf, G, res.h, res.Q) < \
+            newton_tolerance(res.Q)
+
+    def test_crest_speed_border_row_is_its_equations_derivative(self):
+        grid, vf, first = self._wave()
+        target = 1.05 * crest_hp(grid, first.h)
+        extra, row = solver._solve_mode(grid, "fixed_crest_speed", first.Q,
+                                        None, target, None, None, None)
+        n = grid.nq * (grid.npts - 1)
+        assert row.shape == (n + 1,)
+        # only the crest column's unknowns enter; not Q
+        assert np.all(row[grid.npts - 1:] == 0.0)
+        assert np.count_nonzero(row) == ColumnOps.WIDTH
+        rng = np.random.default_rng(11)
+        for _ in range(3):
+            dh = rng.standard_normal(first.h.shape)
+            dh[:, 0] = 0.0
+            dQ = float(rng.standard_normal())
+            eps = 1e-6
+            fd = (extra(first.h + eps * dh, first.Q + eps * dQ)
+                  - extra(first.h - eps * dh, first.Q - eps * dQ)) / (2 * eps)
+            an = row @ np.append(dh[:, 1:].ravel(), dQ)
+            assert abs(fd - an) < 1e-7 * max(1.0, abs(an))
 
     def test_stalled_arclength_attempt_gives_up_early(self, monkeypatch):
         # A step of 0.04 from the last point of this branch, which sits near
