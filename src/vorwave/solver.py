@@ -257,17 +257,30 @@ class _NewtonMatrix:
 
 
 # A solver factors a Newton system by splu when it holds no LU; otherwise
-# the system is solved by GMRES, right-preconditioned by its last LU.
-# GMRES's answer counts only if its true residual is at most LINEAR_RTOL
-# times the right-hand side's (2-norms): a forcing term this small keeps the
-# inexact Newton steps (Eisenstat & Walker 1996) within rounding of the exact
-# ones, so the iterations and the converged wave stay those of exact Newton.
-# GMRES gets one cycle of at most GMRES_RESTART iterations; when it misses,
-# the system is factored. A system that needed more than LU_REFRESH_ITER
-# iterations drops the factorization, so the next one is factored afresh.
+# the system is solved by GMRES, right-preconditioned by its last LU. Each
+# system comes with a forcing term (Eisenstat & Walker 1996), the relative
+# 2-norm residual newton_solve asks of it, and GMRES's answer counts only
+# if its true residual meets it. The first system of a solve is asked for
+# FIRST_FORCING. A later one is asked for FORCING_SAFETY times the max-norm
+# residual that the last contraction predicts after its step (or the
+# Newton tolerance, if larger), over its right-hand side's 2-norm, and for
+# no less than LINEAR_RTOL nor more than FORCING_MAX. So its linear error
+# stays a tenth of what the step leaves, and the iterates are not exact
+# Newton's: they contract about as fast, and the wave they converge to differs
+# from exact Newton's at the level of the Newton tolerance. The kept LU is
+# rescaled to each system's rows: the solver keeps the l1 norms of the
+# rows the LU factored, and GMRES applies the LU to v times those norms
+# over the system's own, which absorbs the drift of the rows' scale from
+# system to system. GMRES gets one cycle of at most GMRES_RESTART
+# iterations; when it misses, the system is factored. A system that needed
+# more than LU_REFRESH_ITER iterations drops the factorization, so the next
+# one is factored afresh.
 LINEAR_RTOL = 1e-6
 GMRES_RESTART = 20
 LU_REFRESH_ITER = 10
+FIRST_FORCING = 1e-3
+FORCING_MAX = 0.1
+FORCING_SAFETY = 0.1
 
 
 def _right_gmres(A, b, precondition, rtol, maxiter):
@@ -318,11 +331,18 @@ def _right_gmres(A, b, precondition, rtol, maxiter):
     return y @ Z[:k], k
 
 
+def _row_norms(A):
+    """l1 norms of the rows of the CSC matrix A, in its stored order."""
+    return np.bincount(A.indices, weights=np.abs(A.data),
+                       minlength=A.shape[0])
+
+
 class LinearSolver:
     """Solves the Newton systems of one grid, each given by its chain-rule
-    coefficients and border row, factoring as few as the policy above
-    allows. It builds the grid's Newton matrix structure once and keeps
-    `lu`, its last LU, None before the first factorization; a caller that
+    coefficients, border row and tolerance, factoring as few as the policy
+    above allows. It builds the grid's Newton matrix structure once and
+    keeps `lu`, its last LU, None before the first factorization, with
+    `row_norms`, the l1 norms of the rows that LU factored; a caller that
     sets `lu` to None has the next system factored. `factorizations` and
     `linear_iterations` total its splu calls and GMRES iterations over
     every newton_solve call it serves. At most one LU is alive per solver:
@@ -332,33 +352,38 @@ class LinearSolver:
     def __init__(self, grid):
         self.matrix = _NewtonMatrix(grid)
         self.lu = None
+        self.row_norms = None
         self.factorizations = 0
         self.linear_iterations = 0
 
-    def __call__(self, coefficients, row, rhs):
+    def __call__(self, coefficients, row, rhs, rtol):
         """Solution of the system whose matrix has these
-        _chain_rule_coefficients and border row."""
+        _chain_rule_coefficients and border row: by GMRES to a true
+        relative residual of rtol on the kept LU, or by a fresh LU, which
+        ignores rtol."""
         A = self.matrix.assemble(coefficients, row)
         order = self.matrix.order
         b = rhs[order]
-        y = None if self.lu is None else self._gmres(A, b)
+        y = None if self.lu is None else self._gmres(A, b, rtol)
         if y is None:
             self.lu = None  # freed before splu makes the next one
             self.lu = splu(A, permc_spec="NATURAL")
+            self.row_norms = _row_norms(A)
             self.factorizations += 1
             y = self.lu.solve(b)
         x = np.empty_like(rhs)
         x[order] = y
         return x
 
-    def _gmres(self, A, b):
+    def _gmres(self, A, b, rtol):
         """GMRES's answer if its true residual passes, else None."""
-        y, iterations = _right_gmres(A, b, self.lu.solve, LINEAR_RTOL,
-                                     GMRES_RESTART)
+        lu, scale = self.lu, self.row_norms / _row_norms(A)
+        y, iterations = _right_gmres(A, b, lambda v: lu.solve(v * scale),
+                                     rtol, GMRES_RESTART)
         self.linear_iterations += iterations
         if iterations > LU_REFRESH_ITER:
             self.lu = None
-        if np.linalg.norm(A @ y - b) <= LINEAR_RTOL * np.linalg.norm(b):
+        if np.linalg.norm(A @ y - b) <= rtol * np.linalg.norm(b):
             return y
         return None
 
@@ -444,12 +469,15 @@ def newton_solve(grid, vf, g, h0, Q0, mode="fixed_q", *, amplitude_target=None,
     is factored by `splu` with SuperLU's natural ordering, so SuperLU never
     computes an ordering of its own, when the linear solver holds no LU;
     otherwise it is solved by GMRES right-preconditioned with the last
-    LU, and factored only when GMRES misses a true relative residual of
-    LINEAR_RTOL. By default the call builds its own LinearSolver, so its
-    first system is factored and its result does not depend on other
-    solves. A caller may pass `linear_solver`, a LinearSolver(grid) it
-    owns, to serve several calls, in any mode: each starts from the LU the
-    last one left, and the caller owns that dependence. The result counts
+    LU, rescaled to the system's rows, and factored only when GMRES misses
+    the system's forcing term: the true relative residual its step needs,
+    FIRST_FORCING for the first system and, for each later one, a tenth of
+    the residual the last contraction predicts after the step (the policy
+    above LinearSolver). By default the call builds its own LinearSolver,
+    so its first system is factored and its result does not depend on
+    other solves. A caller may pass `linear_solver`, a LinearSolver(grid)
+    it owns, to serve several calls, in any mode: each starts from the LU
+    the last one left, and the caller owns that dependence. The result counts
     this call's factorizations, which may then be 0, and GMRES iterations;
     the solver's own totals keep counting.
 
@@ -491,9 +519,18 @@ def newton_solve(grid, vf, g, h0, Q0, mode="fixed_q", *, amplitude_target=None,
                 "Newton iteration %d cut the residual only from %.3g to %.3g "
                 "(ratio %.3f > %g)"
                 % (it, prev_nrm, nrm, nrm / prev_nrm, max_contraction))
+        if prev_nrm is None:
+            rtol = FIRST_FORCING
+        else:
+            # the max-norm residual after this step, if Newton converges
+            # quadratically with the last step's constant
+            predicted = nrm ** 3 / prev_nrm ** 2
+            rtol = min(FORCING_MAX, max(LINEAR_RTOL, FORCING_SAFETY * max(
+                predicted, newton_tolerance(Q)) / np.linalg.norm(F)))
         prev_nrm = nrm
 
-        delta = solve(_chain_rule_coefficients(grid, gam, g, derivs), row, -F)
+        delta = solve(_chain_rule_coefficients(grid, gam, g, derivs), row, -F,
+                      rtol)
         dh = np.zeros_like(h)
         dh[:, 1:] = delta[:-1].reshape(grid.nq, grid.npts - 1)
         dQ = float(delta[-1])

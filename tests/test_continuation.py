@@ -180,8 +180,8 @@ class TestEarlyNewtonFailure:
         # iteration) rather than factorizations. The branch is followed
         # past its crest kink, through Q_max. Its one failed attempt is the
         # arclength step at the Q-fold that hands it to crest-speed steps:
-        # given up early it costs 17 LU solves against 84, so the branch
-        # takes 310 against 377 (18% fewer), and the test asks for 10%.
+        # given up early it costs 11 LU solves against 112, so the branch
+        # takes 263 against 364 (28% fewer), and the test asks for 10%.
         never_kinked(monkeypatch)
         vf = VorticityFunction.constant(-0.3, m=M)
         grid = StripGrid(L, M, 24, 20, beta=0.5)

@@ -363,14 +363,15 @@ def bmat_solve(grid, factored):
     and the factorization were kept: J_hh from the COO triplets of the
     chain-rule maps weighted by their coefficients, the border column and
     row added by sparse.bmat from dense blocks (which drops their zeros),
-    then splu with its default COLAMD ordering. Appends 1 to `factored` per
+    then splu with its default COLAMD ordering, which solves to rounding
+    whatever tolerance newton_solve asks for. Appends 1 to `factored` per
     factorization."""
     coo_jacobian = chain_rule_sum(grid)
     n = grid.nq * (grid.npts - 1)
     dF_dQ = np.zeros(n)
     dF_dQ[solver._surface_rows(grid)] = -1.0
 
-    def solve(self, coefficients, border_values, rhs):
+    def solve(self, coefficients, border_values, rhs, rtol):
         J = coo_jacobian(coefficients).tocsc()
         row = border_values[None, :]
         J = sparse.bmat([[J, dF_dQ[:, None]], [row[:, :n], row[:, n:]]],
@@ -681,8 +682,9 @@ class TestNewtonMatrixPattern:
 
 class TestKeptFactorization:
     """A solve factors its first Newton system; each later one goes to
-    GMRES, preconditioned by the solve's last LU, whose answer counts only
-    on its true residual; a miss factors the system."""
+    GMRES, preconditioned by the solve's last LU rescaled to the system's
+    rows, whose answer counts only on its true residual, against the
+    tolerance newton_solve asks for; a miss factors the system."""
 
     @pytest.fixture(scope="class")
     def problem(self):
@@ -826,6 +828,99 @@ class TestKeptFactorization:
                 used.linear_iterations) == (fresh.iterations,
                                             fresh.factorizations,
                                             fresh.linear_iterations)
+
+
+    def test_the_kept_lu_absorbs_a_row_rescaling(self, problem,
+                                                  monkeypatch):
+        # a system whose rows are the factored system's, each rescaled by
+        # a factor in [1/2, 2], takes one GMRES iteration on the kept LU:
+        # rescaled to the system's row norms, the LU is its inverse (the
+        # unscaled LU takes 13)
+        vf, seeds = problem
+        grid = StripGrid(L, M, 24, 20, beta=0.5)
+        h, Q = seeds[0.1]
+        coefficients = solver._chain_rule_coefficients(
+            grid, vf.gamma(-grid.p)[1:-1], G, solver._derivatives(grid, h))
+        _, row = solver._solve_mode(grid, "fixed_amplitude", Q, 0.1, None,
+                                    None, None, None)
+        rng = np.random.default_rng(7)
+        rhs = rng.standard_normal(row.size)
+        linear = solver.LinearSolver(grid)
+        linear(coefficients, row, rhs, solver.LINEAR_RTOL)
+        A = linear.matrix.assemble(coefficients, row)
+        DA = (sparse.diags(rng.uniform(0.5, 2.0, row.size)) @ A).tocsc()
+        monkeypatch.setattr(linear.matrix, "assemble", lambda *args: DA)
+        x = linear(coefficients, row, rhs, solver.LINEAR_RTOL)
+        assert (linear.factorizations, linear.linear_iterations) == (1, 1)
+        order = linear.matrix.order
+        assert np.linalg.norm(DA @ x[order] - rhs[order]) <= \
+            solver.LINEAR_RTOL * np.linalg.norm(rhs)
+
+    def test_each_system_gets_its_forcing_term(self, problem, monkeypatch):
+        # the first system asks for FIRST_FORCING; each later one for a
+        # tenth of the max-norm residual that the last contraction
+        # predicts, or of the Newton tolerance, over its right-hand side's
+        # 2-norm, between LINEAR_RTOL and FORCING_MAX
+        vf, seeds = problem
+        asked = []
+        real_call = solver.LinearSolver.__call__
+
+        def recording_call(self, c, row, rhs, rtol):
+            asked.append((np.max(np.abs(rhs)), np.linalg.norm(rhs), rtol))
+            return real_call(self, c, row, rhs, rtol)
+
+        monkeypatch.setattr(solver.LinearSolver, "__call__", recording_call)
+        res = self.solve(vf, seeds, 0.1)
+        assert len(asked) == res.iterations >= 3
+        assert asked[0][2] == solver.FIRST_FORCING
+        for (old, _, _), (nrm, nrm2, rtol) in zip(asked, asked[1:]):
+            target = 0.1 * max(nrm ** 3 / old ** 2,
+                               newton_tolerance(res.Q)) / nrm2
+            assert rtol == pytest.approx(min(0.1, max(1e-6, target)),
+                                         rel=1e-3)
+        # the last system's tolerance is far looser than LINEAR_RTOL
+        assert asked[-1][2] > 100 * solver.LINEAR_RTOL
+
+    def test_forcing_terms_keep_the_branch(self, monkeypatch):
+        # The branch through the maximum of Q, its kink ignored, with each
+        # system solved only as accurately as its Newton step needs, on
+        # the LU rescaled to its rows, keeps the branch whose every system
+        # is solved to LINEAR_RTOL on the unscaled LU: the same ds, step
+        # kinds, Newton iterations and stop reason, h within 1e-9. It
+        # factors 3 times against 5, and takes 222 GMRES iterations
+        # against 250.
+        monkeypatch.setattr(continuation, "crest_kink",
+                            lambda grid, h: (False, None, 0.0))
+        vf = VorticityFunction.constant(-0.3, m=M)
+        lam_star = find_bifurcation(vf, G, L, M)
+
+        def branch():
+            return continue_branch(StripGrid(L, M, 24, 20, beta=0.5), vf, G,
+                                   20, lam_star=lam_star)
+
+        forced = branch()
+        real_call = solver.LinearSolver.__call__
+        monkeypatch.setattr(
+            solver.LinearSolver, "__call__",
+            lambda self, c, row, rhs, rtol:
+                real_call(self, c, row, rhs, solver.LINEAR_RTOL))
+        monkeypatch.setattr(solver, "_row_norms",
+                            lambda A: np.ones(A.shape[0]))
+        fixed = branch()
+
+        assert forced.stop_reason == fixed.stop_reason
+        assert len(forced.points) == len(fixed.points)
+        for a, b in zip(forced.points, fixed.points):
+            assert (a.ds, a.step, a.newton_iterations) == \
+                (b.ds, b.step, b.newton_iterations)
+            assert np.max(np.abs(a.h - b.h)) <= 1e-9
+            assert abs(a.Q - b.Q) <= 1e-9
+        factorizations, gmres = (
+            [sum(getattr(pt, key) for pt in br.points)
+             for br in (forced, fixed)]
+            for key in ("factorizations", "linear_iterations"))
+        assert factorizations[0] <= 3 < factorizations[1]
+        assert gmres[0] < 250 and gmres[0] < gmres[1]
 
 
 class TestDiscreteLaminar:
