@@ -18,7 +18,7 @@ import json
 from dataclasses import dataclass, field
 
 from .errors import ConfigError, InputError
-from .grid import StripGrid
+from .grid import DEFAULT_STRETCHING, StripGrid
 from .vorticity import VorticityFunction
 
 _TOP_KEYS = {"g", "L", "m", "vorticity", "grid", "continuation", "outdir"}
@@ -104,8 +104,8 @@ class RunConfig:
         nq = _integer(grid_raw, "Nq", "config.grid", 64)
         npts = _integer(grid_raw, "Np", "config.grid", 48)
         # 0 is a uniform p-grid; StripGrid checks the range [0, 0.9]
-        stretching = _number(grid_raw, "stretching", "config.grid", 0.5,
-                             positive=False)
+        stretching = _number(grid_raw, "stretching", "config.grid",
+                             DEFAULT_STRETCHING, positive=False)
 
         cont_raw = data.get("continuation", {})
         _check_keys(cont_raw, _CONT_KEYS, "config.continuation")

@@ -1,17 +1,13 @@
 """Pseudo-arclength continuation of the nontrivial wave branch.
 
 The branch starts at the trivial (laminar) wave at the bifurcation value of
-the squared surface speed, takes one amplitude-controlled step onto the
-nontrivial branch, and then advances with secant tangents and an adaptive
-arclength step. Its first failed arclength attempt, at the fold in the head
-Q where the arclength hyperplane misses the branch, hands it to crest-speed
-steps (newton_solve's "fixed_crest_speed" mode), each fixing the crest's
-h_p a factor (1 + ds) above the last point's. It ends on one of six stop
-rules, which branch.json names
-"max-steps", "near-stagnation", "amplitude-reversal", "trough-criterion"
-(g - gamma(0) * u > 0 at the trough turns non-positive), "crest-unresolved"
-(the surface slope peaks at the first node off the crest, solver.crest_kink,
-the predicate the audit's D-crest reports too) and "newton-failure".
+the squared surface speed, departs onto the nontrivial branch by one
+amplitude step and advances by arclength steps along the secant until its
+first failed arclength attempt, at the fold in the head Q, hands it to
+crest-speed steps. It ends on the first of continue_branch's six stop
+rules; "trough-criterion" and "crest-unresolved" read
+solver.trough_criterion_value and solver.crest_kink, which the audit's
+D-trough and D-crest report.
 """
 
 from __future__ import annotations
@@ -30,7 +26,8 @@ from .grid import StripGrid
 from .solver import (LinearSolver, amplitude, bifurcation_mode, crest_hp,
                      crest_kink, discrete_laminar, find_bifurcation, mode_seed,
                      newton_solve, newton_tolerance, pack_residual,
-                     residual_parts, scaled_dot, solver_hp)
+                     pack_unknowns, residual_parts, scaled_dot, solve_mode,
+                     solver_hp, trough_criterion_value, unpack_unknowns)
 from .vorticity import VorticityFunction
 
 TROUGH_BAND = 1e-8
@@ -100,12 +97,6 @@ class Branch:
     stop_reason: str = ""
 
 
-def trough_criterion_value(grid, vf, g, h):
-    """g - gamma(0) * u evaluated at the trough (q = L, p = 0)."""
-    u_trough = -1.0 / float(solver_hp(grid, h[-1])[-1])
-    return g - vf.gamma(0.0) * u_trough
-
-
 def near_stagnation(grid, h, eps_stag):
     """True when max u = -1/max h_p has come within eps_stag of zero."""
     return float(np.max(solver_hp(grid, h))) >= 1.0 / eps_stag
@@ -115,40 +106,34 @@ def continue_branch(grid, vf, g, steps, *, lam_star=None, eps_stag=None,
                     trough_margin=0.0):
     """Continue the branch for up to `steps` nontrivial points.
 
-    Returns a Branch whose first point is always the trivial wave. The
-    first nontrivial point solves for amplitude DS0; later points come from
-    pseudo-arclength steps along the secant tangent, until the first
-    arclength attempt that fails. That attempt hands the branch to
-    crest-speed steps for the rest of its points, with ds reset to
-    CREST_STEP0 instead of halved: each solves for the crest h_p
-    (solver.crest_hp) of the last point times (1 + ds), from the secant
-    scaled so that its crest h_p meets that target. Each point records its
-    step kind: "amplitude", "arclength" or "crest-speed". A failed
-    departure or crest-speed attempt halves the step and retries; attempts
-    are capped at NEWTON_MAX_ITER iterations and abandoned at the first
-    iteration that contracts the residual by less than
-    NEWTON_MAX_CONTRACTION, so a stalled attempt costs a few linear solves
-    instead of dozens. After an attempt that converges in at most 4
-    iterations the step grows by REGROWTH (1.3), up to DS_MAX for the
-    departure and arclength steps and with no cap for crest-speed steps. A
-    branch whose arclength attempts all converge never switches. The branch
-    builds one LinearSolver, which
-    serves every attempt (newton_solve's `linear_solver`), so each step
-    starts from the last LU of the step accepted before it, the departure's
-    included; a failed attempt's LU is dropped, so its retry factors its
-    first system, and an accepted point never depends on how long a failed
-    attempt ran. `lam_star` defaults to find_bifurcation on a vertical grid
-    with the stretching of `grid`, which StripGrid.from_nodes grids lack.
+    Returns a Branch whose first point is always the trivial wave. Each
+    point records its step kind: "amplitude" for the first (fixed_amplitude
+    at ds = DS0), then "arclength" (arclength along the unit secant) until
+    the first arclength attempt that fails, then "crest-speed"
+    (fixed_crest_speed at the last point's crest h_p times 1 + ds, ds
+    starting at CREST_STEP0). Each attempt starts where its mode's equation
+    holds on the line from the last point along the bifurcation mode (the
+    departure) or the secant. Any other failed attempt halves the step;
+    attempts stop after NEWTON_MAX_ITER iterations or at the first that
+    contracts the residual by less than NEWTON_MAX_CONTRACTION. After an
+    attempt that converges in at most 4 iterations the step grows by
+    REGROWTH, capped at DS_MAX but for crest-speed steps. One LinearSolver
+    serves every attempt, so each starts from the LU of the step accepted
+    before it; a failed attempt drops its LU, so an accepted point never
+    depends on how long a failed attempt ran. `lam_star` defaults to
+    find_bifurcation with the stretching of `grid`, which
+    StripGrid.from_nodes grids lack.
 
     Stop reasons: "max-steps", "near-stagnation" (the offending point is not
     a valid wave and is discarded), "amplitude-reversal" (the new point's
     amplitude does not exceed the last stored one; it is discarded and the
-    branch ends on the last good point), "trough-criterion" (the point is
-    kept), "crest-unresolved" (solver.crest_kink finds the new point's
-    surface slope peaking at the first node off the crest, so the grid no
-    longer resolves its crest; the point is kept), "newton-failure" (after
-    MAX_RETRIES attempts at one point).
-    """
+    branch ends on the last good point), "trough-criterion"
+    (trough_criterion_value, g - gamma(0) u at the trough, falls to
+    trough_margin + TROUGH_BAND max(1, g); the point is kept),
+    "crest-unresolved" (solver.crest_kink finds the new point's surface
+    slope peaking at the first node off the crest, so the grid no longer
+    resolves its crest; the point is kept), "newton-failure" (after
+    MAX_RETRIES attempts at one point)."""
     if steps < 0:
         raise NumericsError("steps must be nonnegative")
     if lam_star is None:
@@ -159,43 +144,42 @@ def continue_branch(grid, vf, g, steps, *, lam_star=None, eps_stag=None,
         eps_stag = 0.05 * np.sqrt(lam_star)
 
     hcol, Q_triv, _ = discrete_laminar(grid, vf, g, lam_star)
-    h_triv = np.tile(hcol, (grid.nq, 1))
     phi = bifurcation_mode(grid, vf, g, lam_star)
+    mode_h = mode_seed(grid, 0.0, phi, 1.0)  # cos(pi q / L) phi
     branch = Branch(grid, vf, g, float(lam_star))
-    branch.points.append(BranchPoint(0, h_triv, float(Q_triv), 0.0, 0.0,
-                                     0, 0, 0, None))
+    branch.points.append(BranchPoint(0, np.tile(hcol, (grid.nq, 1)),
+                                     float(Q_triv), 0.0, 0.0, 0, 0, 0, None))
     trough_cut = trough_margin + TROUGH_BAND * max(1.0, g)
+    gamma0 = vf.gamma(0.0)
 
     def predict(step, ds):
-        """(h0, Q0, solve mode) of an attempt of this kind at step ds."""
+        """(h0, Q0, solve mode) of an attempt of this kind at step ds: the
+        point where the mode's equation holds on the line from the last one
+        along the bifurcation mode (the departure) or the secant."""
+        cur = branch.points[-1]
         if step == "amplitude":
-            # amplitude-controlled departure from the trivial wave: the
-            # seed of seed_wave, built on the laminar column and mode shape
-            # above
-            return (mode_seed(grid, hcol, phi, ds), Q_triv,
-                    dict(mode="fixed_amplitude", amplitude_target=ds))
-        prev, cur = branch.points[-2:]
-        t_h = cur.h - prev.h
-        t_Q = cur.Q - prev.Q
-        if step == "crest-speed":
-            # the secant, scaled so that its crest h_p meets the target
-            hp = crest_hp(grid, cur.h)
-            rise = hp - crest_hp(grid, prev.h)
-            if not rise > 0.0:
-                raise NumericsError("crest h_p did not rise along the "
-                                    "secant")
-            scale = ds * hp / rise
-            return (cur.h + scale * t_h, cur.Q + scale * t_Q,
-                    dict(mode="fixed_crest_speed",
-                         crest_hp_target=hp * (1.0 + ds)))
-        nrm = np.sqrt(scaled_dot(t_h, t_Q, t_h, t_Q))
-        if nrm == 0.0:
-            raise NumericsError("degenerate secant tangent")
-        # the secant points the way the branch travelled
-        t_h, t_Q = t_h / nrm, t_Q / nrm
-        return (cur.h + ds * t_h, cur.Q + ds * t_Q,
-                dict(mode="arclength", base=(cur.h, cur.Q),
-                     tangent=(t_h, t_Q), ds=ds))
+            d_h, d_Q = mode_h, 0.0
+            mode = dict(mode="fixed_amplitude", amplitude_target=ds)
+        else:
+            prev = branch.points[-2]
+            d_h, d_Q = cur.h - prev.h, cur.Q - prev.Q
+            if step == "crest-speed":
+                mode = dict(mode="fixed_crest_speed",
+                            crest_hp_target=crest_hp(grid, cur.h) * (1.0 + ds))
+            else:
+                # the unit secant: a zero one stays zero, and its zero row
+                # fails the check below
+                nrm = np.sqrt(scaled_dot(d_h, d_Q, d_h, d_Q)) or 1.0
+                mode = dict(mode="arclength", base=(cur.h, cur.Q),
+                            tangent=(d_h / nrm, d_Q / nrm), ds=ds)
+        row, target = solve_mode(grid, **mode)
+        x, d = pack_unknowns(cur.h, cur.Q), pack_unknowns(d_h, d_Q)
+        rate = row @ d
+        if not rate > 0.0:
+            raise NumericsError("the %s step's equation does not advance "
+                                "along its direction" % step)
+        return (*unpack_unknowns(grid, x + (target - row @ x) / rate * d),
+                mode)
 
     def accept(res, step, ds_used):
         if near_stagnation(grid, res.h, eps_stag):
@@ -208,7 +192,7 @@ def continue_branch(grid, vf, g, steps, *, lam_star=None, eps_stag=None,
         branch.points.append(BranchPoint(
             len(branch.points), res.h, float(res.Q), a, ds_used,
             res.iterations, res.factorizations, res.linear_iterations, step))
-        if trough_criterion_value(grid, vf, g, res.h) <= trough_cut:
+        if trough_criterion_value(grid, g, gamma0, res.h) <= trough_cut:
             branch.stop_reason = "trough-criterion"
             return False
         if crest_kink(grid, res.h)[0]:
@@ -228,7 +212,6 @@ def continue_branch(grid, vf, g, steps, *, lam_star=None, eps_stag=None,
                                    linear_solver=linear)
                 break
             except SolverError:
-                linear.lu = None
                 if step == "arclength":
                     # the branch crawls through the Q-fold no more: this
                     # step and every later one fixes the crest speed

@@ -15,6 +15,10 @@ import numpy as np
 from .errors import InputError
 from .fd import ColumnOps, mirror_weights, three_point_weights
 
+# the stretching beta of the p-grid toward the surface, when none is given:
+# StripGrid's, the config's "stretching" and find_bifurcation's
+DEFAULT_STRETCHING = 0.5
+
 
 def stretched_nodes(m, npts, beta):
     """Vertical nodes on [-m, 0], clustered toward 0 for beta > 0."""
@@ -39,7 +43,7 @@ class StripGrid:
     solver's bed and surface h_p too, so both read the same h_p there.
     """
 
-    def __init__(self, L, m, nq, npts, beta=0.5):
+    def __init__(self, L, m, nq, npts, beta=DEFAULT_STRETCHING):
         if L <= 0 or m <= 0:
             raise InputError("L and m must be positive")
         if not 0.0 <= beta <= 0.9:

@@ -22,9 +22,10 @@ from scipy.linalg import LinAlgError, solve_banded, solve_triangular
 from scipy.sparse.linalg import splu
 
 from .errors import (BifurcationNotFoundError, InputError, NoConvergenceError,
-                     NumericsError, StagnationApproachError, StagnationError)
+                     NumericsError, SolverError, StagnationApproachError,
+                     StagnationError)
 from .fd import dp, dq
-from .grid import StripGrid
+from .grid import DEFAULT_STRETCHING, StripGrid
 from .laminar import _admissible_floor, brent_root, critical_lambda, \
     laminar_head
 
@@ -75,6 +76,14 @@ def crest_kink(grid, h):
     return node == 1, node, float(slopes[node])
 
 
+def trough_criterion_value(grid, g, gamma0, h):
+    """g - gamma0 * u at the trough (q = L, p = 0), gamma0 the vorticity
+    gamma(0) and u = -1/h_p read as solver_hp reads it: the continuation's
+    stop rule and D-trough."""
+    u_trough = -1.0 / float(solver_hp(grid, h[-1])[-1])
+    return g - gamma0 * u_trough
+
+
 def _derivatives(grid, h):
     """(h_p, h_q, h_pq, h_qq, h_pp): the one evaluation that the residual
     and the Jacobian share; h_pp covers the interior rows only."""
@@ -108,6 +117,19 @@ def residual_parts(grid, vf, g, h, Q):
 
 def pack_residual(R, S):
     return np.concatenate([R, S[:, None]], axis=1).ravel()
+
+
+def pack_unknowns(h, Q):
+    """The Newton unknowns of (h, Q): h off the bed row, raveled in
+    pack_residual's order, then Q."""
+    return np.append(h[:, 1:].ravel(), Q)
+
+
+def unpack_unknowns(grid, x):
+    """(h, Q) of the unknowns x, h's bed row zero."""
+    h = np.zeros((grid.nq, grid.npts))
+    h[:, 1:] = x[:-1].reshape(grid.nq, grid.npts - 1)
+    return h, float(x[-1])
 
 
 def _surface_rows(grid):
@@ -340,14 +362,16 @@ def _row_norms(A):
 class LinearSolver:
     """Solves the Newton systems of one grid, each given by its chain-rule
     coefficients, border row and tolerance, factoring as few as the policy
-    above allows. It builds the grid's Newton matrix structure once and
+    above allows, by splu in the matrix's own fill-reducing order (SuperLU's
+    natural ordering). It builds the grid's Newton matrix structure once and
     keeps `lu`, its last LU, None before the first factorization, with
-    `row_norms`, the l1 norms of the rows that LU factored; a caller that
-    sets `lu` to None has the next system factored. `factorizations` and
-    `linear_iterations` total its splu calls and GMRES iterations over
-    every newton_solve call it serves. At most one LU is alive per solver:
-    the old one is dropped before splu makes one. Nothing of it lives on
-    the grid, so threads solving on one grid never share one."""
+    `row_norms`, the l1 norms of the rows that LU factored; setting `lu` to
+    None, as a failed newton_solve does, has the next system factored.
+    `factorizations` and `linear_iterations` total its splu calls and GMRES
+    iterations over every newton_solve call it serves. At most one LU is
+    alive per solver: the old one is dropped before splu makes one. Nothing
+    of it lives on the grid, so threads solving on one grid never share
+    one."""
 
     def __init__(self, grid):
         self.matrix = _NewtonMatrix(grid)
@@ -413,73 +437,64 @@ def scaled_dot(ah, aQ, bh, bQ):
             + aQ * bQ)
 
 
-def _solve_mode(grid, mode, Q0, amplitude_target, crest_hp_target, base,
-                tangent, ds):
-    """(extra, row) of a solve mode: extra(h, Q) is the equation appended
-    to the residual, row its derivative over the grid unknowns and, last,
-    over Q: the border row of the Newton matrix."""
+def solve_mode(grid, mode, Q0=None, amplitude_target=None,
+               crest_hp_target=None, base=None, tangent=None, ds=None):
+    """(row, target) of the equation a solve mode appends to the residual,
+    row @ pack_unknowns(h, Q) - target, linear in the unknowns, so that row
+    borders the Newton matrix. "fixed_q" holds Q at Q0, to the bit;
+    "fixed_amplitude" amplitude(h) at amplitude_target; "fixed_crest_speed"
+    crest_hp(grid, h), the reciprocal crest speed, at crest_hp_target;
+    "arclength" is the pseudo-arclength condition (Keller 1977)
+    scaled_dot(h - h_b, Q - Q_b, t_h, t_Q) = ds, from `base` (h_b, Q_b)
+    along `tangent` (t_h, t_Q)."""
     n = grid.nq * (grid.npts - 1)
     row = np.zeros(n + 1)
     if mode == "fixed_q":
+        if Q0 is None:
+            raise InputError("fixed_q mode needs Q0")
         row[n] = 1.0
-        return (lambda h, Q: Q - Q0), row
+        return row, Q0
     if mode == "fixed_amplitude":
         if amplitude_target is None:
             raise InputError("fixed_amplitude mode needs amplitude_target")
         # the crest and trough surface nodes
         row[grid.npts - 2], row[n - 1] = 1.0, -1.0
-        return (lambda h, Q: amplitude(h) - amplitude_target), row
+        return row, amplitude_target
     if mode == "fixed_crest_speed":
         if crest_hp_target is None:
             raise InputError("fixed_crest_speed mode needs crest_hp_target")
         # the surface window's weights on the crest column, bed dropped:
         # the crest column's unknowns come first
         row[:grid.npts - 1] = grid.column_ops.ends(np.eye(grid.npts))[1:, 1]
-        return (lambda h, Q: crest_hp(grid, h) - crest_hp_target), row
+        return row, crest_hp_target
     if mode == "arclength":
         if base is None or tangent is None or ds is None:
             raise InputError("arclength mode needs base, tangent, and ds")
-        return ((lambda h, Q: scaled_dot(h - base[0], Q - base[1], *tangent)
-                 - ds),
-                np.append(tangent[0][:, 1:].ravel() / n, tangent[1]))
+        row = pack_unknowns(*tangent)
+        row[:n] /= n
+        return row, row @ pack_unknowns(*base) + ds
     raise InputError("unknown solve mode %r" % mode)
 
 
 def newton_solve(grid, vf, g, h0, Q0, mode="fixed_q", *, amplitude_target=None,
                  crest_hp_target=None, base=None, tangent=None, ds=None,
                  max_iter=50, max_contraction=None, linear_solver=None):
-    """Damped Newton iteration on the discrete height system.
+    """Damped Newton iteration on the discrete height system, from (h0, Q0),
+    with the equation solve_mode builds from `mode` and its keywords
+    appended (fixed_q's Q0 is the start's). The derivatives of each
+    accepted iterate feed its residual and then its Jacobian. Steps are
+    halved whenever the candidate would push min h_p below the positivity
+    floor or fails to reduce the residual norm.
 
-    Every mode appends one equation in (h, Q): "fixed_q" the closure
-    Q = Q0, which holds Q at Q0 to the bit; "fixed_amplitude" the closure
-    a(h) = amplitude_target; "fixed_crest_speed" the closure
-    crest_hp(grid, h) = crest_hp_target, which fixes the crest speed
-    1/crest_hp; "arclength" the pseudo-arclength condition
-    built from `base` (h, Q) and `tangent` (t_h, t_Q) with step ds. Its
-    row borders J_hh, together with the dF/dQ column. The derivatives of
-    each accepted iterate feed its residual and then its Jacobian. Steps
-    are halved whenever the candidate would push min h_p below the
-    positivity floor or fails to reduce the residual norm.
-
-    The systems go to a LinearSolver, which holds the Newton matrix's
-    sparsity pattern, rows and columns in a fixed fill-reducing order: the
-    grid unknowns by nested dissection, the appended equation last. Every
-    iteration, in every mode, assembles its matrix from the chain-rule
-    coefficients and the border row by one sparse product. A system
-    is factored by `splu` with SuperLU's natural ordering, so SuperLU never
-    computes an ordering of its own, when the linear solver holds no LU;
-    otherwise it is solved by GMRES right-preconditioned with the last
-    LU, rescaled to the system's rows, and factored only when GMRES misses
-    the system's forcing term: the true relative residual its step needs,
-    FIRST_FORCING for the first system and, for each later one, a tenth of
-    the residual the last contraction predicts after the step (the policy
-    above LinearSolver). By default the call builds its own LinearSolver,
-    so its first system is factored and its result does not depend on
-    other solves. A caller may pass `linear_solver`, a LinearSolver(grid)
-    it owns, to serve several calls, in any mode: each starts from the LU
-    the last one left, and the caller owns that dependence. The result counts
-    this call's factorizations, which may then be 0, and GMRES iterations;
-    the solver's own totals keep counting.
+    The systems go to a LinearSolver (the policy above it): by default one
+    the call builds, so its first system is factored and its result does
+    not depend on other solves. A caller may pass `linear_solver`, a
+    LinearSolver(grid) it owns, to serve several calls, in any mode: each
+    starts from the LU the last one left, and the caller owns that
+    dependence. A call that raises a SolverError drops that LU, so a failed
+    solve hands none on. The result counts this call's factorizations,
+    which may then be 0, and GMRES iterations; the solver's own totals
+    keep counting.
 
     With `max_contraction` set to theta < 1, the iteration gives up with
     NoConvergenceError as soon as an iteration that has not converged cuts
@@ -489,7 +504,7 @@ def newton_solve(grid, vf, g, h0, Q0, mode="fixed_q", *, amplitude_target=None,
     retry at once (Deuflhard's monotonicity test). None never gives up early.
     """
     Q = float(Q0)
-    extra, row = _solve_mode(grid, mode, Q, amplitude_target,
+    row, target = solve_mode(grid, mode, Q, amplitude_target,
                              crest_hp_target, base, tangent, ds)
     solve = LinearSolver(grid) if linear_solver is None else linear_solver
     done = solve.factorizations, solve.linear_iterations
@@ -499,61 +514,62 @@ def newton_solve(grid, vf, g, h0, Q0, mode="fixed_q", *, amplitude_target=None,
 
     def full_residual(hc, Qc, derivs):
         R, S = _residual(gam, g, hc, Qc, derivs)
-        return np.append(pack_residual(R, S), extra(hc, Qc))
+        return np.append(pack_residual(R, S),
+                         row @ pack_unknowns(hc, Qc) - target)
 
-    derivs = _derivatives(grid, h)
-    F = full_residual(h, Q, derivs)
-    prev_nrm = None
-    for it in range(max_iter + 1):
-        nrm = float(np.max(np.abs(F)))
-        if nrm < newton_tolerance(Q):
-            return SolverResult(h, Q, it, nrm,
-                                solve.factorizations - done[0],
-                                solve.linear_iterations - done[1])
-        if it == max_iter:
-            raise NoConvergenceError(
-                "residual %.3g after %d Newton iterations" % (nrm, max_iter))
-        if (max_contraction is not None and prev_nrm is not None
-                and nrm > max_contraction * prev_nrm):
-            raise NoConvergenceError(
-                "Newton iteration %d cut the residual only from %.3g to %.3g "
-                "(ratio %.3f > %g)"
-                % (it, prev_nrm, nrm, nrm / prev_nrm, max_contraction))
-        if prev_nrm is None:
-            rtol = FIRST_FORCING
-        else:
-            # the max-norm residual after this step, if Newton converges
-            # quadratically with the last step's constant
-            predicted = nrm ** 3 / prev_nrm ** 2
-            rtol = min(FORCING_MAX, max(LINEAR_RTOL, FORCING_SAFETY * max(
-                predicted, newton_tolerance(Q)) / np.linalg.norm(F)))
-        prev_nrm = nrm
+    try:
+        derivs = _derivatives(grid, h)
+        F = full_residual(h, Q, derivs)
+        prev_nrm = None
+        for it in range(max_iter + 1):
+            nrm = float(np.max(np.abs(F)))
+            if nrm < newton_tolerance(Q):
+                return SolverResult(h, Q, it, nrm,
+                                    solve.factorizations - done[0],
+                                    solve.linear_iterations - done[1])
+            if it == max_iter:
+                raise NoConvergenceError("residual %.3g after %d Newton "
+                                         "iterations" % (nrm, max_iter))
+            if (max_contraction is not None and prev_nrm is not None
+                    and nrm > max_contraction * prev_nrm):
+                raise NoConvergenceError(
+                    "Newton iteration %d cut the residual only from %.3g to "
+                    "%.3g (ratio %.3f > %g)"
+                    % (it, prev_nrm, nrm, nrm / prev_nrm, max_contraction))
+            if prev_nrm is None:
+                rtol = FIRST_FORCING
+            else:
+                # the max-norm residual after this step, if Newton
+                # converges quadratically with the last step's constant
+                predicted = nrm ** 3 / prev_nrm ** 2
+                rtol = min(FORCING_MAX, max(LINEAR_RTOL, FORCING_SAFETY * max(
+                    predicted, newton_tolerance(Q)) / np.linalg.norm(F)))
+            prev_nrm = nrm
 
-        delta = solve(_chain_rule_coefficients(grid, gam, g, derivs), row, -F,
-                      rtol)
-        dh = np.zeros_like(h)
-        dh[:, 1:] = delta[:-1].reshape(grid.nq, grid.npts - 1)
-        dQ = float(delta[-1])
-
-        step = 1.0
-        for _ in range(MAX_HALVINGS + 1):
-            hc = h + step * dh
-            Qc = Q + step * dQ
-            dc = _derivatives(grid, hc)
-            floor_blocked = np.min(dc[0]) <= HP_FLOOR  # dc[0] is h_p
-            if not floor_blocked:
-                Fc = full_residual(hc, Qc, dc)
-                nc = float(np.max(np.abs(Fc)))
-                if nc < nrm or nc < newton_tolerance(Qc):
-                    h, Q, F, derivs = hc, Qc, Fc, dc
-                    break
-            step *= 0.5
-        else:
-            if floor_blocked:
-                raise StagnationApproachError(
-                    "line search blocked by the h_p positivity floor")
-            raise NoConvergenceError(
-                "line search failed to reduce the residual below %.3g" % nrm)
+            c = _chain_rule_coefficients(grid, gam, g, derivs)
+            dh, dQ = unpack_unknowns(grid, solve(c, row, -F, rtol))
+            step = 1.0
+            for _ in range(MAX_HALVINGS + 1):
+                hc = h + step * dh
+                Qc = Q + step * dQ
+                dc = _derivatives(grid, hc)
+                floor_blocked = np.min(dc[0]) <= HP_FLOOR  # dc[0] is h_p
+                if not floor_blocked:
+                    Fc = full_residual(hc, Qc, dc)
+                    nc = float(np.max(np.abs(Fc)))
+                    if nc < nrm or nc < newton_tolerance(Qc):
+                        h, Q, F, derivs = hc, Qc, Fc, dc
+                        break
+                step *= 0.5
+            else:
+                if floor_blocked:
+                    raise StagnationApproachError(
+                        "line search blocked by the h_p positivity floor")
+                raise NoConvergenceError("line search failed to reduce the "
+                                         "residual below %.3g" % nrm)
+    except SolverError:
+        solve.lu = None
+        raise
     raise NoConvergenceError("unreachable")  # pragma: no cover
 
 
@@ -641,7 +657,7 @@ def _surface_mode(sub, diag, sup, surface):
     return phi, float(surface(phi))
 
 
-def find_bifurcation(vf, g, L, m, *, beta=0.5, lam_c=None):
+def find_bifurcation(vf, g, L, m, *, beta=DEFAULT_STRETCHING, lam_c=None):
     """Squared surface speed lam* where a cos(pi q / L) mode branches off.
 
     Root of the transverse mode operator's surface residual (_surface_mode)

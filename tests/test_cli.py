@@ -358,7 +358,7 @@ class TestPipeline:
         assert summary["points"] == 1
 
 
-class TestPipelineStreaming:
+class TestPipelineFailures:
     """pipeline audits each stored point after continuation, and leaves a
     manifest but no summary when the run fails."""
 

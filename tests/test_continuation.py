@@ -159,14 +159,16 @@ class TestBranchShape:
         br = branch_sheared
         assert br.stop_reason == "max-steps"
         for pt in br.points:
-            assert trough_criterion_value(br.grid, br.vf, G, pt.h) > 0.0
+            assert trough_criterion_value(br.grid, G, br.vf.gamma(0.0),
+                                          pt.h) > 0.0
 
     def test_trough_value_is_the_audits_to_the_bit(self, branch_sheared):
         # the continuation's stop rule and D-trough read one surface h_p
         br = branch_sheared
         for pt in br.points:
             report = audit_wave(reconstruct(br.grid, br.vf, G, pt.h, pt.Q))
-            assert (trough_criterion_value(br.grid, br.vf, G, pt.h)
+            assert (trough_criterion_value(br.grid, G, br.vf.gamma(0.0),
+                                           pt.h)
                     == report.by_id("D-trough").value["vortex_force"])
 
 
@@ -233,12 +235,11 @@ class TestStepControl:
     CREST_STEP0, are halved on a failure and grow with no cap."""
 
     @pytest.mark.parametrize("failures", [1, 3])
-    def test_a_collapsed_step_regrows_by_two_up_to_ds0(
+    def test_a_failed_arclength_attempt_hands_over_to_crest_speed(
             self, setup_irrotational, monkeypatch, failures):
-        # named for the arclength collapse it once checked, which crest-speed
-        # steps replaced: a failed first arclength attempt hands the branch
-        # over to crest-speed steps at CREST_STEP0, and with failures = 3
-        # the first two crest-speed attempts fail too, each halving the step
+        # a failed first arclength attempt hands the branch over to
+        # crest-speed steps at CREST_STEP0, and with failures = 3 the first
+        # two crest-speed attempts fail too, each halving the step
         grid, vf, lam_star = setup_irrotational
         attempts = []
         real_newton = continuation.newton_solve
@@ -292,6 +293,38 @@ class TestStepControl:
                                continuation.DS_MAX)
 
 
+class TestPrediction:
+    def test_each_step_kinds_prediction_meets_its_equation(
+            self, setup_irrotational, monkeypatch):
+        # the departure, the arclength steps and, after the third attempt
+        # fails, the crest-speed steps: every attempt starts where the
+        # equation its mode appends holds, to rounding
+        grid, vf, lam_star = setup_irrotational
+        starts = []
+        real_newton = continuation.newton_solve
+
+        def recording(grid, vf, g, h0, Q0, **kwargs):
+            starts.append((h0, Q0, {k: v for k, v in kwargs.items()
+                                    if k not in ("max_iter",
+                                                 "max_contraction",
+                                                 "linear_solver")}))
+            if len(starts) == 3:
+                raise NoConvergenceError("attempt forced to fail")
+            return real_newton(grid, vf, g, h0, Q0, **kwargs)
+
+        monkeypatch.setattr(continuation, "newton_solve", recording)
+        continue_branch(grid, vf, G, 5, lam_star=lam_star)
+        assert [mode["mode"] for _, _, mode in starts] == \
+            ["fixed_amplitude"] + ["arclength"] * 2 + \
+            ["fixed_crest_speed"] * 3
+        for h0, Q0, mode in starts:
+            assert np.all(h0[:, 0] == 0.0)
+            row, target = solver.solve_mode(grid, **mode)
+            x = solver.pack_unknowns(h0, Q0)
+            assert abs(row @ x - target) <= \
+                1e-14 * (np.abs(row) @ np.abs(x) + abs(target))
+
+
 class TestHandedLU:
     """A branch builds one linear solver, which serves every attempt: each
     starts from the LU the last accepted step left, and a failed attempt's
@@ -302,8 +335,8 @@ class TestHandedLU:
         """Wrap splu and continuation's newton_solve: one row per attempt,
         (mode, its linear solver, whether that held an LU when the attempt
         began, splu calls during the attempt, whether it failed). Attempts
-        whose number is in `fail` run to the end and are then reported as
-        failed."""
+        whose number is in `fail` get one Newton iteration, too few to
+        converge, so newton_solve itself fails them."""
         factored, attempts = [], []
         real_splu = solver.splu
         real_newton = continuation.newton_solve
@@ -317,14 +350,14 @@ class TestHandedLU:
             start = len(factored)
             row = [kwargs["mode"], linear, linear.lu is not None]
             attempts.append(row)
+            if len(attempts) - 1 in fail:
+                kwargs["max_iter"] = 1
             try:
                 res = real_newton(*args, **kwargs)
             except SolverError:
                 row += [len(factored) - start, True]
                 raise
-            row += [len(factored) - start, len(attempts) - 1 in fail]
-            if row[-1]:
-                raise NoConvergenceError("attempt forced to fail")
+            row += [len(factored) - start, False]
             return res
 
         monkeypatch.setattr(solver, "splu", counting_splu)
@@ -357,9 +390,10 @@ class TestHandedLU:
 
     def test_a_failed_attempt_hands_on_no_lu(self, setup_irrotational,
                                              monkeypatch):
-        # the fourth attempt starts with the LU the third one left,
-        # converges, and is reported as failed: its retry starts with no
-        # LU, factors, and its LU serves the next step
+        # the fourth attempt starts with the LU the third one left and
+        # fails after one iteration on it: newton_solve drops that LU, so
+        # its retry starts with no LU, factors, and its LU serves the next
+        # step
         grid, vf, lam_star = setup_irrotational
         attempts = self.record(monkeypatch, fail=(3,))
         br = continue_branch(grid, vf, G, 5, lam_star=lam_star)

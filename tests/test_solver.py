@@ -38,8 +38,8 @@ from vorwave.laminar import critical_lambda, laminar_flow
 from vorwave.solver import (amplitude, bifurcation_mode, crest_hp,
                             crest_kink, discrete_laminar, find_bifurcation,
                             jacobian_blocks, newton_solve, newton_tolerance,
-                            pack_residual, residual_parts, scaled_dot,
-                            seed_wave, solver_hp)
+                            pack_residual, pack_unknowns, residual_parts,
+                            scaled_dot, seed_wave, solve_mode, solver_hp)
 from vorwave.vorticity import VorticityFunction
 
 G = 9.81
@@ -287,12 +287,14 @@ class TestNewton:
             newton_tolerance(res.Q)
 
     def test_crest_speed_border_row_is_its_equations_derivative(self):
+        # the row is the derivative of the crest h_p, crest_hp itself
+        # differenced along random directions
         grid, vf, first = self._wave()
         target = 1.05 * crest_hp(grid, first.h)
-        extra, row = solver._solve_mode(grid, "fixed_crest_speed", first.Q,
-                                        None, target, None, None, None)
+        row, held = solve_mode(grid, "fixed_crest_speed",
+                               crest_hp_target=target)
         n = grid.nq * (grid.npts - 1)
-        assert row.shape == (n + 1,)
+        assert row.shape == (n + 1,) and held == target
         # only the crest column's unknowns enter; not Q
         assert np.all(row[grid.npts - 1:] == 0.0)
         assert np.count_nonzero(row) == ColumnOps.WIDTH
@@ -302,9 +304,9 @@ class TestNewton:
             dh[:, 0] = 0.0
             dQ = float(rng.standard_normal())
             eps = 1e-6
-            fd = (extra(first.h + eps * dh, first.Q + eps * dQ)
-                  - extra(first.h - eps * dh, first.Q - eps * dQ)) / (2 * eps)
-            an = row @ np.append(dh[:, 1:].ravel(), dQ)
+            fd = (crest_hp(grid, first.h + eps * dh)
+                  - crest_hp(grid, first.h - eps * dh)) / (2 * eps)
+            an = row @ pack_unknowns(dh, dQ)
             assert abs(fd - an) < 1e-7 * max(1.0, abs(an))
 
     def test_stalled_arclength_attempt_gives_up_early(self, monkeypatch):
@@ -339,6 +341,51 @@ class TestNewton:
         assert 1 <= iteration <= 3
         assert len(factorizations) == iteration
         assert 0.9 * old < new < old
+
+
+class TestSolveModes:
+    """Each mode appends row @ pack_unknowns(h, Q) - target, the equation
+    it held as an expression in (h, Q) before it became a row and a
+    target."""
+
+    @pytest.fixture(scope="class")
+    def waves(self):
+        grid, vf, wave = TestNewton._wave()
+        h0, Q0 = seed_wave(grid, vf, G, find_bifurcation(vf, G, L, M), 0.03)
+        base = newton_solve(grid, vf, G, h0, Q0, mode="fixed_amplitude",
+                            amplitude_target=0.03)
+        return grid, wave, base
+
+    @pytest.mark.parametrize("mode", ["fixed_q", "fixed_amplitude",
+                                      "fixed_crest_speed", "arclength"])
+    def test_the_appended_residual_is_the_modes_equation(self, waves, mode):
+        grid, wave, base = waves
+        h, Q = wave.h, wave.Q
+        t_h, t_Q = h - base.h, Q - base.Q
+        nrm = np.sqrt(scaled_dot(t_h, t_Q, t_h, t_Q))
+        t_h, t_Q = t_h / nrm, t_Q / nrm
+        kwargs, old = {
+            "fixed_q": (dict(Q0=Q + 0.01), Q - (Q + 0.01)),
+            "fixed_amplitude": (dict(amplitude_target=0.06),
+                                amplitude(h) - 0.06),
+            "fixed_crest_speed": (
+                dict(crest_hp_target=1.05 * crest_hp(grid, base.h)),
+                crest_hp(grid, h) - 1.05 * crest_hp(grid, base.h)),
+            "arclength": (dict(base=(base.h, base.Q), tangent=(t_h, t_Q),
+                               ds=0.01),
+                          scaled_dot(h - base.h, Q - base.Q, t_h, t_Q)
+                          - 0.01),
+        }[mode]
+        row, target = solve_mode(grid, mode, **kwargs)
+        x = pack_unknowns(h, Q)
+        new = row @ x - target
+        assert old != 0.0
+        if mode in ("fixed_q", "fixed_amplitude"):
+            assert new == old
+        else:
+            # to rounding of the terms the dot products add
+            scale = np.abs(row) @ np.abs(x) + abs(target)
+            assert abs(new - old) <= 1e-14 * scale
 
 
 def chain_rule_sum(grid):
@@ -790,6 +837,28 @@ class TestKeptFactorization:
         assert np.max(np.abs(second.h - fresh.h)) <= 1e-9
         assert abs(second.Q - fresh.Q) <= 1e-9
 
+    def test_a_failed_solve_drops_the_handed_lu(self, problem):
+        # a solve that raises hands no LU on: neither one that runs out of
+        # iterations on the LU it was handed, nor one whose start stagnates
+        vf, seeds = problem
+        grid = StripGrid(L, M, 24, 20, beta=0.5)
+        linear = solver.LinearSolver(grid)
+        self.solve(vf, seeds, 0.05, grid, linear)
+        assert linear.lu is not None
+        with pytest.raises(NoConvergenceError):
+            newton_solve(grid, vf, G, *seeds[0.15], mode="fixed_amplitude",
+                         amplitude_target=0.15, max_iter=1,
+                         linear_solver=linear)
+        assert linear.lu is None
+        self.solve(vf, seeds, 0.05, grid, linear)
+        assert linear.lu is not None
+        stagnant = seeds[0.05][0].copy()
+        stagnant[:, -1] = stagnant[:, -2] - 0.05
+        with pytest.raises(StagnationError):
+            newton_solve(grid, vf, G, stagnant, seeds[0.05][1],
+                         linear_solver=linear)
+        assert linear.lu is None
+
     def test_splu_never_runs_beside_a_held_lu(self, problem, monkeypatch):
         # with every GMRES answer wrong, each system after the first is
         # factored while the solver holds the last LU; the solver drops it
@@ -841,8 +910,8 @@ class TestKeptFactorization:
         h, Q = seeds[0.1]
         coefficients = solver._chain_rule_coefficients(
             grid, vf.gamma(-grid.p)[1:-1], G, solver._derivatives(grid, h))
-        _, row = solver._solve_mode(grid, "fixed_amplitude", Q, 0.1, None,
-                                    None, None, None)
+        row, _ = solver.solve_mode(grid, "fixed_amplitude",
+                                   amplitude_target=0.1)
         rng = np.random.default_rng(7)
         rhs = rng.standard_normal(row.size)
         linear = solver.LinearSolver(grid)
